@@ -52,17 +52,24 @@ class QPairSpec:
         return self.rates @ f + (self.killing - self.total) * f
 
 
+def _check_finite(name, arr):
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionViolated(f"{name} has a NaN or infinite entry")
+
+
 def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
     """Check sign and stability constraints, returning a frozen QPairSpec.
 
     total defaults to the row sums (a conservative chain); killing defaults
-    to zero.  Diagonal entries of rates are ignored.
+    to zero.  Diagonal entries of rates are ignored; any other NaN or inf
+    entry is refused.
     """
     r = np.array(rates, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
         raise PreconditionViolated("rates must be a square matrix with n >= 1")
     n = r.shape[0]
     np.fill_diagonal(r, 0.0)
+    _check_finite("rates", r)
     if np.any(r < 0.0):
         i, j = map(int, np.argwhere(r < 0.0)[0])
         raise NegativeRate(i, j, r[i, j])
@@ -70,6 +77,7 @@ def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
     q = row.copy() if total is None else np.array(total, dtype=float)
     if q.shape != (n,):
         raise PreconditionViolated("total must have one entry per state")
+    _check_finite("total", q)
     slack = q - row
     scale = np.maximum(1.0, np.maximum(np.abs(q), row))
     if np.any(slack < -_CONS_RTOL * scale):
@@ -80,6 +88,7 @@ def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
     c = np.zeros(n) if killing is None else np.array(killing, dtype=float)
     if c.shape != (n,):
         raise PreconditionViolated("killing must have one entry per state")
+    _check_finite("killing", c)
     excess = c - q - _CONS_RTOL * np.maximum(1.0, np.abs(q))
     if np.any(excess > 0.0):
         i = int(np.argmax(excess))

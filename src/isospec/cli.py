@@ -91,6 +91,12 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _finite(key: str, value):
+    if not np.all(np.isfinite(value)):
+        raise SchemaError(f"{key!r} has a NaN or infinite entry")
+    return value
+
+
 def _rate_field(doc: dict, key: str, default=None):
     """Number, array, or poly-formula entry of a bd chain document."""
     if key not in doc:
@@ -99,14 +105,14 @@ def _rate_field(doc: dict, key: str, default=None):
         return default, None
     node = doc[key]
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return float(node), None
+        return _finite(key, float(node)), None
     if isinstance(node, list):
         arr = np.asarray(node, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise SchemaError(f"{key!r} must be a flat nonempty array")
-        return arr, arr.shape[0]
+        return _finite(key, arr), arr.shape[0]
     if isinstance(node, dict) and node.get("formula") == "poly":
-        coeffs = np.asarray(node.get("coeffs", []), dtype=float)
+        coeffs = _finite(key, np.asarray(node.get("coeffs", []), dtype=float))
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise SchemaError(f"{key!r} poly formula needs a nonempty coeffs array")
 
@@ -287,7 +293,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
@@ -443,13 +449,12 @@ def cmd_transform(args) -> int:
 
 
 def _emit_qpair_transform(args, qp, mu):
-    rows = []
-    for i in range(qp.n_states):
-        for j in range(qp.n_states):
-            if qp.rates[i, j] != 0.0:
-                rows.append(("rate", i, j, qp.rates[i, j]))
-    rows += [("total", i, "", qp.total[i]) for i in range(qp.n_states)]
-    rows += [("killing", i, "", qp.killing[i]) for i in range(qp.n_states)]
+    rows = None
+    if args.output == "csv":
+        ii, jj = np.nonzero(qp.rates)
+        rows = [("rate", i, j, qp.rates[i, j]) for i, j in zip(ii.tolist(), jj.tolist())]
+        rows += [("total", i, "", qp.total[i]) for i in range(qp.n_states)]
+        rows += [("killing", i, "", qp.killing[i]) for i in range(qp.n_states)]
     _emit(args, _qpair_doc(qp, mu), header=("kind", "i", "j", "value"), rows=rows)
 
 

@@ -47,8 +47,8 @@ def lambda0_variational(spec: BirthDeathSpec, N: int, method: str = "bisect") ->
     Equals the smallest eigenvalue of the symmetrised truncated negative
     generator with a Dirichlet condition at N+1; nonincreasing in N.  The
     bisection route tracks inertia counts and stays accurate even when the
-    rates are strongly graded; method "ql" runs the full QL spectrum instead
-    (well-scaled matrices only).
+    rates are strongly graded; method "ql" takes the full LAPACK spectrum of
+    the dense (N+1)^2 matrix instead (well-scaled matrices only).
     """
     if N < 0:
         raise PreconditionViolated("N must be nonnegative")

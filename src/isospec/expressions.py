@@ -3,7 +3,8 @@
 Accepted grammar: decimal numbers, the variable x, the operators
 + - * / ^ (also **), parentheses, and the functions exp, sin, cos, log.
 Anything else is rejected.  Parsing and differentiation are delegated to
-sympy; evaluation is a vectorised numpy callable.
+sympy; evaluation is a vectorised numpy callable.  sympy is imported the
+first time an expression is compiled, so the chain code paths never load it.
 """
 from __future__ import annotations
 
@@ -11,25 +12,43 @@ import io
 import token as _tok
 import tokenize
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cache
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-import sympy as sp
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    parse_expr,
-    standard_transformations,
-)
 
 from .errors import MalformedExpression
 
-X = sp.Symbol("x")
-_FUNCS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "log": sp.log}
-_LOCALS = {"x": X, **_FUNCS}
-_TRANSFORMS = standard_transformations + (convert_xor,)
-_NAMES = set(_LOCALS)
+if TYPE_CHECKING:
+    import sympy as sp
+
+_FUNCS = ("exp", "sin", "cos", "log")
+_NAMES = {"x", *_FUNCS}
 _OPS = {"+", "-", "*", "/", "**", "^", "(", ")"}
 _SKIP = {_tok.ENCODING, _tok.NEWLINE, _tok.NL, _tok.ENDMARKER}
+
+
+class _Sympy(NamedTuple):
+    sp: object
+    x: object
+    locals: dict
+    transforms: tuple
+    parse_expr: Callable
+
+
+@cache
+def _sympy() -> _Sympy:
+    """sympy, the symbol x, the allowed-name table and the parse transforms."""
+    import sympy as sp
+    from sympy.parsing.sympy_parser import (
+        convert_xor,
+        parse_expr,
+        standard_transformations,
+    )
+
+    x = sp.Symbol("x")
+    local = {"x": x, **{name: getattr(sp, name) for name in _FUNCS}}
+    return _Sympy(sp, x, local, standard_transformations + (convert_xor,), parse_expr)
 
 
 def _lex_check(text: str) -> None:
@@ -53,7 +72,8 @@ def _lex_check(text: str) -> None:
 
 
 def _vectorized(expr) -> Callable[[np.ndarray], np.ndarray]:
-    raw = sp.lambdify(X, expr, modules="numpy")
+    S = _sympy()
+    raw = S.sp.lambdify(S.x, expr, modules="numpy")
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -77,7 +97,8 @@ class CompiledExpr:
         return self.fn(x)
 
     def diff(self, order: int = 1) -> "CompiledExpr":
-        d = sp.diff(self.expr, X, order)
+        S = _sympy()
+        d = S.sp.diff(self.expr, S.x, order)
         return CompiledExpr(text=str(d), expr=d, fn=_vectorized(d))
 
 
@@ -85,28 +106,30 @@ def compile_expression(text: str) -> CompiledExpr:
     """Parse text in the restricted grammar and return an evaluator.
 
     Raises MalformedExpression on syntax errors, unknown names, or unknown
-    functions.
+    functions.  The allowlist check runs before sympy is imported.
     """
     if not isinstance(text, str) or not text.strip():
         raise MalformedExpression(text, "empty expression")
     _lex_check(text)
+    S = _sympy()
     try:
-        expr = parse_expr(
-            text, local_dict=_LOCALS, transformations=_TRANSFORMS, evaluate=True
+        expr = S.parse_expr(
+            text, local_dict=S.locals, transformations=S.transforms, evaluate=True
         )
     except Exception as exc:  # sympy raises several token/syntax types
         raise MalformedExpression(text, str(exc)) from None
-    if not isinstance(expr, sp.Basic):
+    if not isinstance(expr, S.sp.Basic):
         raise MalformedExpression(text, "not a scalar expression")
-    stray = expr.free_symbols - {X}
+    stray = expr.free_symbols - {S.x}
     if stray:
         names = ", ".join(sorted(str(s) for s in stray))
         raise MalformedExpression(text, f"unknown name(s): {names}")
-    if expr.has(sp.I):
+    if expr.has(S.sp.I):
         raise MalformedExpression(text, "complex-valued expression")
     return CompiledExpr(text=text, expr=expr, fn=_vectorized(expr))
 
 
 def constant(value: float) -> CompiledExpr:
+    sp = _sympy().sp
     expr = sp.Float(value) if value != int(value) else sp.Integer(int(value))
     return CompiledExpr(text=str(value), expr=expr, fn=_vectorized(expr))

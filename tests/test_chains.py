@@ -34,6 +34,19 @@ def test_validate_rejects_potential_above_rate():
         validate_qpair(rates, None, np.array([2.0, 0.0]))
 
 
+@pytest.mark.parametrize("field", ["rates", "total", "killing"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite(field, bad):
+    args = {
+        "rates": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        "total": np.array([1.0, 1.0]),
+        "killing": np.array([0.0, 0.0]),
+    }
+    args[field][(0, 1) if field == "rates" else 1] = bad
+    with pytest.raises(PreconditionViolated):
+        validate_qpair(args["rates"], args["total"], args["killing"])
+
+
 def test_apply_matches_hand_computation():
     # 3 states, q01=2, q10=1, q12=3, q21=1, c=(-1, 0, -2)
     rates = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0], [0.0, 1.0, 0.0]])

@@ -95,6 +95,42 @@ def test_verify_naive_truncation_fails(capsys, tmp_path, fib_chain):
     assert "FAIL" in err
 
 
+def test_non_finite_rates_exit_two(capsys, tmp_path):
+    nan, inf = float("nan"), float("inf")
+    good = {"type": "qpair", "rates": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+            "mu": [1.0, 1.0, 1.0]}
+    a = _write(tmp_path, "a.json", good)
+    bad_docs = [
+        {**good, "rates": [[0, nan, 0], [1, 0, 1], [0, 1, 0]]},
+        {**good, "total": [1, inf, 1]},
+        {**good, "killing": [0, nan, 0]},
+        {"type": "bd", "birth": [1, nan, 1], "death": 1.0, "N": 2},
+        {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -inf, "N": 2},
+    ]
+    for doc in bad_docs:
+        b = _write(tmp_path, "b.json", doc)
+        code, out, err = _run(capsys, "verify", a, b)
+        assert code == 2, doc
+        assert out == ""
+        assert err.startswith("isospec: ")
+    # the explicit recurrence never builds a q-matrix, so the schema layer must refuse
+    b = _write(tmp_path, "b.json", {"type": "bd", "birth": 1.0, "death": 1.0,
+                                    "killing": [0, nan, 0, 0], "N": 3})
+    code, out, _ = _run(capsys, "harmonic", b, "--method", "explicit")
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_eigensolver_failure_exits_one(capsys, monkeypatch, fib_chain):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, out, err = _run(capsys, "verify", fib_chain, fib_chain)
+    assert code == 1
+    assert err.startswith("isospec: check failed")
+
+
 def test_transform_forward_output_reloads(capsys, tmp_path, fib_chain):
     h = _write(tmp_path, "h.json", FIB)
     code, out, _ = _run(capsys, "transform", fib_chain, "--h", h,

@@ -193,12 +193,27 @@ def test_measure_dual_is_mu_adjoint_and_involutive():
     assert np.max(np.abs(qdd.rates - qp.rates)) < 1e-12 * np.max(qp.rates)
 
 
-def test_symmetrized_conjugate_matches_eigvalsh():
-    # cross-check the whole pipeline against the independent dense solver
+def test_symmetrized_conjugate_matches_closed_form():
+    # A killed walk on a 3 x 5 grid whose symmetrised generator is the
+    # Kronecker sum of two Toeplitz tridiagonals, shifted by -s: its spectrum
+    # is -4 - s + 2 cos(j pi / 4) + 2 cos(k pi / 6), independent of any solver.
     rng = np.random.default_rng(21)
-    qp, mu = make_reversible_killed(rng, 14)
-    h = np.exp(rng.uniform(-1.0, 1.0, 14))
+    p, q, s = 3, 5, 0.4
+
+    def toeplitz(m):
+        return -2.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
+
+    S0 = np.kron(toeplitz(p), np.eye(q)) + np.kron(np.eye(p), toeplitz(q)) - s * np.eye(p * q)
+    mu = rng.uniform(0.5, 2.0, p * q)
+    rates = S0 * np.sqrt(mu[None, :] / mu[:, None])
+    np.fill_diagonal(rates, 0.0)
+    total = rates.sum(axis=1)
+    qp = validate_qpair(rates, total, np.diag(S0) + total)
+    h = np.exp(rng.uniform(-1.0, 1.0, p * q))
     S = symmetrize(conjugate(qp, h), mu * h**2)
     ours = eig_sym(S, method="jacobi")
-    ref = np.linalg.eigvalsh(S)
+    j, k = np.meshgrid(np.arange(1, p + 1), np.arange(1, q + 1))
+    ref = np.sort(
+        (-4.0 - s + 2.0 * np.cos(j * np.pi / (p + 1)) + 2.0 * np.cos(k * np.pi / (q + 1))).ravel()
+    )
     assert np.max(np.abs(ours - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))

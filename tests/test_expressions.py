@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,3 +94,33 @@ def test_constant_factory():
     assert c(0.0) == 2.5
     assert np.all(c(np.ones(3)) == 2.5)
     assert constant(4.0)(7.0) == 4.0
+
+
+def test_sympy_loads_only_when_an_expression_is_compiled(tmp_path):
+    chain = tmp_path / "c.json"
+    chain.write_text(json.dumps(
+        {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 7}))
+    script = textwrap.dedent(f"""
+        import sys
+        import isospec, isospec.cli
+        assert "sympy" not in sys.modules, "import isospec loaded sympy"
+        code = isospec.cli.main(["harmonic", {str(chain)!r}, "--method", "explicit"])
+        assert code == 0
+        assert "sympy" not in sys.modules, "harmonic loaded sympy"
+        try:
+            isospec.compile_expression("__import__('os')")
+        except isospec.MalformedExpression:
+            pass
+        else:
+            raise SystemExit("injection accepted")
+        assert "sympy" not in sys.modules, "the allowlist check loaded sympy"
+        f = isospec.compile_expression("exp(-x^2/2)")
+        assert "sympy" in sys.modules
+        assert abs(f(1.0) - 0.6065306597126334) < 1e-15
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

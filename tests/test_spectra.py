@@ -3,6 +3,7 @@ import pytest
 
 from isospec import (
     BirthDeathSpec,
+    NoConvergence,
     NotReversible,
     PreconditionViolated,
     bd_measures,
@@ -44,12 +45,14 @@ def test_symmetrize_rejects_wrong_measure():
 
 
 def test_eig_sym_jacobi_matches_reference():
+    # spectrum known by construction: S = Q diag(w) Q^T with Q orthogonal
     rng = np.random.default_rng(32)
     for n in (2, 5, 17, 40):
-        S = _random_symmetric(rng, n)
-        ours = eig_sym(S, method="jacobi")
-        ref = np.linalg.eigvalsh(S)
-        assert np.max(np.abs(ours - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
+        w = np.sort(rng.normal(size=n))
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        S = (Q * w) @ Q.T
+        ours = eig_sym((S + S.T) / 2.0, method="jacobi")
+        assert np.max(np.abs(ours - w)) < 1e-11 * max(1.0, np.max(np.abs(w)))
 
 
 def test_eig_sym_jacobi_vectors_diagonalise():
@@ -66,23 +69,57 @@ def test_eig_sym_dispatches_tridiagonal():
     e = rng.normal(size=24)
     S = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     ours = eig_sym(S)
-    ref = np.linalg.eigvalsh(S)
-    assert np.max(np.abs(ours - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+    ref = lowest_eigs_tridiag(d, e, 25)
+    tol = 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert np.max(np.abs(ours - ref)) < tol
+    # eigenvectors are available on the tridiagonal path as well
+    w, V = eig_sym(S, vectors=True)
+    assert np.max(np.abs(w - ref)) < tol
+    assert np.max(np.abs(S @ V - V * w[None, :])) < 1e-11
+    assert np.max(np.abs(V.T @ V - np.eye(25))) < 1e-12
 
 
 def test_eig_sym_rejects_asymmetric():
     with pytest.raises(PreconditionViolated):
         eig_sym(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(PreconditionViolated):
+        eig_sym(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_sym_rejects_non_finite(bad):
+    # LAPACK itself returns finite-looking eigenvalues for [[nan, 1], [1, 0]]
+    with pytest.raises(PreconditionViolated):
+        eig_sym(np.array([[bad, 1.0], [1.0, 0.0]]))
+    with pytest.raises(PreconditionViolated):
+        eig_tridiag(np.array([0.0, bad]), np.array([1.0]))
+
+
+def test_eig_sym_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence):
+        eig_sym(np.eye(3))
 
 
 def test_eig_tridiag_matches_reference():
+    # closed-form Toeplitz spectrum d + 2 e cos(k pi / (n + 1))
+    for d0, e0, n in ((2.0, -1.0, 60), (0.3, 0.7, 17), (1.5, 0.0, 4)):
+        k = np.arange(1, n + 1)
+        ref = np.sort(d0 + 2.0 * e0 * np.cos(k * np.pi / (n + 1)))
+        ours = eig_tridiag(np.full(n, d0), np.full(n - 1, e0))
+        assert np.max(np.abs(ours - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+    # random entries: against Sturm bisection
     rng = np.random.default_rng(35)
     d = rng.uniform(0.5, 3.0, 60)
     e = rng.normal(size=59)
-    S = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    ref = lowest_eigs_tridiag(d, e, 60)
     ours = eig_tridiag(d, e)
-    ref = np.linalg.eigvalsh(S)
     assert np.max(np.abs(ours - ref)) < 1e-12 * np.max(np.abs(ref))
+    with pytest.raises(PreconditionViolated):
+        eig_tridiag(d, e[:-1])
 
 
 def test_sturm_count_matches_reference_counts():
