@@ -300,13 +300,14 @@ def _jsonable(obj):
 
 
 def _emit(args, payload: dict, header=None, rows=None):
+    """Print payload as JSON, or under --output csv the rows() table."""
     if args.seed is not None:
         payload = dict(payload)
         payload["seed"] = args.seed
     if args.output == "csv" and rows is not None:
         w = csv.writer(sys.stdout)
         w.writerow(header)
-        for row in rows:
+        for row in rows():
             w.writerow([_jsonable(v) for v in row])
     else:
         print(json.dumps(_jsonable(payload), indent=2))
@@ -373,7 +374,6 @@ def cmd_harmonic(args) -> int:
             "residuals": res,
             "method": "explicit",
         }
-        rows = [(i, hv.values[i], res[i]) for i in range(N + 1)]
     else:
         qp = ci.as_qpair()
         hv, trace = minimal_harmonic(qp, args.theta, tol=tol, method=args.method)
@@ -389,8 +389,8 @@ def cmd_harmonic(args) -> int:
             "n_iter": trace.n_iter,
             "final_delta": trace.final_delta,
         }
-        rows = list(zip(range(len(hv)), hv.values, res))
-    _emit(args, payload, header=("state", "h", "residual"), rows=rows)
+    _emit(args, payload, header=("state", "h", "residual"),
+          rows=lambda: zip(range(len(res)), hv.values, res))
     return 0
 
 
@@ -420,8 +420,8 @@ def cmd_transform(args) -> int:
         spec_t, mp = bd_h_transform(ci.bd, hv, N)
         _emit(args, _bd_doc(spec_t, N, mp),
               header=("state", "birth", "death", "killing", "mu"),
-              rows=[(i, spec_t.b(i), spec_t.a(i) if i else 0.0, spec_t.c(i), mp.mu[i])
-                    for i in range(N + 1)])
+              rows=lambda: [(i, spec_t.b(i), spec_t.a(i) if i else 0.0, spec_t.c(i),
+                             mp.mu[i]) for i in range(N + 1)])
         return 0
 
     qp = ci.as_qpair()
@@ -449,12 +449,12 @@ def cmd_transform(args) -> int:
 
 
 def _emit_qpair_transform(args, qp, mu):
-    rows = None
-    if args.output == "csv":
+    def rows():
         ii, jj = np.nonzero(qp.rates)
-        rows = [("rate", i, j, qp.rates[i, j]) for i, j in zip(ii.tolist(), jj.tolist())]
-        rows += [("total", i, "", qp.total[i]) for i in range(qp.n_states)]
-        rows += [("killing", i, "", qp.killing[i]) for i in range(qp.n_states)]
+        yield from (("rate", i, j, qp.rates[i, j]) for i, j in zip(ii.tolist(), jj.tolist()))
+        yield from (("total", i, "", qp.total[i]) for i in range(qp.n_states))
+        yield from (("killing", i, "", qp.killing[i]) for i in range(qp.n_states))
+
     _emit(args, _qpair_doc(qp, mu), header=("kind", "i", "j", "value"), rows=rows)
 
 
@@ -481,7 +481,6 @@ def cmd_verify(args) -> int:
         raise SchemaError("second chain needs a measure: give --h or embed \"mu\"")
 
     rep = isospectral_check(qpA, muA, qpB, muB, tol=args.tol)
-    gaps = np.abs(rep.eigenvalues - rep.eigenvalues_other)
     payload = {
         "passed": rep.passed,
         "max_pair_gap": rep.max_pair_gap,
@@ -490,8 +489,9 @@ def cmd_verify(args) -> int:
         "eigenvalues": rep.eigenvalues,
         "eigenvalues_other": rep.eigenvalues_other,
     }
-    rows = list(zip(range(len(gaps)), rep.eigenvalues, rep.eigenvalues_other, gaps))
-    _emit(args, payload, header=("k", "lambda_a", "lambda_b", "gap"), rows=rows)
+    a, b = rep.eigenvalues, rep.eigenvalues_other
+    _emit(args, payload, header=("k", "lambda_a", "lambda_b", "gap"),
+          rows=lambda: zip(range(len(a)), a, b, np.abs(a - b)))
     _note(args, "PASS" if rep.passed else "FAIL")
     return 0 if rep.passed else 1
 
@@ -508,10 +508,8 @@ def cmd_bounds(args) -> int:
     payload = rep.to_dict()
     payload["n_max"] = nmax
     detail = rep.delta_detail
-    rows = []
-    if detail is not None and detail.partial is not None:
-        rows = list(zip(range(len(detail.partial)), detail.partial))
-    _emit(args, payload, header=("n", "partial_sup"), rows=rows)
+    partial = () if detail is None or detail.partial is None else detail.partial
+    _emit(args, payload, header=("n", "partial_sup"), rows=lambda: enumerate(partial))
     _note(args, "PASS" if rep.containment else "FAIL")
     return 0 if rep.containment else 1
 
@@ -535,8 +533,8 @@ def cmd_diffop(args) -> int:
             ],
             "all_passed": all(ch.passed for ch in checks),
         }
-        rows = [(ch.n, ch.residual, ch.bound, ch.passed) for ch in checks]
-        _emit(args, payload, header=("n", "residual", "bound", "passed"), rows=rows)
+        _emit(args, payload, header=("n", "residual", "bound", "passed"),
+              rows=lambda: [(ch.n, ch.residual, ch.bound, ch.passed) for ch in checks])
         ok = payload["all_passed"]
         _note(args, "PASS" if ok else "FAIL")
         return 0 if ok else 1
@@ -544,14 +542,14 @@ def cmd_diffop(args) -> int:
     if args.check == "transform":
         ot = forward_transform(op, h, tol=tol)
         x = op.grid
+        bt = ot.b(x)
         payload = {
             "x": x,
-            "b_tilde": ot.b(x),
+            "b_tilde": bt,
             "a": ot.a(x),
             "boundary": list(ot.boundary),
         }
-        rows = list(zip(x, ot.b(x)))
-        _emit(args, payload, header=("x", "b_tilde"), rows=rows)
+        _emit(args, payload, header=("x", "b_tilde"), rows=lambda: zip(x, bt))
         return 0
 
     if args.check == "spectrum":
@@ -562,8 +560,7 @@ def cmd_diffop(args) -> int:
             "n_nodes": disc.n_nodes,
             "boundary": list(disc.boundary),
         }
-        rows = list(zip(range(len(vals)), vals))
-        _emit(args, payload, header=("k", "lambda"), rows=rows)
+        _emit(args, payload, header=("k", "lambda"), rows=lambda: enumerate(vals))
         return 0
 
     if args.check == "riccati":
@@ -574,8 +571,8 @@ def cmd_diffop(args) -> int:
             "psi": rr.psi,
             "b_tilde": rr.b_tilde,
         }
-        rows = list(zip(rr.grid, rr.phi, rr.psi, rr.b_tilde))
-        _emit(args, payload, header=("x", "phi", "psi", "b_tilde"), rows=rows)
+        _emit(args, payload, header=("x", "phi", "psi", "b_tilde"),
+              rows=lambda: zip(rr.grid, rr.phi, rr.psi, rr.b_tilde))
         return 0
 
     raise SchemaError(f"unknown check {args.check!r}")

@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     PreconditionViolated,
     ZeroH,
 )
-from .expressions import compile_expression
+from .expressions import _vectorized, compile_expression, constant
 
 _H_FLOOR = 1e-300
 
@@ -33,18 +34,8 @@ def _as_fn(v) -> Callable:
     if isinstance(v, str):
         return compile_expression(v).fn
     if callable(v):
-        def fn(x, _f=v):
-            x = np.asarray(x, dtype=float)
-            out = np.asarray(_f(x), dtype=float)
-            if out.shape != x.shape:
-                out = np.broadcast_to(out, x.shape).copy()
-            return out if x.ndim else float(out)
-        return fn
-    val = float(v)
-    def const(x, _v=val):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape, _v) if x.ndim else _v
-    return const
+        return _vectorized(v)
+    return constant(float(v)).fn
 
 
 _BC = ("dirichlet", "neumann")
@@ -118,13 +109,12 @@ class SmoothFunction:
             raise PreconditionViolated("need matching 1-d arrays, length >= 5")
         d1 = np.gradient(v, x, edge_order=2)
         d2 = np.gradient(d1, x, edge_order=2)
-        def interp(arr):
-            def fn(t, _a=arr):
-                t = np.asarray(t, dtype=float)
-                out = np.interp(t, x, _a)
-                return out if t.ndim else float(out)
-            return fn
-        return cls(h=interp(v), h1=interp(d1), h2=interp(d2))
+        return _interpolated(x, v, d1, d2)
+
+
+def _interpolated(x, hv, h1, h2) -> SmoothFunction:
+    """Piecewise-linear interpolants of sampled (h, h', h'') on the grid x."""
+    return SmoothFunction(*(partial(np.interp, xp=x, fp=v) for v in (hv, h1, h2)))
 
 
 _S_TAGS = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -345,16 +335,8 @@ class RiccatiResult:
             return SmoothFunction.from_values(self.grid, hv)
         if mode != "ode":
             raise PreconditionViolated(f"unknown mode {mode!r}")
-        x, phi, dphi = self.grid, self.phi, self.phi_prime
-        h1 = phi * hv
-        h2 = (dphi + phi * phi) * hv
-        def interp(arr):
-            def fn(t, _a=arr):
-                t = np.asarray(t, dtype=float)
-                out = np.interp(t, x, _a)
-                return out if t.ndim else float(out)
-            return fn
-        return SmoothFunction(h=interp(hv), h1=interp(h1), h2=interp(h2))
+        phi = self.phi
+        return _interpolated(self.grid, hv, phi * hv, (self.phi_prime + phi * phi) * hv)
 
 
 def riccati_dual(

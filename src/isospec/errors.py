@@ -115,7 +115,8 @@ class ZeroH(IsospecError):
 class MalformedExpression(IsospecError):
     def __init__(self, text, reason):
         self.text, self.reason = text, reason
-        super().__init__(f"cannot parse {text!r}: {reason}")
+        shown = text[:77] + "..." if isinstance(text, str) and len(text) > 80 else text
+        super().__init__(f"cannot parse {shown!r}: {reason}")
 
 
 class GridTooCoarse(UserWarning):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +281,30 @@ def test_expression_injection_rejected(capsys, tmp_path):
     code, _, err = _run(capsys, "diffop", op, "--check", "spectrum")
     assert code == 2
     assert "__import__" in err
+
+
+HOSTILE = {
+    "overflowing-tower": ("b", "9^9^9^9"),
+    "3000-parentheses": ("b", "(" * 3000 + "x" + ")" * 3000),
+    "150-parentheses": ("b", "(" * 150 + "x" + ")" * 150),
+    "long-product-derivative": ("h", "*".join(f"(x+{i})" for i in range(60))),
+}
+
+
+@pytest.mark.parametrize("field,text", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_expressions_exit_two_quickly(capsys, tmp_path, field, text):
+    op = {"a": 0.5, "b": "-x", "interval": [-1.0, 1.0], "M": 10}
+    h = {"h": "exp(-x^2/2)"}
+    (op if field == "b" else h)[field] = text
+    argv = ["diffop", _write(tmp_path, "op.json", op),
+            "--h", _write(tmp_path, "h.json", h), "--check", "eigen"]
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("isospec: cannot parse"), err
+    assert len(lines[0]) < 200
 
 
 def test_schema_error_points_at_help(capsys, tmp_path):
