@@ -8,164 +8,53 @@ birth-death chains, and second-order differential operators, together with
 the Hardy-weight machinery that encloses the principal eigenvalue from the
 transformed side.
 """
-from .chains import (
-    BirthDeathSpec,
-    MeasurePair,
-    QPairSpec,
-    bd_measures,
-    bd_to_qpair,
-    validate_qpair,
-)
-from .diffops import (
-    Discretization,
-    EigenCheck,
-    Operator1D,
-    PolyGauss,
-    RiccatiResult,
-    SmoothFunction,
-    discretize,
-    forward_transform,
-    forward_transform_points,
-    hermite_defining_residual,
-    hermite_polys,
-    ou_multiplicity,
-    riccati_dual,
-    verify_lh_eigen,
-)
-from .diffops import inverse_transform as diffop_inverse_transform
-from .duality import (
-    bd_h_transform,
-    conjugate,
-    h_transform,
-    h_transform_local,
-    inverse_transform,
-    measure_dual,
-    transform_measure,
-)
-from .eigenbounds import (
-    BoundsReport,
-    DeltaResult,
-    bounds_report,
-    delta_tilde,
-    lambda0_variational,
-)
-from .errors import (
-    BlowUp,
-    Divergence,
-    GridTooCoarse,
-    IsospecError,
-    MalformedExpression,
-    NegativeRate,
-    NoConvergence,
-    NonConvergence,
-    NonpositiveH,
-    NotHarmonic,
-    NotHarmonicAt,
-    NotLocallyHarmonic,
-    NotReversible,
-    Overflow,
-    PotentialExceedsRate,
-    PreconditionViolated,
-    TailNotResolved,
-    ZeroH,
-)
-from .expressions import CompiledExpr, compile_expression, constant
-from .harmonic import (
-    HarmonicVector,
-    IterationTrace,
-    bd_harmonic_explicit,
-    harmonic_residual,
-    is_supersolution,
-    maximal_solution,
-    minimal_harmonic,
-    uniqueness_margin,
-)
-from .spectra import (
-    SpectrumReport,
-    eig_sym,
-    eig_tridiag,
-    isospectral_check,
-    lowest_eigs_tridiag,
-    quadratic_form,
-    smallest_eig_tridiag,
-    spectral_radius,
-    sturm_count,
-    symmetrize,
-)
+import importlib
+
+# Exports resolve on first use (PEP 562), so `import isospec.cli` and the
+# chain subcommands never load the expression and operator modules.
+_EXPORTS = {
+    "chains": ("BirthDeathSpec", "MeasurePair", "QPairSpec", "bd_measures",
+               "bd_to_qpair", "validate_qpair"),
+    "diffops": ("Discretization", "EigenCheck", "Operator1D", "PolyGauss",
+                "RiccatiResult", "SmoothFunction", "discretize", "forward_transform",
+                "forward_transform_points", "hermite_defining_residual",
+                "hermite_polys", "ou_multiplicity", "riccati_dual", "verify_lh_eigen"),
+    "duality": ("bd_h_transform", "conjugate", "h_transform", "h_transform_local",
+                "inverse_transform", "measure_dual", "transform_measure"),
+    "eigenbounds": ("BoundsReport", "DeltaResult", "bounds_report", "delta_tilde",
+                    "lambda0_variational"),
+    "errors": ("BlowUp", "Divergence", "GridTooCoarse", "IsospecError",
+               "MalformedExpression", "NegativeRate", "NoConvergence",
+               "NonConvergence", "NonpositiveH", "NotHarmonic", "NotHarmonicAt",
+               "NotLocallyHarmonic", "NotReversible", "Overflow",
+               "PotentialExceedsRate", "PreconditionViolated", "TailNotResolved",
+               "ZeroH"),
+    "expressions": ("CompiledExpr", "compile_expression", "constant"),
+    "harmonic": ("HarmonicVector", "IterationTrace", "bd_harmonic_explicit",
+                 "harmonic_residual", "is_supersolution", "maximal_solution",
+                 "minimal_harmonic", "uniqueness_margin"),
+    "spectra": ("SpectrumReport", "eig_sym", "eig_tridiag", "isospectral_check",
+                "lowest_eigs_tridiag", "quadratic_form", "smallest_eig_tridiag",
+                "spectral_radius", "sturm_count", "symmetrize"),
+}
+# exported name -> (module, attribute)
+_WHERE = {name: (mod, name) for mod, names in _EXPORTS.items() for name in names}
+_WHERE["diffop_inverse_transform"] = ("diffops", "inverse_transform")
+
+
+def __getattr__(name):
+    if name not in _WHERE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod, attr = _WHERE[name]
+    value = getattr(importlib.import_module(f".{mod}", __name__), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BirthDeathSpec",
-    "BlowUp",
-    "BoundsReport",
-    "CompiledExpr",
-    "DeltaResult",
-    "Discretization",
-    "Divergence",
-    "EigenCheck",
-    "GridTooCoarse",
-    "HarmonicVector",
-    "IsospecError",
-    "IterationTrace",
-    "MalformedExpression",
-    "MeasurePair",
-    "NegativeRate",
-    "NoConvergence",
-    "NonConvergence",
-    "NonpositiveH",
-    "NotHarmonic",
-    "NotHarmonicAt",
-    "NotLocallyHarmonic",
-    "NotReversible",
-    "Operator1D",
-    "Overflow",
-    "PolyGauss",
-    "PotentialExceedsRate",
-    "PreconditionViolated",
-    "QPairSpec",
-    "RiccatiResult",
-    "SmoothFunction",
-    "SpectrumReport",
-    "TailNotResolved",
-    "ZeroH",
-    "bd_h_transform",
-    "bd_harmonic_explicit",
-    "bd_measures",
-    "bd_to_qpair",
-    "bounds_report",
-    "compile_expression",
-    "conjugate",
-    "constant",
-    "delta_tilde",
-    "diffop_inverse_transform",
-    "discretize",
-    "eig_sym",
-    "eig_tridiag",
-    "forward_transform",
-    "forward_transform_points",
-    "h_transform",
-    "h_transform_local",
-    "harmonic_residual",
-    "hermite_defining_residual",
-    "hermite_polys",
-    "inverse_transform",
-    "is_supersolution",
-    "isospectral_check",
-    "lambda0_variational",
-    "lowest_eigs_tridiag",
-    "maximal_solution",
-    "measure_dual",
-    "minimal_harmonic",
-    "ou_multiplicity",
-    "quadratic_form",
-    "riccati_dual",
-    "smallest_eig_tridiag",
-    "spectral_radius",
-    "sturm_count",
-    "symmetrize",
-    "transform_measure",
-    "uniqueness_margin",
-    "validate_qpair",
-    "verify_lh_eigen",
-]
+__all__ = sorted(_WHERE)

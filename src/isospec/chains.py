@@ -100,12 +100,17 @@ def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
     return QPairSpec(rates=r, total=q, killing=c, conservative=conservative)
 
 
-def _as_rate_fn(value, name):
+def _rate_source(value, name):
+    """Per-index getter of a rate field, and its values as a float array.
+
+    The array is 0-d for a number, 1-d for a flat array, and None for a
+    callable or any other shape, which stay on the per-index path.
+    """
     if callable(value):
-        return value
+        return value, None
     if np.isscalar(value):
         v = float(value)
-        return lambda i: v
+        return (lambda i: v), np.array(v)
     arr = np.asarray(value, dtype=float)
 
     def fn(i, arr=arr):
@@ -113,7 +118,7 @@ def _as_rate_fn(value, name):
             raise IndexError(f"{name} array of length {arr.shape[0]} has no index {i}")
         return float(arr[i])
 
-    return fn
+    return fn, (arr if arr.ndim == 1 else None)
 
 
 @dataclass(frozen=True)
@@ -131,11 +136,15 @@ class BirthDeathSpec:
     _b: object = field(init=False, repr=False, compare=False)
     _a: object = field(init=False, repr=False, compare=False)
     _c: object = field(init=False, repr=False, compare=False)
+    _values: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_b", _as_rate_fn(self.birth, "birth"))
-        object.__setattr__(self, "_a", _as_rate_fn(self.death, "death"))
-        object.__setattr__(self, "_c", _as_rate_fn(self.killing, "killing"))
+        values = {}
+        for key, value, name in (("b", self.birth, "birth"), ("a", self.death, "death"),
+                                 ("c", self.killing, "killing")):
+            fn, values[key] = _rate_source(value, name)
+            object.__setattr__(self, f"_{key}", fn)
+        object.__setattr__(self, "_values", values)
 
     def b(self, i: int) -> float:
         v = self._b(i)
@@ -152,13 +161,32 @@ class BirthDeathSpec:
     def c(self, i: int) -> float:
         return self._c(i)
 
+    def _rates(self, key: str, lo: int, hi: int) -> np.ndarray:
+        """Values of self.<key>(i) for lo <= i < hi, raising as its first failure.
+
+        Numbers are broadcast and arrays sliced; a nonpositive birth or death
+        rate or an index past the array is handed to the per-index getter,
+        which raises its usual error.
+        """
+        get, vals = getattr(self, key), self._values[key]
+        if vals is None:
+            return np.array([get(i) for i in range(lo, hi)])
+        v = np.full(hi - lo, vals[()]) if vals.ndim == 0 else vals[lo:hi].copy()
+        if key != "c":
+            bad = np.flatnonzero(~(v > 0.0))
+            if bad.size:
+                get(lo + int(bad[0]))
+        if v.size < hi - lo:
+            get(lo + v.size)
+        return v
+
     def rate_arrays(self, N: int):
         """Vectors (b, a, c) on states 0..N; a[0] is a placeholder zero."""
-        b = np.array([self.b(i) for i in range(N + 1)])
+        b = self._rates("b", 0, N + 1)
         a = np.empty(N + 1)
         a[0] = 0.0
-        a[1:] = [self.a(i) for i in range(1, N + 1)]
-        c = np.array([self.c(i) for i in range(N + 1)])
+        a[1:] = self._rates("a", 1, N + 1)
+        c = self._rates("c", 0, N + 1)
         return b, a, c
 
 
@@ -172,15 +200,16 @@ class MeasurePair:
 
 def bd_measures(spec: BirthDeathSpec, N: int) -> MeasurePair:
     """Running-product measure mu_i = (b_0...b_{i-1})/(a_1...a_i), mu_0 = 1."""
-    mu = np.empty(N + 1)
-    mu[0] = 1.0
-    with np.errstate(over="ignore"):
-        for i in range(1, N + 1):
-            mu[i] = mu[i - 1] * spec.b(i - 1) / spec.a(i)
-            if not np.isfinite(mu[i]):
-                raise Overflow(i, "mu")
-    nu_hat = np.array([1.0 / (mu[i] * spec.b(i)) for i in range(N + 1)])
-    return MeasurePair(mu=mu, nu_hat=nu_hat)
+    b, a, _ = spec.rate_arrays(N)
+    # one multiply and one divide per step, rounded as mu[i-1] * b / a
+    mu = [1.0]
+    for bi, ai in zip(b[:N].tolist(), a[1:].tolist()):
+        mu.append(mu[-1] * bi / ai)
+    mu = np.array(mu)
+    over = np.flatnonzero(~np.isfinite(mu))
+    if over.size:
+        raise Overflow(int(over[0]), "mu")
+    return MeasurePair(mu=mu, nu_hat=1.0 / (mu * b))
 
 
 def bd_to_qpair(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> QPairSpec:
@@ -195,15 +224,17 @@ def bd_to_qpair(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> Q
         raise PreconditionViolated("truncation level N must be at least 1")
     if boundary not in ("reflecting", "absorbing"):
         raise PreconditionViolated(f"unknown boundary policy {boundary!r}")
+    # a reflecting chain never consults b_N
+    c = spec._rates("c", 0, N + 1)
+    b = spec._rates("b", 0, N + (boundary == "absorbing"))
+    a = spec._rates("a", 1, N + 1)
     rates = np.zeros((N + 1, N + 1))
-    c = np.array([spec.c(i) for i in range(N + 1)])
-    for i in range(N):
-        rates[i, i + 1] = spec.b(i)
-    for i in range(1, N + 1):
-        rates[i, i - 1] = spec.a(i)
+    i = np.arange(N)
+    rates[i, i + 1] = b[:N]
+    rates[i + 1, i] = a
     total = rates.sum(axis=1)
     total[0] += max(c[0], 0.0)
     if boundary == "absorbing":
-        total[N] += spec.b(N)
+        total[N] += b[N]
     total[N] += max(c[N], 0.0)
     return validate_qpair(rates, total, c)

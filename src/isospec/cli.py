@@ -15,7 +15,6 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -23,33 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (
-    BirthDeathSpec,
-    bd_measures,
-    bd_to_qpair,
-    validate_qpair,
-)
-from .diffops import (
-    Operator1D,
-    SmoothFunction,
-    discretize,
-    forward_transform,
-    riccati_dual,
-    verify_lh_eigen,
-)
-from .duality import (
-    bd_h_transform,
-    h_transform,
-    h_transform_local,
-    inverse_transform,
-    measure_dual,
-    transform_measure,
-)
-from .eigenbounds import bounds_report
+from .chains import BirthDeathSpec, bd_measures, bd_to_qpair, validate_qpair
 from .errors import IsospecError, MalformedExpression
-from .expressions import compile_expression
-from .harmonic import bd_harmonic_explicit, harmonic_residual, minimal_harmonic
-from .spectra import isospectral_check
+
+# Each handler imports the modules it needs, so a chain request never loads
+# the expression and operator modules, and an operator request never loads
+# the chain transforms and eigenvalue bounds.
 
 
 class SchemaError(Exception):
@@ -91,6 +69,21 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _floats(key: str, node) -> np.ndarray:
+    """node as a float array; text, objects and ragged nesting are schema errors."""
+    try:
+        return np.asarray(node, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{key!r} must hold only numbers, nested evenly") from None
+
+
+def _integer(key: str, node) -> int:
+    try:
+        return int(node)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{key!r} must be an integer") from None
+
+
 def _finite(key: str, value):
     if not np.all(np.isfinite(value)):
         raise SchemaError(f"{key!r} has a NaN or infinite entry")
@@ -105,14 +98,14 @@ def _rate_field(doc: dict, key: str, default=None):
         return default, None
     node = doc[key]
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return _finite(key, float(node)), None
+        return _finite(key, float(_floats(key, node))), None
     if isinstance(node, list):
-        arr = np.asarray(node, dtype=float)
+        arr = _floats(key, node)
         if arr.ndim != 1 or arr.size == 0:
             raise SchemaError(f"{key!r} must be a flat nonempty array")
         return _finite(key, arr), arr.shape[0]
     if isinstance(node, dict) and node.get("formula") == "poly":
-        coeffs = _finite(key, np.asarray(node.get("coeffs", []), dtype=float))
+        coeffs = _finite(key, _floats(key, node.get("coeffs", [])))
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise SchemaError(f"{key!r} poly formula needs a nonempty coeffs array")
 
@@ -162,7 +155,7 @@ def load_chain(doc) -> ChainInput:
         raise SchemaError('chain JSON must be an object with a "type" field')
     mu = None
     if "mu" in doc:
-        mu = np.asarray(doc["mu"], dtype=float)
+        mu = _floats("mu", doc["mu"])
         if mu.ndim != 1 or np.any(~(mu > 0.0)):
             raise SchemaError('"mu" must be a flat array of positive weights')
 
@@ -173,7 +166,7 @@ def load_chain(doc) -> ChainInput:
         lens = [n for n in (nb, na, nc) if n is not None]
         cap = min(lens) - 1 if lens else None
         if "N" in doc:
-            N = int(doc["N"])
+            N = _integer("N", doc["N"])
             if N < 1:
                 raise SchemaError('"N" must be at least 1')
             if cap is not None and N > cap:
@@ -190,11 +183,11 @@ def load_chain(doc) -> ChainInput:
     if doc["type"] == "qpair":
         if "rates" not in doc:
             raise SchemaError('qpair chain is missing the "rates" matrix')
-        rates = np.asarray(doc["rates"], dtype=float)
+        rates = _floats("rates", doc["rates"])
         if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
             raise SchemaError('"rates" must be a square matrix')
-        total = np.asarray(doc["total"], dtype=float) if "total" in doc else None
-        killing = np.asarray(doc["killing"], dtype=float) if "killing" in doc else None
+        total = _floats("total", doc["total"]) if "total" in doc else None
+        killing = _floats("killing", doc["killing"]) if "killing" in doc else None
         try:
             qp = validate_qpair(rates, total, killing)
         except IsospecError as exc:
@@ -212,7 +205,7 @@ def load_h(path: str) -> np.ndarray:
         if "values" not in doc:
             raise SchemaError('h JSON object needs a "values" array')
         doc = doc["values"]
-    arr = np.asarray(doc, dtype=float)
+    arr = _floats("values", doc)
     if arr.ndim != 1 or arr.size < 2:
         raise SchemaError("h must be a flat array of at least two values")
     return arr
@@ -225,25 +218,29 @@ def _coeff_field(doc: dict, key: str, default=None):
         return default
     node = doc[key]
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return float(node)
+        return float(_floats(key, node))
     if isinstance(node, str):
+        from .expressions import compile_expression
+
         return compile_expression(node)
     raise SchemaError(f"{key!r} must be a number or an expression string")
 
 
 def load_operator(doc) -> Operator1D:
+    from .diffops import Operator1D
+
     if not isinstance(doc, dict):
         raise SchemaError("operator JSON must be an object")
     a = _coeff_field(doc, "a")
     b = _coeff_field(doc, "b")
     c = _coeff_field(doc, "c", default=0.0)
-    iv = doc.get("interval")
-    if not (isinstance(iv, list) and len(iv) == 2):
+    iv = _floats("interval", doc.get("interval"))
+    if iv.shape != (2,):
         raise SchemaError('"interval" must be [lo, hi]')
-    lo, hi = float(iv[0]), float(iv[1])
+    lo, hi = iv.tolist()
     if not lo < hi:
         raise SchemaError('"interval" must have lo < hi')
-    M = int(doc.get("M", 400))
+    M = _integer("M", doc.get("M", 400))
     if M < 2:
         raise SchemaError('"M" must be at least 2')
     bc = doc.get("bc", ["neumann", "neumann"])
@@ -256,14 +253,16 @@ def load_operator(doc) -> Operator1D:
 
 
 def load_smooth(path: str) -> SmoothFunction:
+    from .diffops import SmoothFunction
+
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("h JSON for diffop must be an object")
     if "values" in doc:
         if "grid" not in doc:
             raise SchemaError('sampled h needs both "grid" and "values"')
-        grid = np.asarray(doc["grid"], dtype=float)
-        vals = np.asarray(doc["values"], dtype=float)
+        grid = _floats("grid", doc["grid"])
+        vals = _floats("values", doc["values"])
         try:
             return SmoothFunction.from_values(grid, vals)
         except IsospecError as exc:
@@ -299,18 +298,46 @@ def _jsonable(obj):
     return obj
 
 
+_NUMBERS = {int, float}
+_encode = json.JSONEncoder().encode  # C encoder: no indent, ", " separators
+
+
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), nested at indent.
+
+    json's indented encoder runs in pure Python.  A flat list whose elements
+    are all exactly int or float goes through the C encoder instead; no
+    number's text contains ", ", so each separator becomes a line break.
+    """
+    inner = indent + "  "
+    if isinstance(obj, list) and obj:
+        if set(map(type, obj)) <= _NUMBERS:
+            body = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_dumps(v, inner) for v in obj)
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        body = (",\n" + inner).join(f"{_encode(k)}: {_dumps(v, inner)}"
+                                    for k, v in obj.items())
+        return f"{{\n{inner}{body}\n{indent}}}"
+    # JSON text has no raw newlines inside strings, so re-indenting is safe
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(args, payload: dict, header=None, rows=None):
     """Print payload as JSON, or under --output csv the rows() table."""
     if args.seed is not None:
         payload = dict(payload)
         payload["seed"] = args.seed
     if args.output == "csv" and rows is not None:
+        import csv
+
         w = csv.writer(sys.stdout)
         w.writerow(header)
         for row in rows():
             w.writerow([_jsonable(v) for v in row])
     else:
-        print(json.dumps(_jsonable(payload), indent=2))
+        print(_dumps(_jsonable(payload)))
 
 
 def _note(args, msg: str):
@@ -349,6 +376,8 @@ def _qpair_doc(qp, mu=None) -> dict:
 
 
 def cmd_harmonic(args) -> int:
+    from .harmonic import bd_harmonic_explicit, harmonic_residual, minimal_harmonic
+
     ci = load_chain(_load_json(args.chain))
     tol = args.tol if args.tol is not None else 1e-12
 
@@ -395,6 +424,15 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .duality import (
+        bd_h_transform,
+        h_transform,
+        h_transform_local,
+        inverse_transform,
+        measure_dual,
+        transform_measure,
+    )
+
     ci = load_chain(_load_json(args.chain))
     tol = args.tol if args.tol is not None else 1e-8
 
@@ -439,7 +477,9 @@ def cmd_transform(args) -> int:
     elif args.direction == "local":
         hset = None
         if args.set:
-            hset = tuple(int(s) for s in args.set.split(","))
+            hset = tuple(_integer("--set", s) for s in args.set.split(","))
+            if not all(0 <= i < n for i in hset):
+                raise SchemaError(f"--set indices must lie in 0..{n - 1}")
         out = h_transform_local(qp, hv, harmonic_set=hset, tol=tol)
         mu = transform_measure(ci.mu, hv) if ci.mu is not None else None
     else:
@@ -459,6 +499,9 @@ def _emit_qpair_transform(args, qp, mu):
 
 
 def cmd_verify(args) -> int:
+    from .duality import transform_measure
+    from .spectra import isospectral_check
+
     A = load_chain(_load_json(args.chain_a))
     B = load_chain(_load_json(args.chain_b))
     qpA = A.as_qpair()
@@ -497,6 +540,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .eigenbounds import bounds_report
+
     ci = load_chain(_load_json(args.chain))
     if ci.kind != "bd":
         raise SchemaError("bounds needs a bd chain")
@@ -515,6 +560,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_diffop(args) -> int:
+    from .diffops import discretize, forward_transform, riccati_dual, verify_lh_eigen
+
     op = load_operator(_load_json(args.op))
     tol = args.tol if args.tol is not None else 1e-8
 

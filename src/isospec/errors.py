@@ -39,6 +39,17 @@ class NonConvergence(IsospecError):
         )
 
 
+class NotMonotone(IsospecError):
+    """The minimal-solution iteration, monotone from zero, decreased."""
+
+    def __init__(self, iteration, i, before, after):
+        self.iteration, self.i, self.before, self.after = iteration, i, before, after
+        super().__init__(
+            f"monotone iteration decreased at step {iteration}: "
+            f"h[{i}] fell from {before:g} to {after:g}"
+        )
+
+
 class NotHarmonic(IsospecError):
     def __init__(self, residual, tol):
         self.residual, self.tol = residual, tol

@@ -44,7 +44,8 @@ MAX_NODES = 50_000
 _FUNCS = ("exp", "sin", "cos", "log")
 _NAMES = {"x", *_FUNCS}
 _OPS = {"+", "-", "*", "/", "**", "^", "(", ")"}
-_SKIP = {_tok.ENCODING, _tok.NEWLINE, _tok.NL, _tok.ENDMARKER}
+# whitespace is insignificant: leading blanks only make Python emit INDENT
+_SKIP = {_tok.ENCODING, _tok.NEWLINE, _tok.NL, _tok.INDENT, _tok.DEDENT, _tok.ENDMARKER}
 _MATH = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log}
 _NUMPY = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log}
 
@@ -152,7 +153,11 @@ def _lex(text: str) -> list:
     try:
         toks = list(tokenize.tokenize(io.BytesIO(text.encode()).readline))
     except (tokenize.TokenError, SyntaxError) as exc:
-        raise _Invalid(str(exc)) from None
+        opened, closed = text.count("("), text.count(")")
+        if opened != closed:
+            lack = "missing ')'" if opened > closed else "')' without '('"
+            raise _Invalid(f"unbalanced parentheses: {lack}") from None
+        raise _Invalid(str(exc.args[0])) from None
     out = []
     for t in toks:
         if t.type in _SKIP:
@@ -414,7 +419,12 @@ def _wrap(n: tuple, prec: int) -> str:
 
 
 def _vectorized(raw: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Float-array evaluator: scalar in, float out; array in, same-shape array out."""
+    """Float-array evaluator: scalar in, float out; array in, same-shape array out.
+
+    An evaluator this function made is returned as it is, not wrapped again.
+    """
+    if getattr(raw, "_vectorized", False):
+        return raw
 
     def fn(x):
         if not isinstance(x, float):
@@ -427,6 +437,7 @@ def _vectorized(raw: Callable) -> Callable[[np.ndarray], np.ndarray]:
         # scalars as np.float64: numpy's arithmetic without 0-d array overhead
         return float(raw(np.float64(x)))
 
+    fn._vectorized = True
     return fn
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import BirthDeathSpec, QPairSpec
-from .errors import Divergence, NonConvergence, PreconditionViolated
+from .errors import Divergence, NonConvergence, NotMonotone, PreconditionViolated
 
 _TRACE_CAP = 1000
 
@@ -131,8 +131,10 @@ def minimal_harmonic(
         for it in range(1, max_iter + 1):
             new = K @ hm + s
             # the map is monotone from zero; tiny float regressions aside
-            if np.any(new < hm - 1e-13 * np.maximum(1.0, np.abs(hm))):
-                raise AssertionError("monotone iteration decreased")
+            drop = np.flatnonzero(new < hm - 1e-13 * np.maximum(1.0, np.abs(hm)))
+            if drop.size:
+                i = int(np.flatnonzero(mask)[drop[0]])
+                raise NotMonotone(it, i, float(hm[drop[0]]), float(new[drop[0]]))
             delta = float(np.max(np.abs(new - hm))) if m else 0.0
             hm = new
             if len(trace.iterates) < _TRACE_CAP:
@@ -222,15 +224,18 @@ def _bd_h_ftilde(b, a, c, N):
 
 
 def bd_harmonic_explicit(
-    spec: BirthDeathSpec, N: int, method: str = "ftilde"
+    spec: BirthDeathSpec, N: int, method: str = "recurrence"
 ) -> HarmonicVector:
     """Harmonic function of the killed birth-death chain on 0..N, h_0 = 1.
 
     Solves b_n (h_{n+1} - h_n) + a_n (h_{n-1} - h_n) + c_n h_n = 0 for
-    0 <= n < N (with the a-term absent at n = 0).  method "ftilde" evaluates
-    the explicit double recursion in O(N^2) time and O(N) memory; method
-    "recurrence" is the equivalent O(N) forward substitution.  With c <= 0
-    the result is positive and nondecreasing.
+    0 <= n < N (with the a-term absent at n = 0).  The default method
+    "recurrence" is the O(N) forward substitution; method "ftilde" evaluates
+    the paper's explicit double recursion in O(N^2) time and O(N) memory and
+    is kept as the oracle it is checked against.  With c <= 0 the result is
+    positive and nondecreasing.  residual is the largest
+    |b_n (h_{n+1} - h_n) + a_n (h_{n-1} - h_n) + c_n h_n| relative to
+    max(1, |b_n h_{n+1}|, |a_n h_n|), up to the first non-finite pair.
     """
     if N < 1:
         raise PreconditionViolated("N must be at least 1")
@@ -248,16 +253,16 @@ def bd_harmonic_explicit(
     else:
         raise PreconditionViolated(f"unknown method {method!r}")
 
-    res = 0.0
+    finite = np.isfinite(h)
+    stop = np.flatnonzero(~(finite[:N] & finite[1:]))
+    K = int(stop[0]) if stop.size else N
     with np.errstate(invalid="ignore", over="ignore"):
-        for n in range(N):
-            if not (np.isfinite(h[n]) and np.isfinite(h[n + 1])):
-                break
-            r = b[n] * (h[n + 1] - h[n]) + c[n] * h[n]
-            if n >= 1:
-                r += a[n] * (h[n - 1] - h[n])
-            scale = max(1.0, abs(b[n] * h[n + 1]), abs(a[n] * h[n]) if n else 0.0)
-            res = max(res, abs(r) / scale)
+        r = b[:K] * (h[1 : K + 1] - h[:K]) + c[:K] * h[:K]
+        r[1:] += a[1:K] * (h[: K - 1] - h[1:K])
+        # a[0] = 0, so state 0's scale has no death term
+        scale = np.fmax(1.0, np.fmax(np.abs(b[:K] * h[1 : K + 1]), np.abs(a[:K] * h[:K])))
+        # fmax skips NaN (inf / inf, inf * 0) as Python's max() with NaN second does
+        res = np.fmax.reduce(np.abs(r) / scale, initial=0.0)
     return HarmonicVector(
         values=h,
         base_index=0,

@@ -51,16 +51,17 @@ def sturm_count(d, e, x: float) -> int:
     """Number of eigenvalues of tridiag(d, e) strictly below x.
 
     Uses division-first pivots so heavily graded matrices do not overflow.
+    d and e may be arrays or lists; lists of Python floats run the same IEEE
+    operations faster.
     """
-    n = d.shape[0]
     count = 0
     q = d[0] - x
     if q < 0.0:
         count += 1
-    for k in range(1, n):
+    for dk, ek in zip(d[1:], e):
         if q == 0.0:
             q = 1e-300
-        q = d[k] - x - e[k - 1] * (e[k - 1] / q)
+        q = dk - x - ek * (ek / q)
         if q < 0.0:
             count += 1
     return count
@@ -78,6 +79,7 @@ def smallest_eig_tridiag(d, e, rel_tol: float = 1e-14) -> float:
     span = float(np.max(np.abs(e))) if e.size else 0.0
     hi = float(np.max(d)) + 2.0 * span
     lo = min(0.0, float(np.min(d)) - 2.0 * span)
+    d, e = d.tolist(), e.tolist()
     while sturm_count(d, e, hi) < 1:
         hi = hi * 2.0 + 1.0
     for _ in range(4096):
@@ -103,6 +105,7 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     span = float(np.max(np.abs(e))) if e.size else 0.0
     top = float(np.max(d)) + 2.0 * span
     bot = float(np.min(d)) - 2.0 * span
+    d, e = d.tolist(), e.tolist()
     out = np.empty(k)
     for i in range(k):
         lo, hi = bot, top

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from isospec import validate_qpair
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 results do not depend on earlier runs.
+settings.register_profile("isospec", derandomize=True, database=None, deadline=None)
+settings.load_profile("isospec")
 
 ACCEPTANCE = []
 

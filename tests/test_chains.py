@@ -156,3 +156,74 @@ def test_bd_to_qpair_rejects_bad_args():
         bd_to_qpair(s, 0)
     with pytest.raises(PreconditionViolated):
         bd_to_qpair(s, 3, boundary="open")
+
+
+def _per_index(s, N):
+    b = np.array([s.b(i) for i in range(N + 1)])
+    a = np.array([0.0] + [s.a(i) for i in range(1, N + 1)])
+    c = np.array([s.c(i) for i in range(N + 1)])
+    return b, a, c
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+RATES = {
+    "number": (1.5, 0.5, -0.25),
+    "array": (np.linspace(1.0, 2.0, 9), [0.0, *np.linspace(0.5, 1.0, 8)], [-0.1] * 9),
+    "callable": (lambda i: 1.0 + i, lambda i: 0.5 * i, lambda i: -0.1 * i),
+}
+
+
+@pytest.mark.parametrize("kind", RATES)
+def test_rate_arrays_match_per_index_path(kind):
+    birth, death, killing = RATES[kind]
+    s = BirthDeathSpec(birth=birth, death=death, killing=killing)
+    for N in (1, 4, 8):
+        for got, ref in zip(s.rate_arrays(N), _per_index(s, N)):
+            assert np.array_equal(got, ref)
+    mixed = BirthDeathSpec(birth=RATES["array"][0], death=0.5, killing=lambda i: -0.1)
+    for got, ref in zip(mixed.rate_arrays(8), _per_index(mixed, 8)):
+        assert np.array_equal(got, ref)
+
+
+BAD_RATES = {
+    "birth-zero": dict(birth=[1.0, 2.0, 0.0, 1.0], death=1.0),
+    "birth-nan": dict(birth=[1.0, np.nan, 1.0, 1.0, 1.0, 1.0, 1.0], death=1.0),
+    "birth-short": dict(birth=[1.0, 2.0, 3.0], death=1.0),
+    "birth-zero-before-end": dict(birth=[1.0, -1.0], death=1.0),
+    "death-scalar": dict(birth=1.0, death=0.0),
+    "death-short": dict(birth=1.0, death=[0.0, 1.0]),
+    "death-callable": dict(birth=1.0, death=lambda i: 2.0 - i),
+    "killing-short": dict(birth=1.0, death=1.0, killing=[-1.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("fields", BAD_RATES.values(), ids=BAD_RATES.keys())
+def test_rate_arrays_raise_as_per_index_path(fields):
+    s = BirthDeathSpec(**fields)
+    ref = _raised(lambda: _per_index(s, 5))
+    assert ref[0] in (PreconditionViolated, IndexError)
+    assert _raised(lambda: s.rate_arrays(5)) == ref
+
+
+def test_bd_to_qpair_reflecting_never_reads_the_last_birth_rate():
+    s = BirthDeathSpec(birth=[2.0, 2.0, 2.0], death=1.0)
+    assert bd_to_qpair(s, 3).rates[2, 3] == 2.0
+    with pytest.raises(IndexError):
+        bd_to_qpair(s, 3, boundary="absorbing")
+
+
+def test_bd_measures_match_running_product_loop():
+    rng = np.random.default_rng(5)
+    s = BirthDeathSpec(birth=rng.uniform(0.5, 2.0, 60), death=rng.uniform(0.5, 2.0, 60))
+    mu = np.empty(51)
+    mu[0] = 1.0
+    for i in range(1, 51):
+        mu[i] = mu[i - 1] * s.b(i - 1) / s.a(i)
+    mp = bd_measures(s, 50)
+    assert np.array_equal(mp.mu, mu)
+    assert np.array_equal(mp.nu_hat, [1.0 / (mu[i] * s.b(i)) for i in range(51)])

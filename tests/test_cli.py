@@ -1,10 +1,21 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from isospec.cli import load_chain, main
+import isospec.harmonic
+from isospec.cli import _emit, load_chain, main
 
 
 FIB = [1, 2, 5, 13, 34, 89, 233, 610, 1597]
@@ -307,6 +318,61 @@ def test_hostile_expressions_exit_two_quickly(capsys, tmp_path, field, text):
     assert len(lines[0]) < 200
 
 
+MALFORMED = {
+    "N-text": {"type": "bd", "birth": 1.0, "death": 1.0, "N": "abc"},
+    "N-infinite": {"type": "bd", "birth": 1.0, "death": 1.0, "N": float("inf")},
+    "birth-text-entry": {"type": "bd", "birth": [1, "a"], "death": 1.0, "N": 1},
+    "poly-text-coeff": {"type": "bd", "birth": {"formula": "poly", "coeffs": ["a"]},
+                        "death": 1.0, "N": 3},
+    "ragged-rates": {"type": "qpair", "rates": [[0, 1], [1]]},
+    "ragged-mu": {"type": "qpair", "rates": [[0, 1], [1, 0]], "mu": [1, [2]]},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_fields_are_schema_errors(capsys, tmp_path, doc):
+    chain = _write(tmp_path, "c.json", doc)
+    code, out, err = _run(capsys, "harmonic", chain, "--method", "solve")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert [ln for ln in err.splitlines() if ln.startswith("isospec:")] == [err.splitlines()[0]]
+
+
+def test_operator_h_and_set_fields_are_schema_errors(capsys, tmp_path, fib_chain):
+    op = _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": ["lo", 1], "M": 50})
+    code, _, err = _run(capsys, "diffop", op, "--check", "spectrum")
+    assert code == 2 and err.startswith("isospec: 'interval'")
+    op = _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": [-1, 1], "M": "x"})
+    code, _, err = _run(capsys, "diffop", op, "--check", "spectrum")
+    assert code == 2 and err.startswith("isospec: 'M'")
+    h = _write(tmp_path, "h.json", {"values": [1, [2, 3]]})
+    code, _, err = _run(capsys, "transform", fib_chain, "--h", h)
+    assert code == 2 and err.startswith("isospec: 'values'")
+    h = _write(tmp_path, "h.json", {"values": FIB})
+    for states in ("1,a", "99", "-1"):
+        code, _, err = _run(capsys, "transform", fib_chain, "--h", h, "--direction", "local",
+                            "--set", states)
+        assert code == 2 and err.startswith("isospec: "), states
+
+
+def test_minimal_harmonic_decrease_exits_one(capsys, monkeypatch, tmp_path):
+    # the iteration is monotone for every valid chain, so break the kernel
+    def bad_kernel(qp, theta):
+        K, s, mask = kernel(qp, theta)
+        return -K, s, mask
+
+    kernel = isospec.harmonic._hitting_kernel
+    monkeypatch.setattr(isospec.harmonic, "_hitting_kernel", bad_kernel)
+    chain = _write(tmp_path, "c.json", {
+        "type": "qpair", "rates": [[0, 2, 0], [1, 0, 3], [0, 1, 0]],
+        "killing": [-0.5, -0.2, -0.4],
+    })
+    code, out, err = _run(capsys, "harmonic", chain, "--method", "iterate")
+    assert code == 1 and out == ""
+    assert err.startswith("isospec: check failed: monotone iteration decreased at step")
+    assert "Traceback" not in err
+
+
 def test_schema_error_points_at_help(capsys, tmp_path):
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0})
     code, _, err = _run(capsys, "harmonic", chain)
@@ -352,3 +418,69 @@ def test_stdin_input(capsys, tmp_path, monkeypatch):
     code, out, _ = _run(capsys, "harmonic", "-", "--method", "explicit")
     assert code == 0
     assert json.loads(out)["h"][0] == 1.0
+
+
+# ---------------------------------------------------------------- output and imports
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**70)])
+            | st.floats() | st.sampled_from([-0.0, float("inf"), float("-inf")])
+            | st.text() | st.sampled_from([", ", "a, b", '"x", 1']))
+_JSON = st.recursive(
+    _SCALARS | st.lists(st.integers() | st.floats()),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(doc=st.dictionaries(st.text(), _JSON))
+def test_emit_matches_indented_json_dumps(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(argparse.Namespace(seed=None, output="json"), doc)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
+    h = _write(tmp_path, "h.json", {"values": FIB})
+    bounds = _write(tmp_path, "b.json", {
+        "type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 64})
+    chain_runs = [
+        ["harmonic", fib_chain, "--method", "explicit"],
+        ["harmonic", fib_chain, "--method", "solve"],
+        ["transform", fib_chain, "--h", h, "--direction", "local"],
+        ["verify", fib_chain, fib_chain],
+        ["bounds", bounds, "--nmax", "64"],
+    ]
+    cases = [
+        (chain_runs, ["isospec.diffops", "isospec.expressions"]),
+        ([["diffop", ou_op, "--check", "spectrum"]], ["isospec.duality", "isospec.eigenbounds"]),
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for runs, absent in cases:
+        script = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import isospec.cli
+            for argv in {runs!r}:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert isospec.cli.main(argv) == 0, argv
+            loaded = [m for m in {absent!r} if m in sys.modules]
+            assert not loaded, loaded
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_resolve_lazily():
+    import isospec
+
+    assert len(set(isospec.__all__)) == len(isospec.__all__)
+    for name in isospec.__all__:
+        assert getattr(isospec, name) is not None, name
+        assert name in dir(isospec), name
+    assert isospec.diffop_inverse_transform is isospec.diffops.inverse_transform
+    assert isospec.inverse_transform is isospec.duality.inverse_transform
+    with pytest.raises(AttributeError):
+        isospec.no_such_export

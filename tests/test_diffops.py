@@ -15,6 +15,7 @@ from isospec import (
     PreconditionViolated,
     SmoothFunction,
     ZeroH,
+    compile_expression,
     diffop_inverse_transform,
     discretize,
     forward_transform,
@@ -164,6 +165,18 @@ def test_forward_family_one_closed_form():
     assert np.allclose(out.b(x), gamma * V(x) + 2.0 * gamma / x, rtol=1e-14)
     assert np.all(out.c(x) == 0.0)
     assert np.allclose(out.a(x), gamma, rtol=0)
+
+
+def test_evaluators_are_not_wrapped_again():
+    # a transformed operator keeps op.a, and a SmoothFunction keeps compiled
+    # evaluators, instead of nesting one more wrapper per construction
+    op = _family_one(0.6, lambda x: 0.3 + 0.0 * x)
+    h = SmoothFunction(h=lambda x: x, h1=lambda x: 1.0 + 0.0 * x, h2=0.0)
+    out = forward_transform(op, h)
+    assert out.a is op.a
+    assert Operator1D(a=out.a, b=out.b, c=out.c, grid=out.grid).b is out.b
+    e = compile_expression("exp(-x^2/2)")
+    assert SmoothFunction(h=e.fn, h1=e.fn, h2=e.fn).h is e.fn
 
 
 def test_forward_family_two_constant_drift():

@@ -33,6 +33,10 @@ GOOD = [
     ("x/2/4*3", lambda x: x / 2 / 4 * 3),
     ("--x - +x", lambda x: 0 * x),
     ("exp(sin(x))^(cos(x) + 2)", lambda x: np.exp(np.sin(x)) ** (np.cos(x) + 2)),
+    # whitespace is insignificant, also where Python's tokenizer sees indentation
+    (" -x", lambda x: -x),
+    ("\tx", lambda x: x),
+    ("x +\n  1", lambda x: x + 1),
 ]
 
 
@@ -141,7 +145,8 @@ CAPS = {
     "signs": ("-" * (MAX_DEPTH + 1) + "x", "nesting deeper than"),
     "exponents": ("x^" * (MAX_DEPTH + 1) + "x", "nesting deeper than"),
     "calls": ("exp(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, "nesting deeper than"),
-    "unclosed": ("(x", "EOF"),
+    "unclosed": ("(x", "unbalanced parentheses: missing '\\)'"),
+    "unopened": ("x)", "unbalanced parentheses: '\\)' without '\\('"),
     "juxtaposed": ("x x", "unexpected input"),
     "call-without-parentheses": ("exp x", "expected '\\('"),
     "dangling-power": ("x^", "unexpected end"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,45 @@ def test_explicit_methods_agree_on_random_rates():
         h1 = bd_harmonic_explicit(s, 60, method="ftilde").values
         h2 = bd_harmonic_explicit(s, 60, method="recurrence").values
         assert np.max(np.abs(h1 - h2) / h2) < 1e-10
+
+
+def _loop_residual(b, a, c, h, N):
+    res = 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(N):
+            if not (np.isfinite(h[n]) and np.isfinite(h[n + 1])):
+                break
+            r = b[n] * (h[n + 1] - h[n]) + c[n] * h[n]
+            if n >= 1:
+                r += a[n] * (h[n - 1] - h[n])
+            scale = max(1.0, abs(b[n] * h[n + 1]), abs(a[n] * h[n]) if n else 0.0)
+            res = max(res, abs(r) / scale)
+    return res
+
+
+def test_explicit_residual_matches_loop_reference():
+    rng = np.random.default_rng(2718)
+    specs = [
+        BirthDeathSpec(birth=rng.uniform(0.5, 1.5, 301), death=rng.uniform(0.5, 1.5, 301),
+                       killing=-rng.uniform(0.05, 0.5, 301)),
+        # h overflows to inf part way: the residual stops at the first such pair
+        BirthDeathSpec(birth=1.0, death=1.0, killing=-50.0),
+        BirthDeathSpec(birth=1.0, death=1.0, killing=0.5),
+    ]
+    for s in specs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for method in ("recurrence", "ftilde"):
+                hv = bd_harmonic_explicit(s, 300, method=method)
+                ref = _loop_residual(*s.rate_arrays(300), hv.values, 300)
+                assert hv.residual == ref
+    assert not np.all(np.isfinite(bd_harmonic_explicit(specs[1], 300).values))
+
+
+def test_explicit_defaults_to_recurrence():
+    s = BirthDeathSpec(birth=1.3, death=0.7, killing=-0.2)
+    default = bd_harmonic_explicit(s, 50).values
+    assert np.array_equal(default, bd_harmonic_explicit(s, 50, method="recurrence").values)
 
 
 def test_explicit_positive_and_nondecreasing_for_killing():

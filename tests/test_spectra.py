@@ -132,6 +132,18 @@ def test_sturm_count_matches_reference_counts():
         assert sturm_count(d, e, x) == int(np.sum(w < x))
 
 
+def test_sturm_count_same_on_lists_and_arrays():
+    rng = np.random.default_rng(37)
+    # graded over 200 orders of magnitude, and an exact zero pivot at x = 0
+    d = 10.0 ** rng.uniform(-100.0, 100.0, 60) * rng.choice([-1.0, 1.0], 60)
+    e = 10.0 ** rng.uniform(-100.0, 100.0, 59)
+    d[0] = 0.0
+    shifts = [0.0, *(10.0 ** rng.uniform(-100.0, 100.0, 20) * rng.choice([-1.0, 1.0], 20))]
+    for x in shifts:
+        with np.errstate(over="ignore"):  # numpy scalars warn where floats do not
+            assert sturm_count(d.tolist(), e.tolist(), x) == sturm_count(d, e, x)
+
+
 def test_smallest_eig_graded_matrix_full_relative_accuracy():
     # Dirichlet form of b_i = 2^i, a_i = 2^(i-1), c = 0 truncated at N = 40.
     # Entries span twelve orders of magnitude; dense solvers lose the bottom
