@@ -212,6 +212,18 @@ def bd_measures(spec: BirthDeathSpec, N: int) -> MeasurePair:
     return MeasurePair(mu=mu, nu_hat=1.0 / (mu * b))
 
 
+def _conjugated_weights(mu, h, b):
+    """mu h^2 and 1/(h_i h_{i+1} mu_i b_i), the weights of the h-conjugated chain.
+
+    h, one entry longer than mu and b, is grouped with sqrt(mu): h^2 alone can
+    overflow where mu h^2 cannot.  Entries beyond float range are left to the caller.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.sqrt(mu)
+        g = h[:-1] * s
+        return g * g, 1.0 / (g * (h[1:] * s) * b)
+
+
 def bd_to_qpair(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> QPairSpec:
     """Tridiagonal QPairSpec on {0..N}.
 

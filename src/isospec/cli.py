@@ -63,10 +63,15 @@ values {"grid": [...], "values": [...]}."""
 
 
 def _load_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError as exc:  # an integer literal over sys.get_int_max_str_digits()
+        raise SchemaError(f"input JSON: {exc}") from None
 
 
 def _floats(key: str, node) -> np.ndarray:
@@ -128,14 +133,13 @@ class ChainInput:
     cap: int | None = None  # largest state index array fields cover
     mu: np.ndarray | None = None
 
-    def as_qpair(self, N: int | None = None):
+    def as_qpair(self):
         if self.kind == "qpair":
             return self.qp
-        n = self.N if N is None else N
-        if n is None:
+        if self.N is None:
             raise SchemaError('bd chain with formula rates needs "N"')
         try:
-            return bd_to_qpair(self.bd, n)
+            return bd_to_qpair(self.bd, self.N)
         except IsospecError as exc:
             raise SchemaError(str(exc)) from exc
 
@@ -155,7 +159,7 @@ def load_chain(doc) -> ChainInput:
         raise SchemaError('chain JSON must be an object with a "type" field')
     mu = None
     if "mu" in doc:
-        mu = _floats("mu", doc["mu"])
+        mu = _finite("mu", _floats("mu", doc["mu"]))
         if mu.ndim != 1 or np.any(~(mu > 0.0)):
             raise SchemaError('"mu" must be a flat array of positive weights')
 
@@ -208,7 +212,7 @@ def load_h(path: str) -> np.ndarray:
     arr = _floats("values", doc)
     if arr.ndim != 1 or arr.size < 2:
         raise SchemaError("h must be a flat array of at least two values")
-    return arr
+    return _finite("values", arr)
 
 
 def _coeff_field(doc: dict, key: str, default=None):
@@ -261,8 +265,8 @@ def load_smooth(path: str) -> SmoothFunction:
     if "values" in doc:
         if "grid" not in doc:
             raise SchemaError('sampled h needs both "grid" and "values"')
-        grid = _floats("grid", doc["grid"])
-        vals = _floats("values", doc["values"])
+        grid = _finite("grid", _floats("grid", doc["grid"]))
+        vals = _finite("values", _floats("values", doc["values"]))
         try:
             return SmoothFunction.from_values(grid, vals)
         except IsospecError as exc:
@@ -376,7 +380,7 @@ def _qpair_doc(qp, mu=None) -> dict:
 
 
 def cmd_harmonic(args) -> int:
-    from .harmonic import bd_harmonic_explicit, harmonic_residual, minimal_harmonic
+    from .harmonic import _bd_residual, bd_harmonic_explicit, harmonic_residual, minimal_harmonic
 
     ci = load_chain(_load_json(args.chain))
     tol = args.tol if args.tol is not None else 1e-12
@@ -391,10 +395,8 @@ def cmd_harmonic(args) -> int:
             N = ci.cap - 1
             _note(args, f"rate arrays end early; using N = {N}")
         hv = bd_harmonic_explicit(ci.bd, N)
-        # values can run off to inf under strong killing; nan residuals there
-        with np.errstate(invalid="ignore", over="ignore"):
-            res = harmonic_residual(ci.as_qpair(N), hv.values[: N + 1])
-        res[N] = 0.0  # boundary state carries the truncation defect
+        # the boundary state N carries the truncation defect
+        res = np.append(_bd_residual(*ci.bd.rate_arrays(N), hv.values[: N + 1]), 0.0)
         payload = {
             "h": hv.values,
             "base_index": hv.base_index,

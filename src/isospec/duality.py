@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import BirthDeathSpec, MeasurePair, QPairSpec, bd_measures, validate_qpair
+from .chains import (BirthDeathSpec, MeasurePair, QPairSpec, _conjugated_weights,
+                     bd_measures, validate_qpair)
 from .errors import (
     NonpositiveH,
     NotHarmonic,
@@ -20,10 +21,27 @@ from .errors import (
 from .harmonic import HarmonicVector, _h_values, harmonic_residual
 
 
-def _check_positive(h: np.ndarray):
-    if np.any(~(h > 0.0)):
-        i = int(np.argmin(h > 0.0))
-        raise NonpositiveH(i, float(h[i]))
+def _positive_h(h) -> np.ndarray:
+    hv = _h_values(h)
+    if np.any(~(hv > 0.0)):
+        i = int(np.argmin(hv > 0.0))
+        raise NonpositiveH(i, float(hv[i]))
+    return hv
+
+
+def _ratio(w: np.ndarray) -> np.ndarray:
+    return w[None, :] / w[:, None]
+
+
+def _tilt(qp: QPairSpec, rates, ratio, harmonic=False) -> QPairSpec:
+    """Off-diagonals rates * ratio, row-sum totals and potential c - q + q~.
+
+    The potential is exactly zero where harmonic (a bool or a mask) holds.
+    """
+    rt = rates * ratio
+    total = rt.sum(axis=1)
+    c = np.where(harmonic, 0.0, qp.killing - qp.total + total)
+    return validate_qpair(rt, total, c)
 
 
 def conjugate(qp: QPairSpec, h) -> QPairSpec:
@@ -33,12 +51,7 @@ def conjugate(qp: QPairSpec, h) -> QPairSpec:
     sums and the diagonal mismatch is carried as the potential
     c~_i = c_i - q_i + q~_i.  The spectrum is preserved exactly.
     """
-    h = _h_values(h)
-    _check_positive(h)
-    rt = qp.rates * (h[None, :] / h[:, None])
-    total = rt.sum(axis=1)
-    c = qp.killing - qp.total + total
-    return validate_qpair(rt, total, c)
+    return _tilt(qp, qp.rates, _ratio(_positive_h(h)))
 
 
 def h_transform(qp: QPairSpec, h, tol: float = 1e-8) -> QPairSpec:
@@ -47,15 +60,11 @@ def h_transform(qp: QPairSpec, h, tol: float = 1e-8) -> QPairSpec:
     Requires A h = 0 at every state (within tol, measured relative to the
     local rate scale).  The output is conservative with zero potential.
     """
-    hv = _h_values(h)
-    _check_positive(hv)
-    res = harmonic_residual(qp, hv)
-    worst = float(np.max(np.abs(res)))
+    hv = _positive_h(h)
+    worst = float(np.max(np.abs(harmonic_residual(qp, hv))))
     if worst > tol:
         raise NotHarmonic(worst, tol)
-    rt = qp.rates * (hv[None, :] / hv[:, None])
-    total = rt.sum(axis=1)
-    return validate_qpair(rt, total, np.zeros(qp.n_states))
+    return _tilt(qp, qp.rates, _ratio(hv), harmonic=True)
 
 
 def h_transform_local(
@@ -69,8 +78,7 @@ def h_transform_local(
     default harmonic set is taken from the HarmonicVector, else all states
     but the last.
     """
-    hv = _h_values(h)
-    _check_positive(hv)
+    hv = _positive_h(h)
     n = qp.n_states
     if harmonic_set is None:
         if isinstance(h, HarmonicVector) and h.harmonic_set:
@@ -83,10 +91,7 @@ def h_transform_local(
     if np.any(res[B] > tol):
         idx = np.flatnonzero(B)[int(np.argmax(res[B]))]
         raise NotLocallyHarmonic(int(idx), float(res[idx]), tol)
-    rt = qp.rates * (hv[None, :] / hv[:, None])
-    total = rt.sum(axis=1)
-    c = np.where(B, 0.0, qp.killing - qp.total + total)
-    return validate_qpair(rt, total, c)
+    return _tilt(qp, qp.rates, _ratio(hv), harmonic=B)
 
 
 def inverse_transform(qt: QPairSpec, h) -> QPairSpec:
@@ -97,22 +102,18 @@ def inverse_transform(qt: QPairSpec, h) -> QPairSpec:
     carried explicitly; c_i <= q_i holds automatically.  The symmetrising
     measure maps as mu = mu~ / h^2.
     """
-    hv = _h_values(h)
-    _check_positive(hv)
+    hv = _positive_h(h)
     if not qt.conservative:
         raise PreconditionViolated("input chain must be conservative")
     if np.any(np.abs(qt.killing) > 1e-12 * np.maximum(1.0, qt.total)):
         raise PreconditionViolated("input chain must have zero potential")
-    rt = qt.rates * (hv[:, None] / hv[None, :])
-    total = rt.sum(axis=1)
-    c = total - qt.total
-    return validate_qpair(rt, total, c)
+    # h_i / h_j, the tilt by 1/h without rounding 1/h first
+    return _tilt(qt, qt.rates, _ratio(hv).T)
 
 
 def transform_measure(mu, h, inverse: bool = False) -> np.ndarray:
     """Forward: mu~ = h^2 mu; inverse: mu = mu~ / h^2."""
-    hv = _h_values(h)
-    _check_positive(hv)
+    hv = _positive_h(h)
     mu = np.asarray(mu, dtype=float)
     return mu / hv**2 if inverse else mu * hv**2
 
@@ -126,8 +127,7 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int):
     nondecreasing the births speed up and the deaths slow down; that
     comparison is checked and a violation raises, since it signals a bad h.
     """
-    hv = _h_values(h)
-    _check_positive(hv)
+    hv = _positive_h(h)
     if hv.shape[0] < N + 2:
         raise PreconditionViolated(f"need h on 0..{N + 1} (got {hv.shape[0]} values)")
     b, a, c = spec.rate_arrays(N)
@@ -140,12 +140,7 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int):
                 "transformed rates violate the monotone comparison; "
                 "h is not harmonic for a killed chain"
             )
-    base = bd_measures(spec, N)
-    # group h with sqrt(mu): h^2 alone can overflow where mu h^2 cannot
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = hv[: N + 1] * np.sqrt(base.mu)
-        mu_t = g * g
-        nu_t = 1.0 / (g * (hv[1 : N + 2] * np.sqrt(base.mu)) * b)
+    mu_t, nu_t = _conjugated_weights(bd_measures(spec, N).mu, hv[: N + 2], b)
     out = BirthDeathSpec(birth=bt, death=at, killing=0.0, truncation=N)
     return out, MeasurePair(mu=mu_t, nu_hat=nu_t)
 
@@ -161,7 +156,4 @@ def measure_dual(qp: QPairSpec, mu) -> QPairSpec:
     mu = np.asarray(mu, dtype=float)
     if np.any(mu <= 0.0):
         raise PreconditionViolated("mu must be strictly positive")
-    rt = qp.rates.T * (mu[None, :] / mu[:, None])
-    total = rt.sum(axis=1)
-    c = qp.killing - qp.total + total
-    return validate_qpair(rt, total, c)
+    return _tilt(qp, qp.rates.T, _ratio(mu))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import BirthDeathSpec
+from .chains import BirthDeathSpec, _conjugated_weights
 from .errors import (
     NonpositiveH,
     Overflow,
@@ -81,12 +81,7 @@ def _delta_arrays(spec, hv, K):
         raise PreconditionViolated(f"c[{i}] = {c[i]} > 0; the bound needs c <= 0")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu = np.concatenate(([1.0], np.cumprod(b[:K] / a[1:])))
-        # group h with sqrt(mu) so mu h^2 stays representable while h^2 alone
-        # would overflow
-        s = np.sqrt(mu)
-        g = hv[: K + 1] * s
-        m = g * g
-        t = 1.0 / (g * (hv[1 : K + 2] * s) * b)
+    m, t = _conjugated_weights(mu, hv[: K + 2], b)
     bad = np.flatnonzero(~(np.isfinite(m) & np.isfinite(t) & (t > 0.0)))
     kk = int(bad[0]) if bad.size else K + 1
     return m[:kk], t[:kk]

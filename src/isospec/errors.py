@@ -39,6 +39,10 @@ class NonConvergence(IsospecError):
         )
 
 
+# one exception for every solver that gives up; the second name stays public
+NoConvergence = NonConvergence
+
+
 class NotMonotone(IsospecError):
     """The minimal-solution iteration, monotone from zero, decreased."""
 
@@ -76,14 +80,6 @@ class NotReversible(IsospecError):
         super().__init__(
             f"mu[i] q[i][j] != mu[j] q[j][i] for (i, j) = ({i}, {j}); "
             f"relative violation {violation:g}"
-        )
-
-
-class NoConvergence(IsospecError):
-    def __init__(self, off_norm, limit):
-        self.off_norm, self.limit = off_norm, limit
-        super().__init__(
-            f"eigensolver sweep limit {limit} reached, off-diagonal norm {off_norm:g}"
         )
 
 

@@ -223,6 +223,16 @@ def _bd_h_ftilde(b, a, c, N):
     return h
 
 
+def _bd_residual(b, a, c, h):
+    """b_n (h_{n+1} - h_n) + a_n (h_{n-1} - h_n) + c_n h_n for 0 <= n < len(h) - 1."""
+    K = h.shape[0] - 1
+    # h can run off to inf under strong killing; NaN residuals there
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = b[:K] * (h[1:] - h[:K]) + c[:K] * h[:K]
+        r[1:] += a[1:K] * (h[: K - 1] - h[1:K])  # state 0 has no death term
+    return r
+
+
 def bd_harmonic_explicit(
     spec: BirthDeathSpec, N: int, method: str = "recurrence"
 ) -> HarmonicVector:
@@ -257,8 +267,7 @@ def bd_harmonic_explicit(
     stop = np.flatnonzero(~(finite[:N] & finite[1:]))
     K = int(stop[0]) if stop.size else N
     with np.errstate(invalid="ignore", over="ignore"):
-        r = b[:K] * (h[1 : K + 1] - h[:K]) + c[:K] * h[:K]
-        r[1:] += a[1:K] * (h[: K - 1] - h[1:K])
+        r = _bd_residual(b, a, c, h[: K + 1])
         # a[0] = 0, so state 0's scale has no death term
         scale = np.fmax(1.0, np.fmax(np.abs(b[:K] * h[1 : K + 1]), np.abs(a[:K] * h[:K])))
         # fmax skips NaN (inf / inf, inf * 0) as Python's max() with NaN second does

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import QPairSpec
-from .errors import NoConvergence, NotReversible, PreconditionViolated
+from .errors import NonConvergence, NotReversible, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,21 @@ def sturm_count(d, e, x: float) -> int:
     return count
 
 
+def _bisect(d, e, k: int, lo: float, hi: float, rel_tol: float, floor: float) -> float:
+    """Midpoint of [lo, hi] after bisecting it onto the k-th smallest eigenvalue."""
+    for _ in range(4096):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if sturm_count(d, e, mid) >= k:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rel_tol * max(abs(lo), abs(hi), floor):
+            break
+    return 0.5 * (lo + hi)
+
+
 def smallest_eig_tridiag(d, e, rel_tol: float = 1e-14) -> float:
     """Smallest eigenvalue by Sturm bisection.
 
@@ -82,17 +97,7 @@ def smallest_eig_tridiag(d, e, rel_tol: float = 1e-14) -> float:
     d, e = d.tolist(), e.tolist()
     while sturm_count(d, e, hi) < 1:
         hi = hi * 2.0 + 1.0
-    for _ in range(4096):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if sturm_count(d, e, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(d, e, 1, lo, hi, rel_tol, 0.0)
 
 
 def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
@@ -106,21 +111,7 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     top = float(np.max(d)) + 2.0 * span
     bot = float(np.min(d)) - 2.0 * span
     d, e = d.tolist(), e.tolist()
-    out = np.empty(k)
-    for i in range(k):
-        lo, hi = bot, top
-        for _ in range(4096):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if sturm_count(d, e, mid) >= i + 1:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1e-300):
-                break
-        out[i] = 0.5 * (lo + hi)
-    return out
+    return np.array([_bisect(d, e, i + 1, bot, top, rel_tol, 1e-300) for i in range(k)])
 
 
 def _is_tridiagonal(S) -> bool:
@@ -142,7 +133,7 @@ def _eigh(S, vectors=False):
         return np.linalg.eigh(S) if vectors else np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError:
         # LAPACK's QL/QR iteration gives up after 30 sweeps per eigenvalue
-        raise NoConvergence(float("nan"), 30 * S.shape[0]) from None
+        raise NonConvergence(30 * S.shape[0], float("nan")) from None
 
 
 def eig_sym(S, vectors: bool = False, method: str | None = None):
@@ -152,7 +143,7 @@ def eig_sym(S, vectors: bool = False, method: str | None = None):
     LAPACK solver and are kept for reports.  With vectors=True returns
     (w, V) with columns of V the eigenvectors, on either path.  Raises
     PreconditionViolated on a non-finite or asymmetric matrix and
-    NoConvergence when LAPACK does not converge.
+    NonConvergence when LAPACK does not converge.
     """
     S = np.asarray(S, dtype=float)
     if method not in (None, "jacobi", "tridiagonal_ql"):

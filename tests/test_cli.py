@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import isospec.cli
 import isospec.harmonic
 from isospec.cli import _emit, load_chain, main
 
@@ -22,8 +23,9 @@ FIB = [1, 2, 5, 13, 34, 89, 233, 610, 1597]
 
 
 def _write(tmp_path, name, doc):
+    """Write doc as JSON; a str is written as it is."""
     p = tmp_path / name
-    p.write_text(json.dumps(doc))
+    p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(p)
 
 
@@ -48,6 +50,37 @@ def test_harmonic_explicit_fibonacci(capsys, fib_chain):
     doc = json.loads(out)
     assert doc["h"] == FIB[:8]
     assert doc["residual"] == 0.0
+
+
+def test_harmonic_explicit_residuals_finite_before_overflow(capsys, tmp_path):
+    # strong killing drives h past float range; the residuals before that point
+    # are rounding noise, not the NaN of a dense product with inf entries
+    chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 1.0,
+                                        "killing": -50.0, "N": 400})
+    code, out, _ = _run(capsys, "harmonic", chain, "--method", "explicit")
+    assert code == 0
+    doc = json.loads(out)
+    h, res = np.array(doc["h"]), np.array(doc["residuals"])
+    k = int(np.argmin(np.isfinite(h)))
+    assert 0 < k < 400
+    assert np.all(np.isfinite(res[: k - 1]))
+    assert np.all(np.abs(res[: k - 1]) <= 1e-12 * np.maximum(1.0, h[1:k]))
+
+
+def test_harmonic_explicit_residuals_skip_the_dense_chain(capsys, monkeypatch, tmp_path):
+    # a positive c_0 is folded into the dense total; the three-term residual is 0
+    def no_dense(*args, **kwargs):
+        raise AssertionError("explicit residuals must not build a q-matrix")
+
+    monkeypatch.setattr(isospec.cli, "bd_to_qpair", no_dense)
+    chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 1.0,
+                                        "killing": [0.3] + [-0.5] * 10, "N": 10})
+    with pytest.warns(UserWarning, match="positive potential"):
+        code, out, _ = _run(capsys, "harmonic", chain, "--method", "explicit")
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["residuals"][0]) <= 1e-12
+    assert doc["residuals"][-1] == 0.0
 
 
 def test_harmonic_iterate_json(capsys, tmp_path):
@@ -326,6 +359,8 @@ MALFORMED = {
                         "death": 1.0, "N": 3},
     "ragged-rates": {"type": "qpair", "rates": [[0, 1], [1]]},
     "ragged-mu": {"type": "qpair", "rates": [[0, 1], [1, 0]], "mu": [1, [2]]},
+    # json.load itself refuses integer literals beyond 4300 digits
+    "birth-5001-digits": '{"type": "bd", "birth": 1%s, "death": 1.0, "N": 3}' % ("0" * 5000),
 }
 
 
@@ -353,6 +388,23 @@ def test_operator_h_and_set_fields_are_schema_errors(capsys, tmp_path, fib_chain
         code, _, err = _run(capsys, "transform", fib_chain, "--h", h, "--direction", "local",
                             "--set", states)
         assert code == 2 and err.startswith("isospec: "), states
+    nan, inf = float("nan"), float("inf")
+    h = _write(tmp_path, "h.json", {"values": [1, 2, nan, 13, 34, 89, 233, 610]})
+    code, _, err = _run(capsys, "transform", fib_chain, "--h", h, "--direction", "local")
+    assert code == 2 and err.startswith("isospec: 'values' has a NaN"), err
+    h = _write(tmp_path, "h.json", [1, 2, 5, inf, 34, 89, 233, 610])
+    code, _, err = _run(capsys, "verify", fib_chain, fib_chain, "--h", h)
+    assert code == 2 and err.startswith("isospec: 'values' has a NaN"), err
+    chain = _write(tmp_path, "c.json", {"type": "qpair", "rates": [[0, 1], [1, 0]],
+                                        "mu": [1, inf]})
+    code, _, err = _run(capsys, "transform", chain, "--direction", "measure")
+    assert code == 2 and err.startswith("isospec: 'mu' has a NaN"), err
+    op = _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": [-1, 1], "M": 50})
+    for key, bad in (("grid", [-1, nan, 1]), ("values", [1, inf, 1])):
+        sampled = {"grid": [-1, 0, 1], "values": [1, 2, 1], key: bad}
+        h = _write(tmp_path, "h.json", sampled)
+        code, _, err = _run(capsys, "diffop", op, "--h", h, "--check", "transform")
+        assert code == 2 and err.startswith(f"isospec: '{key}' has a NaN"), err
 
 
 def test_minimal_harmonic_decrease_exits_one(capsys, monkeypatch, tmp_path):

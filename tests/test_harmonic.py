@@ -67,6 +67,8 @@ def test_explicit_residual_matches_loop_reference():
         # h overflows to inf part way: the residual stops at the first such pair
         BirthDeathSpec(birth=1.0, death=1.0, killing=-50.0),
         BirthDeathSpec(birth=1.0, death=1.0, killing=0.5),
+        # h_1 = 1 - c_0 / b_0 is already inf: no pair is finite
+        BirthDeathSpec(birth=1e-300, death=1.0, killing=-1e10),
     ]
     for s in specs:
         with warnings.catch_warnings():
