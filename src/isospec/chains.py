@@ -51,6 +51,11 @@ class QPairSpec:
         f = np.asarray(f, dtype=float)
         return self.rates @ f + (self.killing - self.total) * f
 
+    def nonzero(self):
+        """Rows, columns and values of the nonzero rates, ordered as np.nonzero."""
+        i, j = np.nonzero(self.rates)
+        return i, j, self.rates[i, j]
+
 
 def _check_finite(name, arr):
     if not np.all(np.isfinite(arr)):
@@ -67,13 +72,19 @@ def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
     r = np.array(rates, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
         raise PreconditionViolated("rates must be a square matrix with n >= 1")
-    n = r.shape[0]
     np.fill_diagonal(r, 0.0)
     _check_finite("rates", r)
     if np.any(r < 0.0):
         i, j = map(int, np.argwhere(r < 0.0)[0])
         raise NegativeRate(i, j, r[i, j])
-    row = r.sum(axis=1)
+    q, c, conservative = _check_totals(r.sum(axis=1), total, killing)
+    r.flags.writeable = False
+    return QPairSpec(rates=r, total=q, killing=c, conservative=conservative)
+
+
+def _check_totals(row, total, killing):
+    """Totals, potential and conservativity of a chain with rate row sums row."""
+    n = row.shape[0]
     q = row.copy() if total is None else np.array(total, dtype=float)
     if q.shape != (n,):
         raise PreconditionViolated("total must have one entry per state")
@@ -94,10 +105,93 @@ def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
         i = int(np.argmax(excess))
         raise PotentialExceedsRate(i, c[i], q[i])
     conservative = bool(np.all(np.abs(slack) <= _CONS_RTOL * scale))
-    r.flags.writeable = False
     q.flags.writeable = False
     c.flags.writeable = False
-    return QPairSpec(rates=r, total=q, killing=c, conservative=conservative)
+    return q, c, conservative
+
+
+@dataclass(frozen=True)
+class BandSpec:
+    """Validated tridiagonal jump specification: a QPairSpec kept as its band.
+
+    up[k] is the rate k -> k+1 and down[k] the rate k+1 -> k; every other
+    off-diagonal rate is zero.  Checks, errors and arrays match the dense
+    form entry for entry, and to_qpair() builds it.
+    """
+
+    up: np.ndarray
+    down: np.ndarray
+    total: np.ndarray
+    killing: np.ndarray
+    conservative: bool
+
+    @property
+    def n_states(self) -> int:
+        return self.total.shape[0]
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        f = np.asarray(f, dtype=float)
+        if f.shape != (self.n_states,):
+            raise ValueError(f"f has shape {f.shape}, want ({self.n_states},)")
+        return _band_row_sums(self.up * f[1:], self.down * f[:-1]) + (
+            self.killing - self.total) * f
+
+    def nonzero(self):
+        """Rows, columns and values of the nonzero rates, ordered as np.nonzero."""
+        i, j, v = _band_entries(self.up, self.down)
+        keep = v != 0.0
+        return i[keep], j[keep], v[keep]
+
+    def to_qpair(self) -> QPairSpec:
+        n = self.n_states
+        r = np.zeros((n, n))
+        k = np.arange(n - 1)
+        r[k, k + 1] = self.up
+        r[k + 1, k] = self.down
+        r.flags.writeable = False
+        return QPairSpec(rates=r, total=self.total, killing=self.killing,
+                         conservative=self.conservative)
+
+
+def _band_row_sums(up, down):
+    # the dense row sum adds exact zeros to these two terms, so it rounds alike
+    s = np.zeros(up.shape[0] + 1)
+    s[:-1] += up
+    s[1:] += down
+    return s
+
+
+def _band_entries(up, down):
+    """Rows, columns and values of the band in row-major order.
+
+    Row-major order visits (k, k+1) and then (k+1, k), so the values
+    interleave up and down.
+    """
+    k = np.arange(up.shape[0]).repeat(2)
+    v = np.empty(k.shape[0])
+    v[0::2], v[1::2] = up, down
+    i, j = k.copy(), k.copy()
+    i[1::2] += 1
+    j[0::2] += 1
+    return i, j, v
+
+
+def validate_band(up, down, total=None, killing=None) -> BandSpec:
+    """validate_qpair restricted to the band, with the same errors and arrays."""
+    u = np.array(up, dtype=float)
+    d = np.array(down, dtype=float)
+    if u.ndim != 1 or u.shape != d.shape:
+        raise PreconditionViolated("up and down must be flat arrays of one length")
+    _check_finite("rates", (u, d))
+    i, j, v = _band_entries(u, d)
+    neg = np.flatnonzero(v < 0.0)
+    if neg.size:
+        k = neg[0]
+        raise NegativeRate(int(i[k]), int(j[k]), v[k])
+    q, c, conservative = _check_totals(_band_row_sums(u, d), total, killing)
+    u.flags.writeable = False
+    d.flags.writeable = False
+    return BandSpec(up=u, down=d, total=q, killing=c, conservative=conservative)
 
 
 def _rate_source(value, name):
@@ -224,8 +318,8 @@ def _conjugated_weights(mu, h, b):
         return g * g, 1.0 / (g * (h[1:] * s) * b)
 
 
-def bd_to_qpair(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> QPairSpec:
-    """Tridiagonal QPairSpec on {0..N}.
+def bd_to_band(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> BandSpec:
+    """Tridiagonal chain on {0..N} in band form.
 
     boundary "reflecting" drops the outgoing birth rate b_N so the truncated
     chain stays conservative; "absorbing" keeps b_N as a defect into the
@@ -240,13 +334,14 @@ def bd_to_qpair(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> Q
     c = spec._rates("c", 0, N + 1)
     b = spec._rates("b", 0, N + (boundary == "absorbing"))
     a = spec._rates("a", 1, N + 1)
-    rates = np.zeros((N + 1, N + 1))
-    i = np.arange(N)
-    rates[i, i + 1] = b[:N]
-    rates[i + 1, i] = a
-    total = rates.sum(axis=1)
+    total = _band_row_sums(b[:N], a)
     total[0] += max(c[0], 0.0)
     if boundary == "absorbing":
         total[N] += b[N]
     total[N] += max(c[N], 0.0)
-    return validate_qpair(rates, total, c)
+    return validate_band(b[:N], a, total, c)
+
+
+def bd_to_qpair(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> QPairSpec:
+    """Tridiagonal QPairSpec on {0..N}: the dense form of bd_to_band."""
+    return bd_to_band(spec, N, boundary).to_qpair()

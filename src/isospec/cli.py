@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import BirthDeathSpec, bd_measures, bd_to_qpair, validate_qpair
+from .chains import (BandSpec, BirthDeathSpec, bd_measures, bd_to_band, bd_to_qpair,
+                     validate_qpair)
 from .errors import IsospecError, MalformedExpression
 
 # Each handler imports the modules it needs, so a chain request never loads
@@ -133,13 +135,14 @@ class ChainInput:
     cap: int | None = None  # largest state index array fields cover
     mu: np.ndarray | None = None
 
-    def as_qpair(self):
+    def as_qpair(self, band: bool = False):
+        """The chain as a QPairSpec; a bd chain as a BandSpec when band is true."""
         if self.kind == "qpair":
             return self.qp
         if self.N is None:
             raise SchemaError('bd chain with formula rates needs "N"')
         try:
-            return bd_to_qpair(self.bd, self.N)
+            return (bd_to_band if band else bd_to_qpair)(self.bd, self.N)
         except IsospecError as exc:
             raise SchemaError(str(exc)) from exc
 
@@ -181,6 +184,8 @@ def load_chain(doc) -> ChainInput:
             N = cap
         else:
             N = None
+        if mu is not None and N is not None and mu.shape[0] != N + 1:
+            raise SchemaError('"mu" length must match the number of states')
         spec = BirthDeathSpec(birth=birth, death=death, killing=killing, truncation=N)
         return ChainInput(kind="bd", bd=spec, N=N, cap=cap, mu=mu)
 
@@ -303,29 +308,64 @@ def _jsonable(obj):
 
 
 _NUMBERS = {int, float}
+_BLOCK = 1 << 20  # characters per write of a long JSON document
 _encode = json.JSONEncoder().encode  # C encoder: no indent, ", " separators
 
 
-def _dumps(obj, indent: str = "") -> str:
-    """json.dumps(obj, indent=2), nested at indent.
+def _chunks(obj, indent: str = ""):
+    """Pieces of json.dumps(obj, indent=2), nested at indent.
 
     json's indented encoder runs in pure Python.  A flat list whose elements
     are all exactly int or float goes through the C encoder instead; no
     number's text contains ", ", so each separator becomes a line break.
+    A BandSpec stands for its dense rate matrix.
     """
     inner = indent + "  "
-    if isinstance(obj, list) and obj:
-        if set(map(type, obj)) <= _NUMBERS:
-            body = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
-        else:
-            body = (",\n" + inner).join(_dumps(v, inner) for v in obj)
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        body = (",\n" + inner).join(f"{_encode(k)}: {_dumps(v, inner)}"
-                                    for k, v in obj.items())
-        return f"{{\n{inner}{body}\n{indent}}}"
-    # JSON text has no raw newlines inside strings, so re-indenting is safe
-    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+    if isinstance(obj, BandSpec):
+        yield from _band_rows(obj, indent)
+    elif isinstance(obj, list) and obj and set(map(type, obj)) <= _NUMBERS:
+        body = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
+        yield f"[\n{inner}{body}\n{indent}]"
+    elif isinstance(obj, list) and obj:
+        sep = "[\n" + inner
+        for v in obj:
+            yield sep
+            yield from _chunks(v, inner)
+            sep = ",\n" + inner
+        yield f"\n{indent}]"
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            yield f"{sep}{_encode(k)}: "
+            yield from _chunks(v, inner)
+            sep = ",\n" + inner
+        yield f"\n{indent}}}"
+    else:
+        # JSON text has no raw newlines inside strings, so re-indenting is safe
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
+def _band_rows(qp: BandSpec, indent: str):
+    """The dense rate matrix of qp as _chunks writes a list of rows, row by row.
+
+    Only the band goes through repr; each run of zeros is a slice of one
+    string of zeros and separators.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner + "  "
+    n = qp.n_states
+    up = [_encode(v) for v in qp.up.tolist()]
+    down = [_encode(v) for v in qp.down.tolist()]
+    zeros = ("0.0" + sep) * n  # zeros[:k * w] and zeros[3 : 3 + k * w] hold k zeros
+    w = len(sep) + 3
+    lead = "[\n" + inner
+    for i in range(n):
+        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+        band = down[i - 1 : i] + ["0.0"] + up[i : i + 1]  # columns lo..hi
+        yield (f"{lead}[\n{inner}  {zeros[: lo * w]}{sep.join(band)}"
+               f"{zeros[3 : 3 + (n - 1 - hi) * w]}\n{inner}]")
+        lead = ",\n" + inner
+    yield f"\n{indent}]"
 
 
 def _emit(args, payload: dict, header=None, rows=None):
@@ -341,7 +381,17 @@ def _emit(args, payload: dict, header=None, rows=None):
         for row in rows():
             w.writerow([_jsonable(v) for v in row])
     else:
-        print(_dumps(_jsonable(payload)))
+        # a dense rate matrix can run to tens of MB, so write it in blocks; a
+        # document under a block is one write, as print() made it
+        block, size = [], 0
+        for chunk in _chunks(_jsonable(payload)):
+            block.append(chunk)
+            size += len(chunk)
+            if size >= _BLOCK:
+                sys.stdout.write("".join(block))
+                block, size = [], 0
+        sys.stdout.write("".join(block))
+        sys.stdout.write("\n")
 
 
 def _note(args, msg: str):
@@ -367,7 +417,8 @@ def _bd_doc(spec: BirthDeathSpec, N: int, mp=None) -> dict:
 def _qpair_doc(qp, mu=None) -> dict:
     doc = {
         "type": "qpair",
-        "rates": qp.rates,
+        # a BandSpec is written as its dense rate matrix
+        "rates": qp if isinstance(qp, BandSpec) else qp.rates,
         "total": qp.total,
         "killing": qp.killing,
     }
@@ -439,7 +490,7 @@ def cmd_transform(args) -> int:
     tol = args.tol if args.tol is not None else 1e-8
 
     if args.direction == "measure":
-        qp = ci.as_qpair()
+        qp = ci.as_qpair(band=True)
         mu = ci.measure()
         out = measure_dual(qp, mu)
         _emit_qpair_transform(args, out, mu)
@@ -464,7 +515,7 @@ def cmd_transform(args) -> int:
                              mp.mu[i]) for i in range(N + 1)])
         return 0
 
-    qp = ci.as_qpair()
+    qp = ci.as_qpair(band=True)
     n = qp.n_states
     if hv.shape[0] < n:
         raise SchemaError(f"h has {hv.shape[0]} values but the chain has {n} states")
@@ -492,8 +543,8 @@ def cmd_transform(args) -> int:
 
 def _emit_qpair_transform(args, qp, mu):
     def rows():
-        ii, jj = np.nonzero(qp.rates)
-        yield from (("rate", i, j, qp.rates[i, j]) for i, j in zip(ii.tolist(), jj.tolist()))
+        ii, jj, vv = (x.tolist() for x in qp.nonzero())
+        yield from (("rate", i, j, v) for i, j, v in zip(ii, jj, vv))
         yield from (("total", i, "", qp.total[i]) for i in range(qp.n_states))
         yield from (("killing", i, "", qp.killing[i]) for i in range(qp.n_states))
 
@@ -506,8 +557,10 @@ def cmd_verify(args) -> int:
 
     A = load_chain(_load_json(args.chain_a))
     B = load_chain(_load_json(args.chain_b))
-    qpA = A.as_qpair()
-    qpB = B.as_qpair()
+    # two bd chains stay on the band; a q-pair makes both dense
+    band = A.kind == B.kind == "bd"
+    qpA = A.as_qpair(band)
+    qpB = B.as_qpair(band)
     if qpA.n_states != qpB.n_states:
         raise SchemaError(
             f"state counts differ ({qpA.n_states} vs {qpB.n_states})"
@@ -765,4 +818,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # e.g. a closed pipe: let teardown report it
+        sys.exit(code)
+    # everything is written, so skip the interpreter's teardown
+    os._exit(code)

@@ -4,14 +4,16 @@ For H = diag(h) with h > 0, the conjugated generator H^{-1} A H has
 off-diagonal entries q_ij h_j / h_i and an unchanged diagonal.  Splitting the
 diagonal into new conservative totals plus a remainder potential gives the
 transform in q-pair form; when h solves A h = 0 the remainder vanishes and
-the potential is removed entirely.
+the potential is removed entirely.  The q-pair transforms take a dense
+QPairSpec or a tridiagonal BandSpec and return the same form.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .chains import (BirthDeathSpec, MeasurePair, QPairSpec, _conjugated_weights,
-                     bd_measures, validate_qpair)
+from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
+                     _check_finite, _conjugated_weights, bd_measures, validate_band,
+                     validate_qpair)
 from .errors import (
     NonpositiveH,
     NotHarmonic,
@@ -29,32 +31,44 @@ def _positive_h(h) -> np.ndarray:
     return hv
 
 
-def _ratio(w: np.ndarray) -> np.ndarray:
-    return w[None, :] / w[:, None]
+def _tilt(qp, w, adjoint=False, inverse=False, harmonic=False):
+    """Off-diagonals q_ij w_j / w_i, row-sum totals and potential c - q + q~.
 
-
-def _tilt(qp: QPairSpec, rates, ratio, harmonic=False) -> QPairSpec:
-    """Off-diagonals rates * ratio, row-sum totals and potential c - q + q~.
-
+    adjoint tilts the transposed rates q_ji, inverse uses the ratio w_i / w_j.
     The potential is exactly zero where harmonic (a bool or a mask) holds.
+    A BandSpec is tilted on its band, with the same roundings and errors.
     """
-    rt = rates * ratio
-    total = rt.sum(axis=1)
+    if isinstance(qp, BandSpec):
+        w = np.broadcast_to(w, (qp.n_states,))
+        up, down = (qp.down, qp.up) if adjoint else (qp.up, qp.down)
+        fwd, bwd = w[1:] / w[:-1], w[:-1] / w[1:]
+        if inverse:
+            fwd, bwd = bwd, fwd
+        # where some w_j / w_i overflows the dense tilt has 0 * inf = NaN off the band
+        _check_finite("rates", np.max(w) / np.min(w))
+        rt = (up * fwd, down * bwd)
+        total = _band_row_sums(*rt)
+        validate = validate_band
+    else:
+        ratio = w[None, :] / w[:, None]
+        rt = ((qp.rates.T if adjoint else qp.rates) * (ratio.T if inverse else ratio),)
+        total = rt[0].sum(axis=1)
+        validate = validate_qpair
     c = np.where(harmonic, 0.0, qp.killing - qp.total + total)
-    return validate_qpair(rt, total, c)
+    return validate(*rt, total, c)
 
 
-def conjugate(qp: QPairSpec, h) -> QPairSpec:
+def conjugate(qp: QPairSpec | BandSpec, h) -> QPairSpec | BandSpec:
     """Exact similarity transform for any positive h, harmonic or not.
 
     Off-diagonals become q_ij h_j / h_i; totals are reset to the new row
     sums and the diagonal mismatch is carried as the potential
     c~_i = c_i - q_i + q~_i.  The spectrum is preserved exactly.
     """
-    return _tilt(qp, qp.rates, _ratio(_positive_h(h)))
+    return _tilt(qp, _positive_h(h))
 
 
-def h_transform(qp: QPairSpec, h, tol: float = 1e-8) -> QPairSpec:
+def h_transform(qp: QPairSpec | BandSpec, h, tol: float = 1e-8) -> QPairSpec | BandSpec:
     """Remove the potential by conjugating with a global harmonic h.
 
     Requires A h = 0 at every state (within tol, measured relative to the
@@ -64,12 +78,12 @@ def h_transform(qp: QPairSpec, h, tol: float = 1e-8) -> QPairSpec:
     worst = float(np.max(np.abs(harmonic_residual(qp, hv))))
     if worst > tol:
         raise NotHarmonic(worst, tol)
-    return _tilt(qp, qp.rates, _ratio(hv), harmonic=True)
+    return _tilt(qp, hv, harmonic=True)
 
 
 def h_transform_local(
-    qp: QPairSpec, h, harmonic_set=None, tol: float = 1e-8
-) -> QPairSpec:
+    qp: QPairSpec | BandSpec, h, harmonic_set=None, tol: float = 1e-8
+) -> QPairSpec | BandSpec:
     """Conjugate with h harmonic only on a subset of states.
 
     The potential is set to zero exactly on the harmonic set; off the set it
@@ -91,10 +105,10 @@ def h_transform_local(
     if np.any(res[B] > tol):
         idx = np.flatnonzero(B)[int(np.argmax(res[B]))]
         raise NotLocallyHarmonic(int(idx), float(res[idx]), tol)
-    return _tilt(qp, qp.rates, _ratio(hv), harmonic=B)
+    return _tilt(qp, hv, harmonic=B)
 
 
-def inverse_transform(qt: QPairSpec, h) -> QPairSpec:
+def inverse_transform(qt: QPairSpec | BandSpec, h) -> QPairSpec | BandSpec:
     """Reintroduce a potential by conjugating a conservative chain with 1/h.
 
     Requires a conservative input with zero potential.  Off-diagonals become
@@ -108,7 +122,7 @@ def inverse_transform(qt: QPairSpec, h) -> QPairSpec:
     if np.any(np.abs(qt.killing) > 1e-12 * np.maximum(1.0, qt.total)):
         raise PreconditionViolated("input chain must have zero potential")
     # h_i / h_j, the tilt by 1/h without rounding 1/h first
-    return _tilt(qt, qt.rates, _ratio(hv).T)
+    return _tilt(qt, hv, inverse=True)
 
 
 def transform_measure(mu, h, inverse: bool = False) -> np.ndarray:
@@ -145,7 +159,7 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int):
     return out, MeasurePair(mu=mu_t, nu_hat=nu_t)
 
 
-def measure_dual(qp: QPairSpec, mu) -> QPairSpec:
+def measure_dual(qp: QPairSpec | BandSpec, mu) -> QPairSpec | BandSpec:
     """Adjoint chain with respect to the weights mu.
 
     Off-diagonals become q-bar_ij = mu_j q_ji / mu_i (the transpose rescaled
@@ -156,4 +170,4 @@ def measure_dual(qp: QPairSpec, mu) -> QPairSpec:
     mu = np.asarray(mu, dtype=float)
     if np.any(mu <= 0.0):
         raise PreconditionViolated("mu must be strictly positive")
-    return _tilt(qp, qp.rates.T, _ratio(mu))
+    return _tilt(qp, mu, adjoint=True)

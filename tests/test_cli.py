@@ -525,6 +525,42 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_module_entry_point_keeps_bytes_and_status(capsys, tmp_path, fib_chain):
+    # python -m isospec.cli flushes and skips interpreter teardown; nothing may be lost
+    from isospec import BirthDeathSpec, bd_harmonic_explicit
+
+    rng = np.random.default_rng(6)
+    N = 600
+    b, a = rng.uniform(1.0, 2.0, N + 1), rng.uniform(0.5, 1.5, N + 1)
+    c = -0.5 * 0.8 ** np.arange(N + 1)
+    chain = _write(tmp_path, "c.json", {"type": "bd", "birth": b.tolist(),
+                                        "death": a.tolist(), "killing": c.tolist(), "N": N})
+    h = bd_harmonic_explicit(BirthDeathSpec(b, a, c), N).values
+    h_ok = _write(tmp_path, "h.json", {"values": h.tolist()})
+    h_bad = _write(tmp_path, "h1.json", [1.0] * 8)
+    zero_n = _write(tmp_path, "z.json", {"type": "bd", "birth": 1.0, "death": 1.0, "N": 0})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered stdout, as a pipe gets by default
+    cases = [
+        (["transform", chain, "--h", h_ok, "--direction", "local"], 0),
+        (["transform", fib_chain, "--h", h_bad, "--direction", "local"], 1),
+        (["harmonic", zero_n, "--method", "explicit"], 2),
+    ]
+    for argv, status in cases:
+        code, out, err = _run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "isospec.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert code == proc.returncode == status, argv
+        assert proc.stdout == out.encode(), argv
+        assert proc.stderr.decode() == err, argv
+        diagnoses = [ln for ln in err.splitlines() if ln.startswith("isospec: ")]
+        assert len(diagnoses) == (status != 0), argv
+        if status == 0:
+            assert len(proc.stdout) > 4_000_000  # the dense rate matrix on 601 states
+
+
 def test_package_exports_resolve_lazily():
     import isospec
 

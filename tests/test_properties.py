@@ -1,23 +1,42 @@
 """Property tests of the transform identities on generated chains.
 
-Each example is a reversible killed chain built from conductances w on a
-spanning path plus random extra edges, rates w_ij / mu_i, and a positive h
-spanning about six orders of magnitude.
+The dense examples are reversible killed chains built from conductances w on
+a spanning path plus random extra edges, rates w_ij / mu_i, and a positive h
+spanning about six orders of magnitude.  The birth-death examples check the
+paper's identities on bd families and the band form against the dense one.
 """
+import argparse
+import contextlib
+import io
+import warnings
+
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isospec import (
+    BirthDeathSpec,
+    IsospecError,
+    PreconditionViolated,
+    bd_h_transform,
+    bd_harmonic_explicit,
+    bd_measures,
     conjugate,
+    delta_tilde,
     h_transform,
+    h_transform_local,
     inverse_transform,
     isospectral_check,
+    lambda0_variational,
     measure_dual,
     quadratic_form,
+    sturm_count,
     transform_measure,
     validate_qpair,
 )
+from isospec.chains import BandSpec, bd_to_band, validate_band
+from isospec.cli import _emit_qpair_transform
+from isospec.spectra import _symmetrize_band
 from conftest import exact_harmonic_pair
 
 _RATE = st.floats(0.1, 10.0)
@@ -90,3 +109,218 @@ def test_measure_dual_is_an_involution(case, data):
     assert np.max(np.abs(twice.rates - qp.rates)) <= tol
     assert np.max(np.abs(twice.total - qp.total)) <= tol
     assert np.max(np.abs(twice.killing - qp.killing)) <= tol
+
+
+# ---------------------------------------------------------------- birth-death families
+
+def _rng_chain(seed, N, birth=(0.5, 2.0), death=(0.5, 2.0)):
+    """BirthDeathSpec on 0..N+1: seeded rates, summable killing with exact zeros."""
+    rng = np.random.default_rng(seed)
+    c = -rng.uniform(0.0, 1.0) * rng.uniform(0.3, 0.9) ** np.arange(N + 2)
+    c[rng.random(N + 2) < 0.2] = 0.0
+    return BirthDeathSpec(birth=rng.uniform(*birth, N + 2), death=rng.uniform(*death, N + 2),
+                          killing=c)
+
+
+def _counts_bracket(T, U, x, delta):
+    """U's Sturm count brackets T's at x: an eigenvalue may move by delta, no more."""
+    n = sturm_count(*T, x)
+    return sturm_count(*U, x - delta) <= n <= sturm_count(*U, x + delta)
+
+
+@settings(max_examples=50)  # O(N) kernels at N up to 10^3 per example
+@given(st.integers(1, 1000), st.integers(0, 2**32 - 1))
+@example(1, 0)
+@example(1000, 1)
+def test_bd_h_transform_is_isospectral_by_sturm_counts(N, seed):
+    # the reflecting truncation of the h-transformed chain keeps its killing at N only
+    spec = _rng_chain(seed, N)
+    h = bd_harmonic_explicit(spec, N + 1).values
+    spec_t, mp = bd_h_transform(spec, h, N)
+    b, a, c = spec.rate_arrays(N)
+    bt, at, _ = spec_t.rate_arrays(N)
+    kt = np.zeros(N + 1)
+    kt[N] = c[N] - a[N] + at[N]
+    T = _symmetrize_band(bd_to_band(spec, N), bd_measures(spec, N).mu)
+    U = _symmetrize_band(bd_to_band(BirthDeathSpec(bt, at, kt), N), mp.mu)
+    radius = float(np.max(np.abs(T[0])) + 2.0 * np.max(np.abs(T[1])))
+    delta = 1e-9 * max(1.0, radius)
+    for x in np.linspace(-radius, 0.0, 13):
+        assert _counts_bracket(T, U, x, delta), x
+        assert _counts_bracket(U, T, x, delta), x
+
+
+@settings(max_examples=50)  # O(N) kernels at N up to 10^3 per example
+@given(st.integers(0, 2**32 - 1), st.floats(0.1, 1.0))
+def test_hardy_enclosure_contains_the_variational_eigenvalue(seed, kill):
+    # deaths outpace births under uniform killing, so the Hardy constant is finite
+    rng = np.random.default_rng(seed)
+    N = 600
+    spec = BirthDeathSpec(birth=rng.uniform(0.5, 1.0, N + 2),
+                          death=rng.uniform(1.0, 1.5, N + 2), killing=-kill)
+    delta = delta_tilde(spec, bd_harmonic_explicit(spec, N + 1), N_max=N).value
+    lam = lambda0_variational(spec, N)
+    eps = 1e-8 + abs(lam - lambda0_variational(spec, N // 2))
+    assert 1.0 / (4.0 * delta) - eps <= lam <= 1.0 / delta + eps
+
+
+@given(st.integers(1, 150), st.integers(0, 2**32 - 1))
+def test_ftilde_matches_recurrence(N, seed):
+    spec = _rng_chain(seed, N, death=(0.5, 1.5))
+    h1 = bd_harmonic_explicit(spec, N, method="ftilde").values
+    h2 = bd_harmonic_explicit(spec, N).values
+    assert np.max(np.abs(h1 - h2) / h2) < 1e-10
+
+
+# ---------------------------------------------------------------- band against dense
+
+_BD_RATE = st.floats(0.1, 10.0)
+_BD_KILL = st.sampled_from([0.0, -0.5]) | st.floats(-3.0, 0.0)
+
+
+@st.composite
+def bd_cases(draw):
+    """(spec, N, h): a bd chain whose boundary potentials may be positive, and h > 0."""
+    N = draw(st.sampled_from([1, 2]) | st.integers(3, 30))
+    b = draw(_vector(N + 1, _BD_RATE))
+    a = draw(_vector(N + 1, _BD_RATE))
+    c = draw(_vector(N + 1, _BD_KILL))
+    c[0], c[N] = draw(st.floats(-3.0, 1.0)), draw(st.floats(-3.0, 1.0) | st.just(0.0))
+    h = np.exp(draw(_vector(N + 1, st.floats(-3.0, 3.0))))
+    return BirthDeathSpec(birth=b, death=a, killing=c), N, h
+
+
+def _dense_bd(spec, N):
+    """The reflecting truncation built as a dense matrix, as bd_to_qpair once did."""
+    b, a, c = spec.rate_arrays(N)
+    rates = np.zeros((N + 1, N + 1))
+    i = np.arange(N)
+    rates[i, i + 1] = b[:N]
+    rates[i + 1, i] = a[1:]
+    total = rates.sum(axis=1)
+    total[0] += max(c[0], 0.0)
+    total[N] += max(c[N], 0.0)
+    return validate_qpair(rates, total, c)
+
+
+def _explicit_h(spec, N):
+    """The explicit harmonic of spec on 0..N, scaled to max 1.
+
+    The local transform's residual test is absolute.  At max 1 its rounding
+    noise stays far below the tolerance, where the last bit, which BLAS may
+    round differently from the band, cannot decide it.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # positive boundary potentials are drawn on purpose
+        h = bd_harmonic_explicit(spec, N).values
+    return h / np.max(np.abs(h))
+
+
+def _outcome(fn):
+    """fn()'s result in dense form, or the type and text of the error it raised."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            out = fn()
+    except (IsospecError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, BandSpec):
+        out = out.to_qpair()
+    if hasattr(out, "rates"):
+        return (out.rates.tobytes(), out.total.tobytes(), out.killing.tobytes(),
+                out.conservative)
+    return (out.eigenvalues.tobytes(), out.eigenvalues_other.tobytes(), out.method,
+            out.passed, out.max_pair_gap, out.tolerance)
+
+
+def _text(qp, mu, output):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit_qpair_transform(argparse.Namespace(seed=None, output=output), qp, mu)
+    return buf.getvalue()
+
+
+@given(bd_cases())
+def test_band_transforms_match_dense(case):
+    spec, N, h = case
+    band, dense = bd_to_band(spec, N), _dense_bd(spec, N)
+    assert _outcome(band.to_qpair) == _outcome(lambda: dense)
+    hv = _explicit_h(spec, N)
+    mu = bd_measures(spec, N).mu
+    cons = bd_to_band(BirthDeathSpec(spec.birth, spec.death), N)
+    calls = [
+        lambda q: h_transform_local(q, hv),
+        lambda q: h_transform_local(q, hv, tol=np.inf),
+        lambda q: h_transform_local(q, h, harmonic_set=[0]),
+        lambda q: conjugate(q, h),
+        lambda q: measure_dual(q, mu),
+        lambda q: measure_dual(q, h),
+        lambda q: inverse_transform(q, h),
+        lambda q: inverse_transform(h_transform_local(q, hv, tol=np.inf), hv),
+    ]
+    for call in calls:
+        assert _outcome(lambda: call(band)) == _outcome(lambda: call(dense))
+    assert _outcome(lambda: inverse_transform(cons, h)) == _outcome(
+        lambda: inverse_transform(cons.to_qpair(), h))
+    for output in ("json", "csv"):
+        out = measure_dual(band, h)
+        assert _text(out, mu, output) == _text(out.to_qpair(), mu, output)
+        assert _text(band, None, output) == _text(dense, None, output)
+
+
+@given(bd_cases())
+def test_band_spectra_match_dense(case):
+    spec, N, h = case
+    band, dense = bd_to_band(spec, N), _dense_bd(spec, N)
+    mu = bd_measures(spec, N).mu
+    others = [(conjugate(band, h), transform_measure(mu, h)), (band, mu), (band, h)]
+    hv = _explicit_h(spec, N)
+    if np.all(hv > 0.0):
+        with np.errstate(all="ignore"):
+            others.append((h_transform_local(band, hv, tol=np.inf), transform_measure(mu, hv)))
+    for other, mu_other in others:
+        got = _outcome(lambda: isospectral_check(band, mu, other, mu_other))
+        want = _outcome(lambda: isospectral_check(dense, mu, other.to_qpair(), mu_other))
+        assert got == want
+    # the dense product may fuse a multiply-add, so only rounding may differ
+    terms = (np.abs(band.up * h[1:]).sum() + np.abs(band.down * h[:-1]).sum()
+             + np.abs((band.killing - band.total) * h).sum())
+    assert np.allclose(band.apply(h), dense.apply(h), rtol=0.0, atol=1e-15 * terms)
+
+
+@given(st.integers(1, 12), st.data())
+def test_validate_band_matches_validate_qpair(n, data):
+    # signed band entries, exact zeros and totals on both sides of the row sums
+    up = data.draw(_vector(n, st.sampled_from([0.0, -1.0, 2.0]) | st.floats(-1.0, 5.0)))
+    down = data.draw(_vector(n, st.sampled_from([0.0, 1.5]) | st.floats(-1.0, 5.0)))
+    total = data.draw(st.none() | _vector(n + 1, st.floats(0.0, 12.0)))
+    killing = data.draw(st.none() | _vector(n + 1, st.floats(-3.0, 3.0)))
+    rates = np.zeros((n + 1, n + 1))
+    rates[np.arange(n), np.arange(1, n + 1)] = up
+    rates[np.arange(1, n + 1), np.arange(n)] = down
+    assert _outcome(lambda: validate_band(up, down, total, killing)) == _outcome(
+        lambda: validate_qpair(rates, total, killing))
+    band = validate_band(np.abs(up), np.abs(down))
+    i, j, v = band.nonzero()
+    assert [i.tolist(), j.tolist(), v.tolist()] == [
+        x.tolist() for x in band.to_qpair().nonzero()]
+
+
+def test_band_refuses_what_dense_refuses_off_the_band():
+    # h_2 / h_0 overflows: the dense tilt has 0 * inf = NaN at (2, 0)
+    band = bd_to_band(BirthDeathSpec(1.0, 1.0), 2)
+    h = np.array([1e-200, 1.0, 1e200])
+    want = _outcome(lambda: inverse_transform(band.to_qpair(), h))
+    assert want == (PreconditionViolated, "rates has a NaN or infinite entry")
+    assert _outcome(lambda: inverse_transform(band, h)) == want
+    # sqrt(mu_0 / mu_2) overflows, so the dense symmetrised matrix has NaN at (0, 2)
+    mu = np.array([1e300, 1.0, 5e-324])
+    chain = validate_band([1e-290, 5e-324 * 1e300], [1e10, 1e300])
+    want = _outcome(lambda: isospectral_check(chain.to_qpair(), mu, chain.to_qpair(), mu))
+    assert want == (PreconditionViolated, "matrix has a non-finite entry")
+    assert _outcome(lambda: isospectral_check(chain, mu, chain, mu)) == want
+    # c - q halves back from -inf only in exact arithmetic: 0.5 * (s + s) overflows
+    chain, mu = validate_band([1.0], [1.0], total=[1e308, 1e308]), np.ones(2)
+    want = _outcome(lambda: isospectral_check(chain.to_qpair(), mu, chain.to_qpair(), mu))
+    assert want == (PreconditionViolated, "matrix has a non-finite entry")
+    assert _outcome(lambda: isospectral_check(chain, mu, chain, mu)) == want

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,26 @@ def test_lowest_eigs_tridiag_matches_reference():
 def test_lowest_eigs_bad_k():
     with pytest.raises(PreconditionViolated):
         lowest_eigs_tridiag(np.ones(4), -np.ones(3), 5)
+
+
+@pytest.mark.parametrize("d, e", [([float("nan"), 1.0], [0.5]),
+                                  ([1.0, 2.0], [float("inf")]),
+                                  ([float("-inf"), 1.0, 2.0], [0.5, 0.5])])
+def test_bisection_refuses_non_finite_entries(d, e):
+    # a NaN bound once made the bracket search spin forever; a timer guards a hang
+    def hang(signum, frame):
+        raise TimeoutError("bisection did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(PreconditionViolated, match="non-finite"):
+            smallest_eig_tridiag(d, e)
+        with pytest.raises(PreconditionViolated, match="non-finite"):
+            lowest_eigs_tridiag(d, e, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_quadratic_form_hand_value():
