@@ -116,7 +116,7 @@ class BandSpec:
 
     up[k] is the rate k -> k+1 and down[k] the rate k+1 -> k; every other
     off-diagonal rate is zero.  Checks, errors and arrays match the dense
-    form entry for entry, and to_qpair() builds it.
+    form entry for entry.
     """
 
     up: np.ndarray
@@ -141,16 +141,6 @@ class BandSpec:
         i, j, v = _band_entries(self.up, self.down)
         keep = v != 0.0
         return i[keep], j[keep], v[keep]
-
-    def to_qpair(self) -> QPairSpec:
-        n = self.n_states
-        r = np.zeros((n, n))
-        k = np.arange(n - 1)
-        r[k, k + 1] = self.up
-        r[k + 1, k] = self.down
-        r.flags.writeable = False
-        return QPairSpec(rates=r, total=self.total, killing=self.killing,
-                         conservative=self.conservative)
 
 
 def _band_row_sums(up, down):
@@ -318,14 +308,8 @@ def _conjugated_weights(mu, h, b):
         return g * g, 1.0 / (g * (h[1:] * s) * b)
 
 
-def bd_to_band(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> BandSpec:
-    """Tridiagonal chain on {0..N} in band form.
-
-    boundary "reflecting" drops the outgoing birth rate b_N so the truncated
-    chain stays conservative; "absorbing" keeps b_N as a defect into the
-    implicit absorbing state beyond N.  Positive potential at a boundary
-    state is absorbed into the total so c <= q always holds there.
-    """
+def _bd_band(spec: BirthDeathSpec, N: int, boundary: str):
+    """Super-diagonal, sub-diagonal, totals and potential of the truncation on {0..N}."""
     if N < 1:
         raise PreconditionViolated("truncation level N must be at least 1")
     if boundary not in ("reflecting", "absorbing"):
@@ -339,9 +323,25 @@ def bd_to_band(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> Ba
     if boundary == "absorbing":
         total[N] += b[N]
     total[N] += max(c[N], 0.0)
-    return validate_band(b[:N], a, total, c)
+    return b[:N], a, total, c
+
+
+def bd_to_band(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> BandSpec:
+    """Tridiagonal chain on {0..N} in band form.
+
+    boundary "reflecting" drops the outgoing birth rate b_N so the truncated
+    chain stays conservative; "absorbing" keeps b_N as a defect into the
+    implicit absorbing state beyond N.  Positive potential at a boundary
+    state is absorbed into the total so c <= q always holds there.
+    """
+    return validate_band(*_bd_band(spec, N, boundary))
 
 
 def bd_to_qpair(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> QPairSpec:
-    """Tridiagonal QPairSpec on {0..N}: the dense form of bd_to_band."""
-    return bd_to_band(spec, N, boundary).to_qpair()
+    """Tridiagonal QPairSpec on {0..N}: bd_to_band as a dense rate matrix."""
+    up, down, total, c = _bd_band(spec, N, boundary)
+    rates = np.zeros((N + 1, N + 1))
+    i = np.arange(N)
+    rates[i, i + 1] = up
+    rates[i + 1, i] = down
+    return validate_qpair(rates, total, c)

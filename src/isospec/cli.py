@@ -557,10 +557,8 @@ def cmd_verify(args) -> int:
 
     A = load_chain(_load_json(args.chain_a))
     B = load_chain(_load_json(args.chain_b))
-    # two bd chains stay on the band; a q-pair makes both dense
-    band = A.kind == B.kind == "bd"
-    qpA = A.as_qpair(band)
-    qpB = B.as_qpair(band)
+    qpA = A.as_qpair()
+    qpB = B.as_qpair()
     if qpA.n_states != qpB.n_states:
         raise SchemaError(
             f"state counts differ ({qpA.n_states} vs {qpB.n_states})"
@@ -817,7 +815,8 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run():
+    """Entry point of the isospec script and python -m isospec.cli: exit with main()."""
     code = main()
     try:
         sys.stdout.flush()
@@ -826,3 +825,7 @@ if __name__ == "__main__":
         sys.exit(code)
     # everything is written, so skip the interpreter's teardown
     os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import BandSpec, QPairSpec
+from .chains import QPairSpec
 from .errors import NonConvergence, NotReversible, PreconditionViolated
 
 
@@ -45,34 +45,6 @@ def symmetrize(qp: QPairSpec, mu, rtol: float = 1e-10) -> np.ndarray:
     d = np.sqrt(mu)
     s = qp.generator * (d[:, None] / d[None, :])
     return 0.5 * (s + s.T)
-
-
-def _symmetrize_band(qp: BandSpec, mu, rtol: float = 1e-10):
-    """symmetrize on the band: the diagonal and off-diagonal of D A D^{-1}.
-
-    Entry for entry the same checks, errors and roundings as the dense
-    matrix, which eig_tridiag forms again from them.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0.0):
-        raise PreconditionViolated("mu must be strictly positive")
-    mu = np.broadcast_to(mu, (qp.n_states,))
-    up, down = mu[:-1] * qp.up, mu[1:] * qp.down  # flow[k, k+1] and flow[k+1, k]
-    scale = np.maximum(np.abs(up), np.abs(down))
-    viol = np.abs(up - down) / np.maximum(scale, 1e-300)
-    viol[scale == 0.0] = 0.0
-    if np.max(viol, initial=0.0) > rtol:
-        # (k, k+1) comes before (k+1, k) in the dense row-major scan
-        k = int(np.argmax(viol))
-        raise NotReversible(k, k + 1, float(viol[k]))
-    d = np.sqrt(mu)
-    s = (qp.killing - qp.total) * (d / d)  # diagonal of the unsymmetrised similarity
-    diag = 0.5 * (s + s)
-    off = 0.5 * (qp.up * (d[:-1] / d[1:]) + qp.down * (d[1:] / d[:-1]))
-    # where some d_i / d_j overflows the dense matrix has 0 * inf = NaN off the band
-    if not np.isfinite(np.max(d) / np.min(d)):
-        diag = diag + np.nan
-    return diag, off
 
 
 def sturm_count(d, e, x: float) -> int:
@@ -219,26 +191,17 @@ def isospectral_check(qpA, muA, qpB, muB, tol: float | None = None) -> SpectrumR
     """Compare the sorted spectra of two measure-symmetrised generators.
 
     Pairing is by sort order (the equality claim is as multisets).  Default
-    tolerance is 1e-9 * max(1, spectral radius of the first operator).  Two
-    BandSpec chains are symmetrised on the band; otherwise both go dense.
+    tolerance is 1e-9 * max(1, spectral radius of the first operator).
     """
     if qpA.n_states != qpB.n_states:
         raise PreconditionViolated("chains must have the same number of states")
-    if isinstance(qpA, BandSpec) and isinstance(qpB, BandSpec):
-        method = "tridiagonal_ql"
-        TA = _symmetrize_band(qpA, muA)
-        TB = _symmetrize_band(qpB, muB)
-        wA = eig_tridiag(*TA)
-        wB = eig_tridiag(*TB)
-    else:
-        qpA, qpB = (q.to_qpair() if isinstance(q, BandSpec) else q for q in (qpA, qpB))
-        SA = symmetrize(qpA, muA)
-        SB = symmetrize(qpB, muB)
-        # symmetric, so the band test needs only the upper triangle
-        dense = np.triu(SA, 2).any() or np.triu(SB, 2).any()
-        method = "jacobi" if dense else "tridiagonal_ql"
-        wA = eig_sym(SA, method=method)
-        wB = eig_sym(SB, method=method)
+    SA = symmetrize(qpA, muA)
+    SB = symmetrize(qpB, muB)
+    # symmetric, so the band test needs only the upper triangle
+    dense = np.triu(SA, 2).any() or np.triu(SB, 2).any()
+    method = "jacobi" if dense else "tridiagonal_ql"
+    wA = eig_sym(SA, method=method)
+    wB = eig_sym(SB, method=method)
     gap = float(np.max(np.abs(wA - wB)))
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(wA))))
