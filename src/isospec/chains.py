@@ -13,7 +13,7 @@ additional killing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,17 @@ class QPairSpec:
         return i, j, self.rates[i, j]
 
 
-def _check_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
+def _check_finite(name, *arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise PreconditionViolated(f"{name} has a NaN or infinite entry")
+
+
+def _positive_mu(mu) -> np.ndarray:
+    """mu as a float array, refusing an entry that is not finite and positive."""
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(mu) & (mu > 0.0)):
+        raise PreconditionViolated("mu must be finite and strictly positive")
+    return mu
 
 
 def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
@@ -172,7 +180,7 @@ def validate_band(up, down, total=None, killing=None) -> BandSpec:
     d = np.array(down, dtype=float)
     if u.ndim != 1 or u.shape != d.shape:
         raise PreconditionViolated("up and down must be flat arrays of one length")
-    _check_finite("rates", (u, d))
+    _check_finite("rates", u, d)
     i, j, v = _band_entries(u, d)
     neg = np.flatnonzero(v < 0.0)
     if neg.size:
@@ -184,25 +192,7 @@ def validate_band(up, down, total=None, killing=None) -> BandSpec:
     return BandSpec(up=u, down=d, total=q, killing=c, conservative=conservative)
 
 
-def _rate_source(value, name):
-    """Per-index getter of a rate field, and its values as a float array.
-
-    The array is 0-d for a number, 1-d for a flat array, and None for a
-    callable or any other shape, which stay on the per-index path.
-    """
-    if callable(value):
-        return value, None
-    if np.isscalar(value):
-        v = float(value)
-        return (lambda i: v), np.array(v)
-    arr = np.asarray(value, dtype=float)
-
-    def fn(i, arr=arr):
-        if i >= arr.shape[0]:
-            raise IndexError(f"{name} array of length {arr.shape[0]} has no index {i}")
-        return float(arr[i])
-
-    return fn, (arr if arr.ndim == 1 else None)
+_POSITIVE = {"birth": "b", "death": "a"}  # rate fields that must be positive
 
 
 @dataclass(frozen=True)
@@ -217,60 +207,48 @@ class BirthDeathSpec:
     death: object
     killing: object = 0.0
     truncation: int | None = None
-    _b: object = field(init=False, repr=False, compare=False)
-    _a: object = field(init=False, repr=False, compare=False)
-    _c: object = field(init=False, repr=False, compare=False)
-    _values: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        values = {}
-        for key, value, name in (("b", self.birth, "birth"), ("a", self.death, "death"),
-                                 ("c", self.killing, "killing")):
-            fn, values[key] = _rate_source(value, name)
-            object.__setattr__(self, f"_{key}", fn)
-        object.__setattr__(self, "_values", values)
 
     def b(self, i: int) -> float:
-        v = self._b(i)
-        if not v > 0.0:
-            raise PreconditionViolated(f"birth rate b[{i}] = {v} must be positive")
-        return v
+        return float(self._rates("birth", i, i + 1)[0])
 
     def a(self, i: int) -> float:
-        v = self._a(i)
-        if not v > 0.0:
-            raise PreconditionViolated(f"death rate a[{i}] = {v} must be positive")
-        return v
+        return float(self._rates("death", i, i + 1)[0])
 
     def c(self, i: int) -> float:
-        return self._c(i)
+        return float(self._rates("killing", i, i + 1)[0])
 
     def _rates(self, key: str, lo: int, hi: int) -> np.ndarray:
-        """Values of self.<key>(i) for lo <= i < hi, raising as its first failure.
+        """Values of the field key on states lo <= i < hi.
 
-        Numbers are broadcast and arrays sliced; a nonpositive birth or death
-        rate or an index past the array is handed to the per-index getter,
-        which raises its usual error.
+        Numbers are broadcast, arrays sliced and callables called once per
+        index.  Raises at the first failing index: a nonpositive birth or
+        death rate, or an index past the array.
         """
-        get, vals = getattr(self, key), self._values[key]
-        if vals is None:
-            return np.array([get(i) for i in range(lo, hi)])
-        v = np.full(hi - lo, vals[()]) if vals.ndim == 0 else vals[lo:hi].copy()
-        if key != "c":
+        value = getattr(self, key)
+        if callable(value):
+            v = np.array([value(i) for i in range(lo, hi)], dtype=float)
+        elif np.ndim(value) == 0:
+            v = np.full(hi - lo, float(value))
+        else:
+            v = np.asarray(value, dtype=float)[lo:hi].copy()
+        if key in _POSITIVE:
             bad = np.flatnonzero(~(v > 0.0))
             if bad.size:
-                get(lo + int(bad[0]))
-        if v.size < hi - lo:
-            get(lo + v.size)
+                i = lo + int(bad[0])
+                raise PreconditionViolated(
+                    f"{key} rate {_POSITIVE[key]}[{i}] = {v[bad[0]]} must be positive")
+        if v.shape[0] < hi - lo:
+            raise IndexError(
+                f"{key} array of length {len(value)} has no index {lo + v.shape[0]}")
         return v
 
     def rate_arrays(self, N: int):
         """Vectors (b, a, c) on states 0..N; a[0] is a placeholder zero."""
-        b = self._rates("b", 0, N + 1)
+        b = self._rates("birth", 0, N + 1)
         a = np.empty(N + 1)
         a[0] = 0.0
-        a[1:] = self._rates("a", 1, N + 1)
-        c = self._rates("c", 0, N + 1)
+        a[1:] = self._rates("death", 1, N + 1)
+        c = self._rates("killing", 0, N + 1)
         return b, a, c
 
 
@@ -293,7 +271,8 @@ def bd_measures(spec: BirthDeathSpec, N: int) -> MeasurePair:
     over = np.flatnonzero(~np.isfinite(mu))
     if over.size:
         raise Overflow(int(over[0]), "mu")
-    return MeasurePair(mu=mu, nu_hat=1.0 / (mu * b))
+    with np.errstate(over="ignore"):  # mu_N b_N past float range gives nu_hat_N = 0
+        return MeasurePair(mu=mu, nu_hat=1.0 / (mu * b))
 
 
 def _conjugated_weights(mu, h, b):
@@ -315,9 +294,9 @@ def _bd_band(spec: BirthDeathSpec, N: int, boundary: str):
     if boundary not in ("reflecting", "absorbing"):
         raise PreconditionViolated(f"unknown boundary policy {boundary!r}")
     # a reflecting chain never consults b_N
-    c = spec._rates("c", 0, N + 1)
-    b = spec._rates("b", 0, N + (boundary == "absorbing"))
-    a = spec._rates("a", 1, N + 1)
+    c = spec._rates("killing", 0, N + 1)
+    b = spec._rates("birth", 0, N + (boundary == "absorbing"))
+    a = spec._rates("death", 1, N + 1)
     total = _band_row_sums(b[:N], a)
     total[0] += max(c[0], 0.0)
     if boundary == "absorbing":

@@ -146,14 +146,13 @@ class ChainInput:
         except IsospecError as exc:
             raise SchemaError(str(exc)) from exc
 
-    def measure(self, N: int | None = None):
+    def measure(self):
         if self.mu is not None:
             return self.mu
         if self.kind == "bd":
-            n = self.N if N is None else N
-            if n is None:
+            if self.N is None:
                 raise SchemaError('bd chain with formula rates needs "N"')
-            return bd_measures(self.bd, n).mu
+            return bd_measures(self.bd, self.N).mu
         raise SchemaError('qpair chain needs an explicit "mu" array here')
 
 
@@ -509,10 +508,10 @@ def cmd_transform(args) -> int:
         if ci.N is not None and N < ci.N:
             _note(args, f"h covers 0..{N + 1}; transforming up to N = {N}")
         spec_t, mp = bd_h_transform(ci.bd, hv, N)
-        _emit(args, _bd_doc(spec_t, N, mp),
-              header=("state", "birth", "death", "killing", "mu"),
-              rows=lambda: [(i, spec_t.b(i), spec_t.a(i) if i else 0.0, spec_t.c(i),
-                             mp.mu[i]) for i in range(N + 1)])
+        doc = _bd_doc(spec_t, N, mp)
+        _emit(args, doc, header=("state", "birth", "death", "killing", "mu"),
+              rows=lambda: zip(range(N + 1), doc["birth"], doc["death"], doc["killing"],
+                               mp.mu))
         return 0
 
     qp = ci.as_qpair(band=True)

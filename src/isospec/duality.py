@@ -12,23 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
-                     _check_finite, _conjugated_weights, bd_measures, validate_band,
-                     validate_qpair)
-from .errors import (
-    NonpositiveH,
-    NotHarmonic,
-    NotLocallyHarmonic,
-    PreconditionViolated,
-)
-from .harmonic import HarmonicVector, _h_values, harmonic_residual
-
-
-def _positive_h(h) -> np.ndarray:
-    hv = _h_values(h)
-    if np.any(~(hv > 0.0)):
-        i = int(np.argmin(hv > 0.0))
-        raise NonpositiveH(i, float(hv[i]))
-    return hv
+                     _check_finite, _conjugated_weights, _positive_mu, bd_measures,
+                     validate_band, validate_qpair)
+from .errors import NotHarmonic, NotLocallyHarmonic, PreconditionViolated
+from .harmonic import HarmonicVector, _positive_h, _relative_residual
 
 
 def _tilt(qp, w, adjoint=False, inverse=False, harmonic=False):
@@ -75,7 +62,7 @@ def h_transform(qp: QPairSpec | BandSpec, h, tol: float = 1e-8) -> QPairSpec | B
     local rate scale).  The output is conservative with zero potential.
     """
     hv = _positive_h(h)
-    worst = float(np.max(np.abs(harmonic_residual(qp, hv))))
+    worst = float(np.max(_relative_residual(qp, hv)))
     if worst > tol:
         raise NotHarmonic(worst, tol)
     return _tilt(qp, hv, harmonic=True)
@@ -101,7 +88,7 @@ def h_transform_local(
             harmonic_set = range(n - 1)
     B = np.zeros(n, dtype=bool)
     B[np.asarray(list(harmonic_set), dtype=int)] = True
-    res = np.abs(harmonic_residual(qp, hv))
+    res = _relative_residual(qp, hv)
     if np.any(res[B] > tol):
         idx = np.flatnonzero(B)[int(np.argmax(res[B]))]
         raise NotLocallyHarmonic(int(idx), float(res[idx]), tol)
@@ -167,7 +154,4 @@ def measure_dual(qp: QPairSpec | BandSpec, mu) -> QPairSpec | BandSpec:
     adjusts to c-bar_i = c_i - q_i + q-bar_i.  If mu symmetrises qp the
     chain is returned unchanged.
     """
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0.0):
-        raise PreconditionViolated("mu must be strictly positive")
-    return _tilt(qp, mu, adjoint=True)
+    return _tilt(qp, _positive_mu(mu), adjoint=True)

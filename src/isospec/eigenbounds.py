@@ -13,23 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import BirthDeathSpec, _conjugated_weights
-from .errors import (
-    NonpositiveH,
-    Overflow,
-    PreconditionViolated,
-    TailNotResolved,
-)
-from .harmonic import _h_values, bd_harmonic_explicit
+from .errors import Overflow, PreconditionViolated, TailNotResolved
+from .harmonic import _h_values, _positive_h, bd_harmonic_explicit
 from .spectra import eig_tridiag, smallest_eig_tridiag
 
 _WINDOW = 16
 
 
-def _form_arrays(spec: BirthDeathSpec, N: int):
+def _killed_rates(spec: BirthDeathSpec, N: int):
+    """spec.rate_arrays(N), refusing a positive potential entry."""
     b, a, c = spec.rate_arrays(N)
     if np.any(c > 0.0):
         i = int(np.argmax(c))
         raise PreconditionViolated(f"c[{i}] = {c[i]} > 0; the bound needs c <= 0")
+    return b, a, c
+
+
+def _form_arrays(spec: BirthDeathSpec, N: int):
+    b, a, c = _killed_rates(spec, N)
     d = np.empty(N + 1)
     d[0] = b[0] - c[0]
     d[1:] = b[1:] + a[1:] - c[1:]
@@ -75,10 +76,7 @@ class DeltaResult:
 
 
 def _delta_arrays(spec, hv, K):
-    b, a, c = spec.rate_arrays(K)
-    if np.any(c > 0.0):
-        i = int(np.argmax(c))
-        raise PreconditionViolated(f"c[{i}] = {c[i]} > 0; the bound needs c <= 0")
+    b, a, _ = _killed_rates(spec, K)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu = np.concatenate(([1.0], np.cumprod(b[:K] / a[1:])))
     m, t = _conjugated_weights(mu, hv[: K + 2], b)
@@ -104,12 +102,8 @@ def delta_tilde(
     certificate covers them.
     """
     hv = _h_values(h)
-    finite_h = np.isfinite(hv)
-    if np.any(~(hv[finite_h] > 0.0)):
-        bad = np.flatnonzero(finite_h & ~(hv > 0.0))[0]
-        raise NonpositiveH(int(bad), float(hv[bad]))
-    if np.any(~finite_h):
-        hv = hv[: int(np.argmin(finite_h))]
+    stop = np.flatnonzero(~np.isfinite(hv))
+    hv = _positive_h(hv[: stop[0]] if stop.size else hv)  # only the finite prefix is read
     K_cap = min(N_max, hv.shape[0] - 2)
     if K_cap < 1:
         raise PreconditionViolated("need h on at least 0..2")

@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import BirthDeathSpec, QPairSpec
-from .errors import Divergence, NonConvergence, NotMonotone, PreconditionViolated
-
-_TRACE_CAP = 1000
+from .chains import BandSpec, BirthDeathSpec, QPairSpec
+from .errors import Divergence, NonConvergence, NonpositiveH, NotMonotone, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,6 @@ class HarmonicVector:
 
 @dataclass
 class IterationTrace:
-    iterates: list
     converged: bool
     final_delta: float
     n_iter: int = 0
@@ -44,6 +41,14 @@ class IterationTrace:
 
 def _h_values(h) -> np.ndarray:
     return np.asarray(getattr(h, "values", h), dtype=float)
+
+
+def _positive_h(h) -> np.ndarray:
+    hv = _h_values(h)
+    if np.any(~(hv > 0.0)):
+        i = int(np.argmin(hv > 0.0))
+        raise NonpositiveH(i, float(hv[i]))
+    return hv
 
 
 def harmonic_residual(qp: QPairSpec, h, B=None) -> np.ndarray:
@@ -56,6 +61,18 @@ def harmonic_residual(qp: QPairSpec, h, B=None) -> np.ndarray:
     if B is None:
         return r
     return r[np.asarray(list(B), dtype=int)]
+
+
+def _relative_residual(qp: QPairSpec | BandSpec, hv: np.ndarray) -> np.ndarray:
+    """|(A h)_i| / max(1, q_i h_i, max_j q_ij h_j), the residual on the local rate scale."""
+    r = np.abs(qp.apply(hv))
+    if isinstance(qp, BandSpec):
+        flow = np.zeros(qp.n_states)
+        flow[:-1] = qp.up * hv[1:]
+        flow[1:] = np.maximum(flow[1:], qp.down * hv[:-1])
+    else:
+        flow = np.max(qp.rates * hv[None, :], axis=1)
+    return r / np.maximum(1.0, np.maximum(qp.total * hv, flow))
 
 
 def _hitting_kernel(qp: QPairSpec, theta: int):
@@ -124,10 +141,10 @@ def minimal_harmonic(
 
     if method == "solve":
         hm = np.linalg.solve(np.eye(m) - K, s) if m else np.empty(0)
-        trace = IterationTrace(iterates=[], converged=True, final_delta=0.0, n_iter=0)
+        trace = IterationTrace(converged=True, final_delta=0.0, n_iter=0)
     elif method == "iterate":
         hm = np.zeros(m)
-        trace = IterationTrace(iterates=[hm.copy()], converged=False, final_delta=np.inf)
+        trace = IterationTrace(converged=False, final_delta=np.inf)
         for it in range(1, max_iter + 1):
             new = K @ hm + s
             # the map is monotone from zero; tiny float regressions aside
@@ -137,8 +154,6 @@ def minimal_harmonic(
                 raise NotMonotone(it, i, float(hm[drop[0]]), float(new[drop[0]]))
             delta = float(np.max(np.abs(new - hm))) if m else 0.0
             hm = new
-            if len(trace.iterates) < _TRACE_CAP:
-                trace.iterates.append(hm.copy())
             trace.n_iter = it
             trace.final_delta = delta
             if np.any(hm > ceiling):
@@ -296,14 +311,12 @@ def maximal_solution(qp: QPairSpec, tol: float = 1e-12, max_iter: int = 100000):
     safe = np.where(idle, 1.0, denom)
     P = qp.rates / safe[:, None]
     z = np.ones(qp.n_states)
-    trace = IterationTrace(iterates=[z.copy()], converged=False, final_delta=np.inf)
+    trace = IterationTrace(converged=False, final_delta=np.inf)
     for it in range(1, max_iter + 1):
         new = np.where(idle, z, P @ z)
         new = np.minimum(new, z)  # clip float dust; the map is monotone
         delta = float(np.max(z - new))
         z = new
-        if len(trace.iterates) < _TRACE_CAP:
-            trace.iterates.append(z.copy())
         trace.n_iter = it
         trace.final_delta = delta
         if delta < tol:

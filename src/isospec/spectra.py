@@ -1,9 +1,9 @@
 """Measure symmetrisation, symmetric eigensolvers, and spectrum comparison.
 
-Full spectra come from LAPACK's symmetric solver through numpy; the method
-names "jacobi", "tridiagonal_ql" and "ql" are kept as labels for the dense
-and tridiagonal paths.  The bottom of a graded tridiagonal matrix comes from
-Sturm bisection, the only path here with componentwise relative accuracy.
+Full spectra come from LAPACK's symmetric solver through numpy; reports
+label the dense and tridiagonal paths "jacobi" and "tridiagonal_ql".  The
+bottom of a graded tridiagonal matrix comes from Sturm bisection, the only
+path here with componentwise relative accuracy.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import QPairSpec
+from .chains import QPairSpec, _check_finite, _positive_mu
 from .errors import NonConvergence, NotReversible, PreconditionViolated
 
 
@@ -32,9 +32,7 @@ def symmetrize(qp: QPairSpec, mu, rtol: float = 1e-10) -> np.ndarray:
     Requires mu to symmetrise the rates: mu_i q_ij = mu_j q_ji.  The result
     shares the generator's spectrum and is symmetric up to rounding.
     """
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0.0):
-        raise PreconditionViolated("mu must be strictly positive")
+    mu = _positive_mu(mu)
     flow = mu[:, None] * qp.rates
     scale = np.maximum(np.abs(flow), np.abs(flow.T))
     viol = np.abs(flow - flow.T) / np.maximum(scale, 1e-300)
@@ -91,7 +89,7 @@ def smallest_eig_tridiag(d, e, rel_tol: float = 1e-14) -> float:
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
-    _require_finite(d, e)  # a NaN bound would never bracket the eigenvalue
+    _check_finite("matrix", d, e)  # a NaN bound would never bracket the eigenvalue
     span = float(np.max(np.abs(e))) if e.size else 0.0
     hi = float(np.max(d)) + 2.0 * span
     lo = min(0.0, float(np.min(d)) - 2.0 * span)
@@ -108,18 +106,12 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     n = d.shape[0]
     if not 1 <= k <= n:
         raise PreconditionViolated(f"need 1 <= k <= {n}")
-    _require_finite(d, e)
+    _check_finite("matrix", d, e)
     span = float(np.max(np.abs(e))) if e.size else 0.0
     top = float(np.max(d)) + 2.0 * span
     bot = float(np.min(d)) - 2.0 * span
     d, e = d.tolist(), e.tolist()
     return np.array([_bisect(d, e, i + 1, bot, top, rel_tol, 1e-300) for i in range(k)])
-
-
-def _require_finite(*arrays):
-    # LAPACK returns numbers for NaN input, so refuse it before the call
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise PreconditionViolated("matrix has a non-finite entry")
 
 
 def _eigh(S, vectors=False):
@@ -130,41 +122,36 @@ def _eigh(S, vectors=False):
         raise NonConvergence(30 * S.shape[0], float("nan")) from None
 
 
-def eig_sym(S, vectors: bool = False, method: str | None = None):
+def eig_sym(S, vectors: bool = False):
     """All eigenvalues of a symmetric matrix, ascending, by LAPACK.
 
-    method is "jacobi" (dense) or "tridiagonal_ql"; both name the same
-    LAPACK solver and are kept for reports.  With vectors=True returns
-    (w, V) with columns of V the eigenvectors, on either path.  Raises
-    PreconditionViolated on a non-finite or asymmetric matrix and
+    With vectors=True returns (w, V) with columns of V the eigenvectors.
+    Raises PreconditionViolated on a non-finite or asymmetric matrix and
     NonConvergence when LAPACK does not converge.
     """
     S = np.asarray(S, dtype=float)
-    if method not in (None, "jacobi", "tridiagonal_ql"):
-        raise PreconditionViolated(f"unknown method {method!r}")
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise PreconditionViolated("matrix must be square")
-    _require_finite(S)
+    # LAPACK returns numbers for NaN input, so refuse it before the call
+    _check_finite("matrix", S)
     scale = max(1.0, float(np.max(np.abs(S), initial=0.0)))
     if np.max(np.abs(S - S.T), initial=0.0) > 1e-10 * scale:
         raise PreconditionViolated("matrix is not symmetric")
     return _eigh(S, vectors)
 
 
-def eig_tridiag(d, e, method: str = "ql"):
+def eig_tridiag(d, e):
     """Eigenvalues of tridiag(d, e), ascending, by LAPACK.
 
     numpy ships no tridiagonal LAPACK driver, so this forms the dense
-    n x n matrix: O(n^2) memory and O(n^3) time.  "ql" is the only method
-    name.  For the bottom of a graded matrix use smallest_eig_tridiag.
+    n x n matrix: O(n^2) memory and O(n^3) time.  For the bottom of a
+    graded matrix use smallest_eig_tridiag.
     """
-    if method != "ql":
-        raise PreconditionViolated(f"unknown method {method!r}")
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
         raise PreconditionViolated("need a flat d and len(e) == len(d) - 1")
-    _require_finite(d, e)
+    _check_finite("matrix", d, e)
     n = d.size
     S = np.zeros((n, n))
     S.flat[:: n + 1] = d
@@ -200,8 +187,8 @@ def isospectral_check(qpA, muA, qpB, muB, tol: float | None = None) -> SpectrumR
     # symmetric, so the band test needs only the upper triangle
     dense = np.triu(SA, 2).any() or np.triu(SB, 2).any()
     method = "jacobi" if dense else "tridiagonal_ql"
-    wA = eig_sym(SA, method=method)
-    wB = eig_sym(SB, method=method)
+    wA = eig_sym(SA)
+    wB = eig_sym(SB)
     gap = float(np.max(np.abs(wA - wB)))
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(wA))))

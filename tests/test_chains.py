@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,16 @@ def test_bd_measures_match_running_product_loop():
     mp = bd_measures(s, 50)
     assert np.array_equal(mp.mu, mu)
     assert np.array_equal(mp.nu_hat, [1.0 / (mu[i] * s.b(i)) for i in range(51)])
+
+
+def test_bd_spec_holds_only_its_inputs():
+    assert [f.name for f in dataclasses.fields(BirthDeathSpec)] == [
+        "birth", "death", "killing", "truncation"]
+
+
+def test_rate_arrays_call_a_callable_once_per_state():
+    calls = []
+    s = BirthDeathSpec(birth=lambda i: calls.append(i) or 1.0 + i, death=1.0)
+    b, _, _ = s.rate_arrays(5)
+    assert calls == list(range(6))
+    assert np.array_equal(b, np.arange(1.0, 7.0))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import isospec.chains
 import isospec.cli
 import isospec.harmonic
 from isospec.cli import _emit, load_chain, main
@@ -185,6 +187,37 @@ def test_transform_forward_output_reloads(capsys, tmp_path, fib_chain):
     assert ci.kind == "bd"
     qp = ci.as_qpair()
     assert qp.rates.shape[0] == 8
+
+
+def test_transform_forward_csv_rows_match_json(capsys, monkeypatch, tmp_path, fib_chain):
+    h = _write(tmp_path, "h.json", FIB)
+    argv = ["transform", fib_chain, "--h", h, "--direction", "forward"]
+    doc = json.loads(_run(capsys, *argv)[1])
+    # the rows come from the same rate arrays as the document, not the per-state getters
+    for name in ("b", "a", "c"):
+        monkeypatch.setattr(isospec.chains.BirthDeathSpec, name, None)
+    code, out, _ = _run(capsys, *argv, "--output", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["state", "birth", "death", "killing", "mu"]
+    assert len(rows) == doc["N"] + 2
+    for i, row in enumerate(rows[1:]):
+        want = [i, doc["birth"][i], doc["death"][i], doc["killing"][i], doc["mu"][i]]
+        assert [float(v) for v in row] == want
+
+
+def test_transform_forward_at_the_mu_limit_warns_nothing(tmp_path):
+    # mu_N is finite at N = 3893 but mu_N b_N is not; nu_hat_N is 0.0 without a warning
+    chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.2, "death": 1.0, "N": 3893})
+    h = _write(tmp_path, "h.json", {"values": [1.0] * 3895})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "isospec.cli", "transform", chain, "--h", h,
+                           "--direction", "forward"], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert json.loads(proc.stdout)["nu_hat"][-1] == 0.0
 
 
 def test_transform_measure_dual_fixes_reversible(capsys, fib_chain):

@@ -22,6 +22,7 @@ from isospec import (
     transform_measure,
     validate_qpair,
 )
+from isospec.chains import bd_to_band, validate_band
 from conftest import exact_harmonic_pair, make_conservative, make_reversible_killed
 
 
@@ -211,9 +212,41 @@ def test_symmetrized_conjugate_matches_closed_form():
     qp = validate_qpair(rates, total, np.diag(S0) + total)
     h = np.exp(rng.uniform(-1.0, 1.0, p * q))
     S = symmetrize(conjugate(qp, h), mu * h**2)
-    ours = eig_sym(S, method="jacobi")
+    ours = eig_sym(S)
     j, k = np.meshgrid(np.arange(1, p + 1), np.arange(1, q + 1))
     ref = np.sort(
         (-4.0 - s + 2.0 * np.cos(j * np.pi / (p + 1)) + 2.0 * np.cos(k * np.pi / (q + 1))).ravel()
     )
     assert np.max(np.abs(ours - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
+
+
+def _exact_harmonic_band(rng, n):
+    """A tridiagonal chain in dense and band form with an h solving A h = 0."""
+    up, down = rng.uniform(0.5, 2.0, n - 1), rng.uniform(0.5, 2.0, n - 1)
+    rates = np.diag(up, 1) + np.diag(down, -1)
+    h = np.exp(rng.uniform(-1.0, 1.0, n))
+    total = rates.sum(axis=1)
+    c = total - (rates @ h) / h
+    return validate_qpair(rates, total, c), validate_band(up, down, total, c), h
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9, 1e12])
+def test_harmonic_check_is_relative_to_the_rate_scale(scale):
+    # |A h| grows with h; the check divides by max(1, q_i h_i, max_j q_ij h_j)
+    rng = np.random.default_rng(23)
+    qp, h = exact_harmonic_pair(rng, 10)
+    dense, band, hb = _exact_harmonic_band(rng, 12)
+    for chain, hv in ((qp, h), (dense, hb), (band, hb)):
+        assert not h_transform(chain, scale * hv).killing.any()
+        assert not h_transform_local(chain, scale * hv).killing[:-1].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_mu_must_be_finite_and_positive(bad):
+    s = BirthDeathSpec(birth=2.0, death=1.0, killing=-0.5)
+    mu = bd_measures(s, 4).mu.copy()
+    mu[2] = bad
+    for fn, qp in ((symmetrize, bd_to_qpair(s, 4)), (measure_dual, bd_to_qpair(s, 4)),
+                   (measure_dual, bd_to_band(s, 4))):
+        with pytest.raises(PreconditionViolated, match="mu must be finite"):
+            fn(qp, mu)

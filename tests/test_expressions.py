@@ -221,10 +221,13 @@ def test_values_and_derivatives_match_sympy(text):
         # a folded constant beyond double range, such as (1 + 10^3)^10^3
         assert exc.reason == "constant out of float range", exc.reason
         assume(False)
+    expr = ref
     for order in (0, 1, 2):
+        if order:
+            # one step from the last derivative; sp.diff(ref, x, 2) would redo the first
+            expr = sp.diff(expr, _X)
         with np.errstate(all="ignore"):
-            want = np.broadcast_to(
-                sp.lambdify(_X, sp.diff(ref, _X, order), "numpy")(_GRID), _GRID.shape)
+            want = np.broadcast_to(sp.lambdify(_X, expr, "numpy")(_GRID), _GRID.shape)
         # compare where double precision can: finite, moderate values
         assume(np.all(np.isfinite(want)) and np.max(np.abs(want)) < 1e6)
         d = f.diff(order)

@@ -53,14 +53,14 @@ def test_eig_sym_jacobi_matches_reference():
         w = np.sort(rng.normal(size=n))
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         S = (Q * w) @ Q.T
-        ours = eig_sym((S + S.T) / 2.0, method="jacobi")
+        ours = eig_sym((S + S.T) / 2.0)
         assert np.max(np.abs(ours - w)) < 1e-11 * max(1.0, np.max(np.abs(w)))
 
 
 def test_eig_sym_jacobi_vectors_diagonalise():
     rng = np.random.default_rng(33)
     S = _random_symmetric(rng, 12)
-    w, V = eig_sym(S, vectors=True, method="jacobi")
+    w, V = eig_sym(S, vectors=True)
     assert np.max(np.abs(S @ V - V * w[None, :])) < 1e-11
     assert np.max(np.abs(V.T @ V - np.eye(12))) < 1e-12
 
@@ -187,9 +187,9 @@ def test_bisection_refuses_non_finite_entries(d, e):
     old = signal.signal(signal.SIGALRM, hang)
     signal.alarm(5)
     try:
-        with pytest.raises(PreconditionViolated, match="non-finite"):
+        with pytest.raises(PreconditionViolated, match="NaN or infinite"):
             smallest_eig_tridiag(d, e)
-        with pytest.raises(PreconditionViolated, match="non-finite"):
+        with pytest.raises(PreconditionViolated, match="NaN or infinite"):
             lowest_eigs_tridiag(d, e, 1)
     finally:
         signal.alarm(0)
