@@ -85,7 +85,9 @@ def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
     if np.any(r < 0.0):
         i, j = map(int, np.argwhere(r < 0.0)[0])
         raise NegativeRate(i, j, r[i, j])
-    q, c, conservative = _check_totals(r.sum(axis=1), total, killing)
+    with np.errstate(over="ignore"):  # a row sum past float range is refused next
+        row = r.sum(axis=1)
+    q, c, conservative = _check_totals(row, total, killing)
     r.flags.writeable = False
     return QPairSpec(rates=r, total=q, killing=c, conservative=conservative)
 
@@ -152,10 +154,12 @@ class BandSpec:
 
 
 def _band_row_sums(up, down):
-    # the dense row sum adds exact zeros to these two terms, so it rounds alike
+    # the dense row sum adds exact zeros to these two terms, so it rounds alike;
+    # a sum past float range reads inf, as in the dense sum
     s = np.zeros(up.shape[0] + 1)
-    s[:-1] += up
-    s[1:] += down
+    with np.errstate(over="ignore"):
+        s[:-1] += up
+        s[1:] += down
     return s
 
 
@@ -268,7 +272,7 @@ def bd_measures(spec: BirthDeathSpec, N: int) -> MeasurePair:
     for bi, ai in zip(b[:N].tolist(), a[1:].tolist()):
         mu.append(mu[-1] * bi / ai)
     mu = np.array(mu)
-    over = np.flatnonzero(~np.isfinite(mu))
+    over = np.flatnonzero(~(np.isfinite(mu) & (mu > 0.0)))  # beyond float range or 0
     if over.size:
         raise Overflow(int(over[0]), "mu")
     with np.errstate(over="ignore"):  # mu_N b_N past float range gives nu_hat_N = 0

@@ -9,17 +9,19 @@ Five subcommands mirror the library surface:
   diffop     differential-operator checks (eigen / transform / spectrum / riccati)
 
 Exit status: 0 on success or PASS, 1 on a check failure, 2 on a usage or
-parse error.  Reports go to stdout as JSON (default) or CSV; diagnostics go
-to stderr.
+parse error, input over the size caps, or running out of memory.  Reports go
+to stdout as JSON (default) or CSV; diagnostics go to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -34,6 +36,20 @@ from .errors import IsospecError, MalformedExpression
 
 class SchemaError(Exception):
     """Malformed or inconsistent input; maps to exit status 2."""
+
+
+# Input size caps, above perfbench's sizes (N <= 4000) and ROADMAP.md's large-N runs.
+MAX_STATES = 10**7  # largest truncation level "N" or --nmax, and cell count "M"
+MAX_DENSE_BYTES = 1 << 28  # largest dense rate matrix (5792 states)
+
+
+@contextmanager
+def _schema_errors():
+    """Report a library error raised while reading input as a SchemaError."""
+    try:
+        yield
+    except IsospecError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 CHAIN_SCHEMA = """\
@@ -91,6 +107,12 @@ def _integer(key: str, node) -> int:
         raise SchemaError(f"{key!r} must be an integer") from None
 
 
+def _capped(key: str, n: int) -> int:
+    if n > MAX_STATES:
+        raise SchemaError(f"{key} must be at most {MAX_STATES}")
+    return n
+
+
 def _finite(key: str, value):
     if not np.all(np.isfinite(value)):
         raise SchemaError(f"{key!r} has a NaN or infinite entry")
@@ -116,8 +138,16 @@ def _rate_field(doc: dict, key: str, default=None):
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise SchemaError(f"{key!r} poly formula needs a nonempty coeffs array")
 
-        def fn(i, _c=coeffs):
-            return float(np.polynomial.polynomial.polyval(float(i), _c))
+        def fn(i, _c=coeffs.tolist()[::-1]):
+            # the Horner steps of numpy's polyval on Python floats: the same
+            # roundings, and an overflow gives inf without a warning
+            x = float(i)
+            v = _c[0] + x * 0.0
+            for ck in _c[1:]:
+                v = ck + v * x
+            if not math.isfinite(v):
+                raise SchemaError(f"{key!r} poly formula is not finite at state {i}")
+            return v
 
         return fn, None
     raise SchemaError(
@@ -135,24 +165,27 @@ class ChainInput:
     cap: int | None = None  # largest state index array fields cover
     mu: np.ndarray | None = None
 
+    def truncation(self) -> int:
+        if self.N is None:
+            raise SchemaError('bd chain with formula rates needs "N"')
+        return self.N
+
     def as_qpair(self, band: bool = False):
         """The chain as a QPairSpec; a bd chain as a BandSpec when band is true."""
         if self.kind == "qpair":
             return self.qp
-        if self.N is None:
-            raise SchemaError('bd chain with formula rates needs "N"')
-        try:
-            return (bd_to_band if band else bd_to_qpair)(self.bd, self.N)
-        except IsospecError as exc:
-            raise SchemaError(str(exc)) from exc
+        N = self.truncation()
+        if not band and 8 * (N + 1) ** 2 > MAX_DENSE_BYTES:
+            raise SchemaError(f"a dense rate matrix of {N + 1} states exceeds the cap "
+                              f"of {MAX_DENSE_BYTES} bytes")
+        with _schema_errors():
+            return (bd_to_band if band else bd_to_qpair)(self.bd, N)
 
     def measure(self):
         if self.mu is not None:
             return self.mu
         if self.kind == "bd":
-            if self.N is None:
-                raise SchemaError('bd chain with formula rates needs "N"')
-            return bd_measures(self.bd, self.N).mu
+            return bd_measures(self.bd, self.truncation()).mu
         raise SchemaError('qpair chain needs an explicit "mu" array here')
 
 
@@ -172,17 +205,15 @@ def load_chain(doc) -> ChainInput:
         lens = [n for n in (nb, na, nc) if n is not None]
         cap = min(lens) - 1 if lens else None
         if "N" in doc:
-            N = _integer("N", doc["N"])
+            N = _capped('"N"', _integer("N", doc["N"]))
             if N < 1:
                 raise SchemaError('"N" must be at least 1')
             if cap is not None and N > cap:
                 raise SchemaError(
                     f'"N" = {N} exceeds the rate arrays (largest state {cap})'
                 )
-        elif cap is not None:
-            N = cap
         else:
-            N = None
+            N = cap
         if mu is not None and N is not None and mu.shape[0] != N + 1:
             raise SchemaError('"mu" length must match the number of states')
         spec = BirthDeathSpec(birth=birth, death=death, killing=killing, truncation=N)
@@ -196,10 +227,8 @@ def load_chain(doc) -> ChainInput:
             raise SchemaError('"rates" must be a square matrix')
         total = _floats("total", doc["total"]) if "total" in doc else None
         killing = _floats("killing", doc["killing"]) if "killing" in doc else None
-        try:
+        with _schema_errors():
             qp = validate_qpair(rates, total, killing)
-        except IsospecError as exc:
-            raise SchemaError(str(exc)) from exc
         if mu is not None and mu.shape[0] != qp.n_states:
             raise SchemaError('"mu" length must match the number of states')
         return ChainInput(kind="qpair", qp=qp, mu=mu)
@@ -248,16 +277,14 @@ def load_operator(doc) -> Operator1D:
     lo, hi = iv.tolist()
     if not lo < hi:
         raise SchemaError('"interval" must have lo < hi')
-    M = _integer("M", doc.get("M", 400))
+    M = _capped('"M"', _integer("M", doc.get("M", 400)))
     if M < 2:
         raise SchemaError('"M" must be at least 2')
     bc = doc.get("bc", ["neumann", "neumann"])
     if not (isinstance(bc, list) and len(bc) == 2):
         raise SchemaError('"bc" must name two boundary conditions')
-    try:
+    with _schema_errors():
         return Operator1D.on_interval(a, b, c, lo, hi, M, boundary=tuple(bc))
-    except IsospecError as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 def load_smooth(path: str) -> SmoothFunction:
@@ -271,10 +298,8 @@ def load_smooth(path: str) -> SmoothFunction:
             raise SchemaError('sampled h needs both "grid" and "values"')
         grid = _finite("grid", _floats("grid", doc["grid"]))
         vals = _finite("values", _floats("values", doc["values"]))
-        try:
+        with _schema_errors():
             return SmoothFunction.from_values(grid, vals)
-        except IsospecError as exc:
-            raise SchemaError(str(exc)) from exc
     if "h" not in doc:
         raise SchemaError('h JSON needs "h" (expression) or "grid"/"values"')
     if "h1" in doc or "h2" in doc:
@@ -398,6 +423,21 @@ def _note(args, msg: str):
         print(f"isospec: {msg}", file=sys.stderr)
 
 
+def _verdict(args, ok: bool) -> int:
+    """Note PASS or FAIL and return the matching exit status."""
+    _note(args, "PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def _within_arrays(args, ci: ChainInput, n: int, label: str) -> int:
+    """Truncation level n, capped, and lowered to the last one the rate arrays cover."""
+    n = _capped("--nmax", n)
+    if ci.cap is not None and n > ci.cap - 1:
+        n = ci.cap - 1
+        _note(args, f"rate arrays end early; using {label} {n}")
+    return n
+
+
 def _bd_doc(spec: BirthDeathSpec, N: int, mp=None) -> dict:
     b, a, c = spec.rate_arrays(N)
     doc = {
@@ -441,35 +481,25 @@ def cmd_harmonic(args) -> int:
         N = args.nmax if args.nmax is not None else ci.N
         if N is None:
             raise SchemaError("unbounded bd chain: pass --nmax")
-        if ci.cap is not None and N + 1 > ci.cap:
-            N = ci.cap - 1
-            _note(args, f"rate arrays end early; using N = {N}")
+        N = _within_arrays(args, ci, N, "N =")
         hv = bd_harmonic_explicit(ci.bd, N)
         # the boundary state N carries the truncation defect
         res = np.append(_bd_residual(*ci.bd.rate_arrays(N), hv.values[: N + 1]), 0.0)
-        payload = {
-            "h": hv.values,
-            "base_index": hv.base_index,
-            "residual": hv.residual,
-            "harmonic_set": list(hv.harmonic_set),
-            "residuals": res,
-            "method": "explicit",
-        }
     else:
         qp = ci.as_qpair()
         hv, trace = minimal_harmonic(qp, args.theta, tol=tol, method=args.method)
         res = harmonic_residual(qp, hv)
-        payload = {
-            "h": hv.values,
-            "base_index": hv.base_index,
-            "residual": hv.residual,
-            "harmonic_set": list(hv.harmonic_set),
-            "residuals": res,
-            "method": args.method,
-            "converged": trace.converged,
-            "n_iter": trace.n_iter,
-            "final_delta": trace.final_delta,
-        }
+    payload = {
+        "h": hv.values,
+        "base_index": hv.base_index,
+        "residual": hv.residual,
+        "harmonic_set": list(hv.harmonic_set),
+        "residuals": res,
+        "method": args.method,
+    }
+    if args.method != "explicit":
+        payload.update(converged=trace.converged, n_iter=trace.n_iter,
+                       final_delta=trace.final_delta)
     _emit(args, payload, header=("state", "h", "residual"),
           rows=lambda: zip(range(len(res)), hv.values, res))
     return 0
@@ -522,10 +552,8 @@ def cmd_transform(args) -> int:
 
     if args.direction == "forward":
         out = h_transform(qp, hv, tol=tol)
-        mu = transform_measure(ci.mu, hv) if ci.mu is not None else None
     elif args.direction == "inverse":
         out = inverse_transform(qp, hv)
-        mu = transform_measure(ci.mu, hv, inverse=True) if ci.mu is not None else None
     elif args.direction == "local":
         hset = None
         if args.set:
@@ -533,9 +561,10 @@ def cmd_transform(args) -> int:
             if not all(0 <= i < n for i in hset):
                 raise SchemaError(f"--set indices must lie in 0..{n - 1}")
         out = h_transform_local(qp, hv, harmonic_set=hset, tol=tol)
-        mu = transform_measure(ci.mu, hv) if ci.mu is not None else None
     else:
         raise SchemaError(f"unknown direction {args.direction!r}")
+    inverse = args.direction == "inverse"
+    mu = None if ci.mu is None else transform_measure(ci.mu, hv, inverse=inverse)
     _emit_qpair_transform(args, out, mu)
     return 0
 
@@ -587,8 +616,7 @@ def cmd_verify(args) -> int:
     a, b = rep.eigenvalues, rep.eigenvalues_other
     _emit(args, payload, header=("k", "lambda_a", "lambda_b", "gap"),
           rows=lambda: zip(range(len(a)), a, b, np.abs(a - b)))
-    _note(args, "PASS" if rep.passed else "FAIL")
-    return 0 if rep.passed else 1
+    return _verdict(args, rep.passed)
 
 
 def cmd_bounds(args) -> int:
@@ -597,18 +625,13 @@ def cmd_bounds(args) -> int:
     ci = load_chain(_load_json(args.chain))
     if ci.kind != "bd":
         raise SchemaError("bounds needs a bd chain")
-    nmax = args.nmax
-    if ci.cap is not None and nmax > ci.cap - 1:
-        nmax = ci.cap - 1
-        _note(args, f"rate arrays end early; using --nmax {nmax}")
+    nmax = _within_arrays(args, ci, args.nmax, "--nmax")
     rep = bounds_report(ci.bd, N_max=nmax, tail_tol=args.tail_tol)
     payload = rep.to_dict()
     payload["n_max"] = nmax
-    detail = rep.delta_detail
-    partial = () if detail is None or detail.partial is None else detail.partial
-    _emit(args, payload, header=("n", "partial_sup"), rows=lambda: enumerate(partial))
-    _note(args, "PASS" if rep.containment else "FAIL")
-    return 0 if rep.containment else 1
+    _emit(args, payload, header=("n", "partial_sup"),
+          rows=lambda: enumerate(rep.delta_detail.partial))
+    return _verdict(args, rep.containment)
 
 
 def cmd_diffop(args) -> int:
@@ -624,19 +647,11 @@ def cmd_diffop(args) -> int:
 
     if args.check == "eigen":
         checks = verify_lh_eigen(h, n_max=args.nmax, grid=op.grid)
-        payload = {
-            "checks": [
-                {"n": ch.n, "residual": ch.residual, "bound": ch.bound,
-                 "passed": ch.passed}
-                for ch in checks
-            ],
-            "all_passed": all(ch.passed for ch in checks),
-        }
+        ok = all(ch.passed for ch in checks)
+        payload = {"checks": [asdict(ch) for ch in checks], "all_passed": ok}
         _emit(args, payload, header=("n", "residual", "bound", "passed"),
-              rows=lambda: [(ch.n, ch.residual, ch.bound, ch.passed) for ch in checks])
-        ok = payload["all_passed"]
-        _note(args, "PASS" if ok else "FAIL")
-        return 0 if ok else 1
+              rows=lambda: map(astuple, checks))
+        return _verdict(args, ok)
 
     if args.check == "transform":
         ot = forward_transform(op, h, tol=tol)
@@ -708,12 +723,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _common_flags(common, suppress=True)
 
-    p = sub.add_parser(
-        "harmonic", parents=[common],
-        help="harmonic vector of a chain",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=CHAIN_SCHEMA,
-    )
+    def command(name, func, summary, epilog=CHAIN_SCHEMA):
+        p = sub.add_parser(name, parents=[common], help=summary, epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("harmonic", cmd_harmonic, "harmonic vector of a chain")
     p.add_argument("chain", help="chain JSON file (- for stdin)")
     p.add_argument("--theta", type=int, default=0,
                    help="anchor state for the minimal solution")
@@ -721,14 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="iterate")
     p.add_argument("--nmax", type=int, default=None,
                    help="truncation level for --method explicit")
-    p.set_defaults(func=cmd_harmonic)
 
-    p = sub.add_parser(
-        "transform", parents=[common],
-        help="conjugate a chain by h",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=CHAIN_SCHEMA + "\n\n" + H_SCHEMA,
-    )
+    p = command("transform", cmd_transform, "conjugate a chain by h",
+                CHAIN_SCHEMA + "\n\n" + H_SCHEMA)
     p.add_argument("chain", help="chain JSON file (- for stdin)")
     p.add_argument("--h", help="h JSON file")
     p.add_argument("--direction",
@@ -736,38 +747,22 @@ def build_parser() -> argparse.ArgumentParser:
                    default="forward")
     p.add_argument("--set", default=None,
                    help="comma-separated harmonic set for --direction local")
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser(
-        "verify", parents=[common],
-        help="compare two chains' spectra",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=CHAIN_SCHEMA + "\n\n" + H_SCHEMA,
-    )
+    p = command("verify", cmd_verify, "compare two chains' spectra",
+                CHAIN_SCHEMA + "\n\n" + H_SCHEMA)
     p.add_argument("chain_a", help="first chain JSON file")
     p.add_argument("chain_b", help="second chain JSON file")
     p.add_argument("--h", help="h JSON file; second measure becomes h^2 mu")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser(
-        "bounds", parents=[common],
-        help="Hardy-constant enclosure of the principal eigenvalue",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=CHAIN_SCHEMA,
-    )
+    p = command("bounds", cmd_bounds,
+                "Hardy-constant enclosure of the principal eigenvalue")
     p.add_argument("chain", help="bd chain JSON file")
     p.add_argument("--nmax", type=int, default=2048,
                    help="largest truncation level")
     p.add_argument("--tail-tol", type=float, default=1e-10,
                    help="relative tail slack for the certificate")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser(
-        "diffop", parents=[common],
-        help="differential-operator checks",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=OP_SCHEMA,
-    )
+    p = command("diffop", cmd_diffop, "differential-operator checks", OP_SCHEMA)
     p.add_argument("op", help="operator JSON file (- for stdin)")
     p.add_argument("--h", help="h JSON file (expression or sampled values)")
     p.add_argument("--check",
@@ -779,7 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eigenvalue count for --check spectrum")
     p.add_argument("--phi0", type=float, default=0.0,
                    help="anchor value for --check riccati")
-    p.set_defaults(func=cmd_diffop)
 
     return parser
 
@@ -798,16 +792,12 @@ def main(argv=None) -> int:
         warnings.simplefilter("ignore")
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"isospec: {exc}", file=sys.stderr)
-        print(f"run `isospec {args.cmd} --help` for the input schema",
-              file=sys.stderr)
-        return 2
-    except MalformedExpression as exc:
-        print(f"isospec: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
-        print(f"isospec: {exc}", file=sys.stderr)
+    except (SchemaError, MalformedExpression, json.JSONDecodeError, OSError,
+            UnicodeDecodeError, MemoryError) as exc:
+        print(f"isospec: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        if isinstance(exc, SchemaError):
+            print(f"run `isospec {args.cmd} --help` for the input schema",
+                  file=sys.stderr)
         return 2
     except IsospecError as exc:
         print(f"isospec: check failed: {exc}", file=sys.stderr)

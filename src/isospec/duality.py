@@ -14,16 +14,18 @@ import numpy as np
 from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
                      _check_finite, _conjugated_weights, _positive_mu, bd_measures,
                      validate_band, validate_qpair)
-from .errors import NotHarmonic, NotLocallyHarmonic, PreconditionViolated
+from .errors import NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated
 from .harmonic import HarmonicVector, _positive_h, _relative_residual
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _tilt(qp, w, adjoint=False, inverse=False, harmonic=False):
     """Off-diagonals q_ij w_j / w_i, row-sum totals and potential c - q + q~.
 
     adjoint tilts the transposed rates q_ji, inverse uses the ratio w_i / w_j.
     The potential is exactly zero where harmonic (a bool or a mask) holds.
     A BandSpec is tilted on its band, with the same roundings and errors.
+    Entries past float range are refused as non-finite, without a warning.
     """
     if isinstance(qp, BandSpec):
         w = np.broadcast_to(w, (qp.n_states,))
@@ -113,10 +115,19 @@ def inverse_transform(qt: QPairSpec | BandSpec, h) -> QPairSpec | BandSpec:
 
 
 def transform_measure(mu, h, inverse: bool = False) -> np.ndarray:
-    """Forward: mu~ = h^2 mu; inverse: mu = mu~ / h^2."""
+    """Forward: mu~ = h^2 mu; inverse: mu = mu~ / h^2.
+
+    Raises Overflow at the first positive weight whose image is not a
+    positive float.
+    """
     hv = _positive_h(h)
     mu = np.asarray(mu, dtype=float)
-    return mu / hv**2 if inverse else mu * hv**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = mu / hv**2 if inverse else mu * hv**2
+    bad = np.flatnonzero(np.isfinite(mu) & (mu > 0.0) & ~(np.isfinite(out) & (out > 0.0)))
+    if bad.size:
+        raise Overflow(int(bad[0]), "h-transformed measure")
+    return out
 
 
 def bd_h_transform(spec: BirthDeathSpec, h, N: int):
@@ -132,9 +143,13 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int):
     if hv.shape[0] < N + 2:
         raise PreconditionViolated(f"need h on 0..{N + 1} (got {hv.shape[0]} values)")
     b, a, c = spec.rate_arrays(N)
-    bt = b * hv[1 : N + 2] / hv[: N + 1]
     at = np.zeros(N + 1)
-    at[1:] = a[1:] * hv[: N] / hv[1 : N + 1]
+    with np.errstate(over="ignore"):
+        bt = b * hv[1 : N + 2] / hv[: N + 1]
+        at[1:] = a[1:] * hv[: N] / hv[1 : N + 1]
+    over = np.flatnonzero(~(np.isfinite(bt) & np.isfinite(at)))
+    if over.size:
+        raise Overflow(int(over[0]), "transformed rate")
     if np.all(c <= 0.0) and np.all(np.diff(hv) >= 0.0):
         if np.any(at[1:] > a[1:] * (1 + 1e-12)) or np.any(bt < b * (1 - 1e-12)):
             raise PreconditionViolated(

@@ -8,7 +8,7 @@ form by a positive harmonic function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -115,9 +115,10 @@ def delta_tilde(
         kk = m.shape[0]
         if kk < 2:
             raise PreconditionViolated("fewer than two finite terms")
-        M = np.cumsum(m)
-        T = np.cumsum(t[::-1])[::-1]
-        cand = M * T
+        with np.errstate(over="ignore"):  # a sum past float range reads inf
+            M = np.cumsum(m)
+            T = np.cumsum(t[::-1])[::-1]
+            cand = M * T
         sup = float(np.max(cand))
         n_sup = int(np.argmax(cand))
         sups.append(sup)
@@ -170,18 +171,8 @@ class BoundsReport:
     delta_detail: DeltaResult = field(default=None, compare=False, repr=False)
 
     def to_dict(self):
-        return {
-            "delta_tilde": self.delta_tilde,
-            "lower": self.lower,
-            "upper": self.upper,
-            "lambda0_numeric": self.lambda0_numeric,
-            "n_sup": self.n_sup,
-            "truncation_levels": [[int(n), v] for n, v in self.truncation_levels],
-            "verdict": self.verdict,
-            "containment": self.containment,
-            "epsilon": self.epsilon,
-            "delta_slack": self.delta_slack,
-        }
+        """The report's fields in order, without the Hardy-constant detail."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 def bounds_report(
@@ -204,34 +195,23 @@ def bounds_report(
     delta = delta_tilde(spec, hvec, N_max=N_max, tail_tol=tail_tol)
 
     levels = sorted({max(1, N_max // 4), max(1, N_max // 2), N_max})
-    lam = [(n, lambda0_variational(spec, n)) for n in levels]
+    lam = [[int(n), lambda0_variational(spec, n)] for n in levels]
     lambda0 = lam[-1][1]
     trunc_slack = abs(lam[-1][1] - lam[-2][1]) if len(lam) > 1 else 0.0
 
     if math.isinf(delta.value):
-        return BoundsReport(
-            delta_tilde=math.inf,
-            lower=0.0,
-            upper=0.0,
-            lambda0_numeric=lambda0,
-            n_sup=delta.n_sup,
-            truncation_levels=lam,
-            verdict="lambda0 = 0 (Hardy constant diverges)",
-            containment=True,
-            epsilon=0.0,
-            delta_slack=math.inf,
-            delta_detail=delta,
-        )
-
-    lower = 1.0 / (4.0 * delta.value)
-    upper = 1.0 / delta.value
-    eps = 1e-8 + trunc_slack
-    contained = (lower - eps <= lambda0 <= upper + eps)
-    if not contained:
-        raise PreconditionViolated(
-            f"variational value {lambda0:g} escapes [{lower:g}, {upper:g}] "
-            f"with eps = {eps:g}; increase N_max or check the inputs"
-        )
+        lower = upper = eps = 0.0
+        verdict = "lambda0 = 0 (Hardy constant diverges)"
+    else:
+        lower = 1.0 / (4.0 * delta.value)
+        upper = 1.0 / delta.value
+        eps = 1e-8 + trunc_slack
+        if not lower - eps <= lambda0 <= upper + eps:
+            raise PreconditionViolated(
+                f"variational value {lambda0:g} escapes [{lower:g}, {upper:g}] "
+                f"with eps = {eps:g}; increase N_max or check the inputs"
+            )
+        verdict = "lambda0 > 0"
     return BoundsReport(
         delta_tilde=delta.value,
         lower=lower,
@@ -239,7 +219,7 @@ def bounds_report(
         lambda0_numeric=lambda0,
         n_sup=delta.n_sup,
         truncation_levels=lam,
-        verdict="lambda0 > 0",
+        verdict=verdict,
         containment=True,
         epsilon=eps,
         delta_slack=delta.slack,

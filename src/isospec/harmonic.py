@@ -63,6 +63,7 @@ def harmonic_residual(qp: QPairSpec, h, B=None) -> np.ndarray:
     return r[np.asarray(list(B), dtype=int)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _relative_residual(qp: QPairSpec | BandSpec, hv: np.ndarray) -> np.ndarray:
     """|(A h)_i| / max(1, q_i h_i, max_j q_ij h_j), the residual on the local rate scale."""
     r = np.abs(qp.apply(hv))
@@ -72,7 +73,9 @@ def _relative_residual(qp: QPairSpec | BandSpec, hv: np.ndarray) -> np.ndarray:
         flow[1:] = np.maximum(flow[1:], qp.down * hv[:-1])
     else:
         flow = np.max(qp.rates * hv[None, :], axis=1)
-    return r / np.maximum(1.0, np.maximum(qp.total * hv, flow))
+    rel = r / np.maximum(1.0, np.maximum(qp.total * hv, flow))
+    rel[np.isnan(rel)] = np.inf  # terms past float range fail every tolerance
+    return rel
 
 
 def _hitting_kernel(qp: QPairSpec, theta: int):

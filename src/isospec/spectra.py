@@ -26,11 +26,14 @@ class SpectrumReport:
     tolerance: float = 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def symmetrize(qp: QPairSpec, mu, rtol: float = 1e-10) -> np.ndarray:
     """Similarity D A D^{-1} with D = diag(sqrt(mu)).
 
     Requires mu to symmetrise the rates: mu_i q_ij = mu_j q_ji.  The result
-    shares the generator's spectrum and is symmetric up to rounding.
+    shares the generator's spectrum and is symmetric up to rounding.  Entries
+    past float range come out non-finite, without a warning; the
+    eigensolvers refuse them.
     """
     mu = _positive_mu(mu)
     flow = mu[:, None] * qp.rates

@@ -6,6 +6,7 @@ from isospec import (
     NonpositiveH,
     NotHarmonic,
     NotLocallyHarmonic,
+    Overflow,
     PreconditionViolated,
     bd_h_transform,
     bd_harmonic_explicit,
@@ -101,6 +102,24 @@ def test_transform_measure_round_trip():
     h = np.exp(rng.uniform(-2.0, 2.0, 20))
     back = transform_measure(transform_measure(mu, h), h, inverse=True)
     assert np.max(np.abs(back - mu) / mu) < 1e-14
+
+
+def test_transform_measure_overflow_names_the_state():
+    with pytest.raises(Overflow, match="h-transformed measure .* at index 1"):
+        transform_measure(np.ones(4), [1.0, 1e200, 1e200, 1e200])
+    with pytest.raises(Overflow, match="h-transformed measure .* at index 2"):
+        transform_measure(np.ones(3), [1.0, 1.0, 1e200], inverse=True)
+    # finite results are the plain products and quotients
+    rng = np.random.default_rng(17)
+    mu, h = rng.uniform(0.5, 2.0, 20), np.exp(rng.uniform(-50.0, 50.0, 20))
+    assert np.array_equal(transform_measure(mu, h), mu * h**2)
+    assert np.array_equal(transform_measure(mu, h, inverse=True), mu / h**2)
+
+
+def test_bd_measures_refuse_a_measure_that_underflows():
+    # mu_3 = 1e-462 is below the smallest subnormal; nu_hat would be 1/0
+    with pytest.raises(Overflow, match="mu .* at index 3"):
+        bd_measures(BirthDeathSpec(birth=1.0, death=1e154), 3)
 
 
 def test_positive_h_enforced():

@@ -168,3 +168,11 @@ def test_bounds_report_free_walk_verdict():
 def test_bounds_report_rejects_tiny_n_max():
     with pytest.raises(PreconditionViolated):
         bounds_report(CONST, N_max=4)
+
+
+def test_hardy_sums_past_float_range_raise_no_warning():
+    # a recurrent chain: the tail weights 1/(mu_k b_k) grow like 5^k, so the
+    # tail sums leave float range; the result stays an undecided tail
+    s = BirthDeathSpec(birth=1.0, death=5.0, killing=0.0)
+    with pytest.raises(TailNotResolved, match="partial sup inf"):
+        bounds_report(s, N_max=2048)
