@@ -210,7 +210,6 @@ class BirthDeathSpec:
     birth: object
     death: object
     killing: object = 0.0
-    truncation: int | None = None
 
     def b(self, i: int) -> float:
         return float(self._rates("birth", i, i + 1)[0])

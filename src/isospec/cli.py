@@ -9,8 +9,9 @@ Five subcommands mirror the library surface:
   diffop     differential-operator checks (eigen / transform / spectrum / riccati)
 
 Exit status: 0 on success or PASS, 1 on a check failure, 2 on a usage or
-parse error, input over the size caps, or running out of memory.  Reports go
-to stdout as JSON (default) or CSV; diagnostics go to stderr.
+parse error, a flag value out of range, input over the size caps, or running
+out of memory.  Reports go to stdout as JSON (default) or CSV; diagnostics,
+the library's advisories among them, go to stderr as isospec: lines.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .chains import (BandSpec, BirthDeathSpec, bd_measures, bd_to_band, bd_to_qpair,
                      validate_qpair)
-from .errors import IsospecError, MalformedExpression
+from .errors import InvalidArgument, IsospecError, MalformedExpression
 
 # Each handler imports the modules it needs, so a chain request never loads
 # the expression and operator modules, and an operator request never loads
@@ -35,7 +36,15 @@ from .errors import IsospecError, MalformedExpression
 
 
 class SchemaError(Exception):
-    """Malformed or inconsistent input; maps to exit status 2."""
+    """Malformed or inconsistent input; maps to exit status 2.
+
+    prog names the command whose --help the diagnosis points at; by default
+    the request's subcommand.
+    """
+
+    def __init__(self, message: str, prog: str | None = None):
+        super().__init__(message)
+        self.prog = prog
 
 
 # Input size caps, above perfbench's sizes (N <= 4000) and ROADMAP.md's large-N runs.
@@ -216,7 +225,7 @@ def load_chain(doc) -> ChainInput:
             N = cap
         if mu is not None and N is not None and mu.shape[0] != N + 1:
             raise SchemaError('"mu" length must match the number of states')
-        spec = BirthDeathSpec(birth=birth, death=death, killing=killing, truncation=N)
+        spec = BirthDeathSpec(birth=birth, death=death, killing=killing)
         return ChainInput(kind="bd", bd=spec, N=N, cap=cap, mu=mu)
 
     if doc["type"] == "qpair":
@@ -423,17 +432,25 @@ def _note(args, msg: str):
         print(f"isospec: {msg}", file=sys.stderr)
 
 
+def _tol(args) -> dict:
+    """--tol as a keyword argument when given; otherwise the library's default holds."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 def _verdict(args, ok: bool) -> int:
     """Note PASS or FAIL and return the matching exit status."""
     _note(args, "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
-def _within_arrays(args, ci: ChainInput, n: int, label: str) -> int:
-    """Truncation level n, capped, and lowered to the last one the rate arrays cover."""
+def _within_arrays(args, ci: ChainInput, n: int, label: str, reach: int) -> int:
+    """Truncation level n, capped, and lowered until the rate arrays cover 0..n + reach.
+
+    reach is how far past n the request reads.
+    """
     n = _capped("--nmax", n)
-    if ci.cap is not None and n > ci.cap - 1:
-        n = ci.cap - 1
+    if ci.cap is not None and n + reach > ci.cap:
+        n = ci.cap - reach
         _note(args, f"rate arrays end early; using {label} {n}")
     return n
 
@@ -470,38 +487,33 @@ def _qpair_doc(qp, mu=None) -> dict:
 
 
 def cmd_harmonic(args) -> int:
-    from .harmonic import _bd_residual, bd_harmonic_explicit, harmonic_residual, minimal_harmonic
+    from .harmonic import bd_harmonic_explicit, minimal_harmonic
 
     ci = load_chain(_load_json(args.chain))
-    tol = args.tol if args.tol is not None else 1e-12
-
     if args.method == "explicit":
         if ci.kind != "bd":
             raise SchemaError("--method explicit needs a bd chain")
         N = args.nmax if args.nmax is not None else ci.N
         if N is None:
             raise SchemaError("unbounded bd chain: pass --nmax")
-        N = _within_arrays(args, ci, N, "N =")
+        N = _within_arrays(args, ci, N, "N =", reach=0)
         hv = bd_harmonic_explicit(ci.bd, N)
-        # the boundary state N carries the truncation defect
-        res = np.append(_bd_residual(*ci.bd.rate_arrays(N), hv.values[: N + 1]), 0.0)
     else:
-        qp = ci.as_qpair()
-        hv, trace = minimal_harmonic(qp, args.theta, tol=tol, method=args.method)
-        res = harmonic_residual(qp, hv)
+        hv, trace = minimal_harmonic(ci.as_qpair(), args.theta, method=args.method,
+                                     **_tol(args))
     payload = {
         "h": hv.values,
         "base_index": hv.base_index,
         "residual": hv.residual,
         "harmonic_set": list(hv.harmonic_set),
-        "residuals": res,
+        "residuals": hv.residuals,
         "method": args.method,
     }
     if args.method != "explicit":
         payload.update(converged=trace.converged, n_iter=trace.n_iter,
                        final_delta=trace.final_delta)
     _emit(args, payload, header=("state", "h", "residual"),
-          rows=lambda: zip(range(len(res)), hv.values, res))
+          rows=lambda: zip(range(len(hv)), hv.values, hv.residuals))
     return 0
 
 
@@ -516,8 +528,6 @@ def cmd_transform(args) -> int:
     )
 
     ci = load_chain(_load_json(args.chain))
-    tol = args.tol if args.tol is not None else 1e-8
-
     if args.direction == "measure":
         qp = ci.as_qpair(band=True)
         mu = ci.measure()
@@ -551,7 +561,7 @@ def cmd_transform(args) -> int:
     hv = hv[:n]
 
     if args.direction == "forward":
-        out = h_transform(qp, hv, tol=tol)
+        out = h_transform(qp, hv, **_tol(args))
     elif args.direction == "inverse":
         out = inverse_transform(qp, hv)
     elif args.direction == "local":
@@ -560,7 +570,7 @@ def cmd_transform(args) -> int:
             hset = tuple(_integer("--set", s) for s in args.set.split(","))
             if not all(0 <= i < n for i in hset):
                 raise SchemaError(f"--set indices must lie in 0..{n - 1}")
-        out = h_transform_local(qp, hv, harmonic_set=hset, tol=tol)
+        out = h_transform_local(qp, hv, harmonic_set=hset, **_tol(args))
     else:
         raise SchemaError(f"unknown direction {args.direction!r}")
     inverse = args.direction == "inverse"
@@ -604,17 +614,9 @@ def cmd_verify(args) -> int:
     else:
         raise SchemaError("second chain needs a measure: give --h or embed \"mu\"")
 
-    rep = isospectral_check(qpA, muA, qpB, muB, tol=args.tol)
-    payload = {
-        "passed": rep.passed,
-        "max_pair_gap": rep.max_pair_gap,
-        "tolerance": rep.tolerance,
-        "method": rep.method,
-        "eigenvalues": rep.eigenvalues,
-        "eigenvalues_other": rep.eigenvalues_other,
-    }
+    rep = isospectral_check(qpA, muA, qpB, muB, **_tol(args))
     a, b = rep.eigenvalues, rep.eigenvalues_other
-    _emit(args, payload, header=("k", "lambda_a", "lambda_b", "gap"),
+    _emit(args, rep.to_dict(), header=("k", "lambda_a", "lambda_b", "gap"),
           rows=lambda: zip(range(len(a)), a, b, np.abs(a - b)))
     return _verdict(args, rep.passed)
 
@@ -625,7 +627,8 @@ def cmd_bounds(args) -> int:
     ci = load_chain(_load_json(args.chain))
     if ci.kind != "bd":
         raise SchemaError("bounds needs a bd chain")
-    nmax = _within_arrays(args, ci, args.nmax, "--nmax")
+    # the harmonic h of the Hardy weights runs one state past nmax
+    nmax = _within_arrays(args, ci, args.nmax, "--nmax", reach=1)
     rep = bounds_report(ci.bd, N_max=nmax, tail_tol=args.tail_tol)
     payload = rep.to_dict()
     payload["n_max"] = nmax
@@ -638,8 +641,6 @@ def cmd_diffop(args) -> int:
     from .diffops import discretize, forward_transform, riccati_dual, verify_lh_eigen
 
     op = load_operator(_load_json(args.op))
-    tol = args.tol if args.tol is not None else 1e-8
-
     if args.check in ("eigen", "transform"):
         if args.h is None:
             raise SchemaError(f"--check {args.check} needs --h")
@@ -654,7 +655,7 @@ def cmd_diffop(args) -> int:
         return _verdict(args, ok)
 
     if args.check == "transform":
-        ot = forward_transform(op, h, tol=tol)
+        ot = forward_transform(op, h, **_tol(args))
         x = op.grid
         bt = ot.b(x)
         payload = {
@@ -667,7 +668,7 @@ def cmd_diffop(args) -> int:
         return 0
 
     if args.check == "spectrum":
-        disc = discretize(op, quiet=args.quiet)
+        disc = discretize(op)
         vals = disc.lowest(args.k)
         payload = {
             "eigenvalues": vals,
@@ -695,9 +696,26 @@ def cmd_diffop(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Reject the command line through main's exit-2 clause."""
+        raise SchemaError(message, self.prog)
+
+
+def _tolerance(text: str) -> float:
+    """A --tol or --tail-tol value, which must be finite and positive."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not (math.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return v
+
+
 def _common_flags(p: argparse.ArgumentParser, suppress: bool):
     d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--tol", type=float, default=d,
+    p.add_argument("--tol", type=_tolerance, default=d,
                    help="override the check tolerance")
     p.add_argument("--output", choices=("json", "csv"),
                    default=(argparse.SUPPRESS if suppress else "json"),
@@ -710,7 +728,7 @@ def _common_flags(p: argparse.ArgumentParser, suppress: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isospec",
         description="Doob transforms, spectra, and eigenvalue bounds "
         "for killed chains and one-dimensional operators.",
@@ -759,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chain", help="bd chain JSON file")
     p.add_argument("--nmax", type=int, default=2048,
                    help="largest truncation level")
-    p.add_argument("--tail-tol", type=float, default=1e-10,
+    p.add_argument("--tail-tol", type=_tolerance, default=1e-10,
                    help="relative tail slack for the certificate")
 
     p = command("diffop", cmd_diffop, "differential-operator checks", OP_SCHEMA)
@@ -780,28 +798,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
-    if getattr(args, "func", None) is None:
-        parser.print_help(sys.stderr)
-        return 2
-    if args.quiet:
-        warnings.simplefilter("ignore")
-    try:
-        return args.func(args)
-    except (SchemaError, MalformedExpression, json.JSONDecodeError, OSError,
-            UnicodeDecodeError, MemoryError) as exc:
-        print(f"isospec: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        if isinstance(exc, SchemaError):
-            print(f"run `isospec {args.cmd} --help` for the input schema",
-                  file=sys.stderr)
-        return 2
-    except IsospecError as exc:
-        print(f"isospec: check failed: {exc}", file=sys.stderr)
-        return 1
+    args = None
+    with warnings.catch_warnings():
+        # the library's advisories print as diagnosis lines, which --quiet silences
+        warnings.showwarning = lambda message, *_: _note(args, f"warning: {message}")
+        try:
+            args = parser.parse_args(argv)
+            if args.cmd is None:
+                parser.error("no subcommand given")
+            return args.func(args)
+        except SystemExit as exc:  # --help printed the usage
+            return 0 if exc.code == 0 else 2
+        except (SchemaError, InvalidArgument, MalformedExpression, json.JSONDecodeError,
+                OSError, UnicodeDecodeError, MemoryError) as exc:
+            print(f"isospec: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            if isinstance(exc, SchemaError):
+                prog = exc.prog or f"isospec {args.cmd}"
+                print(f"run `{prog} --help` for the input schema", file=sys.stderr)
+            return 2
+        except IsospecError as exc:
+            print(f"isospec: check failed: {exc}", file=sys.stderr)
+            return 1
 
 
 def run():

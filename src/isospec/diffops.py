@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BlowUp,
     GridTooCoarse,
+    InvalidArgument,
     NotHarmonicAt,
     PreconditionViolated,
     ZeroH,
@@ -190,10 +191,6 @@ class PolyGauss:
         out = p if self.s == 0 else p * np.exp(-float(self.s) * x * x)
         return out if x.ndim else float(out)
 
-    def to_smooth(self) -> SmoothFunction:
-        d1, d2 = self.diff(1), self.diff(2)
-        return SmoothFunction(h=self, h1=d1, h2=d2)
-
 
 def hermite_polys(n_max: int) -> list:
     """Physicists' Hermite polynomials H_0..H_n as exact-integer PolyGauss.
@@ -202,9 +199,9 @@ def hermite_polys(n_max: int) -> list:
     stay exact Python integers (as Fractions) at any admissible n.
     """
     if n_max < 0:
-        raise PreconditionViolated("n_max must be nonnegative")
+        raise InvalidArgument("n_max must be nonnegative")
     if n_max > 60:
-        raise PreconditionViolated("n_max > 60: coefficient growth guard")
+        raise InvalidArgument("n_max > 60: coefficient growth guard")
     polys = [PolyGauss((Fraction(1),))]
     if n_max >= 1:
         polys.append(PolyGauss((Fraction(0), Fraction(2))))
@@ -342,24 +339,20 @@ class RiccatiResult:
 def riccati_dual(
     opbar: Operator1D,
     phi0: float,
-    grid=None,
     x0: float | None = None,
     guard: float = 1e6,
 ) -> RiccatiResult:
     """Construct the dual drift by solving a phi' + a phi^2 + b phi + c = 0.
 
-    Fixed-step classical fourth-order integration from the anchor x0 (a grid
-    point; defaults to the grid point nearest zero, else the left end),
-    outward in both directions.  psi is the trapezoidal integral of phi with
-    psi(x0) = 0, and b~ = 2 a phi + b.  Escapes of |phi| beyond the guard
-    raise BlowUp: Riccati solutions reach infinity where h would vanish.
+    Fixed-step classical fourth-order integration on opbar's grid from the
+    anchor x0 (a grid point; defaults to the grid point nearest zero, else
+    the left end), outward in both directions.  psi is the trapezoidal
+    integral of phi with psi(x0) = 0, and b~ = 2 a phi + b.  Escapes of |phi|
+    beyond the guard raise BlowUp: Riccati solutions reach infinity where h
+    would vanish.
     """
-    x = np.asarray(opbar.grid if grid is None else grid, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 2 or np.any(np.diff(x) <= 0.0):
-        raise PreconditionViolated("grid must be strictly increasing, length >= 2")
+    x = opbar.grid
     av = opbar.a(x)
-    if np.any(~(av > 0.0)):
-        raise PreconditionViolated("a must be positive on the grid")
 
     if x0 is None:
         i0 = int(np.argmin(np.abs(x))) if x[0] <= 0.0 <= x[-1] else 0
@@ -438,7 +431,7 @@ class Discretization:
         return L
 
 
-def discretize(op: Operator1D, bc=None, quiet: bool = False) -> Discretization:
+def discretize(op: Operator1D) -> Discretization:
     """Finite-volume matrix of L = (d/dmu)(d/dnu-hat) + c on op.grid.
 
     Cell masses are (e^C / a) dx and face conductances e^C / dx with
@@ -448,15 +441,13 @@ def discretize(op: Operator1D, bc=None, quiet: bool = False) -> Discretization:
     GridTooCoarse when the cell Peclet number |b| dx / a exceeds 2.
     """
     x = op.grid
-    bc = tuple(op.boundary if bc is None else bc)
-    if len(bc) != 2 or any(t not in _BC for t in bc):
-        raise PreconditionViolated(f"boundary tags must be from {_BC}")
+    bc = tuple(op.boundary)
     M = x.shape[0] - 1
     dx = np.diff(x)
     av, bv, cv = op.coefficients()
 
     pe = np.abs(bv[:-1]) * dx / av[:-1]
-    if not quiet and np.any(pe > 2.0):
+    if np.any(pe > 2.0):
         warnings.warn(
             f"cell Peclet number reaches {np.max(pe):.3g} > 2; "
             "refine the grid for trustworthy low modes",

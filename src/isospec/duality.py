@@ -157,8 +157,7 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int):
                 "h is not harmonic for a killed chain"
             )
     mu_t, nu_t = _conjugated_weights(bd_measures(spec, N).mu, hv[: N + 2], b)
-    out = BirthDeathSpec(birth=bt, death=at, killing=0.0, truncation=N)
-    return out, MeasurePair(mu=mu_t, nu_hat=nu_t)
+    return BirthDeathSpec(birth=bt, death=at, killing=0.0), MeasurePair(mu=mu_t, nu_hat=nu_t)
 
 
 def measure_dual(qp: QPairSpec | BandSpec, mu) -> QPairSpec | BandSpec:

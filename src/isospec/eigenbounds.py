@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .chains import BirthDeathSpec, _conjugated_weights
-from .errors import Overflow, PreconditionViolated, TailNotResolved
+from .errors import InvalidArgument, Overflow, PreconditionViolated, TailNotResolved
 from .harmonic import _h_values, _positive_h, bd_harmonic_explicit
 from .spectra import eig_tridiag, smallest_eig_tridiag
 
@@ -190,7 +190,7 @@ def bounds_report(
     principal eigenvalue is zero.
     """
     if N_max < 8:
-        raise PreconditionViolated("N_max must be at least 8")
+        raise InvalidArgument("N_max must be at least 8")
     hvec = bd_harmonic_explicit(spec, N_max + 1, method="recurrence")
     delta = delta_tilde(spec, hvec, N_max=N_max, tail_tol=tail_tol)
 

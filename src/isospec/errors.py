@@ -87,6 +87,10 @@ class PreconditionViolated(IsospecError):
     pass
 
 
+class InvalidArgument(PreconditionViolated):
+    """An argument outside the range a function accepts: bad input, not a failed check."""
+
+
 class TailNotResolved(IsospecError):
     """Neither convergence nor divergence of the Hardy supremum could be certified."""
 

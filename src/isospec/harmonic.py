@@ -7,12 +7,13 @@ monotone-decreasing maximal solution started from the constant 1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chains import BandSpec, BirthDeathSpec, QPairSpec
-from .errors import Divergence, NonConvergence, NonpositiveH, NotMonotone, PreconditionViolated
+from .errors import (Divergence, InvalidArgument, NonConvergence, NonpositiveH, NotMonotone,
+                     PreconditionViolated)
 
 
 @dataclass(frozen=True)
@@ -20,13 +21,15 @@ class HarmonicVector:
     """Candidate harmonic function with residual metadata.
 
     values has one entry per state; residual is the max of |A h| over
-    harmonic_set, the indices where harmonicity is asserted.
+    harmonic_set, the indices where harmonicity is asserted.  residuals is
+    the per-state residual the construction evaluated, one entry per state.
     """
 
     values: np.ndarray
     base_index: int | None
     residual: float
     harmonic_set: tuple
+    residuals: np.ndarray | None = field(default=None, compare=False)
 
     def __len__(self):
         return self.values.shape[0]
@@ -137,7 +140,7 @@ def minimal_harmonic(
     """
     n = qp.n_states
     if not 0 <= theta < n:
-        raise PreconditionViolated(f"theta = {theta} outside 0..{n - 1}")
+        raise InvalidArgument(f"theta = {theta} outside 0..{n - 1}")
     K, s, mask = _hitting_kernel(qp, theta)
     _warn_unreachable(qp, theta)
     m = n - 1
@@ -172,13 +175,13 @@ def minimal_harmonic(
     h = np.empty(n)
     h[mask] = hm
     h[theta] = 1.0
-    res = harmonic_residual(qp, h)
-    res[theta] = 0.0
+    res = harmonic_residual(qp, h)  # the anchor row carries the defect
     hv = HarmonicVector(
         values=h,
         base_index=theta,
-        residual=float(np.max(np.abs(res))),
+        residual=float(np.max(np.abs(res[mask]), initial=0.0)),
         harmonic_set=tuple(int(i) for i in range(n) if i != theta),
+        residuals=res,
     )
     return hv, trace
 
@@ -263,10 +266,11 @@ def bd_harmonic_explicit(
     is kept as the oracle it is checked against.  With c <= 0 the result is
     positive and nondecreasing.  residual is the largest
     |b_n (h_{n+1} - h_n) + a_n (h_{n-1} - h_n) + c_n h_n| relative to
-    max(1, |b_n h_{n+1}|, |a_n h_n|), up to the first non-finite pair.
+    max(1, |b_n h_{n+1}|, |a_n h_n|), up to the first non-finite pair;
+    residuals holds the unscaled terms on 0..N-1 and 0 for the boundary state N.
     """
     if N < 1:
-        raise PreconditionViolated("N must be at least 1")
+        raise InvalidArgument("N must be at least 1")
     b, a, c = spec.rate_arrays(N)
     if np.any(c > 0.0):
         warnings.warn(
@@ -284,17 +288,18 @@ def bd_harmonic_explicit(
     finite = np.isfinite(h)
     stop = np.flatnonzero(~(finite[:N] & finite[1:]))
     K = int(stop[0]) if stop.size else N
+    r = _bd_residual(b, a, c, h)
     with np.errstate(invalid="ignore", over="ignore"):
-        r = _bd_residual(b, a, c, h[: K + 1])
         # a[0] = 0, so state 0's scale has no death term
         scale = np.fmax(1.0, np.fmax(np.abs(b[:K] * h[1 : K + 1]), np.abs(a[:K] * h[:K])))
         # fmax skips NaN (inf / inf, inf * 0) as Python's max() with NaN second does
-        res = np.fmax.reduce(np.abs(r) / scale, initial=0.0)
+        res = np.fmax.reduce(np.abs(r[:K]) / scale, initial=0.0)
     return HarmonicVector(
         values=h,
         base_index=0,
         residual=float(res),
         harmonic_set=tuple(range(N)),
+        residuals=np.append(r, 0.0),  # the boundary state N carries the truncation defect
     )
 
 

@@ -7,23 +7,28 @@ path here with componentwise relative accuracy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .chains import QPairSpec, _check_finite, _positive_mu
-from .errors import NonConvergence, NotReversible, PreconditionViolated
+from .errors import InvalidArgument, NonConvergence, NotReversible, PreconditionViolated
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    eigenvalues: np.ndarray
-    measure_used: np.ndarray
+    """Verdict of isospectral_check, the two spectra and their largest gap."""
+
+    passed: bool
     max_pair_gap: float
+    tolerance: float
     method: str
-    passed: bool = True
-    eigenvalues_other: np.ndarray | None = field(default=None, compare=False)
-    tolerance: float = 0.0
+    eigenvalues: np.ndarray
+    eigenvalues_other: np.ndarray
+
+    def to_dict(self):
+        """The report's fields in order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -108,7 +113,7 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     n = d.shape[0]
     if not 1 <= k <= n:
-        raise PreconditionViolated(f"need 1 <= k <= {n}")
+        raise InvalidArgument(f"need 1 <= k <= {n}")
     _check_finite("matrix", d, e)
     span = float(np.max(np.abs(e))) if e.size else 0.0
     top = float(np.max(d)) + 2.0 * span
@@ -196,11 +201,10 @@ def isospectral_check(qpA, muA, qpB, muB, tol: float | None = None) -> SpectrumR
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(wA))))
     return SpectrumReport(
-        eigenvalues=wA,
-        measure_used=np.asarray(muA, dtype=float),
-        max_pair_gap=gap,
-        method=method,
         passed=bool(gap <= tol),
-        eigenvalues_other=wB,
+        max_pair_gap=gap,
         tolerance=float(tol),
+        method=method,
+        eigenvalues=wA,
+        eigenvalues_other=wB,
     )

