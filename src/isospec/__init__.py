@@ -13,12 +13,13 @@ import importlib
 # Exports resolve on first use (PEP 562), so `import isospec.cli` and the
 # chain subcommands never load the expression and operator modules.
 _EXPORTS = {
+    "_hermite": ("PolyGauss", "hermite_defining_residual", "hermite_polys"),
     "chains": ("BirthDeathSpec", "MeasurePair", "QPairSpec", "bd_measures",
                "bd_to_qpair", "validate_qpair"),
-    "diffops": ("Discretization", "EigenCheck", "Operator1D", "PolyGauss",
-                "RiccatiResult", "SmoothFunction", "discretize", "forward_transform",
-                "forward_transform_points", "hermite_defining_residual",
-                "hermite_polys", "ou_multiplicity", "riccati_dual", "verify_lh_eigen"),
+    "diffops": ("Discretization", "EigenCheck", "Operator1D", "RiccatiResult",
+                "SmoothFunction", "discretize", "forward_transform",
+                "forward_transform_points", "ou_multiplicity", "riccati_dual",
+                "verify_lh_eigen"),
     "duality": ("bd_h_transform", "conjugate", "h_transform", "h_transform_local",
                 "inverse_transform", "measure_dual", "transform_measure"),
     "eigenbounds": ("BoundsReport", "DeltaResult", "bounds_report", "delta_tilde",

@@ -1,0 +1,181 @@
+"""What every subcommand of the command line shares.
+
+The exit-2 error, the input size caps, the JSON readers, the report writer
+and the stderr notes.  cli.py runs as __main__ under python -m isospec.cli,
+so the handler modules import these from here, never from isospec.cli: a
+second copy of cli.py would bring a second SchemaError that main does not
+catch.
+"""
+from __future__ import annotations
+
+import json
+import sys
+from contextlib import contextmanager
+
+import numpy as np
+
+from .errors import IsospecError
+
+
+class SchemaError(Exception):
+    """Malformed or inconsistent input; maps to exit status 2.
+
+    prog names the command whose --help the diagnosis points at; by default
+    the request's subcommand.
+    """
+
+    def __init__(self, message: str, prog: str | None = None):
+        super().__init__(message)
+        self.prog = prog
+
+
+# Input size caps, above perfbench's sizes (N <= 4000) and ROADMAP.md's large-N runs.
+MAX_STATES = 10**7  # largest truncation level "N" or --nmax, and cell count "M"
+MAX_DENSE_BYTES = 1 << 28  # largest dense rate matrix (5792 states)
+
+
+@contextmanager
+def _schema_errors():
+    """Report a library error raised while reading input as a SchemaError."""
+    try:
+        yield
+    except IsospecError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------- loading
+
+
+def _load_json(path: str):
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError as exc:  # an integer literal over sys.get_int_max_str_digits()
+        raise SchemaError(f"input JSON: {exc}") from None
+
+
+def _floats(key: str, node) -> np.ndarray:
+    """node as a float array; text, objects and ragged nesting are schema errors."""
+    try:
+        return np.asarray(node, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{key!r} must hold only numbers, nested evenly") from None
+
+
+def _integer(key: str, node) -> int:
+    try:
+        return int(node)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{key!r} must be an integer") from None
+
+
+def _capped(key: str, n: int) -> int:
+    if n > MAX_STATES:
+        raise SchemaError(f"{key} must be at most {MAX_STATES}")
+    return n
+
+
+def _finite(key: str, value):
+    if not np.all(np.isfinite(value)):
+        raise SchemaError(f"{key!r} has a NaN or infinite entry")
+    return value
+
+
+# ---------------------------------------------------------------- output
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    return obj
+
+
+_NUMBERS = {int, float}
+_BLOCK = 1 << 20  # characters per write of a long JSON document
+_encode = json.JSONEncoder().encode  # C encoder: no indent, ", " separators
+
+
+def _chunks(obj, indent: str = ""):
+    """Pieces of json.dumps(obj, indent=2), nested at indent.
+
+    json's indented encoder runs in pure Python.  A flat list whose elements
+    are all exactly int or float goes through the C encoder instead; no
+    number's text contains ", ", so each separator becomes a line break.
+    A callable stands for a value too long to build: called with indent, it
+    yields that value's pieces.
+    """
+    inner = indent + "  "
+    if callable(obj):
+        yield from obj(indent)
+    elif isinstance(obj, list) and obj and set(map(type, obj)) <= _NUMBERS:
+        body = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
+        yield f"[\n{inner}{body}\n{indent}]"
+    elif isinstance(obj, list) and obj:
+        sep = "[\n" + inner
+        for v in obj:
+            yield sep
+            yield from _chunks(v, inner)
+            sep = ",\n" + inner
+        yield f"\n{indent}]"
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            yield f"{sep}{_encode(k)}: "
+            yield from _chunks(v, inner)
+            sep = ",\n" + inner
+        yield f"\n{indent}}}"
+    else:
+        # JSON text has no raw newlines inside strings, so re-indenting is safe
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
+def _emit(args, payload: dict, header=None, rows=None):
+    """Print payload as JSON, or under --output csv the rows() table."""
+    if args.seed is not None:
+        payload = dict(payload)
+        payload["seed"] = args.seed
+    if args.output == "csv" and rows is not None:
+        import csv
+
+        w = csv.writer(sys.stdout)
+        w.writerow(header)
+        for row in rows():
+            w.writerow([_jsonable(v) for v in row])
+    else:
+        # a dense rate matrix can run to tens of MB, so write it in blocks; a
+        # document under a block is one write, as print() made it
+        block, size = [], 0
+        for chunk in _chunks(_jsonable(payload)):
+            block.append(chunk)
+            size += len(chunk)
+            if size >= _BLOCK:
+                sys.stdout.write("".join(block))
+                block, size = [], 0
+        sys.stdout.write("".join(block))
+        sys.stdout.write("\n")
+
+
+def _note(args, msg: str):
+    if not args.quiet:
+        print(f"isospec: {msg}", file=sys.stderr)
+
+
+def _tol(args) -> dict:
+    """--tol as a keyword argument when given; otherwise the library's default holds."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
+def _verdict(args, ok: bool) -> int:
+    """Note PASS or FAIL and return the matching exit status."""
+    _note(args, "PASS" if ok else "FAIL")
+    return 0 if ok else 1

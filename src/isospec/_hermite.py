@@ -1,0 +1,115 @@
+"""Exact Hermite towers: polynomial-times-Gaussian terms with rational coefficients.
+
+The oscillator eigenfunction check of diffops.verify_lh_eigen and the
+defining identity of the Hermite polynomials run on these; they load only
+when one of them is used.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .errors import InvalidArgument, PreconditionViolated
+
+_S_TAGS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+@dataclass(frozen=True)
+class PolyGauss:
+    """p(x) exp(-s x^2) with exact rational coefficients, s in {0, 1/2, 1}.
+
+    Closed under differentiation, so derivative towers carry no rounding.
+    """
+
+    coeffs: tuple
+    s: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        cs = tuple(Fraction(c) for c in self.coeffs)
+        while len(cs) > 1 and cs[-1] == 0:
+            cs = cs[:-1]
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "s", Fraction(self.s))
+        if self.s not in _S_TAGS:
+            raise PreconditionViolated(f"Gaussian tag must be one of {_S_TAGS}")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def diff(self, order: int = 1) -> "PolyGauss":
+        out = self
+        for _ in range(order):
+            p = out.coeffs
+            dp = tuple(k * p[k] for k in range(1, len(p))) or (Fraction(0),)
+            if out.s == 0:
+                out = PolyGauss(dp, out.s)
+            else:
+                # (p e^{-s x^2})' = (p' - 2 s x p) e^{-s x^2}
+                shifted = (Fraction(0),) + tuple(-2 * out.s * c for c in p)
+                n = max(len(dp), len(shifted))
+                comb = tuple(
+                    (dp[k] if k < len(dp) else 0)
+                    + (shifted[k] if k < len(shifted) else 0)
+                    for k in range(n)
+                )
+                out = PolyGauss(comb, out.s)
+        return out
+
+    def scale(self, factor) -> "PolyGauss":
+        f = Fraction(factor)
+        return PolyGauss(tuple(f * c for c in self.coeffs), self.s)
+
+    def add(self, other: "PolyGauss") -> "PolyGauss":
+        if self.s != other.s:
+            raise PreconditionViolated("Gaussian tags differ")
+        n = max(len(self.coeffs), len(other.coeffs))
+        return PolyGauss(
+            tuple(
+                (self.coeffs[k] if k < len(self.coeffs) else 0)
+                + (other.coeffs[k] if k < len(other.coeffs) else 0)
+                for k in range(n)
+            ),
+            self.s,
+        )
+
+    def mul_x(self) -> "PolyGauss":
+        return PolyGauss((Fraction(0),) + self.coeffs, self.s)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        p = np.zeros(x.shape)
+        for c in reversed(self.coeffs):
+            p = p * x + float(c)
+        out = p if self.s == 0 else p * np.exp(-float(self.s) * x * x)
+        return out if x.ndim else float(out)
+
+
+def hermite_polys(n_max: int) -> list:
+    """Physicists' Hermite polynomials H_0..H_n as exact-integer PolyGauss.
+
+    H_{n+1} = 2 x H_n - 2 n H_{n-1}.  Guarded at n_max <= 60; coefficients
+    stay exact Python integers (as Fractions) at any admissible n.
+    """
+    if n_max < 0:
+        raise InvalidArgument("n_max must be nonnegative")
+    if n_max > 60:
+        raise InvalidArgument("n_max > 60: coefficient growth guard")
+    polys = [PolyGauss((Fraction(1),))]
+    if n_max >= 1:
+        polys.append(PolyGauss((Fraction(0), Fraction(2))))
+    for n in range(1, n_max):
+        nxt = polys[n].mul_x().scale(2).add(polys[n - 1].scale(-2 * n))
+        polys.append(nxt)
+    return polys
+
+
+def hermite_defining_residual(n: int) -> tuple:
+    """Exact coefficients of (1/2) H_n'' - x H_n' + n H_n (all zero)."""
+    H = hermite_polys(n)[n]
+    r = H.diff(2).scale(Fraction(1, 2)).add(H.diff(1).mul_x().scale(-1)).add(
+        H.scale(n)
+    )
+    return r.coeffs

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeRate, Overflow, PotentialExceedsRate, PreconditionViolated
+from .errors import (NegativeRate, Overflow, PotentialExceedsRate, PreconditionViolated,
+                     _check_finite)
 
 _CONS_RTOL = 1e-12
 
@@ -55,11 +56,6 @@ class QPairSpec:
         """Rows, columns and values of the nonzero rates, ordered as np.nonzero."""
         i, j = np.nonzero(self.rates)
         return i, j, self.rates[i, j]
-
-
-def _check_finite(name, *arrays):
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise PreconditionViolated(f"{name} has a NaN or infinite entry")
 
 
 def _positive_mu(mu) -> np.ndarray:

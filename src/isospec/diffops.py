@@ -11,20 +11,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BlowUp,
-    GridTooCoarse,
-    InvalidArgument,
-    NotHarmonicAt,
-    PreconditionViolated,
-    ZeroH,
-)
+from .errors import BlowUp, GridTooCoarse, NotHarmonicAt, PreconditionViolated, ZeroH
 from .expressions import _vectorized, compile_expression, constant
 
 _H_FLOOR = 1e-300
@@ -116,108 +108,6 @@ class SmoothFunction:
 def _interpolated(x, hv, h1, h2) -> SmoothFunction:
     """Piecewise-linear interpolants of sampled (h, h', h'') on the grid x."""
     return SmoothFunction(*(partial(np.interp, xp=x, fp=v) for v in (hv, h1, h2)))
-
-
-_S_TAGS = (Fraction(0), Fraction(1, 2), Fraction(1))
-
-
-@dataclass(frozen=True)
-class PolyGauss:
-    """p(x) exp(-s x^2) with exact rational coefficients, s in {0, 1/2, 1}.
-
-    Closed under differentiation, so derivative towers carry no rounding.
-    """
-
-    coeffs: tuple
-    s: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "s", Fraction(self.s))
-        if self.s not in _S_TAGS:
-            raise PreconditionViolated(f"Gaussian tag must be one of {_S_TAGS}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def diff(self, order: int = 1) -> "PolyGauss":
-        out = self
-        for _ in range(order):
-            p = out.coeffs
-            dp = tuple(k * p[k] for k in range(1, len(p))) or (Fraction(0),)
-            if out.s == 0:
-                out = PolyGauss(dp, out.s)
-            else:
-                # (p e^{-s x^2})' = (p' - 2 s x p) e^{-s x^2}
-                shifted = (Fraction(0),) + tuple(-2 * out.s * c for c in p)
-                n = max(len(dp), len(shifted))
-                comb = tuple(
-                    (dp[k] if k < len(dp) else 0)
-                    + (shifted[k] if k < len(shifted) else 0)
-                    for k in range(n)
-                )
-                out = PolyGauss(comb, out.s)
-        return out
-
-    def scale(self, factor) -> "PolyGauss":
-        f = Fraction(factor)
-        return PolyGauss(tuple(f * c for c in self.coeffs), self.s)
-
-    def add(self, other: "PolyGauss") -> "PolyGauss":
-        if self.s != other.s:
-            raise PreconditionViolated("Gaussian tags differ")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyGauss(
-            tuple(
-                (self.coeffs[k] if k < len(self.coeffs) else 0)
-                + (other.coeffs[k] if k < len(other.coeffs) else 0)
-                for k in range(n)
-            ),
-            self.s,
-        )
-
-    def mul_x(self) -> "PolyGauss":
-        return PolyGauss((Fraction(0),) + self.coeffs, self.s)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        p = np.zeros(x.shape)
-        for c in reversed(self.coeffs):
-            p = p * x + float(c)
-        out = p if self.s == 0 else p * np.exp(-float(self.s) * x * x)
-        return out if x.ndim else float(out)
-
-
-def hermite_polys(n_max: int) -> list:
-    """Physicists' Hermite polynomials H_0..H_n as exact-integer PolyGauss.
-
-    H_{n+1} = 2 x H_n - 2 n H_{n-1}.  Guarded at n_max <= 60; coefficients
-    stay exact Python integers (as Fractions) at any admissible n.
-    """
-    if n_max < 0:
-        raise InvalidArgument("n_max must be nonnegative")
-    if n_max > 60:
-        raise InvalidArgument("n_max > 60: coefficient growth guard")
-    polys = [PolyGauss((Fraction(1),))]
-    if n_max >= 1:
-        polys.append(PolyGauss((Fraction(0), Fraction(2))))
-    for n in range(1, n_max):
-        nxt = polys[n].mul_x().scale(2).add(polys[n - 1].scale(-2 * n))
-        polys.append(nxt)
-    return polys
-
-
-def hermite_defining_residual(n: int) -> tuple:
-    """Exact coefficients of (1/2) H_n'' - x H_n' + n H_n (all zero)."""
-    H = hermite_polys(n)[n]
-    r = H.diff(2).scale(Fraction(1, 2)).add(H.diff(1).mul_x().scale(-1)).add(
-        H.scale(n)
-    )
-    return r.coeffs
 
 
 def _check_nonzero(hv, x):
@@ -368,23 +258,40 @@ def riccati_dual(
     phi = np.empty_like(x)
     phi[i0] = float(phi0)
 
-    def march(idx_from, idx_to, step_sign):
-        rng = range(idx_from, idx_to, step_sign)
-        for i in rng:
-            j = i + step_sign
-            dt = (x[j] - x[i])
-            t, p = x[i], phi[i]
-            k1 = F(t, p)
-            k2 = F(t + dt / 2.0, p + dt * k1 / 2.0)
-            k3 = F(t + dt / 2.0, p + dt * k2 / 2.0)
-            k4 = F(t + dt, p + dt * k3)
-            pn = p + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            if not np.isfinite(pn) or abs(pn) > guard:
-                raise BlowUp(float(x[j]), float(pn) if np.isfinite(pn) else math.inf)
-            phi[j] = pn
+    def march(i, step):
+        """phi after each step i -> i + step, from phi0 at i[0].
 
-    march(i0, x.shape[0] - 1, 1)
-    march(i0, 0, -1)
+        b/a and c/a are sampled once, on arrays, at the stage abscissae t,
+        t + dt/2 and t + dt; the steps then run on Python floats in F's
+        order of operations, so an overflow gives inf, not a warning.
+        """
+        t = x[i]
+        dt = x[i + step] - t
+        stages = np.concatenate([t, t + dt / 2.0, t + dt])
+        a = opbar.a(stages)
+        # a > 0 holds on the grid only: a zero between grid points makes a
+        # coefficient non-finite, and the march then raises BlowUp
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            B = (opbar.b(stages) / a).reshape(3, -1).tolist()
+            C = (opbar.c(stages) / a).reshape(3, -1).tolist()
+        p, out = float(phi0), []
+        for h, b0, bh, b1, c0, ch, c1 in zip(dt.tolist(), *B, *C):
+            k1 = -p * p - b0 * p - c0
+            q = p + h * k1 / 2.0
+            k2 = -q * q - bh * q - ch
+            q = p + h * k2 / 2.0
+            k3 = -q * q - bh * q - ch
+            q = p + h * k3
+            k4 = -q * q - b1 * q - c1
+            p = p + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            if not math.isfinite(p) or abs(p) > guard:
+                where = float(x[i[len(out)] + step])
+                raise BlowUp(where, p if math.isfinite(p) else math.inf)
+            out.append(p)
+        return out
+
+    phi[i0 + 1 :] = march(np.arange(i0, x.shape[0] - 1), 1)
+    phi[:i0] = march(np.arange(i0, 0, -1), -1)[::-1]
 
     psi = np.empty_like(x)
     psi[i0] = 0.0
@@ -520,6 +427,8 @@ def verify_lh_eigen(h: SmoothFunction, n_max: int = 10, grid=None) -> list:
     L^h (h H_n) + n (h H_n) vanishes identically; each row reports its
     sup-norm over the grid and passes at 1e-8 (1 + sup|h H_n|).
     """
+    from ._hermite import hermite_polys
+
     x = np.linspace(-8.0, 8.0, 1601) if grid is None else np.asarray(grid, dtype=float)
     hv, h1, h2 = h(x)
     _check_nonzero(hv, x)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
-                     _check_finite, _conjugated_weights, _positive_mu, bd_measures,
-                     validate_band, validate_qpair)
-from .errors import NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated
+                     _conjugated_weights, _positive_mu, bd_measures, validate_band,
+                     validate_qpair)
+from .errors import (NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated,
+                     _check_finite)
 from .harmonic import HarmonicVector, _positive_h, _relative_residual
 
 

@@ -1,4 +1,5 @@
 """Exception and warning types shared across the package."""
+import numpy as np
 
 
 class IsospecError(Exception):
@@ -85,6 +86,12 @@ class NotReversible(IsospecError):
 
 class PreconditionViolated(IsospecError):
     pass
+
+
+def _check_finite(name, *arrays):
+    """Refuse a NaN or infinite entry in any of arrays."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise PreconditionViolated(f"{name} has a NaN or infinite entry")
 
 
 class InvalidArgument(PreconditionViolated):

@@ -8,11 +8,15 @@ path here with componentwise relative accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chains import QPairSpec, _check_finite, _positive_mu
-from .errors import InvalidArgument, NonConvergence, NotReversible, PreconditionViolated
+from .errors import (InvalidArgument, NonConvergence, NotReversible, PreconditionViolated,
+                     _check_finite)
+
+if TYPE_CHECKING:  # chains is loaded only by the chain paths
+    from .chains import QPairSpec
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ def symmetrize(qp: QPairSpec, mu, rtol: float = 1e-10) -> np.ndarray:
     past float range come out non-finite, without a warning; the
     eigensolvers refuse them.
     """
+    from .chains import _positive_mu
+
     mu = _positive_mu(mu)
     flow = mu[:, None] * qp.rates
     scale = np.maximum(np.abs(flow), np.abs(flow.T))
@@ -73,13 +79,16 @@ def sturm_count(d, e, x: float) -> int:
     return count
 
 
-def _bisect(d, e, k: int, lo: float, hi: float, rel_tol: float, floor: float) -> float:
-    """Midpoint of [lo, hi] after bisecting it onto the k-th smallest eigenvalue."""
+def _bisect(count, k: int, lo: float, hi: float, rel_tol: float, floor: float) -> float:
+    """Midpoint of [lo, hi] after bisecting it onto the k-th smallest eigenvalue.
+
+    count(x) is the number of eigenvalues below x.
+    """
     for _ in range(4096):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if sturm_count(d, e, mid) >= k:
+        if count(mid) >= k:
             hi = mid
         else:
             lo = mid
@@ -104,11 +113,15 @@ def smallest_eig_tridiag(d, e, rel_tol: float = 1e-14) -> float:
     d, e = d.tolist(), e.tolist()
     while sturm_count(d, e, hi) < 1:
         hi = hi * 2.0 + 1.0
-    return _bisect(d, e, 1, lo, hi, rel_tol, 0.0)
+    return _bisect(lambda x: sturm_count(d, e, x), 1, lo, hi, rel_tol, 0.0)
 
 
 def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
-    """The k smallest eigenvalues of tridiag(d, e) by inertia bisection."""
+    """The k smallest eigenvalues of tridiag(d, e) by inertia bisection.
+
+    All k bisections start from one bracket, so their first midpoints
+    coincide; each shift is counted once.
+    """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     n = d.shape[0]
@@ -119,7 +132,15 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     top = float(np.max(d)) + 2.0 * span
     bot = float(np.min(d)) - 2.0 * span
     d, e = d.tolist(), e.tolist()
-    return np.array([_bisect(d, e, i + 1, bot, top, rel_tol, 1e-300) for i in range(k)])
+    counts = {}
+
+    def count(x):
+        c = counts.get(x)
+        if c is None:
+            c = counts[x] = sturm_count(d, e, x)
+        return c
+
+    return np.array([_bisect(count, i + 1, bot, top, rel_tol, 1e-300) for i in range(k)])
 
 
 def _eigh(S, vectors=False):

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import isospec._cli_chains
 import isospec.chains
-import isospec.cli
 import isospec.harmonic
-from isospec.cli import _emit, load_chain, main
+from isospec._cli_chains import load_chain
+from isospec._cli_io import _emit
+from isospec.cli import main
 
 
 FIB = [1, 2, 5, 13, 34, 89, 233, 610, 1597]
@@ -74,7 +76,7 @@ def test_harmonic_explicit_residuals_skip_the_dense_chain(capsys, monkeypatch, t
     def no_dense(*args, **kwargs):
         raise AssertionError("explicit residuals must not build a q-matrix")
 
-    monkeypatch.setattr(isospec.cli, "bd_to_qpair", no_dense)
+    monkeypatch.setattr(isospec._cli_chains, "bd_to_qpair", no_dense)
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 1.0,
                                         "killing": [0.3] + [-0.5] * 10, "N": 10})
     code, out, err = _run(capsys, "harmonic", chain, "--method", "explicit")
@@ -525,6 +527,36 @@ def test_bad_flag_values_take_the_exit_two_clause(capsys, tmp_path, argv, first)
     assert lines[1] == f"run `isospec {argv[0]} --help` for the input schema"
 
 
+@pytest.mark.parametrize("phi0, code, lines", [
+    ("nan", 2, ["isospec: argument --phi0: 'nan' is not a finite number",
+                "run `isospec diffop --help` for the input schema"]),
+    ("inf", 2, ["isospec: argument --phi0: 'inf' is not a finite number",
+                "run `isospec diffop --help` for the input schema"]),
+    ("1e400", 2, ["isospec: argument --phi0: '1e400' is not a finite number",
+                  "run `isospec diffop --help` for the input schema"]),
+    # past the guard at the first step, and without numpy's overflow warnings
+    ("1e300", 1, ["isospec: check failed: solution magnitude inf exceeded the guard "
+                  "at x = 0.03"]),
+    ("-1e300", 1, ["isospec: check failed: solution magnitude inf exceeded the guard "
+                   "at x = 0.03"]),
+])
+def test_riccati_anchor_is_any_finite_float(capsys, ou_op, phi0, code, lines):
+    # a NaN anchor used to fail the check as a blow-up at the first step
+    got, out, err = _run(capsys, "diffop", ou_op, "--check", "riccati", f"--phi0={phi0}")
+    assert (got, out, err.splitlines()) == (code, "", lines)
+
+
+def test_riccati_diffusion_vanishing_between_grid_points_fails_the_check(capsys, tmp_path):
+    # a > 0 holds on the grid, but a(-1) = 0 at the midpoint stage of the step
+    # from -2/3 to -4/3; a scalar division there once escaped as ZeroDivisionError
+    op = _write(tmp_path, "op.json", {"a": "(x+1)*(x+1)", "b": 1, "c": 1,
+                                      "interval": [-2, 0], "M": 3})
+    code, out, err = _run(capsys, "diffop", op, "--check", "riccati")
+    assert (code, out) == (1, "")
+    assert err == ("isospec: check failed: solution magnitude inf exceeded the guard "
+                   "at x = -1.33333\n")
+
+
 def test_missing_or_unknown_subcommand_points_at_the_top_help(capsys):
     for argv in ([], ["--quiet"], ["frobnicate"], ["--tol", "0", "harmonic", "c.json"]):
         code, out, err = _run(capsys, *argv)
@@ -621,6 +653,10 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
     h = _write(tmp_path, "h.json", {"values": FIB})
     bounds = _write(tmp_path, "b.json", {
         "type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 64})
+    gauss = _write(tmp_path, "g.json", {"h": "exp(-x^2/2)"})
+    # the killed oscillator, for which exp(-x^2/2) is harmonic
+    killed = _write(tmp_path, "k.json", {"a": 0.5, "b": 0, "c": "(1 - x^2)/2",
+                                         "interval": [-3, 3], "M": 300})
     chain_runs = [
         ["harmonic", fib_chain, "--method", "explicit"],
         ["harmonic", fib_chain, "--method", "solve"],
@@ -628,9 +664,17 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
         ["verify", fib_chain, fib_chain],
         ["bounds", bounds, "--nmax", "64"],
     ]
+    # a diffop request loads no chain module and compiles no chain handler
+    chain_code = ["isospec.chains", "isospec.harmonic", "isospec.duality",
+                  "isospec.eigenbounds", "isospec._cli_chains"]
+    # and only --check eigen loads the exact Hermite towers
+    towers = ["fractions", "isospec._hermite"]
     cases = [
         (chain_runs, ["isospec.diffops", "isospec.expressions"]),
-        ([["diffop", ou_op, "--check", "spectrum"]], ["isospec.duality", "isospec.eigenbounds"]),
+        ([["diffop", ou_op, "--check", "spectrum"]], chain_code + towers),
+        ([["diffop", ou_op, "--check", "riccati"]], chain_code + towers),
+        ([["diffop", killed, "--h", gauss, "--check", "transform"]], chain_code + towers),
+        ([["diffop", ou_op, "--h", gauss, "--check", "eigen"]], chain_code),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -644,13 +688,15 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
                     assert isospec.cli.main(argv) == 0, argv
             loaded = [m for m in {absent!r} if m in sys.modules]
             assert not loaded, loaded
+            # the towers load when the eigen check asks for them
+            assert ("isospec._hermite" in sys.modules) == ({runs!r}[0][-1] == "eigen")
         """)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
 
-def test_module_entry_point_keeps_bytes_and_status(capsys, tmp_path, fib_chain):
+def test_module_entry_point_keeps_bytes_and_status(capsys, tmp_path, fib_chain, ou_op):
     # python -m isospec.cli flushes and skips interpreter teardown; nothing may be lost
     from isospec import BirthDeathSpec, bd_harmonic_explicit
 
@@ -664,6 +710,7 @@ def test_module_entry_point_keeps_bytes_and_status(capsys, tmp_path, fib_chain):
     h_ok = _write(tmp_path, "h.json", {"values": h.tolist()})
     h_bad = _write(tmp_path, "h1.json", [1.0] * 8)
     zero_n = _write(tmp_path, "z.json", {"type": "bd", "birth": 1.0, "death": 1.0, "N": 0})
+    one_cell = _write(tmp_path, "m.json", {"a": 0.5, "b": "-x", "interval": [-6, 6], "M": 1})
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -671,19 +718,55 @@ def test_module_entry_point_keeps_bytes_and_status(capsys, tmp_path, fib_chain):
     cases = [
         (["transform", chain, "--h", h_ok, "--direction", "local"], 0),
         (["transform", fib_chain, "--h", h_bad, "--direction", "local"], 1),
+        # the exit-2 paths of the chain handlers and of the diffop handler
         (["harmonic", zero_n, "--method", "explicit"], 2),
+        (["verify", fib_chain, zero_n], 2),
+        (["diffop", one_cell, "--check", "spectrum"], 2),
+        (["diffop", ou_op, "--check", "spectrum"], 0),
     ]
     for argv, status in cases:
         code, out, err = _run(capsys, *argv)
-        proc = subprocess.run([sys.executable, "-m", "isospec.cli", *argv], env=env,
-                              capture_output=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "isospec.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        stderr = proc.stderr.decode().splitlines(keepends=True)
+        imports = [ln.rsplit("|", 1)[-1].strip() for ln in stderr
+                   if ln.startswith("import time:")]
+        # cli.py runs as __main__; a module importing isospec.cli would build a
+        # second copy, whose SchemaError main does not catch
+        assert "isospec.cli" not in imports, argv
+        assert ("isospec._cli_chains" in imports) == (argv[0] != "diffop"), argv
         assert code == proc.returncode == status, argv
         assert proc.stdout == out.encode(), argv
-        assert proc.stderr.decode() == err, argv
+        assert "".join(ln for ln in stderr if not ln.startswith("import time:")) == err, argv
         diagnoses = [ln for ln in err.splitlines() if ln.startswith("isospec: ")]
         assert len(diagnoses) == (status != 0), argv
-        if status == 0:
+        if argv[0] == "transform" and status == 0:
             assert len(proc.stdout) > 4_000_000  # the dense rate matrix on 601 states
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "c.json", "--h", "h.json", "--direction", "local"],  # 4 MB, written in main
+    ["harmonic", "fib.json", "--method", "explicit"],  # buffered until the final flush
+], ids=["long-report", "short-report"])
+def test_closed_stdout_exits_one_with_one_line(tmp_path, fib_chain, argv):
+    from isospec import BirthDeathSpec, bd_harmonic_explicit
+
+    spec = BirthDeathSpec(1.5, 1.0, -0.5 * 0.8 ** np.arange(601))
+    docs = {"fib.json": fib_chain,
+            "c.json": _write(tmp_path, "c.json", {"type": "bd", "birth": 1.5, "death": 1.0,
+                                                  "killing": spec.killing.tolist(), "N": 600}),
+            "h.json": _write(tmp_path, "h.json",
+                             {"values": bd_harmonic_explicit(spec, 600).values.tolist()})}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [docs.get(a, a) for a in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "isospec.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader goes away before the report is written
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == "isospec: stdout closed before the report was complete\n"
 
 
 def test_package_exports_resolve_lazily():

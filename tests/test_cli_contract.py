@@ -23,8 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import isospec.cli
-from isospec.cli import MAX_DENSE_BYTES, MAX_STATES, load_chain, main
+import isospec._cli_chains
+from isospec._cli_chains import load_chain
+from isospec._cli_io import MAX_DENSE_BYTES, MAX_STATES
+from isospec.cli import main
 
 INF, NAN = float("inf"), float("nan")
 
@@ -126,7 +128,7 @@ def test_running_out_of_memory_is_an_input_error(monkeypatch, tmp_path):
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(isospec.cli, "bd_to_qpair", exhausted)
+    monkeypatch.setattr(isospec._cli_chains, "bd_to_qpair", exhausted)
     chain = {"type": "bd", "birth": 1.0, "death": 1.0, "N": 3}
     lines = _input_error(tmp_path, ["verify", "c.json", "c.json"], {"c.json": chain})
     assert lines == ["isospec: MemoryError"]
@@ -244,7 +246,8 @@ _FLAGS = {
                "--tail-tol": _TOL},
     "diffop": {"--check": st.sampled_from(["eigen", "transform", "spectrum", "riccati"]),
                "--h": st.just("h.json"), "--k": st.integers(-1, 45),
-               "--nmax": st.integers(-1, 65), "--tol": _TOL},
+               "--nmax": st.integers(-1, 65), "--tol": _TOL,
+               "--phi0": st.sampled_from(["0", "1e300", "-1e300", "nan", "inf"])},
 }
 _COMMON = {"--output": st.sampled_from(["json", "csv"]), "--seed": st.integers(0, 9)}
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -294,6 +295,77 @@ def test_riccati_anchor_off_grid_raises():
     op = Operator1D.on_interval(1.0, 0.0, 0.0, 0.0, 1.0, 10)
     with pytest.raises(PreconditionViolated):
         riccati_dual(op, phi0=0.0, x0=0.123456)
+
+
+def _riccati_scalar(op, phi0, i0, guard=1e6):
+    """phi by RK4 on numpy scalars, calling the coefficients at each stage.
+
+    Returns phi, or ("blow-up", x, value) where |phi| first passes the guard.
+    """
+    x = op.grid
+
+    def F(t, p):
+        a = op.a(t)
+        return -p * p - (op.b(t) / a) * p - op.c(t) / a
+
+    phi = np.empty_like(x)
+    phi[i0] = phi0
+    with np.errstate(all="ignore"):
+        for steps, s in ((range(i0, x.size - 1), 1), (range(i0, 0, -1), -1)):
+            for i in steps:
+                t, p, dt = x[i], phi[i], x[i + s] - x[i]
+                k1 = F(t, p)
+                k2 = F(t + dt / 2.0, p + dt * k1 / 2.0)
+                k3 = F(t + dt / 2.0, p + dt * k2 / 2.0)
+                k4 = F(t + dt, p + dt * k3)
+                pn = p + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                if not np.isfinite(pn) or abs(pn) > guard:
+                    value = float(pn) if np.isfinite(pn) else math.inf
+                    return ("blow-up", float(x[i + s]), value)
+                phi[i + s] = pn
+    return phi
+
+
+def _riccati_outcome(op, phi0, x0=None):
+    try:
+        return riccati_dual(op, phi0, x0=x0).phi
+    except BlowUp as exc:
+        return ("blow-up", exc.x, exc.value)
+
+
+def test_riccati_march_matches_the_scalar_march_bit_for_bit():
+    # no "^" in the coefficients: numpy gives the same bits on arrays and on scalars
+    op = Operator1D.on_interval("1.5 + sin(x)", "cos(2*x) - x/3",
+                                "exp(-x*x/2) - x*x/4 + log(2 + cos(x))/10",
+                                -2.0, 2.5, 777)
+    x = op.grid
+    for x0, phi0 in ((None, 0.0), (None, 0.37), (x[0], -0.2), (x[-1], 0.6)):
+        i0 = int(np.argmin(np.abs(x - (0.0 if x0 is None else x0))))
+        got, want = _riccati_outcome(op, phi0, x0), _riccati_scalar(op, phi0, i0)
+        assert np.array_equal(got, want), (x0, phi0)
+    # phi' = -phi^2 - 5 - sin(x)/10 blows up near x = 0.7
+    op = Operator1D.on_interval(1.0, 0.0, "5 + sin(x)/10", -1.0, 1.0, 4000)
+    i0 = int(np.argmin(np.abs(op.grid)))
+    got, want = _riccati_outcome(op, 0.0), _riccati_scalar(op, 0.0, i0)
+    assert got == want and got[0] == "blow-up" and 0.6 < got[1] < 0.8
+
+
+def test_riccati_march_with_powers_agrees_to_rounding():
+    # numpy's scalar ** calls C pow, whose last bit may differ from the array loop
+    op = Operator1D.on_interval(0.5, "x^3/20", "(1.3 - 1.69*x^2)/2", -1.5, 1.5, 1500)
+    got = riccati_dual(op, 0.1).phi
+    want = _riccati_scalar(op, 0.1, int(np.argmin(np.abs(op.grid))))
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_riccati_huge_anchor_blows_up_without_warnings():
+    op = Operator1D.on_interval(0.5, "-x", 0.0, -1.0, 1.0, 40)
+    for phi0 in (1e300, -1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUp) as ei:
+                riccati_dual(op, phi0)
+        assert ei.value.value == math.inf and ei.value.x == op.grid[21]
 
 
 # ---------------------------------------------------------------- discretize

@@ -36,7 +36,7 @@ from isospec import (
     validate_qpair,
 )
 from isospec.chains import BandSpec, bd_to_band, validate_band
-from isospec.cli import _emit_qpair_transform
+from isospec._cli_chains import _emit_qpair_transform
 from conftest import exact_harmonic_pair
 
 _RATE = st.floats(0.1, 10.0)

@@ -3,6 +3,7 @@ import signal
 import numpy as np
 import pytest
 
+import isospec.spectra
 from isospec import (
     BirthDeathSpec,
     NoConvergence,
@@ -169,6 +170,60 @@ def test_lowest_eigs_tridiag_matches_reference():
     ours = lowest_eigs_tridiag(d, e, 6)
     assert np.max(np.abs(ours - ref)) < 1e-11 * np.max(np.abs(ref))
     assert smallest_eig_tridiag(d, e) == pytest.approx(ref[0], rel=1e-12)
+
+
+def _bisect_each(d, e, k, rel_tol=1e-13):
+    """The k smallest eigenvalues, each by its own bisection from the shared bracket."""
+    span = float(np.max(np.abs(e)))
+    top, bot = float(np.max(d)) + 2.0 * span, float(np.min(d)) - 2.0 * span
+    d, e = d.tolist(), e.tolist()
+    out, calls = [], 0
+    for i in range(1, k + 1):
+        lo, hi = bot, top
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            calls += 1
+            if sturm_count(d, e, mid) >= i:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1e-300):
+                break
+        out.append(0.5 * (lo + hi))
+    return out, calls
+
+
+def _graded(rng):
+    """The Dirichlet form of b_i = 2^i, a_i = 2^(i-1), as in the graded test above."""
+    b = 2.0 ** np.arange(41)
+    a = np.concatenate(([0.0], 2.0 ** np.arange(40)))
+    return b + a, -np.sqrt(b[:40]) * np.sqrt(a[1:])
+
+
+def _graded_200(rng):
+    """Graded over 200 orders of magnitude, as in the list-and-array test above."""
+    return (10.0 ** rng.uniform(-100.0, 100.0, 60) * rng.choice([-1.0, 1.0], 60),
+            10.0 ** rng.uniform(-100.0, 100.0, 59))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: (rng.uniform(1.0, 4.0, 50), -rng.uniform(0.2, 1.0, 49)), _graded, _graded_200,
+], ids=["random", "graded", "graded-200"])
+def test_lowest_eigs_share_counts_and_keep_bits(monkeypatch, make):
+    d, e = make(np.random.default_rng(37))
+    shifts = []
+
+    def counted(d, e, x):
+        shifts.append(x)
+        return sturm_count(d, e, x)
+
+    monkeypatch.setattr(isospec.spectra, "sturm_count", counted)
+    got = lowest_eigs_tridiag(d, e, 6)
+    want, calls = _bisect_each(d, e, 6)
+    assert got.tolist() == want
+    assert len(set(shifts)) == len(shifts) < calls
 
 
 def test_lowest_eigs_bad_k():
