@@ -8,12 +8,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import InvalidArgument, PreconditionViolated
 
 _S_TAGS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+def _sum(p: tuple, q: tuple) -> tuple:
+    """Coefficientwise sum of two coefficient tuples of any lengths."""
+    return tuple(u + v for u, v in zip_longest(p, q, fillvalue=0))
 
 
 @dataclass(frozen=True)
@@ -49,13 +55,7 @@ class PolyGauss:
             else:
                 # (p e^{-s x^2})' = (p' - 2 s x p) e^{-s x^2}
                 shifted = (Fraction(0),) + tuple(-2 * out.s * c for c in p)
-                n = max(len(dp), len(shifted))
-                comb = tuple(
-                    (dp[k] if k < len(dp) else 0)
-                    + (shifted[k] if k < len(shifted) else 0)
-                    for k in range(n)
-                )
-                out = PolyGauss(comb, out.s)
+                out = PolyGauss(_sum(dp, shifted), out.s)
         return out
 
     def scale(self, factor) -> "PolyGauss":
@@ -65,15 +65,7 @@ class PolyGauss:
     def add(self, other: "PolyGauss") -> "PolyGauss":
         if self.s != other.s:
             raise PreconditionViolated("Gaussian tags differ")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyGauss(
-            tuple(
-                (self.coeffs[k] if k < len(self.coeffs) else 0)
-                + (other.coeffs[k] if k < len(other.coeffs) else 0)
-                for k in range(n)
-            ),
-            self.s,
-        )
+        return PolyGauss(_sum(self.coeffs, other.coeffs), self.s)
 
     def mul_x(self) -> "PolyGauss":
         return PolyGauss((Fraction(0),) + self.coeffs, self.s)

@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict, astuple
@@ -191,6 +192,12 @@ def cmd_diffop(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it would read the value
+        # of --phi0 -1e-3 as an option; subparsers are of this class too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         """Reject the command line through main's exit-2 clause."""
         raise SchemaError(message, self.prog)

@@ -11,8 +11,9 @@ Grammar, with Python's precedence (``^`` is a synonym of ``**``)::
 
 so ``^`` is right-associative and binds tighter than a unary minus on its
 left: ``-x^2`` is ``-(x^2)`` and ``2^-1`` is ``1/2``.  NUMBER is any real
-Python numeric literal (``1e3``, ``0x1F``, ``1_0``).  An allowlist over
-Python's tokenizer rejects every other name and token before parsing.
+Python numeric literal (``1e3``, ``0x1F``, ``1_0``).  One regular expression
+lexes the text, numbers by the pattern of Python's tokenizer, and an
+allowlist rejects every other name and character before parsing.
 
 The recursive-descent parser builds a tuple AST and folds constant subtrees
 in float arithmetic; ``CompiledExpr.diff`` differentiates the AST with the
@@ -25,10 +26,9 @@ derivatives of at most MAX_NODES nodes.
 """
 from __future__ import annotations
 
-import io
 import math
 import operator
-import token as _tok
+import re
 import tokenize
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,9 +43,14 @@ MAX_NODES = 50_000
 
 _FUNCS = ("exp", "sin", "cos", "log")
 _NAMES = {"x", *_FUNCS}
-_OPS = {"+", "-", "*", "/", "**", "^", "(", ")"}
-# whitespace is insignificant: leading blanks only make Python emit INDENT
-_SKIP = {_tok.ENCODING, _tok.NEWLINE, _tok.NL, _tok.INDENT, _tok.DEDENT, _tok.ENDMARKER}
+# Blanks as Python's tokenizer skips them (a leading byte-order mark too, but
+# not a backslash-newline that ends the text, after which Python expects
+# another line), numbers by Python's grammar, words, operators, anything else.
+_TOKEN = re.compile(
+    r"(?P<blank>(?:\A\ufeff|[ \t\f\n]|\r\n|\\\r?\n(?!\Z))+)"
+    rf"|(?P<number>{tokenize.Number})|(?P<word>\w+)|(?P<op>\*\*|[-+*/^()])|(?P<other>.)",
+    re.DOTALL,
+)
 _MATH = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log}
 _NUMPY = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log}
 
@@ -149,27 +154,22 @@ def _number(s: str) -> tuple:
 
 
 def _lex(text: str) -> list:
-    """Allowlisted tokens: numbers as const nodes, everything else as text."""
-    try:
-        toks = list(tokenize.tokenize(io.BytesIO(text.encode()).readline))
-    except (tokenize.TokenError, SyntaxError) as exc:
-        opened, closed = text.count("("), text.count(")")
-        if opened != closed:
-            lack = "missing ')'" if opened > closed else "')' without '('"
-            raise _Invalid(f"unbalanced parentheses: {lack}") from None
-        raise _Invalid(str(exc.args[0])) from None
+    """Allowlisted tokens: numbers as const nodes, names and operators as text."""
+    opened, closed = text.count("("), text.count(")")
+    if opened != closed:
+        lack = "missing ')'" if opened > closed else "')' without '('"
+        raise _Invalid(f"unbalanced parentheses: {lack}")
     out = []
-    for t in toks:
-        if t.type in _SKIP:
-            continue
-        if t.type == _tok.NUMBER:
-            out.append(_number(t.string))
-        elif t.type == _tok.NAME and t.string not in _NAMES:
-            raise _Invalid(f"unknown name: {t.string}")
-        elif t.type == _tok.NAME or (t.type == _tok.OP and t.string in _OPS):
-            out.append(t.string)
-        else:
-            raise _Invalid(f"disallowed token: {t.string!r}")
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "number":
+            out.append(_number(tok))
+        elif kind == "word" and tok not in _NAMES:
+            raise _Invalid(f"unknown name: {tok}")
+        elif kind in ("word", "op"):
+            out.append(tok)
+        elif kind == "other":
+            raise _Invalid(f"disallowed token: {tok!r}")
     return out
 
 

@@ -211,15 +211,13 @@ def is_supersolution(qp: QPairSpec, theta: int, f, tol: float = 1e-12) -> bool:
 
 
 def _bd_h_recurrence(b, a, c, N):
-    h = np.empty(N + 1)
-    h[0] = 1.0
-    if N >= 1:
-        h[1] = 1.0 - c[0] / b[0]
-    # overflow to inf is expected for strong killing; callers mask
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, N):
-            h[n + 1] = h[n] + (a[n] * (h[n] - h[n - 1]) - c[n] * h[n]) / b[n]
-    return h
+    # Python floats: the same IEEE operations as on numpy scalars, faster, and
+    # overflow to inf (expected for strong killing; callers mask) without a warning
+    b, a, c = b.tolist(), a.tolist(), c.tolist()
+    h = [1.0, 1.0 - c[0] / b[0]]
+    for n in range(1, N):
+        h.append(h[n] + (a[n] * (h[n] - h[n - 1]) - c[n] * h[n]) / b[n])
+    return np.array(h)
 
 
 def _bd_h_ftilde(b, a, c, N):

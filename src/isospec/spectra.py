@@ -79,7 +79,7 @@ def sturm_count(d, e, x: float) -> int:
     return count
 
 
-def _bisect(count, k: int, lo: float, hi: float, rel_tol: float, floor: float) -> float:
+def _bisect(count, k: int, lo: float, hi: float, rel_tol: float) -> float:
     """Midpoint of [lo, hi] after bisecting it onto the k-th smallest eigenvalue.
 
     count(x) is the number of eigenvalues below x.
@@ -92,28 +92,19 @@ def _bisect(count, k: int, lo: float, hi: float, rel_tol: float, floor: float) -
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi), floor):
+        if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1e-300):
             break
     return 0.5 * (lo + hi)
 
 
 def smallest_eig_tridiag(d, e, rel_tol: float = 1e-14) -> float:
-    """Smallest eigenvalue by Sturm bisection.
+    """Smallest eigenvalue by Sturm bisection: lowest_eigs_tridiag with k = 1.
 
     Bisection on the inertia count keeps full relative accuracy even when
     the matrix entries span hundreds of orders of magnitude, where any
     backward-stable dense method loses the small eigenvalues entirely.
     """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    _check_finite("matrix", d, e)  # a NaN bound would never bracket the eigenvalue
-    span = float(np.max(np.abs(e))) if e.size else 0.0
-    hi = float(np.max(d)) + 2.0 * span
-    lo = min(0.0, float(np.min(d)) - 2.0 * span)
-    d, e = d.tolist(), e.tolist()
-    while sturm_count(d, e, hi) < 1:
-        hi = hi * 2.0 + 1.0
-    return _bisect(lambda x: sturm_count(d, e, x), 1, lo, hi, rel_tol, 0.0)
+    return float(lowest_eigs_tridiag(d, e, 1, rel_tol)[0])
 
 
 def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
@@ -140,15 +131,7 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
             c = counts[x] = sturm_count(d, e, x)
         return c
 
-    return np.array([_bisect(count, i + 1, bot, top, rel_tol, 1e-300) for i in range(k)])
-
-
-def _eigh(S, vectors=False):
-    try:
-        return np.linalg.eigh(S) if vectors else np.linalg.eigvalsh(S)
-    except np.linalg.LinAlgError:
-        # LAPACK's QL/QR iteration gives up after 30 sweeps per eigenvalue
-        raise NonConvergence(30 * S.shape[0], float("nan")) from None
+    return np.array([_bisect(count, i + 1, bot, top, rel_tol) for i in range(k)])
 
 
 def eig_sym(S, vectors: bool = False):
@@ -166,7 +149,11 @@ def eig_sym(S, vectors: bool = False):
     scale = max(1.0, float(np.max(np.abs(S), initial=0.0)))
     if np.max(np.abs(S - S.T), initial=0.0) > 1e-10 * scale:
         raise PreconditionViolated("matrix is not symmetric")
-    return _eigh(S, vectors)
+    try:
+        return np.linalg.eigh(S) if vectors else np.linalg.eigvalsh(S)
+    except np.linalg.LinAlgError:
+        # LAPACK's QL/QR iteration gives up after 30 sweeps per eigenvalue
+        raise NonConvergence(30 * S.shape[0], float("nan")) from None
 
 
 def eig_tridiag(d, e):
@@ -180,13 +167,12 @@ def eig_tridiag(d, e):
     e = np.asarray(e, dtype=float)
     if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
         raise PreconditionViolated("need a flat d and len(e) == len(d) - 1")
-    _check_finite("matrix", d, e)
     n = d.size
     S = np.zeros((n, n))
     S.flat[:: n + 1] = d
     S.flat[1 :: n + 1] = e
     S.flat[n :: n + 1] = e
-    return _eigh(S)
+    return eig_sym(S)
 
 
 def quadratic_form(qp: QPairSpec, mu, f) -> float:

@@ -318,6 +318,41 @@ def test_diffop_transform(capsys, tmp_path):
     assert np.max(np.abs(bt + x)) < 1e-10
 
 
+# the benchmark's killed oscillator (1/2) f'' + (t - t^2 x^2)/2 f at t = 1.5, for
+# which h = exp(-t x^2/2) is harmonic and the transformed drift is -t x
+KILLED = {"a": 0.5, "b": 0, "c": "(1.5 - 1.5^2*x^2)/2",
+          "interval": [-3.0 / 1.5**0.5, 3.0 / 1.5**0.5], "M": 500}
+
+
+def test_diffop_declared_derivatives_match_the_symbolic_ones(capsys, tmp_path):
+    op = _write(tmp_path, "op.json", KILLED)
+    runs = []
+    # h1 and h2 are the derivatives as CompiledExpr.diff prints them
+    for doc in ({"h": "exp(-1.5*x^2/2)"},
+                {"h": "exp(-1.5*x^2/2)", "h1": "-1.5*exp(-0.75*x^2)*x",
+                 "h2": "2.25*exp(-0.75*x^2)*x*x - 1.5*exp(-0.75*x^2)"}):
+        h = _write(tmp_path, "h.json", doc)
+        runs.append(_run(capsys, "diffop", op, "--h", h, "--check", "transform"))
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert runs[1] == runs[0]
+
+
+def test_diffop_sampled_h_agrees_to_second_order(capsys, tmp_path):
+    op = _write(tmp_path, "op.json", KILLED)
+    x = np.linspace(*KILLED["interval"], KILLED["M"] + 1)
+    h = _write(tmp_path, "h.json", {"grid": x.tolist(),
+                                    "values": np.exp(-1.5 * x**2 / 2).tolist()})
+    # the differenced h'' misses the harmonic identity by O(dx^2), not by 1e-8
+    code, out, err = _run(capsys, "diffop", op, "--h", h, "--check", "transform",
+                          "--tol", "1e-2")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["x"] == x.tolist()
+    dx = x[1] - x[0]
+    # about 11 dx^2 at the ends, where np.gradient is one-sided
+    assert np.max(np.abs(np.asarray(doc["b_tilde"]) + 1.5 * x)) < 20.0 * dx**2
+
+
 def test_diffop_spectrum(capsys, ou_op):
     code, out, _ = _run(capsys, "diffop", ou_op, "--check", "spectrum", "--k", "3")
     assert code == 0
@@ -384,6 +419,8 @@ HOSTILE = {
     "3000-parentheses": ("b", "(" * 3000 + "x" + ")" * 3000),
     "150-parentheses": ("b", "(" * 150 + "x" + ")" * 150),
     "long-product-derivative": ("h", "*".join(f"(x+{i})" for i in range(60))),
+    # a lone surrogate, which JSON admits and UTF-8 cannot encode
+    "lone-surrogate": ("b", "0.5\ud800"),
 }
 
 
@@ -555,6 +592,37 @@ def test_riccati_diffusion_vanishing_between_grid_points_fails_the_check(capsys,
     assert (code, out) == (1, "")
     assert err == ("isospec: check failed: solution magnitude inf exceeded the guard "
                    "at x = -1.33333\n")
+
+
+@pytest.mark.parametrize("phi0, code", [("-1e-3", 0), ("-2.5E+2", 1)])
+def test_riccati_anchor_in_exponent_notation_is_one_argument(capsys, tmp_path, phi0, code):
+    # argparse's own negative-number pattern has no exponent: a separate
+    # -1e-3 used to be read as an option, exit 2
+    op = _write(tmp_path, "op.json", {"a": 0.5, "b": 0, "c": "(1 - x^2)/2",
+                                      "interval": [-2, 2], "M": 200})
+    apart = _run(capsys, "diffop", op, "--check", "riccati", "--phi0", phi0)
+    joined = _run(capsys, "diffop", op, "--check", "riccati", f"--phi0={phi0}")
+    assert apart == joined
+    assert apart[0] == code
+
+
+@pytest.mark.parametrize("doc, peclet", [
+    # a > 0 on the grid, but a(-1) = 0 at a cell face: the Simpson weights of b/a
+    ({"a": "(x+1)*(x+1)", "b": 1, "c": 1, "interval": [-2, 0], "M": 3}, "6"),
+    # b overflows on the grid
+    ({"a": 0.5, "b": "exp(800*x)", "interval": [-1, 1], "M": 20}, "inf"),
+], ids=["a-vanishes-at-a-face", "b-overflows"])
+def test_spectrum_of_a_non_finite_matrix_fails_without_warnings(capsys, tmp_path, doc,
+                                                                peclet):
+    # numpy's warnings used to print before the diagnosis
+    op = _write(tmp_path, "op.json", doc)
+    code, out, err = _run(capsys, "diffop", op, "--check", "spectrum", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"isospec: warning: cell Peclet number reaches {peclet} > 2; refine the grid for "
+        "trustworthy low modes",
+        "isospec: check failed: matrix has a NaN or infinite entry",
+    ]
 
 
 def test_missing_or_unknown_subcommand_points_at_the_top_help(capsys):

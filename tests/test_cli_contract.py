@@ -247,7 +247,8 @@ _FLAGS = {
     "diffop": {"--check": st.sampled_from(["eigen", "transform", "spectrum", "riccati"]),
                "--h": st.just("h.json"), "--k": st.integers(-1, 45),
                "--nmax": st.integers(-1, 65), "--tol": _TOL,
-               "--phi0": st.sampled_from(["0", "1e300", "-1e300", "nan", "inf"])},
+               "--phi0": st.sampled_from(["0", "1e300", "-1e300", "nan", "inf", "-1e-3",
+                                          "-2.5E+2"])},
 }
 _COMMON = {"--output": st.sampled_from(["json", "csv"]), "--seed": st.integers(0, 9)}
 

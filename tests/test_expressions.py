@@ -1,8 +1,12 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import token
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
 from isospec import MalformedExpression, compile_expression, constant
-from isospec.expressions import MAX_DEPTH, MAX_LENGTH
+from isospec.expressions import MAX_DEPTH, MAX_LENGTH, _NAMES, _Invalid, _lex, _number, _Parser
 
 
 GOOD = [
@@ -296,3 +300,119 @@ def test_sympy_never_loads_at_runtime(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------- lexer
+
+# text, and the tokens _lex reads from it (None: rejected).  Each is also
+# the decision of the tokenizer route below, except the last two.
+LEXER_CASES = [
+    ("9 \\\n\t", [("const", 9.0)]),  # a backslash-newline is a blank
+    ("x\\\r\n+1", ["x", "+", ("const", 1.0)]),
+    ("9 \\\n", None),  # but not at the end, where Python expects another line
+    ("\ufeffx", ["x"]),  # a leading byte-order mark, which Python's tokenizer skips
+    ("x\ufeff", None),
+    ("x\f\n+\r\n1", ["x", "+", ("const", 1.0)]),
+    ("  x\n+1", ["x", "+", ("const", 1.0)]),
+    ("0x_1 00 1..5", [("const", 1.0), ("const", 0.0), ("const", 1.0), ("const", 0.5)]),
+    ("5x", [("const", 5.0), "x"]),
+    ("x\r+1", None), ("x\xa0", None), ("x\\ y", None), ("x # c", None), ("{", None),
+    ("'''abc", None), ("1if", None), ("1__0", None), (".e5", None), ("\u0663", None),
+    # the tokenizer skipped the rest of a line that begins with a lone CR
+    ("x\n\rfoo(", None),
+    # and refused a line that dedents to no outer level
+    ("x\n  +1\n +2", ["x", "+", ("const", 1.0), "+", ("const", 2.0)]),
+]
+
+
+def _tokens(text):
+    try:
+        return _lex(text)
+    except _Invalid:
+        return None
+
+
+@pytest.mark.parametrize("text, tokens", LEXER_CASES)
+def test_lexer_cases(text, tokens):
+    assert _tokens(text) == tokens
+
+
+# The lexer the one-pattern _lex replaced: Python's tokenizer behind an allowlist.
+_SKIP = {token.ENCODING, token.NEWLINE, token.NL, token.INDENT, token.DEDENT,
+         token.ENDMARKER}
+_OPS = {"+", "-", "*", "/", "**", "^", "(", ")"}
+_UNINDENT = "unindent does not match any outer indentation level"
+
+
+def _tokenizer_lex(text):
+    try:
+        toks = list(tokenize.tokenize(io.BytesIO(text.encode()).readline))
+    except (tokenize.TokenError, SyntaxError) as exc:
+        raise _Invalid(str(exc.args[0])) from None
+    out = []
+    for t in toks:
+        if t.type in _SKIP:
+            continue
+        if t.type == token.NUMBER:
+            out.append(_number(t.string))
+        elif (t.type == token.NAME and t.string in _NAMES) or (
+                t.type == token.OP and t.string in _OPS):
+            out.append(t.string)
+        else:
+            raise _Invalid(f"disallowed token: {t.string!r}")
+    return out
+
+
+def _parse(lex, text):
+    """AST of text, or None where lex or the parser rejects it."""
+    try:
+        return _Parser(lex(text)).parse()
+    except _Invalid:
+        return None
+
+
+def _tokenizer_parse(text):
+    """AST by the tokenizer route, but for the two departures of LEXER_CASES."""
+    if re.search(r"\r(?!\n)", text):
+        return None
+    try:
+        return _Parser(_tokenizer_lex(text)).parse()
+    except _Invalid as exc:
+        if str(exc) != _UNINDENT:
+            return None
+    # the same text without indentation; a blank that ends the text stays
+    return _tokenizer_parse(re.sub(r"(?m)^[ \t\f]+(?!\Z)", "", text))
+
+
+# the decisions of the tokenizer route are those of the pure-Python tokenizer
+# of Python 3.11 and before; Python 3.12 tokenizes by the C parser's rules
+needs_pure_tokenizer = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="Python 3.12 tokenizes by other rules")
+
+# what joins the tokens of a grammatical expression: blanks of every kind
+# Python's tokenizer knows, and one time in sixteen a character it does not
+_BLANKS = st.sampled_from(["", " ", "\t", "\f", "\n", "\r\n", "\n  ", "\n ", "\n\t",
+                           "\\\n"])
+_OTHERS = st.sampled_from(["\r", "\\", "#", "{", "[", "'", "\ufeff", ".", "_", "e", "j", "1"])
+_JOINS = st.integers(0, 15).flatmap(lambda k: _OTHERS if k == 15 else _BLANKS)
+
+
+@st.composite
+def _joined(draw):
+    """An EXPRESSIONS text, rejoined at each blank and parenthesis with a drawn join."""
+    parts = re.split(r" |(?<=[()])|(?=[()])", draw(EXPRESSIONS))
+    return "".join(draw(_JOINS) + p for p in parts) + draw(_JOINS)
+
+
+@needs_pure_tokenizer
+@pytest.mark.parametrize("text", [g[0] for g in GOOD] + BAD + [c[0] for c in CAPS.values()]
+                         + [c[0] for c in LEXER_CASES])
+def test_lexer_keeps_the_tokenizer_decisions(text):
+    assert _parse(_lex, text) == _tokenizer_parse(text)
+
+
+@needs_pure_tokenizer
+@settings(max_examples=500)
+@given(_joined())
+def test_lexer_keeps_the_tokenizer_decisions_on_generated_text(text):
+    assert _parse(_lex, text) == _tokenizer_parse(text)

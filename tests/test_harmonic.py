@@ -45,6 +45,34 @@ def test_explicit_methods_agree_on_random_rates():
         assert np.max(np.abs(h1 - h2) / h2) < 1e-10
 
 
+def _indexed_recurrence(b, a, c, N):
+    """The forward recurrence stepped on numpy scalars, indexing the rate arrays."""
+    h = np.empty(N + 1)
+    h[0] = 1.0
+    h[1] = 1.0 - c[0] / b[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, N):
+            h[n + 1] = h[n] + (a[n] * (h[n] - h[n - 1]) - c[n] * h[n]) / b[n]
+    return h
+
+
+def test_recurrence_matches_the_indexed_loop_bit_for_bit():
+    # rates over twelve orders of magnitude and killing of both signs, so that
+    # h overflows to inf and then NaN in some chains; no warning may escape
+    rng = np.random.default_rng(2718)
+    for _ in range(300):
+        N = int(rng.integers(1, 120))
+        birth, death = 10.0 ** rng.uniform(-6.0, 6.0, (2, N + 1))
+        killing = 10.0 ** rng.uniform(-6.0, 6.0, N + 1) * rng.choice([-1.0, 1.0], N + 1)
+        s = BirthDeathSpec(birth=birth, death=death, killing=killing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the positive-potential advisory
+            warnings.simplefilter("error", RuntimeWarning)
+            got = bd_harmonic_explicit(s, N).values
+        b, a, c = s.rate_arrays(N)
+        assert got.tobytes() == _indexed_recurrence(b, a, c, N).tobytes()
+
+
 def _loop_residual(b, a, c, h, N):
     res = 0.0
     with np.errstate(invalid="ignore", over="ignore"):
