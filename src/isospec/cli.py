@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import warnings
 from dataclasses import asdict, astuple
@@ -72,7 +71,7 @@ def _coeff_field(doc: dict, key: str, default=None):
     if isinstance(node, str):
         from .expressions import compile_expression
 
-        return compile_expression(node)
+        return compile_expression(node).fn
     raise SchemaError(f"{key!r} must be a number or an expression string")
 
 
@@ -191,12 +190,25 @@ def cmd_diffop(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _NegativeNumber:
+    """argparse's test whether a word is a negative number, a value and not an option.
+
+    It decides as _number does; argparse's own pattern misses -1e-3, -1_0 and -inf.
+    """
+
+    @staticmethod
+    def match(word: str) -> bool:
+        try:
+            float(word)
+        except ValueError:
+            return False
+        return word.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent, so it would read the value
-        # of --phi0 -1e-3 as an option; subparsers are of this class too
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = _NegativeNumber  # subparsers are of this class too
 
     def error(self, message):
         """Reject the command line through main's exit-2 clause."""

@@ -242,7 +242,7 @@ def riccati_dual(
     would vanish.
     """
     x = opbar.grid
-    av = opbar.a(x)
+    av, bv, cv = opbar.coefficients()
 
     if x0 is None:
         i0 = int(np.argmin(np.abs(x))) if x[0] <= 0.0 <= x[-1] else 0
@@ -251,10 +251,6 @@ def riccati_dual(
         if abs(x[i0] - x0) > 1e-9 * max(1.0, x[-1] - x[0]):
             raise PreconditionViolated(f"x0 = {x0:g} is not a grid point")
 
-    def F(t, p):
-        a = opbar.a(t)
-        return -p * p - (opbar.b(t) / a) * p - opbar.c(t) / a
-
     phi = np.empty_like(x)
     phi[i0] = float(phi0)
 
@@ -262,8 +258,9 @@ def riccati_dual(
         """phi after each step i -> i + step, from phi0 at i[0].
 
         b/a and c/a are sampled once, on arrays, at the stage abscissae t,
-        t + dt/2 and t + dt; the steps then run on Python floats in F's
-        order of operations, so an overflow gives inf, not a warning.
+        t + dt/2 and t + dt; the steps then run on Python floats in the
+        order of operations of phi' below, so an overflow gives inf, not a
+        warning.
         """
         t = x[i]
         dt = x[i + step] - t
@@ -299,8 +296,9 @@ def riccati_dual(
     psi[i0 + 1 :] = np.cumsum(seg[i0:])
     psi[:i0] = -np.cumsum(seg[:i0][::-1])[::-1]
 
-    bt = 2.0 * av * phi + opbar.b(x)
-    return RiccatiResult(grid=x, phi=phi, psi=psi, b_tilde=bt, phi_prime=F(x, phi))
+    bt = 2.0 * av * phi + bv
+    dphi = -phi * phi - (bv / av) * phi - cv / av  # the Riccati equation solved for phi'
+    return RiccatiResult(grid=x, phi=phi, psi=psi, b_tilde=bt, phi_prime=dphi)
 
 
 @dataclass(frozen=True)

@@ -12,50 +12,37 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chains import BirthDeathSpec, _conjugated_weights
-from .errors import InvalidArgument, Overflow, PreconditionViolated, TailNotResolved
+from .chains import BirthDeathSpec, _bd_band, _conjugated_weights
+from .errors import InvalidArgument, PreconditionViolated, TailNotResolved
 from .harmonic import _h_values, _positive_h, bd_harmonic_explicit
-from .spectra import eig_tridiag, smallest_eig_tridiag
+from .spectra import eig_tridiag, lowest_eigs_tridiag
 
 _WINDOW = 16
 
 
-def _killed_rates(spec: BirthDeathSpec, N: int):
-    """spec.rate_arrays(N), refusing a positive potential entry."""
-    b, a, c = spec.rate_arrays(N)
+def _no_positive_killing(c):
+    """Refuse a positive potential entry: the bounds need c <= 0."""
     if np.any(c > 0.0):
         i = int(np.argmax(c))
         raise PreconditionViolated(f"c[{i}] = {c[i]} > 0; the bound needs c <= 0")
-    return b, a, c
-
-
-def _form_arrays(spec: BirthDeathSpec, N: int):
-    b, a, c = _killed_rates(spec, N)
-    d = np.empty(N + 1)
-    d[0] = b[0] - c[0]
-    d[1:] = b[1:] + a[1:] - c[1:]
-    e = np.sqrt(b[:N]) * np.sqrt(a[1 : N + 1])
-    if not np.all(np.isfinite(d)):
-        raise Overflow(int(np.argmin(np.isfinite(d))), "diagonal entry")
-    if e.size and not np.all(np.isfinite(e)):
-        raise Overflow(int(np.argmin(np.isfinite(e))), "off-diagonal entry")
-    return d, e
 
 
 def lambda0_variational(spec: BirthDeathSpec, N: int, method: str = "bisect") -> float:
     """Bottom of the quadratic form over functions supported in {0..N}.
 
     Equals the smallest eigenvalue of the symmetrised truncated negative
-    generator with a Dirichlet condition at N+1; nonincreasing in N.  The
-    bisection route tracks inertia counts and stays accurate even when the
-    rates are strongly graded; method "ql" takes the full LAPACK spectrum of
-    the dense (N+1)^2 matrix instead (well-scaled matrices only).
+    generator with a Dirichlet condition at N+1, the absorbing truncation
+    of chains; nonincreasing in N.  The bisection route tracks inertia
+    counts and stays accurate even when the rates are strongly graded;
+    method "ql" takes the full LAPACK spectrum of the dense (N+1)^2 matrix
+    instead (well-scaled matrices only).
     """
-    if N < 0:
-        raise PreconditionViolated("N must be nonnegative")
-    d, e = _form_arrays(spec, N)
+    up, down, d, c = _bd_band(spec, N, "absorbing")
+    _no_positive_killing(c)
+    d -= c
+    e = np.sqrt(up) * np.sqrt(down)
     if method == "bisect":
-        return float(smallest_eig_tridiag(d, e))
+        return float(lowest_eigs_tridiag(d, e, 1, 1e-14)[0])
     if method == "ql":
         return float(eig_tridiag(d, e)[0])
     raise PreconditionViolated(f"unknown method {method!r}")
@@ -76,7 +63,8 @@ class DeltaResult:
 
 
 def _delta_arrays(spec, hv, K):
-    b, a, _ = _killed_rates(spec, K)
+    b, a, c = spec.rate_arrays(K)
+    _no_positive_killing(c)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu = np.concatenate(([1.0], np.cumprod(b[:K] / a[1:])))
     m, t = _conjugated_weights(mu, hv[: K + 2], b)

@@ -347,12 +347,9 @@ def _closure(n: tuple) -> Callable:
         if p == 0.5:
             return lambda x: np.sqrt(base(x))
         return lambda x: base(x) ** p
-    # folding leaves at most one constant in a sum (last) or product (first)
     if kind == "add":
-        if n[-1][0] == "const":
-            f, c = _closure(_add(*n[1:-1])), n[-1][1]
-            return lambda x: f(x) + c
         return _fold(operator.add, [_closure(t) for t in n[1:]])
+    # folding leaves at most one constant in a product, first
     if n[1][0] == "const":
         c, f = n[1][1], _closure(_mul(*n[2:]))
         return lambda x: c * f(x)
@@ -461,7 +458,9 @@ class CompiledExpr:
 
 
 def _compiled(text: str, expr: tuple) -> CompiledExpr:
-    return CompiledExpr(text=text, expr=expr, fn=_vectorized(_closure(expr)))
+    # values past float range read inf or NaN, without numpy's warnings
+    fn = np.errstate(all="ignore")(_closure(expr))
+    return CompiledExpr(text=text, expr=expr, fn=_vectorized(fn))
 
 
 def compile_expression(text: str) -> CompiledExpr:

@@ -81,6 +81,23 @@ def _relative_residual(qp: QPairSpec | BandSpec, hv: np.ndarray) -> np.ndarray:
     return rel
 
 
+def _fixed_point(step, x, tol, max_iter):
+    """Iterate x <- step(x, it) for it = 1, 2, ... until max |change| < tol.
+
+    Returns (x, IterationTrace); raises NonConvergence after max_iter steps.
+    """
+    trace = IterationTrace(converged=False, final_delta=np.inf)
+    for it in range(1, max_iter + 1):
+        new = step(x, it)
+        trace.final_delta = float(np.max(np.abs(new - x))) if x.size else 0.0
+        trace.n_iter = it
+        x = new
+        if trace.final_delta < tol:
+            trace.converged = True
+            return x, trace
+    raise NonConvergence(max_iter, trace.final_delta)
+
+
 def _hitting_kernel(qp: QPairSpec, theta: int):
     """Substochastic kernel and source of the anchored fixed-point equation.
 
@@ -149,26 +166,18 @@ def minimal_harmonic(
         hm = np.linalg.solve(np.eye(m) - K, s) if m else np.empty(0)
         trace = IterationTrace(converged=True, final_delta=0.0, n_iter=0)
     elif method == "iterate":
-        hm = np.zeros(m)
-        trace = IterationTrace(converged=False, final_delta=np.inf)
-        for it in range(1, max_iter + 1):
+        def step(hm, it):
             new = K @ hm + s
             # the map is monotone from zero; tiny float regressions aside
             drop = np.flatnonzero(new < hm - 1e-13 * np.maximum(1.0, np.abs(hm)))
             if drop.size:
                 i = int(np.flatnonzero(mask)[drop[0]])
                 raise NotMonotone(it, i, float(hm[drop[0]]), float(new[drop[0]]))
-            delta = float(np.max(np.abs(new - hm))) if m else 0.0
-            hm = new
-            trace.n_iter = it
-            trace.final_delta = delta
-            if np.any(hm > ceiling):
+            if np.any(new > ceiling):
                 raise Divergence(ceiling, it)
-            if delta < tol:
-                trace.converged = True
-                break
-        if not trace.converged:
-            raise NonConvergence(max_iter, trace.final_delta)
+            return new
+
+        hm, trace = _fixed_point(step, np.zeros(m), tol, max_iter)
     else:
         raise PreconditionViolated(f"unknown method {method!r}")
 
@@ -316,18 +325,6 @@ def maximal_solution(qp: QPairSpec, tol: float = 1e-12, max_iter: int = 100000):
     idle = denom == 0.0
     safe = np.where(idle, 1.0, denom)
     P = qp.rates / safe[:, None]
-    z = np.ones(qp.n_states)
-    trace = IterationTrace(converged=False, final_delta=np.inf)
-    for it in range(1, max_iter + 1):
-        new = np.where(idle, z, P @ z)
-        new = np.minimum(new, z)  # clip float dust; the map is monotone
-        delta = float(np.max(z - new))
-        z = new
-        trace.n_iter = it
-        trace.final_delta = delta
-        if delta < tol:
-            trace.converged = True
-            break
-    if not trace.converged:
-        raise NonConvergence(max_iter, trace.final_delta)
-    return z, trace
+    # min clips float dust; the map is monotone
+    return _fixed_point(lambda z, _: np.minimum(np.where(idle, z, P @ z), z),
+                        np.ones(qp.n_states), tol, max_iter)

@@ -606,6 +606,39 @@ def test_riccati_anchor_in_exponent_notation_is_one_argument(capsys, tmp_path, p
     assert apart[0] == code
 
 
+@pytest.mark.parametrize("phi0, code", [("-1_0", 1), ("-.5e1_0", 1), ("-1_0e-4", 0)])
+def test_riccati_anchor_with_digit_separators_is_one_argument(capsys, tmp_path, phi0, code):
+    # argparse read a separate -1_0 as an option, exit 2, where --phi0=-1_0 is -10
+    op = _write(tmp_path, "op.json", {"a": 0.5, "b": 0, "c": "(1 - x^2)/2",
+                                      "interval": [-2, 2], "M": 200})
+    apart = _run(capsys, "diffop", op, "--check", "riccati", "--phi0", phi0)
+    joined = _run(capsys, "diffop", op, "--check", "riccati", f"--phi0={phi0}")
+    assert apart == joined
+    assert apart[0] == code
+
+
+@pytest.mark.parametrize("phi0", ["-inf", "-nan"])
+def test_riccati_negative_non_finite_anchor_is_named(capsys, ou_op, phi0):
+    code, out, err = _run(capsys, "diffop", ou_op, "--check", "riccati", "--phi0", phi0)
+    assert (code, out, err.splitlines()) == (2, "", [
+        f"isospec: argument --phi0: '{phi0}' is not a finite number",
+        "run `isospec diffop --help` for the input schema"])
+
+
+@pytest.mark.parametrize("check, h, line", [
+    ("transform", "exp(-x^2/2)",
+     "isospec: check failed: harmonic residual inf at x = 0.9 exceeds 1e-08"),
+    ("eigen", "exp(800*x)", "isospec: check failed: h vanishes at x = -1"),
+], ids=["transform", "eigen"])
+def test_formula_past_float_range_fails_without_warnings(capsys, tmp_path, check, h, line):
+    # numpy's overflow warning used to print before the diagnosis
+    op = _write(tmp_path, "op.json", {"a": 0.5, "b": "exp(800*x)", "interval": [-1, 1],
+                                      "M": 20})
+    hf = _write(tmp_path, "h.json", {"h": h})
+    code, out, err = _run(capsys, "diffop", op, "--h", hf, "--check", check)
+    assert (code, out, err.splitlines()) == (1, "", [line])
+
+
 @pytest.mark.parametrize("doc, peclet", [
     # a > 0 on the grid, but a(-1) = 0 at a cell face: the Simpson weights of b/a
     ({"a": "(x+1)*(x+1)", "b": 1, "c": 1, "interval": [-2, 0], "M": 3}, "6"),

@@ -350,6 +350,21 @@ def test_riccati_march_matches_the_scalar_march_bit_for_bit():
     assert got == want and got[0] == "blow-up" and 0.6 < got[1] < 0.8
 
 
+def test_riccati_dual_drift_and_phi_prime_follow_the_equation_bit_for_bit():
+    # phi' = -phi^2 - (b/a) phi - c/a and b~ = 2 a phi + b on the grid
+    ops = [Operator1D.on_interval("1.5 + sin(x)", "cos(2*x) - x/3",
+                                  "exp(-x*x/2) - x*x/4 + log(2 + cos(x))/10",
+                                  -1.0, 1.2, 777),
+           Operator1D.on_interval(0.5, 0.0, lambda x: (1.0 - x**2) / 2.0, -2.0, 2.0, 400)]
+    for op in ops:
+        for phi0 in (0.0, -1e-3):
+            rr = riccati_dual(op, phi0)
+            x, phi = rr.grid, rr.phi
+            a = op.a(x)
+            assert np.array_equal(rr.phi_prime, -phi * phi - (op.b(x) / a) * phi - op.c(x) / a)
+            assert np.array_equal(rr.b_tilde, 2.0 * a * phi + op.b(x))
+
+
 def test_riccati_march_with_powers_agrees_to_rounding():
     # numpy's scalar ** calls C pow, whose last bit may differ from the array loop
     op = Operator1D.on_interval(0.5, "x^3/20", "(1.3 - 1.69*x^2)/2", -1.5, 1.5, 1500)

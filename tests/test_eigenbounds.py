@@ -13,7 +13,9 @@ from isospec import (
     bd_harmonic_explicit,
     bounds_report,
     delta_tilde,
+    eig_tridiag,
     lambda0_variational,
+    smallest_eig_tridiag,
 )
 
 
@@ -39,6 +41,33 @@ def test_lambda0_variational_rejects_positive_potential():
     s = BirthDeathSpec(birth=1.0, death=1.0, killing=0.5)
     with pytest.raises(PreconditionViolated):
         lambda0_variational(s, 50)
+
+
+def _written_out_truncation(spec, N):
+    """Diagonal and off-diagonal of the symmetrised Dirichlet truncation on 0..N."""
+    b, a, c = spec.rate_arrays(N)
+    d = np.empty(N + 1)
+    d[0] = b[0] - c[0]
+    d[1:] = b[1:] + a[1:] - c[1:]
+    e = np.sqrt(b[:N]) * np.sqrt(a[1 : N + 1])
+    return d, e
+
+
+def test_lambda0_matches_the_written_out_truncation_bit_for_bit():
+    rng = np.random.default_rng(1411)
+    specs = [(BirthDeathSpec(birth=lambda i: 2.0**i, death=lambda i: 2.0 ** (i - 1)), 40)]
+    for k in range(300):
+        N = 1 if k % 10 == 0 else int(rng.integers(2, 80))
+        # one chain in three graded over many orders of magnitude
+        scale = 2.0 ** (np.arange(N + 1) * rng.uniform(0.5, 3.0)) if k % 3 == 0 else 1.0
+        b = rng.uniform(0.1, 5.0, N + 1) * scale
+        a = rng.uniform(0.1, 5.0, N + 1) * scale
+        c = 0.0 if k % 4 == 1 else -rng.uniform(0.0, 2.0, N + 1) * rng.uniform(0.0, 1.0)
+        specs.append((BirthDeathSpec(birth=b, death=a, killing=c), N))
+    for spec, N in specs:
+        d, e = _written_out_truncation(spec, N)
+        assert lambda0_variational(spec, N) == smallest_eig_tridiag(d, e)
+        assert lambda0_variational(spec, N, method="ql") == eig_tridiag(d, e)[0]
 
 
 def test_delta_constant_chain_golden_ratio():

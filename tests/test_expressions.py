@@ -7,6 +7,7 @@ import sys
 import textwrap
 import token
 import tokenize
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,16 @@ def test_array_in_array_out():
     y = f(np.arange(4.0))
     assert isinstance(y, np.ndarray) and y.shape == (4,)
     assert np.array_equal(y, np.arange(4.0) + 1)
+
+
+def test_values_past_float_range_raise_no_warning():
+    x = np.array([-1.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compile_expression("exp(800*x)")(1.0) == np.inf
+        assert np.array_equal(compile_expression("exp(800*x)")(x), [0.0, 1.0, np.inf])
+        assert np.isnan(compile_expression("log(x)")(x)[0])
+        assert compile_expression("1/x")(0.0) == np.inf
 
 
 def test_constant_expression_broadcasts():

@@ -154,6 +154,45 @@ def test_minimal_iterate_matches_solve():
         assert np.all(h_it.values > 0.0)
 
 
+def _minimal_loop(qp, theta, tol, max_iter):
+    """The anchored iteration from zero as one loop: (h, n_iter, final_delta)."""
+    n = qp.n_states
+    mask = np.arange(n) != theta
+    denom = qp.total[mask] - qp.killing[mask]
+    K = qp.rates[np.ix_(mask, mask)] / denom[:, None]
+    s = qp.rates[mask, theta] / denom
+    hm = np.zeros(n - 1)
+    for it in range(1, max_iter + 1):
+        new = K @ hm + s
+        delta = float(np.max(np.abs(new - hm))) if n > 1 else 0.0
+        hm = new
+        if delta < tol:
+            break
+    h = np.empty(n)
+    h[mask] = hm
+    h[theta] = 1.0
+    return h, it, delta
+
+
+def test_minimal_iterate_matches_the_loop_bit_for_bit():
+    rng = np.random.default_rng(1411)
+    for k in range(40):
+        n = int(rng.integers(1, 20))
+        qp, _ = make_reversible_killed(rng, n, kill_lo=0.01 * (k % 3 + 1), kill_hi=1.0)
+        theta = int(rng.integers(0, n))
+        tol = 10.0 ** -rng.integers(6, 15)
+        max_iter = 5 if k % 8 == 0 else 100000
+        h, it, delta = _minimal_loop(qp, theta, tol, max_iter)
+        if delta < tol:
+            hv, tr = minimal_harmonic(qp, theta, tol=tol, max_iter=max_iter)
+            assert np.array_equal(hv.values, h)
+            assert (tr.converged, tr.n_iter, tr.final_delta) == (True, it, delta)
+        else:
+            with pytest.raises(NonConvergence) as ei:
+                minimal_harmonic(qp, theta, tol=tol, max_iter=max_iter)
+            assert (ei.value.max_iter, ei.value.final_delta) == (max_iter, delta)
+
+
 def test_minimal_harmonic_residual_off_anchor():
     rng = np.random.default_rng(5)
     qp, _ = make_reversible_killed(rng, 12)
@@ -231,6 +270,46 @@ def test_maximal_solution_vanishes_under_killing():
     z, tr = maximal_solution(qp, tol=1e-13)
     assert tr.converged
     assert np.max(z) < 1e-10
+
+
+def _maximal_loop(qp, tol, max_iter):
+    """z <- min(P z, z) from z = 1 as one loop: (z, n_iter, final_delta)."""
+    denom = qp.total - qp.killing
+    idle = denom == 0.0
+    P = qp.rates / np.where(idle, 1.0, denom)[:, None]
+    z = np.ones(qp.n_states)
+    for it in range(1, max_iter + 1):
+        new = np.minimum(np.where(idle, z, P @ z), z)
+        delta = float(np.max(z - new))
+        z = new
+        if delta < tol:
+            break
+    return z, it, delta
+
+
+def test_maximal_solution_matches_the_loop_bit_for_bit():
+    rng = np.random.default_rng(1411)
+    for k in range(40):
+        n = int(rng.integers(1, 20))
+        if k % 2:
+            qp, _ = make_reversible_killed(rng, n, kill_lo=0.01, kill_hi=0.5)
+        else:
+            qp = make_conservative(rng, n)
+            if k % 4 == 0:  # an idle state: no jumps out and no killing
+                rates = qp.rates.copy()
+                rates[int(rng.integers(0, n))] = 0.0
+                qp = validate_qpair(rates)
+        tol = 10.0 ** -rng.integers(6, 15)
+        max_iter = 5 if k % 8 == 1 else 100000
+        z, it, delta = _maximal_loop(qp, tol, max_iter)
+        if delta < tol:
+            got, tr = maximal_solution(qp, tol=tol, max_iter=max_iter)
+            assert np.array_equal(got, z)
+            assert (tr.converged, tr.n_iter, tr.final_delta) == (True, it, delta)
+        else:
+            with pytest.raises(NonConvergence) as ei:
+                maximal_solution(qp, tol=tol, max_iter=max_iter)
+            assert (ei.value.max_iter, ei.value.final_delta) == (max_iter, delta)
 
 
 def test_maximal_solution_rejects_positive_potential():
