@@ -236,7 +236,7 @@ def cmd_harmonic(args) -> int:
         "h": hv.values,
         "base_index": hv.base_index,
         "residual": hv.residual,
-        "harmonic_set": list(hv.harmonic_set),
+        "harmonic_set": hv.harmonic_set,
         "residuals": hv.residuals,
         "method": args.method,
     }

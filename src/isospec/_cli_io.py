@@ -88,39 +88,29 @@ def _finite(key: str, value):
 # ---------------------------------------------------------------- output
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 _NUMBERS = {int, float}
-_BLOCK = 1 << 20  # characters per write of a long JSON document
 _encode = json.JSONEncoder().encode  # C encoder: no indent, ", " separators
 
 
 def _chunks(obj, indent: str = ""):
     """Pieces of json.dumps(obj, indent=2), nested at indent.
 
+    A numpy array or scalar is written as its tolist(), a tuple as a list.
     json's indented encoder runs in pure Python.  A flat list whose elements
     are all exactly int or float goes through the C encoder instead; no
     number's text contains ", ", so each separator becomes a line break.
     A callable stands for a value too long to build: called with indent, it
     yields that value's pieces.
     """
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     inner = indent + "  "
     if callable(obj):
         yield from obj(indent)
-    elif isinstance(obj, list) and obj and set(map(type, obj)) <= _NUMBERS:
+    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) <= _NUMBERS:
         body = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
         yield f"[\n{inner}{body}\n{indent}]"
-    elif isinstance(obj, list) and obj:
+    elif isinstance(obj, (list, tuple)) and obj:
         sep = "[\n" + inner
         for v in obj:
             yield sep
@@ -149,19 +139,9 @@ def _emit(args, payload: dict, header=None, rows=None):
 
         w = csv.writer(sys.stdout)
         w.writerow(header)
-        for row in rows():
-            w.writerow([_jsonable(v) for v in row])
+        w.writerows(rows())
     else:
-        # a dense rate matrix can run to tens of MB, so write it in blocks; a
-        # document under a block is one write, as print() made it
-        block, size = [], 0
-        for chunk in _chunks(_jsonable(payload)):
-            block.append(chunk)
-            size += len(chunk)
-            if size >= _BLOCK:
-                sys.stdout.write("".join(block))
-                block, size = [], 0
-        sys.stdout.write("".join(block))
+        sys.stdout.writelines(_chunks(payload))
         sys.stdout.write("\n")
 
 

@@ -297,10 +297,11 @@ def _bd_band(spec: BirthDeathSpec, N: int, boundary: str):
     b = spec._rates("birth", 0, N + (boundary == "absorbing"))
     a = spec._rates("death", 1, N + 1)
     total = _band_row_sums(b[:N], a)
-    total[0] += max(c[0], 0.0)
-    if boundary == "absorbing":
-        total[N] += b[N]
-    total[N] += max(c[N], 0.0)
+    with np.errstate(over="ignore"):  # a total past float range is refused downstream
+        total[0] += max(c[0], 0.0)
+        if boundary == "absorbing":
+            total[N] += b[N]
+        total[N] += max(c[N], 0.0)
     return b[:N], a, total, c
 
 

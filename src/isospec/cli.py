@@ -156,7 +156,7 @@ def cmd_diffop(args) -> int:
             "x": x,
             "b_tilde": bt,
             "a": ot.a(x),
-            "boundary": list(ot.boundary),
+            "boundary": ot.boundary,
         }
         _emit(args, payload, header=("x", "b_tilde"), rows=lambda: zip(x, bt))
         return 0
@@ -167,7 +167,7 @@ def cmd_diffop(args) -> int:
         payload = {
             "eigenvalues": vals,
             "n_nodes": disc.n_nodes,
-            "boundary": list(disc.boundary),
+            "boundary": disc.boundary,
         }
         _emit(args, payload, header=("k", "lambda"), rows=lambda: enumerate(vals))
         return 0

@@ -118,14 +118,20 @@ def inverse_transform(qt: QPairSpec | BandSpec, h) -> QPairSpec | BandSpec:
 def transform_measure(mu, h, inverse: bool = False) -> np.ndarray:
     """Forward: mu~ = h^2 mu; inverse: mu = mu~ / h^2.
 
-    Raises Overflow at the first positive weight whose image is not a
-    positive float.
+    Where h^2 alone leaves float range, the weight is regrouped as
+    (h sqrt(mu))^2 or (sqrt(mu) / h)^2.  Raises Overflow at the first
+    positive weight whose image is still not a positive float.
     """
     hv = _positive_h(h)
     mu = np.asarray(mu, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = mu / hv**2 if inverse else mu * hv**2
-    bad = np.flatnonzero(np.isfinite(mu) & (mu > 0.0) & ~(np.isfinite(out) & (out > 0.0)))
+        miss = np.isfinite(mu) & (mu > 0.0) & ~(np.isfinite(out) & (out > 0.0))
+        if miss.any():
+            g = np.sqrt(mu) / hv if inverse else hv * np.sqrt(mu)
+            out = np.where(miss, g * g, out)
+            miss &= ~(np.isfinite(out) & (out > 0.0))
+    bad = np.flatnonzero(miss)
     if bad.size:
         raise Overflow(int(bad[0]), "h-transformed measure")
     return out

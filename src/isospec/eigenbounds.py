@@ -179,6 +179,8 @@ def bounds_report(
     """
     if N_max < 8:
         raise InvalidArgument("N_max must be at least 8")
+    # a positive c, not the h it may turn negative, is what the bound refuses
+    _no_positive_killing(spec._rates("killing", 0, N_max + 1))
     hvec = bd_harmonic_explicit(spec, N_max + 1, method="recurrence")
     delta = delta_tilde(spec, hvec, N_max=N_max, tail_tol=tail_tol)
 

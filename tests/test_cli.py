@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import isospec._cli_chains
 import isospec.chains
@@ -145,6 +146,19 @@ def test_transform_local_then_verify_passes(capsys, tmp_path, fib_chain):
     assert code == 0
     assert "PASS" in err
 
+    # the README pipeline where h (up to 2.1e197) squares past float range
+    # while h^2 mu (up to 7.7e219) does not
+    chain = _write(tmp_path, "d5.json", {"type": "bd", "birth": 1.0, "death": 5.0,
+                                         "killing": -1.0, "N": 250})
+    code, out, _ = _run(capsys, "harmonic", chain, "--method", "explicit")
+    assert code == 0
+    h = _write(tmp_path, "h5.json", {"values": json.loads(out)["h"]})
+    code, out, _ = _run(capsys, "transform", chain, "--h", h, "--direction", "local")
+    assert code == 0
+    transformed.write_text(out)
+    code, _, err = _run(capsys, "verify", chain, str(transformed), "--h", h)
+    assert (code, err) == (0, "isospec: PASS\n")
+
 
 def test_verify_naive_truncation_fails(capsys, tmp_path, fib_chain):
     # bd forward transform of a truncated chain is not isospectral: the
@@ -275,6 +289,15 @@ def test_bounds_free_walk_divergence(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["verdict"].startswith("lambda0 = 0")
     assert doc["lower"] == 0.0 and doc["upper"] == 0.0
+
+
+def test_bounds_names_a_positive_killing_before_computing_h(capsys, tmp_path):
+    # h[4] < 0 here, but the cause is c[0] > 0, which the bound refuses
+    chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 2.0,
+                                        "killing": [0.3] + [-0.5] * 11, "N": 11})
+    code, out, err = _run(capsys, "bounds", chain, "--nmax", "8")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["isospec: check failed: c[0] = 0.3 > 0; the bound needs c <= 0"]
 
 
 def test_bounds_rejects_qpair_input(capsys, tmp_path):
@@ -735,19 +758,41 @@ def test_stdin_input(capsys, tmp_path, monkeypatch):
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**70)])
             | st.floats() | st.sampled_from([-0.0, float("inf"), float("-inf")])
             | st.text() | st.sampled_from([", ", "a, b", '"x", 1']))
+_EDGES = [0.0, -0.0, 5e-324, 1e16, 1e-5, float("nan"), float("inf"), float("-inf")]
+_EDGE_FLOATS = st.sampled_from(_EDGES)
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+_ARRAYS = (hnp.arrays(np.float64, _SHAPES, elements=st.floats() | _EDGE_FLOATS)
+           | hnp.arrays(np.int64, _SHAPES))
 _JSON = st.recursive(
-    _SCALARS | st.lists(st.integers() | st.floats()),
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    _SCALARS | _ARRAYS | st.lists(st.integers() | st.floats()).map(tuple)
+    | st.lists(st.integers() | st.floats()),
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
     max_leaves=40,
 )
+_EDGE_ROW = _EDGES + [0, -(2**63), 2**63 - 1, True, False]
+_CELLS = st.booleans() | st.integers(-(2**63), 2**63 - 1) | st.floats() | _EDGE_FLOATS
+_NUMPY_SCALAR = {bool: np.bool_, int: np.int64, float: np.float64}
 
 
-@given(doc=st.dictionaries(st.text(), _JSON))
-def test_emit_matches_indented_json_dumps(doc):
+def _emitted(output, payload, rows=None):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit(argparse.Namespace(seed=None, output="json"), doc)
-    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+        _emit(argparse.Namespace(seed=None, output=output), payload, header=("a", "b"),
+              rows=rows)
+    return out.getvalue()
+
+
+@given(doc=st.dictionaries(st.text(), _JSON),
+       rows=st.lists(st.lists(_CELLS, max_size=4), max_size=4))
+@example(doc={"a": np.array([[-0.0, 5e-324], [float("nan"), float("-inf")]]),
+              "b": (np.arange(3), np.zeros((2, 0)), ())}, rows=[_EDGE_ROW])
+def test_emit_matches_indented_json_dumps(doc, rows):
+    # numpy arrays are written as their tolist(), tuples as lists
+    assert _emitted("json", doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
+    # a numpy scalar cell prints as the Python value it holds
+    np_rows = [[_NUMPY_SCALAR[type(v)](v) for v in row] for row in rows]
+    assert _emitted("csv", {}, lambda: np_rows) == _emitted("csv", {}, lambda: rows)
 
 
 def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):

@@ -114,6 +114,10 @@ def test_transform_measure_overflow_names_the_state():
     mu, h = rng.uniform(0.5, 2.0, 20), np.exp(rng.uniform(-50.0, 50.0, 20))
     assert np.array_equal(transform_measure(mu, h), mu * h**2)
     assert np.array_equal(transform_measure(mu, h, inverse=True), mu / h**2)
+    # h^2 alone leaves float range, h^2 mu and mu / h^2 do not
+    assert transform_measure([1e-300], [1e200])[0] == pytest.approx(1e100, rel=1e-15)
+    assert transform_measure([1e-300], [1e-200], inverse=True)[0] == pytest.approx(
+        1e100, rel=1e-15)
 
 
 def test_bd_measures_refuse_a_measure_that_underflows():

@@ -43,6 +43,12 @@ def test_lambda0_variational_rejects_positive_potential():
         lambda0_variational(s, 50)
 
 
+def test_lambda0_variational_refuses_a_total_past_float_range_without_a_warning():
+    # b_2 + a_2 overflows in the absorbing row; RuntimeWarning is an error here
+    with pytest.raises(PreconditionViolated, match="NaN or infinite entry"):
+        lambda0_variational(BirthDeathSpec(1e308, 1e308), 2)
+
+
 def _written_out_truncation(spec, N):
     """Diagonal and off-diagonal of the symmetrised Dirichlet truncation on 0..N."""
     b, a, c = spec.rate_arrays(N)
