@@ -25,22 +25,19 @@ _EXPORTS = {
     "eigenbounds": ("BoundsReport", "DeltaResult", "bounds_report", "delta_tilde",
                     "lambda0_variational"),
     "errors": ("BlowUp", "Divergence", "GridTooCoarse", "IsospecError",
-               "MalformedExpression", "NegativeRate", "NoConvergence",
-               "NonConvergence", "NonpositiveH", "NotHarmonic", "NotHarmonicAt",
-               "NotLocallyHarmonic", "NotReversible", "Overflow",
-               "PotentialExceedsRate", "PreconditionViolated", "TailNotResolved",
-               "ZeroH"),
+               "MalformedExpression", "NegativeRate", "NonConvergence", "NonpositiveH",
+               "NotHarmonic", "NotHarmonicAt", "NotLocallyHarmonic", "NotReversible",
+               "Overflow", "PotentialExceedsRate", "PreconditionViolated",
+               "TailNotResolved", "ZeroH"),
     "expressions": ("CompiledExpr", "compile_expression", "constant"),
     "harmonic": ("HarmonicVector", "IterationTrace", "bd_harmonic_explicit",
                  "harmonic_residual", "is_supersolution", "maximal_solution",
-                 "minimal_harmonic", "uniqueness_margin"),
-    "spectra": ("SpectrumReport", "eig_sym", "eig_tridiag", "isospectral_check",
-                "lowest_eigs_tridiag", "quadratic_form", "smallest_eig_tridiag",
-                "spectral_radius", "sturm_count", "symmetrize"),
+                 "minimal_harmonic"),
+    "spectra": ("SpectrumReport", "eig_sym", "isospectral_check", "lowest_eigs_tridiag",
+                "quadratic_form", "spectral_radius", "sturm_count", "symmetrize"),
 }
 # exported name -> (module, attribute)
 _WHERE = {name: (mod, name) for mod, names in _EXPORTS.items() for name in names}
-_WHERE["diffop_inverse_transform"] = ("diffops", "inverse_transform")
 
 
 def __getattr__(name):

@@ -15,7 +15,7 @@ import numpy as np
 from .chains import BirthDeathSpec, _bd_band, _conjugated_weights
 from .errors import InvalidArgument, PreconditionViolated, TailNotResolved
 from .harmonic import _h_values, _positive_h, bd_harmonic_explicit
-from .spectra import eig_tridiag, lowest_eigs_tridiag
+from .spectra import lowest_eigs_tridiag
 
 _WINDOW = 16
 
@@ -27,25 +27,19 @@ def _no_positive_killing(c):
         raise PreconditionViolated(f"c[{i}] = {c[i]} > 0; the bound needs c <= 0")
 
 
-def lambda0_variational(spec: BirthDeathSpec, N: int, method: str = "bisect") -> float:
+def lambda0_variational(spec: BirthDeathSpec, N: int) -> float:
     """Bottom of the quadratic form over functions supported in {0..N}.
 
     Equals the smallest eigenvalue of the symmetrised truncated negative
     generator with a Dirichlet condition at N+1, the absorbing truncation
-    of chains; nonincreasing in N.  The bisection route tracks inertia
-    counts and stays accurate even when the rates are strongly graded;
-    method "ql" takes the full LAPACK spectrum of the dense (N+1)^2 matrix
-    instead (well-scaled matrices only).
+    of chains; nonincreasing in N.  Sturm bisection tracks inertia counts
+    and stays accurate even when the rates are strongly graded.
     """
     up, down, d, c = _bd_band(spec, N, "absorbing")
     _no_positive_killing(c)
     d -= c
     e = np.sqrt(up) * np.sqrt(down)
-    if method == "bisect":
-        return float(lowest_eigs_tridiag(d, e, 1, 1e-14)[0])
-    if method == "ql":
-        return float(eig_tridiag(d, e)[0])
-    raise PreconditionViolated(f"unknown method {method!r}")
+    return float(lowest_eigs_tridiag(d, e, 1, 1e-14)[0])
 
 
 @dataclass(frozen=True)
@@ -84,8 +78,9 @@ def delta_tilde(
     The weights are those of the h-conjugated chain: the prefix mass uses
     mu h^2 and the tail uses 1/(h_k h_{k+1} mu_k b_k).  The truncation level
     doubles until a geometric tail estimate certifies the supremum to
-    tail_tol, growth across two consecutive doublings by a factor >= 2
-    diagnoses divergence (value inf), or N_max is exhausted
+    tail_tol, growth across two consecutive doublings by a factor >= 2 or
+    tail weights that still do not fall when they leave float range
+    diagnose divergence (value inf), or N_max is exhausted
     (TailNotResolved).  Entries beyond float range are excluded; the tail
     certificate covers them.
     """
@@ -134,6 +129,9 @@ def delta_tilde(
             if slack <= tail_tol * max(1.0, sup):
                 return DeltaResult(sup, n_sup, float(slack), kk, partial=cand)
 
+        if kk <= K and np.min(ratios_t) >= 1.0:
+            # tail weights that never fall before leaving float range: the sums diverge
+            return DeltaResult(math.inf, n_sup, math.inf, kk, partial=cand)
         if kk <= K or K >= K_cap:
             # masked early or out of budget without a certificate
             raise TailNotResolved(

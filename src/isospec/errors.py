@@ -40,10 +40,6 @@ class NonConvergence(IsospecError):
         )
 
 
-# one exception for every solver that gives up; the second name stays public
-NoConvergence = NonConvergence
-
-
 class NotMonotone(IsospecError):
     """The minimal-solution iteration, monotone from zero, decreased."""
 

@@ -195,18 +195,6 @@ def minimal_harmonic(
     return hv, trace
 
 
-def uniqueness_margin(qp: QPairSpec, theta: int) -> float:
-    """Smallest singular value of (I - K) for the anchored system.
-
-    A margin near zero signals that the minimal solution may not be the only
-    one, in which case it is only a lower bound for other solutions.
-    """
-    K, _, _ = _hitting_kernel(qp, theta)
-    if K.shape[0] == 0:
-        return 1.0
-    return float(np.linalg.svd(np.eye(K.shape[0]) - K, compute_uv=False)[-1])
-
-
 def is_supersolution(qp: QPairSpec, theta: int, f, tol: float = 1e-12) -> bool:
     """Whether f satisfies the one-step inequality f >= K f + s off theta.
 

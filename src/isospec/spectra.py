@@ -18,6 +18,9 @@ from .errors import (InvalidArgument, NonConvergence, NotReversible, Preconditio
 if TYPE_CHECKING:  # chains is loaded only by the chain paths
     from .chains import QPairSpec
 
+# largest relative violation of mu_i q_ij = mu_j q_ji that symmetrize accepts
+_REVERSIBLE_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -36,7 +39,7 @@ class SpectrumReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def symmetrize(qp: QPairSpec, mu, rtol: float = 1e-10) -> np.ndarray:
+def symmetrize(qp: QPairSpec, mu) -> np.ndarray:
     """Similarity D A D^{-1} with D = diag(sqrt(mu)).
 
     Requires mu to symmetrise the rates: mu_i q_ij = mu_j q_ji.  The result
@@ -51,7 +54,7 @@ def symmetrize(qp: QPairSpec, mu, rtol: float = 1e-10) -> np.ndarray:
     scale = np.maximum(np.abs(flow), np.abs(flow.T))
     viol = np.abs(flow - flow.T) / np.maximum(scale, 1e-300)
     viol[scale == 0.0] = 0.0
-    if np.max(viol) > rtol:
+    if np.max(viol) > _REVERSIBLE_RTOL:
         i, j = map(int, np.unravel_index(np.argmax(viol), viol.shape))
         raise NotReversible(i, j, float(viol[i, j]))
     d = np.sqrt(mu)
@@ -97,19 +100,12 @@ def _bisect(count, k: int, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def smallest_eig_tridiag(d, e, rel_tol: float = 1e-14) -> float:
-    """Smallest eigenvalue by Sturm bisection: lowest_eigs_tridiag with k = 1.
+def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
+    """The k smallest eigenvalues of tridiag(d, e) by inertia bisection.
 
     Bisection on the inertia count keeps full relative accuracy even when
     the matrix entries span hundreds of orders of magnitude, where any
     backward-stable dense method loses the small eigenvalues entirely.
-    """
-    return float(lowest_eigs_tridiag(d, e, 1, rel_tol)[0])
-
-
-def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
-    """The k smallest eigenvalues of tridiag(d, e) by inertia bisection.
-
     All k bisections start from one bracket, so their first midpoints
     coincide; each shift is counted once.
     """
@@ -134,10 +130,9 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     return np.array([_bisect(count, i + 1, bot, top, rel_tol) for i in range(k)])
 
 
-def eig_sym(S, vectors: bool = False):
+def eig_sym(S) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, by LAPACK.
 
-    With vectors=True returns (w, V) with columns of V the eigenvectors.
     Raises PreconditionViolated on a non-finite or asymmetric matrix and
     NonConvergence when LAPACK does not converge.
     """
@@ -150,29 +145,10 @@ def eig_sym(S, vectors: bool = False):
     if np.max(np.abs(S - S.T), initial=0.0) > 1e-10 * scale:
         raise PreconditionViolated("matrix is not symmetric")
     try:
-        return np.linalg.eigh(S) if vectors else np.linalg.eigvalsh(S)
+        return np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError:
         # LAPACK's QL/QR iteration gives up after 30 sweeps per eigenvalue
         raise NonConvergence(30 * S.shape[0], float("nan")) from None
-
-
-def eig_tridiag(d, e):
-    """Eigenvalues of tridiag(d, e), ascending, by LAPACK.
-
-    numpy ships no tridiagonal LAPACK driver, so this forms the dense
-    n x n matrix: O(n^2) memory and O(n^3) time.  For the bottom of a
-    graded matrix use smallest_eig_tridiag.
-    """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
-        raise PreconditionViolated("need a flat d and len(e) == len(d) - 1")
-    n = d.size
-    S = np.zeros((n, n))
-    S.flat[:: n + 1] = d
-    S.flat[1 :: n + 1] = e
-    S.flat[n :: n + 1] = e
-    return eig_sym(S)
 
 
 def quadratic_form(qp: QPairSpec, mu, f) -> float:

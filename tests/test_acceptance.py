@@ -18,7 +18,6 @@ from isospec import (
     bounds_report,
     conjugate,
     delta_tilde,
-    diffop_inverse_transform,
     discretize,
     forward_transform,
     h_transform,
@@ -35,6 +34,7 @@ from isospec import (
     transform_measure,
     verify_lh_eigen,
 )
+from isospec.diffops import inverse_transform as diffop_inverse_transform
 from conftest import exact_harmonic_pair, make_conservative, make_reversible_killed
 
 

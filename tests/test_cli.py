@@ -922,7 +922,6 @@ def test_package_exports_resolve_lazily():
     for name in isospec.__all__:
         assert getattr(isospec, name) is not None, name
         assert name in dir(isospec), name
-    assert isospec.diffop_inverse_transform is isospec.diffops.inverse_transform
     assert isospec.inverse_transform is isospec.duality.inverse_transform
     with pytest.raises(AttributeError):
         isospec.no_such_export

@@ -16,7 +16,6 @@ from isospec import (
     SmoothFunction,
     ZeroH,
     compile_expression,
-    diffop_inverse_transform,
     discretize,
     forward_transform,
     forward_transform_points,
@@ -26,6 +25,7 @@ from isospec import (
     riccati_dual,
     verify_lh_eigen,
 )
+from isospec.diffops import inverse_transform
 
 
 # ---------------------------------------------------------------- hermite
@@ -210,8 +210,8 @@ def test_inverse_paths_agree_and_recover():
     ou = Operator1D.on_interval(0.5, "-x", 0.0, -3.0, 3.0, 300)
     h = SmoothFunction.from_expression("exp(-x^2/2)")
     x = ou.grid
-    direct = diffop_inverse_transform(ou, h, path="direct")
-    via_psi = diffop_inverse_transform(ou, h, path="psi")
+    direct = inverse_transform(ou, h, path="direct")
+    via_psi = inverse_transform(ou, h, path="psi")
     assert np.max(np.abs(direct.c(x) - via_psi.c(x))) < 1e-12
     assert np.max(np.abs(direct.b(x) - via_psi.b(x))) < 1e-12
     assert np.max(np.abs(direct.c(x) - (1.0 - x**2) / 2.0)) < 1e-12
@@ -225,9 +225,9 @@ def test_inverse_requires_zero_potential():
     op = Operator1D.on_interval(1.0, 0.0, -0.5, 0.0, 1.0, 10)
     h = SmoothFunction.from_expression("exp(x)")
     with pytest.raises(PreconditionViolated):
-        diffop_inverse_transform(op, h)
+        inverse_transform(op, h)
     with pytest.raises(PreconditionViolated):
-        diffop_inverse_transform(
+        inverse_transform(
             Operator1D.on_interval(1.0, 0.0, 0.0, 0.0, 1.0, 10), h, path="sideways"
         )
 

@@ -13,9 +13,8 @@ from isospec import (
     bd_harmonic_explicit,
     bounds_report,
     delta_tilde,
-    eig_tridiag,
     lambda0_variational,
-    smallest_eig_tridiag,
+    lowest_eigs_tridiag,
 )
 
 
@@ -32,9 +31,11 @@ def test_lambda0_variational_graded_reference():
 
 
 def test_lambda0_variational_methods_agree():
-    lam_b = lambda0_variational(CONST, 200, method="bisect")
-    lam_q = lambda0_variational(CONST, 200, method="ql")
-    assert lam_b == pytest.approx(lam_q, rel=1e-10)
+    # Sturm bisection against LAPACK on the dense written-out truncation
+    d, e = _written_out_truncation(CONST, 200)
+    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    lam_q = np.linalg.eigvalsh(dense)[0]
+    assert lambda0_variational(CONST, 200) == pytest.approx(lam_q, rel=1e-10)
 
 
 def test_lambda0_variational_rejects_positive_potential():
@@ -72,8 +73,7 @@ def test_lambda0_matches_the_written_out_truncation_bit_for_bit():
         specs.append((BirthDeathSpec(birth=b, death=a, killing=c), N))
     for spec, N in specs:
         d, e = _written_out_truncation(spec, N)
-        assert lambda0_variational(spec, N) == smallest_eig_tridiag(d, e)
-        assert lambda0_variational(spec, N, method="ql") == eig_tridiag(d, e)[0]
+        assert lambda0_variational(spec, N) == lowest_eigs_tridiag(d, e, 1, 1e-14)[0]
 
 
 def test_delta_constant_chain_golden_ratio():
@@ -207,7 +207,37 @@ def test_bounds_report_rejects_tiny_n_max():
 
 def test_hardy_sums_past_float_range_raise_no_warning():
     # a recurrent chain: the tail weights 1/(mu_k b_k) grow like 5^k, so the
-    # tail sums leave float range; the result stays an undecided tail
+    # tail sums leave float range while still growing; that decides divergence
     s = BirthDeathSpec(birth=1.0, death=5.0, killing=0.0)
-    with pytest.raises(TailNotResolved, match="partial sup inf"):
-        bounds_report(s, N_max=2048)
+    rep = bounds_report(s, N_max=2048)
+    assert rep.verdict == "lambda0 = 0 (Hardy constant diverges)"
+    assert math.isinf(rep.delta_tilde)
+
+
+@pytest.mark.parametrize("N", [256, 1024, 4096])
+@pytest.mark.parametrize("b, a", [(2.0, 1.0), (5.0, 1.0), (1.5, 1.0)])
+def test_lambda0_constant_rates_closed_form(b, a, N):
+    # lambda0 = (sqrt b - sqrt a)^2 for b > a.  A truncation only raises the
+    # variational value; it is the Dirichlet Toeplitz matrix with diagonal
+    # a + b and off-diagonal -sqrt(ab) minus a e0 e0^T, so by Weyl's
+    # inequality it exceeds lambda0 by at most the Toeplitz excess.
+    s = BirthDeathSpec(birth=b, death=a, killing=0.0)
+    exact = (math.sqrt(b) - math.sqrt(a)) ** 2
+    excess = lambda0_variational(s, N) - exact
+    slack = 1e-13 * exact
+    assert -slack <= excess
+    assert excess <= 2.0 * math.sqrt(a * b) * (1.0 - math.cos(math.pi / (N + 2))) + slack
+
+
+@pytest.mark.parametrize("b, a", [(2.0, 1.0), (5.0, 1.0), (1.5, 1.0)])
+def test_bounds_report_encloses_the_closed_form(b, a):
+    rep = bounds_report(BirthDeathSpec(birth=b, death=a, killing=0.0), N_max=2048)
+    assert rep.verdict == "lambda0 > 0"
+    assert rep.lower <= (math.sqrt(b) - math.sqrt(a)) ** 2 <= rep.upper
+
+
+# b = 1, a = 5 is test_hardy_sums_past_float_range_raise_no_warning
+@pytest.mark.parametrize("b, a", [(1.0, 2.0), (1.0, 1.0)])
+def test_bounds_report_zero_when_death_dominates(b, a):
+    rep = bounds_report(BirthDeathSpec(birth=b, death=a, killing=0.0), N_max=2048)
+    assert rep.verdict == "lambda0 = 0 (Hardy constant diverges)"

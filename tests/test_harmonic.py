@@ -14,7 +14,6 @@ from isospec import (
     is_supersolution,
     maximal_solution,
     minimal_harmonic,
-    uniqueness_margin,
     validate_qpair,
 )
 from conftest import exact_harmonic_pair, make_conservative, make_reversible_killed
@@ -240,12 +239,6 @@ def test_minimal_harmonic_warns_when_anchor_unreachable():
     with pytest.warns(UserWarning, match="cannot reach"):
         hv, _ = minimal_harmonic(qp, 0, method="solve")
     assert hv.values[2] == 0.0
-
-
-def test_uniqueness_margin_positive_for_killed_chain():
-    rng = np.random.default_rng(77)
-    qp, _ = make_reversible_killed(rng, 9)
-    assert uniqueness_margin(qp, 0) > 0.0
 
 
 def test_supersolution_accepts_harmonic_and_constants():

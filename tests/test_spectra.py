@@ -6,28 +6,21 @@ import pytest
 import isospec.spectra
 from isospec import (
     BirthDeathSpec,
-    NoConvergence,
+    NonConvergence,
     NotReversible,
     PreconditionViolated,
     bd_measures,
     bd_to_qpair,
     eig_sym,
-    eig_tridiag,
     isospectral_check,
     lowest_eigs_tridiag,
     quadratic_form,
-    smallest_eig_tridiag,
     spectral_radius,
     sturm_count,
     symmetrize,
     validate_qpair,
 )
 from conftest import make_reversible_killed
-
-
-def _random_symmetric(rng, n):
-    A = rng.normal(size=(n, n))
-    return (A + A.T) / 2.0
 
 
 def test_symmetrize_shares_generator_spectrum():
@@ -58,14 +51,6 @@ def test_eig_sym_jacobi_matches_reference():
         assert np.max(np.abs(ours - w)) < 1e-11 * max(1.0, np.max(np.abs(w)))
 
 
-def test_eig_sym_jacobi_vectors_diagonalise():
-    rng = np.random.default_rng(33)
-    S = _random_symmetric(rng, 12)
-    w, V = eig_sym(S, vectors=True)
-    assert np.max(np.abs(S @ V - V * w[None, :])) < 1e-11
-    assert np.max(np.abs(V.T @ V - np.eye(12))) < 1e-12
-
-
 def test_eig_sym_dispatches_tridiagonal():
     rng = np.random.default_rng(34)
     d = rng.normal(size=25)
@@ -75,11 +60,6 @@ def test_eig_sym_dispatches_tridiagonal():
     ref = lowest_eigs_tridiag(d, e, 25)
     tol = 1e-12 * max(1.0, np.max(np.abs(ref)))
     assert np.max(np.abs(ours - ref)) < tol
-    # eigenvectors are available on the tridiagonal path as well
-    w, V = eig_sym(S, vectors=True)
-    assert np.max(np.abs(w - ref)) < tol
-    assert np.max(np.abs(S @ V - V * w[None, :])) < 1e-11
-    assert np.max(np.abs(V.T @ V - np.eye(25))) < 1e-12
 
 
 def test_eig_sym_rejects_asymmetric():
@@ -94,8 +74,6 @@ def test_eig_sym_rejects_non_finite(bad):
     # LAPACK itself returns finite-looking eigenvalues for [[nan, 1], [1, 0]]
     with pytest.raises(PreconditionViolated):
         eig_sym(np.array([[bad, 1.0], [1.0, 0.0]]))
-    with pytest.raises(PreconditionViolated):
-        eig_tridiag(np.array([0.0, bad]), np.array([1.0]))
 
 
 def test_eig_sym_lapack_failure_is_no_convergence(monkeypatch):
@@ -103,7 +81,7 @@ def test_eig_sym_lapack_failure_is_no_convergence(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NonConvergence):
         eig_sym(np.eye(3))
 
 
@@ -112,17 +90,9 @@ def test_eig_tridiag_matches_reference():
     for d0, e0, n in ((2.0, -1.0, 60), (0.3, 0.7, 17), (1.5, 0.0, 4)):
         k = np.arange(1, n + 1)
         ref = np.sort(d0 + 2.0 * e0 * np.cos(k * np.pi / (n + 1)))
-        ours = eig_tridiag(np.full(n, d0), np.full(n - 1, e0))
+        S = d0 * np.eye(n) + e0 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        ours = eig_sym(S)
         assert np.max(np.abs(ours - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
-    # random entries: against Sturm bisection
-    rng = np.random.default_rng(35)
-    d = rng.uniform(0.5, 3.0, 60)
-    e = rng.normal(size=59)
-    ref = lowest_eigs_tridiag(d, e, 60)
-    ours = eig_tridiag(d, e)
-    assert np.max(np.abs(ours - ref)) < 1e-12 * np.max(np.abs(ref))
-    with pytest.raises(PreconditionViolated):
-        eig_tridiag(d, e[:-1])
 
 
 def test_sturm_count_matches_reference_counts():
@@ -156,7 +126,7 @@ def test_smallest_eig_graded_matrix_full_relative_accuracy():
     a = np.concatenate(([0.0], 2.0 ** (np.arange(1, N + 1) - 1)))
     d = b + a
     e = -np.sqrt(b[:N]) * np.sqrt(a[1:])
-    lam = smallest_eig_tridiag(d, e)
+    lam = lowest_eigs_tridiag(d, e, 1, 1e-14)[0]
     ref = 0.34387045237988115
     assert abs(lam - ref) < 5e-14 * ref
 
@@ -169,7 +139,7 @@ def test_lowest_eigs_tridiag_matches_reference():
     ref = np.sort(np.linalg.eigvalsh(S))[:6]
     ours = lowest_eigs_tridiag(d, e, 6)
     assert np.max(np.abs(ours - ref)) < 1e-11 * np.max(np.abs(ref))
-    assert smallest_eig_tridiag(d, e) == pytest.approx(ref[0], rel=1e-12)
+    assert lowest_eigs_tridiag(d, e, 1, 1e-14)[0] == pytest.approx(ref[0], rel=1e-12)
 
 
 def _bisect_each(d, e, k, rel_tol=1e-13):
@@ -242,8 +212,6 @@ def test_bisection_refuses_non_finite_entries(d, e):
     old = signal.signal(signal.SIGALRM, hang)
     signal.alarm(5)
     try:
-        with pytest.raises(PreconditionViolated, match="NaN or infinite"):
-            smallest_eig_tridiag(d, e)
         with pytest.raises(PreconditionViolated, match="NaN or infinite"):
             lowest_eigs_tridiag(d, e, 1)
     finally:
