@@ -298,7 +298,10 @@ def cmd_transform(args) -> int:
     elif args.direction == "local":
         hset = None
         if args.set:
-            hset = tuple(_integer("--set", s) for s in args.set.split(","))
+            try:
+                hset = tuple(map(int, args.set.split(",")))
+            except ValueError:
+                raise SchemaError("'--set' must be an integer") from None
             if not all(0 <= i < n for i in hset):
                 raise SchemaError(f"--set indices must lie in 0..{n - 1}")
         out = h_transform_local(qp, hv, harmonic_set=hset, **_tol(args))

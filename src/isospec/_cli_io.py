@@ -67,10 +67,12 @@ def _floats(key: str, node) -> np.ndarray:
 
 
 def _integer(key: str, node) -> int:
-    try:
+    """A JSON count: an integer, or a float with an integral value; not a bool or text."""
+    if isinstance(node, float) and node.is_integer():
         return int(node)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{key!r} must be an integer") from None
+    if isinstance(node, int) and not isinstance(node, bool):
+        return node
+    raise SchemaError(f"{key!r} must be an integer")
 
 
 def _capped(key: str, n: int) -> int:

@@ -58,14 +58,6 @@ class QPairSpec:
         return i, j, self.rates[i, j]
 
 
-def _positive_mu(mu) -> np.ndarray:
-    """mu as a float array, refusing an entry that is not finite and positive."""
-    mu = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu) & (mu > 0.0)):
-        raise PreconditionViolated("mu must be finite and strictly positive")
-    return mu
-
-
 def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
     """Check sign and stability constraints, returning a frozen QPairSpec.
 

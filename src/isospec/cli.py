@@ -67,7 +67,7 @@ def _coeff_field(doc: dict, key: str, default=None):
         return default
     node = doc[key]
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return float(_floats(key, node))
+        return float(_finite(key, _floats(key, node)))
     if isinstance(node, str):
         from .expressions import compile_expression
 
@@ -86,7 +86,7 @@ def load_operator(doc) -> Operator1D:
     iv = _floats("interval", doc.get("interval"))
     if iv.shape != (2,):
         raise SchemaError('"interval" must be [lo, hi]')
-    lo, hi = iv.tolist()
+    lo, hi = _finite("interval", iv).tolist()
     if not lo < hi:
         raise SchemaError('"interval" must have lo < hi')
     M = _capped('"M"', _integer("M", doc.get("M", 400)))

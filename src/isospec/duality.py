@@ -12,11 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
-                     _conjugated_weights, _positive_mu, bd_measures, validate_band,
-                     validate_qpair)
+                     _conjugated_weights, bd_measures, validate_band, validate_qpair)
 from .errors import (NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated,
-                     _check_finite)
-from .harmonic import HarmonicVector, _positive_h, _relative_residual
+                     _check_finite, _positive_h, _positive_mu)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -46,6 +44,21 @@ def _tilt(qp, w, adjoint=False, inverse=False, harmonic=False):
         validate = validate_qpair
     c = np.where(harmonic, 0.0, qp.killing - qp.total + total)
     return validate(*rt, total, c)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _relative_residual(qp: QPairSpec | BandSpec, hv: np.ndarray) -> np.ndarray:
+    """|(A h)_i| / max(1, q_i h_i, max_j q_ij h_j), the residual on the local rate scale."""
+    r = np.abs(qp.apply(hv))
+    if isinstance(qp, BandSpec):
+        flow = np.zeros(qp.n_states)
+        flow[:-1] = qp.up * hv[1:]
+        flow[1:] = np.maximum(flow[1:], qp.down * hv[:-1])
+    else:
+        flow = np.max(qp.rates * hv[None, :], axis=1)
+    rel = r / np.maximum(1.0, np.maximum(qp.total * hv, flow))
+    rel[np.isnan(rel)] = np.inf  # terms past float range fail every tolerance
+    return rel
 
 
 def conjugate(qp: QPairSpec | BandSpec, h) -> QPairSpec | BandSpec:
@@ -79,16 +92,13 @@ def h_transform_local(
     The potential is set to zero exactly on the harmonic set; off the set it
     becomes c~_i = c_i - q_i + q~_i, absorbing the one-sided defect (for a
     truncated birth-death chain this is c_N + a_N (h_{N-1}/h_N - 1)).  The
-    default harmonic set is taken from the HarmonicVector, else all states
-    but the last.
+    default harmonic set is h's own nonempty harmonic_set, as a
+    HarmonicVector carries, else all states but the last.
     """
     hv = _positive_h(h)
     n = qp.n_states
     if harmonic_set is None:
-        if isinstance(h, HarmonicVector) and h.harmonic_set:
-            harmonic_set = h.harmonic_set
-        else:
-            harmonic_set = range(n - 1)
+        harmonic_set = getattr(h, "harmonic_set", None) or range(n - 1)
     B = np.zeros(n, dtype=bool)
     B[np.asarray(list(harmonic_set), dtype=int)] = True
     res = _relative_residual(qp, hv)

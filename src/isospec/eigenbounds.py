@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .chains import BirthDeathSpec, _bd_band, _conjugated_weights
-from .errors import InvalidArgument, PreconditionViolated, TailNotResolved
-from .harmonic import _h_values, _positive_h, bd_harmonic_explicit
+from .errors import (InvalidArgument, PreconditionViolated, TailNotResolved, _h_values,
+                     _positive_h)
+from .harmonic import bd_harmonic_explicit
 from .spectra import lowest_eigs_tridiag
 
 _WINDOW = 16

@@ -90,6 +90,28 @@ def _check_finite(name, *arrays):
         raise PreconditionViolated(f"{name} has a NaN or infinite entry")
 
 
+def _positive_mu(mu) -> np.ndarray:
+    """mu as a float array, refusing an entry that is not finite and positive."""
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(mu) & (mu > 0.0)):
+        raise PreconditionViolated("mu must be finite and strictly positive")
+    return mu
+
+
+def _h_values(h) -> np.ndarray:
+    """The values of h, a HarmonicVector or anything numpy reads, as a float array."""
+    return np.asarray(getattr(h, "values", h), dtype=float)
+
+
+def _positive_h(h) -> np.ndarray:
+    """_h_values(h), refusing the first entry that is not positive."""
+    hv = _h_values(h)
+    if np.any(~(hv > 0.0)):
+        i = int(np.argmin(hv > 0.0))
+        raise NonpositiveH(i, float(hv[i]))
+    return hv
+
+
 class InvalidArgument(PreconditionViolated):
     """An argument outside the range a function accepts: bad input, not a failed check."""
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import BandSpec, BirthDeathSpec, QPairSpec
-from .errors import (Divergence, InvalidArgument, NonConvergence, NonpositiveH, NotMonotone,
-                     PreconditionViolated)
+from .chains import BirthDeathSpec, QPairSpec
+from .errors import (Divergence, InvalidArgument, NonConvergence, NotMonotone,
+                     PreconditionViolated, _h_values)
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,6 @@ class IterationTrace:
     n_iter: int = 0
 
 
-def _h_values(h) -> np.ndarray:
-    return np.asarray(getattr(h, "values", h), dtype=float)
-
-
-def _positive_h(h) -> np.ndarray:
-    hv = _h_values(h)
-    if np.any(~(hv > 0.0)):
-        i = int(np.argmin(hv > 0.0))
-        raise NonpositiveH(i, float(hv[i]))
-    return hv
-
-
 def harmonic_residual(qp: QPairSpec, h, B=None) -> np.ndarray:
     """(A h)_i for i in B, where A is the full generator with potential.
 
@@ -64,21 +52,6 @@ def harmonic_residual(qp: QPairSpec, h, B=None) -> np.ndarray:
     if B is None:
         return r
     return r[np.asarray(list(B), dtype=int)]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _relative_residual(qp: QPairSpec | BandSpec, hv: np.ndarray) -> np.ndarray:
-    """|(A h)_i| / max(1, q_i h_i, max_j q_ij h_j), the residual on the local rate scale."""
-    r = np.abs(qp.apply(hv))
-    if isinstance(qp, BandSpec):
-        flow = np.zeros(qp.n_states)
-        flow[:-1] = qp.up * hv[1:]
-        flow[1:] = np.maximum(flow[1:], qp.down * hv[:-1])
-    else:
-        flow = np.max(qp.rates * hv[None, :], axis=1)
-    rel = r / np.maximum(1.0, np.maximum(qp.total * hv, flow))
-    rel[np.isnan(rel)] = np.inf  # terms past float range fail every tolerance
-    return rel
 
 
 def _fixed_point(step, x, tol, max_iter):

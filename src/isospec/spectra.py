@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (InvalidArgument, NonConvergence, NotReversible, PreconditionViolated,
-                     _check_finite)
+                     _check_finite, _positive_mu)
 
 if TYPE_CHECKING:  # chains is loaded only by the chain paths
     from .chains import QPairSpec
@@ -47,8 +47,6 @@ def symmetrize(qp: QPairSpec, mu) -> np.ndarray:
     past float range come out non-finite, without a warning; the
     eigensolvers refuse them.
     """
-    from .chains import _positive_mu
-
     mu = _positive_mu(mu)
     flow = mu[:, None] * qp.rates
     scale = np.maximum(np.abs(flow), np.abs(flow.T))
@@ -69,17 +67,25 @@ def sturm_count(d, e, x: float) -> int:
     d and e may be arrays or lists; lists of Python floats run the same IEEE
     operations faster.
     """
+    return _sturm_count(d, e, x, len(d))
+
+
+def _sturm_count(d, e, x: float, stop: int) -> int:
+    """min(stop, number of eigenvalues of tridiag(d, e) below x).
+
+    The pivots stop at the stop-th negative one.
+    """
     count = 0
     q = d[0] - x
-    if q < 0.0:
-        count += 1
     for dk, ek in zip(d[1:], e):
+        if q < 0.0:
+            count += 1
+            if count == stop:
+                return count
         if q == 0.0:
             q = 1e-300
         q = dk - x - ek * (ek / q)
-        if q < 0.0:
-            count += 1
-    return count
+    return count + int(q < 0.0)
 
 
 def _bisect(count, k: int, lo: float, hi: float, rel_tol: float) -> float:
@@ -107,7 +113,8 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     the matrix entries span hundreds of orders of magnitude, where any
     backward-stable dense method loses the small eigenvalues entirely.
     All k bisections start from one bracket, so their first midpoints
-    coincide; each shift is counted once.
+    coincide; each shift is counted once.  Every decision asks whether a
+    count reaches some i <= k, so each count stops at k.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -124,7 +131,7 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     def count(x):
         c = counts.get(x)
         if c is None:
-            c = counts[x] = sturm_count(d, e, x)
+            c = counts[x] = _sturm_count(d, e, x, k)
         return c
 
     return np.array([_bisect(count, i + 1, bot, top, rel_tol) for i in range(k)])

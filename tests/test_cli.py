@@ -466,6 +466,10 @@ def test_hostile_expressions_exit_two_quickly(capsys, tmp_path, field, text):
 MALFORMED = {
     "N-text": {"type": "bd", "birth": 1.0, "death": 1.0, "N": "abc"},
     "N-infinite": {"type": "bd", "birth": 1.0, "death": 1.0, "N": float("inf")},
+    # a count is a JSON integer or an integral float, never rounded, a bool or text
+    "N-fraction": {"type": "bd", "birth": 1.0, "death": 1.0, "N": 10.5},
+    "N-bool": {"type": "bd", "birth": 1.0, "death": 1.0, "N": True},
+    "N-numeric-text": {"type": "bd", "birth": 1.0, "death": 1.0, "N": "12"},
     "birth-text-entry": {"type": "bd", "birth": [1, "a"], "death": 1.0, "N": 1},
     "poly-text-coeff": {"type": "bd", "birth": {"formula": "poly", "coeffs": ["a"]},
                         "death": 1.0, "N": 3},
@@ -489,14 +493,34 @@ def test_operator_h_and_set_fields_are_schema_errors(capsys, tmp_path, fib_chain
     op = _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": ["lo", 1], "M": 50})
     code, _, err = _run(capsys, "diffop", op, "--check", "spectrum")
     assert code == 2 and err.startswith("isospec: 'interval'")
-    op = _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": [-1, 1], "M": "x"})
-    code, _, err = _run(capsys, "diffop", op, "--check", "spectrum")
-    assert code == 2 and err.startswith("isospec: 'M'")
+    for M in ("x", "12", 10.9, True):
+        op = _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": [-1, 1], "M": M})
+        code, _, err = _run(capsys, "diffop", op, "--check", "spectrum")
+        assert code == 2 and err.startswith("isospec: 'M' must be an integer"), M
+    # a number of an operator document is finite, as every chain field is
+    hint = "run `isospec diffop --help` for the input schema"
+    for key, text, check in (
+        ("a", '{"a": 1e999, "b": 0, "interval": [-1, 1], "M": 10}', "riccati"),
+        ("a", '{"a": 1e999, "b": 0, "interval": [-1, 1], "M": 10}', "spectrum"),
+        ("b", '{"a": 0.5, "b": NaN, "interval": [-1, 1], "M": 10}', "spectrum"),
+        ("c", '{"a": 0.5, "b": 0, "c": -Infinity, "interval": [-1, 1], "M": 10}', "spectrum"),
+        ("interval", '{"a": 0.5, "b": 0, "interval": [-Infinity, Infinity], "M": 10}',
+         "spectrum"),
+    ):
+        op = _write(tmp_path, "op.json", text)
+        code, out, err = _run(capsys, "diffop", op, "--check", check)
+        assert (code, out) == (2, "") and err.splitlines() == [
+            f"isospec: '{key}' has a NaN or infinite entry", hint], err
+    op = _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": [-1, 1], "M": 10})
+    h = _write(tmp_path, "h.json", '{"h": 1e999, "h1": 0, "h2": 0}')
+    code, out, err = _run(capsys, "diffop", op, "--h", h, "--check", "transform")
+    assert (code, out) == (2, "") and err.splitlines() == [
+        "isospec: 'h' has a NaN or infinite entry", hint], err
     h = _write(tmp_path, "h.json", {"values": [1, [2, 3]]})
     code, _, err = _run(capsys, "transform", fib_chain, "--h", h)
     assert code == 2 and err.startswith("isospec: 'values'")
     h = _write(tmp_path, "h.json", {"values": FIB})
-    for states in ("1,a", "99", "-1"):
+    for states in ("1,a", "99", "-1", "1.5"):
         code, _, err = _run(capsys, "transform", fib_chain, "--h", h, "--direction", "local",
                             "--set", states)
         assert code == 2 and err.startswith("isospec: "), states
@@ -810,6 +834,19 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
         ["verify", fib_chain, fib_chain],
         ["bounds", bounds, "--nmax", "64"],
     ]
+    # the h-transform needs the chain layer, not the solvers that produce h
+    free = _write(tmp_path, "free.json", {"type": "bd", "birth": 1.0, "death": 1.0, "N": 7})
+    tilted = io.StringIO()
+    with contextlib.redirect_stdout(tilted):
+        assert main(["transform", fib_chain, "--h", h, "--direction", "local"]) == 0
+    tilted = _write(tmp_path, "tilted.json", tilted.getvalue())
+    transform_runs = [
+        ["transform", fib_chain, "--h", h, "--direction", "forward"],
+        ["transform", free, "--h", h, "--direction", "inverse"],
+        ["transform", fib_chain, "--h", h, "--direction", "local"],
+        ["transform", fib_chain, "--direction", "measure"],
+        ["verify", fib_chain, tilted, "--h", h],
+    ]
     # a diffop request loads no chain module and compiles no chain handler
     chain_code = ["isospec.chains", "isospec.harmonic", "isospec.duality",
                   "isospec.eigenbounds", "isospec._cli_chains"]
@@ -817,6 +854,7 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
     towers = ["fractions", "isospec._hermite"]
     cases = [
         (chain_runs, ["isospec.diffops", "isospec.expressions"]),
+        (transform_runs, ["isospec.harmonic", "isospec.diffops", "isospec.expressions"]),
         ([["diffop", ou_op, "--check", "spectrum"]], chain_code + towers),
         ([["diffop", ou_op, "--check", "riccati"]], chain_code + towers),
         ([["diffop", killed, "--h", gauss, "--check", "transform"]], chain_code + towers),

@@ -4,6 +4,8 @@ The dense examples are reversible killed chains built from conductances w on
 a spanning path plus random extra edges, rates w_ij / mu_i, and a positive h
 spanning about six orders of magnitude.  The birth-death examples check the
 paper's identities on bd families and the band form against the dense one.
+The closed-form examples hold the eigensolvers to chains whose spectra are
+known exactly.
 """
 import argparse
 import contextlib
@@ -29,9 +31,11 @@ from isospec import (
     inverse_transform,
     isospectral_check,
     lambda0_variational,
+    lowest_eigs_tridiag,
     measure_dual,
     quadratic_form,
     sturm_count,
+    symmetrize,
     transform_measure,
     validate_qpair,
 )
@@ -175,6 +179,103 @@ def test_ftilde_matches_recurrence(N, seed):
     h1 = bd_harmonic_explicit(spec, N, method="ftilde").values
     h2 = bd_harmonic_explicit(spec, N).values
     assert np.max(np.abs(h1 - h2) / h2) < 1e-10
+
+
+# ---------------------------------------------------------------- closed-form spectra
+
+_EPS = np.finfo(float).eps
+
+
+def _closed_form(family, lam, mu, beta, N, K):
+    """(spec, N, exact, s): a bd chain, its K lowest eigenvalues of -Q, and their rate scale.
+
+    "mminf" is the M/M/inf queue b_i = lam, a_i = mu i.  Its eigenvalues are
+    k mu, and the k-th eigenvector of the symmetrised band is sqrt(pi) times
+    the k-th orthonormal Charlier polynomial, with rho = lam / mu.
+    "linear" is b_i = lam (i + beta), a_i = mu i with mu > lam.  Its
+    eigenvalues are k (mu - lam), with Meixner polynomials for c = lam / mu.
+    s[k] is sum_i v_i^2 d_i for that eigenvector v and d_i the total rate at
+    i.  It is affine in the mean state index under v^2, which is the k-th
+    diagonal entry of the polynomials' Jacobi matrix: rho + k for Charlier,
+    (k + (k + beta) c) / (1 - c) for Meixner.
+    """
+    k = np.arange(K)
+    if family == "mminf":
+        spec = BirthDeathSpec(lam, lambda i: mu * i)
+        return spec, N, mu * k, lam + mu * (lam / mu + k)
+    c = lam / mu
+    spec = BirthDeathSpec(lambda i: lam * (i + beta), lambda i: mu * i)
+    return spec, N, (mu - lam) * k, (lam + mu) * (k + (k + beta) * c) / (1 - c) + lam * beta
+
+
+@st.composite
+def closed_form_chains(draw, K=5):
+    """_closed_form of an M/M/inf or linear chain, truncated where its tail is below rounding.
+
+    The eigenvectors' mass past N is of order pi_N N^(2K).  For rho <= 10
+    and N >= 80 that is below 1e-24 (Poisson pi), and for c <= 2/3 the N
+    drawn keeps c^N N^(beta + 2K + 1) below 1e-25 (negative binomial pi).
+    Either way the truncation moves no eigenvalue by a rounding unit.
+    """
+    lam = draw(st.floats(0.5, 5.0))
+    if draw(st.booleans()):
+        return _closed_form("mminf", lam, draw(st.floats(0.5, 2.0)), 0.0,
+                            draw(st.integers(80, 400)), K)
+    mu, beta = lam * draw(st.floats(1.5, 4.0)), draw(st.floats(0.5, 3.0))
+    n = 50
+    while n * np.log(mu / lam) < 25 * np.log(10.0) + (beta + 2 * K + 1) * np.log(n):
+        n += 10
+    return _closed_form("linear", lam, mu, beta, draw(st.integers(n, n + 100)), K)
+
+
+@settings(max_examples=30)  # O(N) Sturm counts at N up to about 500 per example
+@given(closed_form_chains())
+@example(_closed_form("mminf", 5.0, 1.0, 0.0, 400, 4))
+@example(_closed_form("mminf", 5.0, 1.0, 0.0, 20000, 4))  # d spans 5 .. 2 * 10^4
+@example(_closed_form("linear", 1.0, 3.0, 2.0, 4000, 5))
+def test_lowest_eigs_match_closed_form_spectra(case):
+    spec, N, exact, s = case
+    band = bd_to_band(spec, N)
+    d = band.total - band.killing
+    e = np.sqrt(band.up) * np.sqrt(band.down)
+    got = lowest_eigs_tridiag(d, e, exact.shape[0])
+    # The error bound, eigenvalue by eigenvalue:
+    # - Bisection stops once its bracket is narrower than rel_tol = 1e-13 times
+    #   its larger end and returns the midpoint: at most 0.5e-13 * lambda_k.
+    # - Rounding.  Each d_i (a sum of two rates) and e_i (a product of two
+    #   square roots) is within 2 eps of exact.  The count at shift x is the
+    #   exact count of a band with d_i moved by at most 2 eps |d_i - x| and e_i
+    #   by 2.5 eps relatively (Kahan's backward analysis of the pivots).  To
+    #   first order the eigenvalue at x then moves by at most
+    #   4.5 eps v^T (|T| + x) v, where |T| is T with |e| off the diagonal.
+    # - With up_i and down_i the rates i -> i+1 and i+1 -> i, and weights
+    #   sqrt(up_i / down_i), 2 |v_i v_(i+1)| e_i <= up_i v_i^2 + down_i v_(i+1)^2.
+    #   Summed over i this gives v^T |T| v <= 2 sum_i v_i^2 d_i = 2 s_k.
+    tol = 0.5e-13 * exact + 4.5 * _EPS * (2.0 * s + exact)
+    assert np.all(np.abs(got - exact) <= tol), (got - exact, tol)
+
+
+def test_inverse_transform_of_a_closed_form_chain_keeps_its_spectrum():
+    # the paper's direction: conjugating the conservative M/M/inf chain by 1/h
+    # gives a killed chain with the same spectrum {0, -1, -2, ...}
+    N = 200  # 5^i / i! leaves float range in bd_measures from N = 254
+    spec = BirthDeathSpec(5.0, lambda i: float(i))
+    qp = bd_to_qpair(spec, N)
+    h = np.exp(np.random.default_rng(0).uniform(-1.0, 1.0, N + 1))
+    killed = inverse_transform(qp, h)
+    assert np.min(killed.killing) < -100.0
+    mu = bd_measures(spec, N).mu
+    mu_killed = transform_measure(mu, h, inverse=True)
+    rep = isospectral_check(qp, mu, killed, mu_killed)
+    # LAPACK's symmetric eigensolver is backward stable: each eigenvalue is
+    # within p(n) eps ||S||_2 of exact, with p(n) a modest function of n,
+    # here sqrt(n), and ||S||_2 at most the largest absolute row sum of S
+    radius = [np.max(np.abs(symmetrize(q, m)).sum(axis=1))
+              for q, m in ((qp, mu), (killed, mu_killed))]
+    tol = np.sqrt(N + 1) * _EPS * np.array(radius)
+    assert rep.passed and rep.max_pair_gap <= tol.sum()
+    top = rep.eigenvalues_other[-6:]
+    assert np.all(np.abs(top + np.arange(5.0, -1.0, -1.0)) <= tol[1])
 
 
 # ---------------------------------------------------------------- band against dense

@@ -102,7 +102,11 @@ def test_sturm_count_matches_reference_counts():
     S = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     w = np.linalg.eigvalsh(S)
     for x in (-2.0, -0.5, 0.0, 0.3, 1.7, w[3] + 1e-9):
-        assert sturm_count(d, e, x) == int(np.sum(w < x))
+        n = int(np.sum(w < x))
+        assert sturm_count(d, e, x) == n
+        # the bisection's counts stop at k
+        for k in (1, 4, 30):
+            assert isospec.spectra._sturm_count(d.tolist(), e.tolist(), x, k) == min(n, k)
 
 
 def test_sturm_count_same_on_lists_and_arrays():
@@ -183,16 +187,18 @@ def _graded_200(rng):
 ], ids=["random", "graded", "graded-200"])
 def test_lowest_eigs_share_counts_and_keep_bits(monkeypatch, make):
     d, e = make(np.random.default_rng(37))
-    shifts = []
-
-    def counted(d, e, x):
-        shifts.append(x)
-        return sturm_count(d, e, x)
-
-    monkeypatch.setattr(isospec.spectra, "sturm_count", counted)
-    got = lowest_eigs_tridiag(d, e, 6)
+    # the reference runs first: sturm_count calls _sturm_count too
     want, calls = _bisect_each(d, e, 6)
+    count, shifts = isospec.spectra._sturm_count, []
+
+    def counted(d, e, x, stop):
+        shifts.append(x)
+        return count(d, e, x, stop)
+
+    monkeypatch.setattr(isospec.spectra, "_sturm_count", counted)
+    got = lowest_eigs_tridiag(d, e, 6)
     assert got.tolist() == want
+    assert shifts
     assert len(set(shifts)) == len(shifts) < calls
 
 
