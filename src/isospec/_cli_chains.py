@@ -70,6 +70,17 @@ class ChainInput:
             raise SchemaError('bd chain with formula rates needs "N"')
         return self.N
 
+    def bd_arrays(self, N: int) -> BirthDeathSpec:
+        """The bd chain with its rates on states 0..N read into arrays, if N >= 1.
+
+        A nonpositive birth or death rate is an input error here, before the
+        library runs; an N below 1 is left for the library to refuse.
+        """
+        if N < 1:
+            return self.bd
+        with _schema_errors():
+            return BirthDeathSpec(*self.bd.rate_arrays(N))
+
     def as_qpair(self, band: bool = False):
         """The chain as a QPairSpec; a bd chain as a BandSpec when band is true."""
         if self.kind == "qpair":
@@ -228,7 +239,7 @@ def cmd_harmonic(args) -> int:
         if N is None:
             raise SchemaError("unbounded bd chain: pass --nmax")
         N = _within_arrays(args, ci, N, "N =", reach=0)
-        hv = bd_harmonic_explicit(ci.bd, N)
+        hv = bd_harmonic_explicit(ci.bd_arrays(N), N)
     else:
         hv, trace = minimal_harmonic(ci.as_qpair(), args.theta, method=args.method,
                                      **_tol(args))
@@ -278,7 +289,7 @@ def cmd_transform(args) -> int:
             raise SchemaError("h must cover at least states 0..2")
         if ci.N is not None and N < ci.N:
             _note(args, f"h covers 0..{N + 1}; transforming up to N = {N}")
-        spec_t, mp = bd_h_transform(ci.bd, hv, N)
+        spec_t, mp = bd_h_transform(ci.bd_arrays(N), hv, N)
         doc = _bd_doc(spec_t, N, mp)
         _emit(args, doc, header=("state", "birth", "death", "killing", "mu"),
               rows=lambda: zip(range(N + 1), doc["birth"], doc["death"], doc["killing"],
@@ -363,7 +374,7 @@ def cmd_bounds(args) -> int:
         raise SchemaError("bounds needs a bd chain")
     # the harmonic h of the Hardy weights runs one state past nmax
     nmax = _within_arrays(args, ci, args.nmax, "--nmax", reach=1)
-    rep = bounds_report(ci.bd, N_max=nmax, tail_tol=args.tail_tol)
+    rep = bounds_report(ci.bd_arrays(nmax + 1), N_max=nmax, tail_tol=args.tail_tol)
     payload = rep.to_dict()
     payload["n_max"] = nmax
     _emit(args, payload, header=("n", "partial_sup"),

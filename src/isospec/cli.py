@@ -54,7 +54,8 @@ c defaults to 0, bc to neumann at both ends.
 
 h JSON for --h: {"h": expr} (derivatives taken symbolically),
 {"h": expr, "h1": expr, "h2": expr} with declared derivatives, or sampled
-values {"grid": [...], "values": [...]}."""
+values {"grid": [...], "values": [...]} on an increasing grid that covers
+the interval."""
 
 
 # ---------------------------------------------------------------- loading
@@ -99,7 +100,8 @@ def load_operator(doc) -> Operator1D:
         return Operator1D.on_interval(a, b, c, lo, hi, M, boundary=tuple(bc))
 
 
-def load_smooth(path: str) -> SmoothFunction:
+def load_smooth(path: str, x) -> SmoothFunction:
+    """The h of a diffop request on the operator's grid x; sampled values must cover x."""
     from .diffops import SmoothFunction
 
     doc = _load_json(path)
@@ -111,7 +113,12 @@ def load_smooth(path: str) -> SmoothFunction:
         grid = _finite("grid", _floats("grid", doc["grid"]))
         vals = _finite("values", _floats("values", doc["values"]))
         with _schema_errors():
-            return SmoothFunction.from_values(grid, vals)
+            h = SmoothFunction.from_values(grid, vals)
+        lo, hi = float(grid[0]), float(grid[-1])
+        if lo > x[0] or hi < x[-1]:  # np.interp would extend the end values
+            raise SchemaError(f"sampled h covers [{lo}, {hi}], not the operator's "
+                              f"interval [{float(x[0])}, {float(x[-1])}]")
+        return h
     if "h" not in doc:
         raise SchemaError('h JSON needs "h" (expression) or "grid"/"values"')
     if "h1" in doc or "h2" in doc:
@@ -138,7 +145,7 @@ def cmd_diffop(args) -> int:
     if args.check in ("eigen", "transform"):
         if args.h is None:
             raise SchemaError(f"--check {args.check} needs --h")
-        h = load_smooth(args.h)
+        h = load_smooth(args.h, op.grid)
 
     if args.check == "eigen":
         checks = verify_lh_eigen(h, n_max=args.nmax, grid=op.grid)

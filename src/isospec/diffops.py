@@ -1,10 +1,11 @@
 """Differential-operator conjugations, Riccati duals, and discretization.
 
-One-dimensional operators L = a d2/dx2 + b d/dx + c.  A nonvanishing h with
-L h = 0 turns L into the potential-free L~ = a d2/dx2 + b~ d/dx with
-b~ = b + 2 a h'/h, and any positive h inverts the move, reintroducing a
-potential.  The discretization is finite-volume in the (mu, nu-hat) weights
-so the discrete matrix is symmetric in L2(mu) by construction.
+One-dimensional operators L = a d2/dx2 + b d/dx + c.  One kernel conjugates
+by g: g^-1 L g has drift b + 2 a g'/g and potential L g / g.  g = h with
+L h = 0 removes the potential, g = 1/h brings one back, and the Riccati dual
+has the drift of g = e^psi.  The discretization is finite-volume in the
+(mu, nu-hat) weights so the discrete matrix is symmetric in L2(mu) by
+construction.
 """
 from __future__ import annotations
 
@@ -100,6 +101,8 @@ class SmoothFunction:
         v = np.asarray(values, dtype=float)
         if x.shape != v.shape or x.ndim != 1 or x.shape[0] < 5:
             raise PreconditionViolated("need matching 1-d arrays, length >= 5")
+        if np.any(np.diff(x) <= 0.0):  # np.interp reads a decreasing grid wrongly
+            raise PreconditionViolated("grid must be strictly increasing")
         d1 = np.gradient(v, x, edge_order=2)
         d2 = np.gradient(d1, x, edge_order=2)
         return _interpolated(x, v, d1, d2)
@@ -117,6 +120,19 @@ def _check_nonzero(hv, x):
         raise ZeroH(float(np.atleast_1d(x)[i]))
 
 
+def _conjugate(op: Operator1D, h: SmoothFunction, t, inverse: bool = False):
+    """Drift, L g and g of op conjugated by g = h, or by g = 1/h when inverse, at t.
+
+    The conjugate g^-1 L g has drift b + 2 a g'/g and potential L g / g.  1/h
+    enters as (h, -h', 2 h'^2/h - h''), which is h^2 (g, g', g'').
+    """
+    g, g1, g2 = h(t)
+    if inverse:
+        g1, g2 = -g1, 2.0 * g1 * g1 / g - g2
+    a, b, c = op.a(t), op.b(t), op.c(t)
+    return b + 2.0 * a * g1 / g, a * g2 + b * g1 + c * g, g
+
+
 def forward_transform(op: Operator1D, h: SmoothFunction, tol: float = 1e-8) -> Operator1D:
     """Remove the potential of op using an op-harmonic h.
 
@@ -124,17 +140,14 @@ def forward_transform(op: Operator1D, h: SmoothFunction, tol: float = 1e-8) -> O
     operator with the same diffusion, drift b + 2 a h'/h, and zero potential.
     """
     x = op.grid
-    hv, h1, h2 = h(x)
-    _check_nonzero(hv, x)
-    av, bv, cv = op.coefficients()
-    res = np.abs(av * h2 + bv * h1 + cv * hv)
+    _check_nonzero(h(x)[0], x)
+    res = np.abs(_conjugate(op, h, x)[1])
     if np.any(res > tol):
         i = int(np.argmax(res))
         raise NotHarmonicAt(float(x[i]), float(res[i]), tol)
 
-    def bt(t, _b=op.b, _a=op.a, _h=h):
-        hv, h1, _ = _h(t)
-        return _b(t) + 2.0 * _a(t) * h1 / hv
+    def bt(t, _op=op, _h=h):
+        return _conjugate(_op, _h, t)[0]
 
     return Operator1D(a=op.a, b=bt, c=0.0, grid=op.grid, boundary=op.boundary)
 
@@ -165,37 +178,23 @@ def forward_transform_points(a, b, c, h, grad, hess, tol: float = 1e-8):
     return b + 2.0 * np.einsum("pij,pj->pi", a, grad) / h[:, None]
 
 
-def inverse_transform(opt: Operator1D, h: SmoothFunction, path: str = "direct") -> Operator1D:
-    """Reintroduce a potential: conjugate the potential-free opt by h.
+def inverse_transform(opt: Operator1D, h: SmoothFunction) -> Operator1D:
+    """Reintroduce a potential: conjugate the potential-free opt by 1/h.
 
-    path "direct" uses c = 2 a (h'/h)^2 - (a h'' + b~ h')/h; path "psi" uses
-    the logarithmic form c = a (psi'^2 - psi'') - b~ psi' with psi = log h.
-    The two are algebraically identical and kept separate as a cross-check.
+    The result has drift b~ - 2 a h'/h and potential
+    2 a (h'/h)^2 - (a h'' + b~ h')/h.
     """
-    if path not in ("direct", "psi"):
-        raise PreconditionViolated(f"unknown path {path!r}")
     x = opt.grid
-    cv = opt.c(x)
-    if np.any(np.abs(cv) > 1e-12):
+    if np.any(np.abs(opt.c(x)) > 1e-12):
         raise PreconditionViolated("input operator must have zero potential")
-    hv, _, _ = h(x)
-    _check_nonzero(hv, x)
+    _check_nonzero(h(x)[0], x)
 
-    def b_new(t, _b=opt.b, _a=opt.a, _h=h):
-        hv, h1, _ = _h(t)
-        return _b(t) - 2.0 * _a(t) * h1 / hv
+    def b_new(t, _op=opt, _h=h):
+        return _conjugate(_op, _h, t, inverse=True)[0]
 
-    if path == "direct":
-        def c_new(t, _b=opt.b, _a=opt.a, _h=h):
-            hv, h1, h2 = _h(t)
-            r = h1 / hv
-            return 2.0 * _a(t) * r * r - (_a(t) * h2 + _b(t) * h1) / hv
-    else:
-        def c_new(t, _b=opt.b, _a=opt.a, _h=h):
-            hv, h1, h2 = _h(t)
-            p1 = h1 / hv
-            p2 = h2 / hv - p1 * p1
-            return _a(t) * (p1 * p1 - p2) - _b(t) * p1
+    def c_new(t, _op=opt, _h=h):
+        _, lg, g = _conjugate(_op, _h, t, inverse=True)
+        return lg / g
 
     return Operator1D(a=opt.a, b=b_new, c=c_new, grid=opt.grid, boundary=opt.boundary)
 
@@ -296,7 +295,7 @@ def riccati_dual(
     psi[i0 + 1 :] = np.cumsum(seg[i0:])
     psi[:i0] = -np.cumsum(seg[:i0][::-1])[::-1]
 
-    bt = 2.0 * av * phi + bv
+    bt = 2.0 * av * phi + bv  # drift b + 2 a h'/h of the conjugate by h = e^psi, h'/h = phi
     dphi = -phi * phi - (bv / av) * phi - cv / av  # the Riccati equation solved for phi'
     return RiccatiResult(grid=x, phi=phi, psi=psi, b_tilde=bt, phi_prime=dphi)
 

@@ -541,6 +541,58 @@ def test_operator_h_and_set_fields_are_schema_errors(capsys, tmp_path, fib_chain
         h = _write(tmp_path, "h.json", sampled)
         code, _, err = _run(capsys, "diffop", op, "--h", h, "--check", "transform")
         assert code == 2 and err.startswith(f"isospec: '{key}' has a NaN"), err
+    # np.interp reads a sampled h only on an increasing grid, and only inside it
+    op = _write(tmp_path, "op.json", {"a": 0.5, "b": 0, "c": 0, "interval": [-0.5, 0.5],
+                                      "M": 10})
+    wide = _write(tmp_path, "wide.json", {"a": 0.5, "b": 0, "c": 0, "interval": [-1.5, 1.5],
+                                          "M": 10})
+    down = np.linspace(1.0, -1.0, 41)
+    up = down[::-1]
+    for op_path, sampled, line in (
+        (op, {"grid": down.tolist(), "values": (1.0 - down).tolist()},
+         "isospec: grid must be strictly increasing"),
+        (wide, {"grid": up.tolist(), "values": (2.0 + up).tolist()},
+         "isospec: sampled h covers [-1.0, 1.0], not the operator's interval [-1.5, 1.5]"),
+        (wide, {"grid": up.tolist(), "values": (1.0 + up).tolist()},
+         "isospec: sampled h covers [-1.0, 1.0], not the operator's interval [-1.5, 1.5]"),
+    ):
+        h = _write(tmp_path, "h.json", sampled)
+        for check in ("transform", "eigen"):
+            code, out, err = _run(capsys, "diffop", op_path, "--h", h, "--check", check)
+            assert (code, out) == (2, "") and err.splitlines() == [line, hint], err
+
+
+# a birth or death rate that is not positive, on a state every path reads (N = 20)
+NONPOSITIVE = {
+    "birth-array": ({"type": "bd", "birth": [1.0] * 12 + [-1.0] + [1.0] * 9, "death": 1.0,
+                     "killing": -0.5, "N": 20}, "birth rate b[12] = -1.0"),
+    "birth-poly": ({"type": "bd", "birth": {"formula": "poly", "coeffs": [5, -1]},
+                    "death": 1.0, "killing": -0.5, "N": 20}, "birth rate b[5] = 0.0"),
+    "death-array": ({"type": "bd", "birth": 1.0, "death": [1.0] * 3 + [-2.0] + [1.0] * 18,
+                     "N": 20}, "death rate a[3] = -2.0"),
+}
+CHAIN_PATHS = {
+    "harmonic-iterate": ["harmonic", "c.json", "--method", "iterate"],
+    "harmonic-solve": ["harmonic", "c.json", "--method", "solve"],
+    "harmonic-explicit": ["harmonic", "c.json", "--method", "explicit"],
+    "verify": ["verify", "c.json", "c.json"],
+    "bounds": ["bounds", "c.json", "--nmax", "15"],
+    "transform-forward": ["transform", "c.json", "--h", "h.json", "--direction", "forward"],
+    "transform-local": ["transform", "c.json", "--h", "h.json", "--direction", "local"],
+    "transform-inverse": ["transform", "c.json", "--h", "h.json", "--direction", "inverse"],
+    "transform-measure": ["transform", "c.json", "--direction", "measure"],
+}
+
+
+@pytest.mark.parametrize("argv", CHAIN_PATHS.values(), ids=CHAIN_PATHS.keys())
+@pytest.mark.parametrize("doc, rate", NONPOSITIVE.values(), ids=NONPOSITIVE.keys())
+def test_nonpositive_rates_are_schema_errors_on_every_path(capsys, tmp_path, doc, rate, argv):
+    files = {"c.json": _write(tmp_path, "c.json", doc),
+             "h.json": _write(tmp_path, "h.json", [1.0] * 22)}
+    code, out, err = _run(capsys, *(files.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"isospec: {rate} must be positive",
+                                f"run `isospec {argv[0]} --help` for the input schema"]
 
 
 def test_minimal_harmonic_decrease_exits_one(capsys, monkeypatch, tmp_path):

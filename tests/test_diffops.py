@@ -210,13 +210,18 @@ def test_inverse_paths_agree_and_recover():
     ou = Operator1D.on_interval(0.5, "-x", 0.0, -3.0, 3.0, 300)
     h = SmoothFunction.from_expression("exp(-x^2/2)")
     x = ou.grid
-    direct = inverse_transform(ou, h, path="direct")
-    via_psi = inverse_transform(ou, h, path="psi")
-    assert np.max(np.abs(direct.c(x) - via_psi.c(x))) < 1e-12
-    assert np.max(np.abs(direct.b(x) - via_psi.b(x))) < 1e-12
-    assert np.max(np.abs(direct.c(x) - (1.0 - x**2) / 2.0)) < 1e-12
-    assert np.max(np.abs(direct.b(x))) < 1e-12
-    back = forward_transform(direct, h, tol=1e-10)
+    inv = inverse_transform(ou, h)
+    # the logarithmic form with psi = log h: c = a (psi'^2 - psi'') - b~ psi'
+    hv, h1, h2 = h(x)
+    p1 = h1 / hv
+    p2 = h2 / hv - p1 * p1
+    via_psi_c = ou.a(x) * (p1 * p1 - p2) - ou.b(x) * p1
+    via_psi_b = ou.b(x) - 2.0 * ou.a(x) * p1
+    assert np.max(np.abs(inv.c(x) - via_psi_c)) < 1e-12
+    assert np.max(np.abs(inv.b(x) - via_psi_b)) < 1e-12
+    assert np.max(np.abs(inv.c(x) - (1.0 - x**2) / 2.0)) < 1e-12
+    assert np.max(np.abs(inv.b(x))) < 1e-12
+    back = forward_transform(inv, h, tol=1e-10)
     assert np.max(np.abs(back.b(x) - (-x))) < 1e-12
     assert np.all(back.c(x) == 0.0)
 
@@ -226,10 +231,44 @@ def test_inverse_requires_zero_potential():
     h = SmoothFunction.from_expression("exp(x)")
     with pytest.raises(PreconditionViolated):
         inverse_transform(op, h)
-    with pytest.raises(PreconditionViolated):
-        inverse_transform(
-            Operator1D.on_interval(1.0, 0.0, 0.0, 0.0, 1.0, 10), h, path="sideways"
-        )
+
+
+def _killed_oscillator(theta, M):
+    """The benchmark's killed oscillator (1/2) f'' + (theta - theta^2 x^2)/2 f."""
+    t = repr(theta)
+    half = 3.0 / np.sqrt(theta)
+    op = Operator1D.on_interval(0.5, 0, f"({t} - {t}^2*x^2)/2", -half, half, M)
+    return op, SmoothFunction.from_expression(f"exp(-{t}*x^2/2)")
+
+
+def test_conjugation_keeps_the_bits_of_the_written_out_formulas():
+    # the formulas written out, bit for bit: drift b + 2 a h'/h, residual
+    # |a h'' + b h' + c h|, inverse drift b - 2 a h'/h and Riccati b~ = 2 a phi + b
+    # a callable operator with the harmonic h = e^{x^2/2}: (1 + x^2/4) h'' + x h' + c h = 0
+    callable_op = Operator1D.on_interval(lambda x: 1.0 + x * x / 4.0, lambda x: x,
+                                         lambda x: -(1.0 + x * x / 4.0) * (1.0 + x * x) - x * x,
+                                         -1.0, 1.3, 301)
+    gauss = SmoothFunction(h=lambda x: np.exp(x * x / 2.0), h1=lambda x: x * np.exp(x * x / 2.0),
+                           h2=lambda x: (1.0 + x * x) * np.exp(x * x / 2.0))
+    cases = [_killed_oscillator(1.37, 500), _killed_oscillator(0.61, 1000),
+             (callable_op, gauss)]
+    for op, h in cases:
+        x = op.grid
+        av, bv, cv = op.coefficients()
+        hv, h1, h2 = h(x)
+        res = np.abs(av * h2 + bv * h1 + cv * hv)
+        i = int(np.argmax(res))
+        # at tol 0 even the rounding noise of a harmonic h is named
+        with pytest.raises(NotHarmonicAt) as ei:
+            forward_transform(op, h, tol=0.0)
+        assert (ei.value.x, ei.value.residual) == (float(x[i]), float(res[i]))
+        got = forward_transform(op, h, tol=np.inf).b(x)
+        assert np.array_equal(got, bv + 2.0 * av * h1 / hv)
+        free = Operator1D(a=op.a, b=op.b, c=0.0, grid=x)
+        assert np.array_equal(inverse_transform(free, h).b(x), bv - 2.0 * av * h1 / hv)
+        rr = riccati_dual(op, 0.0)
+        assert np.array_equal(rr.b_tilde, 2.0 * av * rr.phi + bv)
+        forward_transform(op, h)  # h is harmonic at the default tolerance
 
 
 def test_forward_points_exponential_h_in_dimension_three():
