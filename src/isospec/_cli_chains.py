@@ -289,7 +289,7 @@ def cmd_transform(args) -> int:
             raise SchemaError("h must cover at least states 0..2")
         if ci.N is not None and N < ci.N:
             _note(args, f"h covers 0..{N + 1}; transforming up to N = {N}")
-        spec_t, mp = bd_h_transform(ci.bd_arrays(N), hv, N)
+        spec_t, mp = bd_h_transform(ci.bd_arrays(N), hv, N, **_tol(args))
         doc = _bd_doc(spec_t, N, mp)
         _emit(args, doc, header=("state", "birth", "death", "killing", "mu"),
               rows=lambda: zip(range(N + 1), doc["birth"], doc["death"], doc["killing"],

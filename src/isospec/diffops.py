@@ -141,8 +141,9 @@ def forward_transform(op: Operator1D, h: SmoothFunction, tol: float = 1e-8) -> O
     """
     x = op.grid
     _check_nonzero(h(x)[0], x)
-    res = np.abs(_conjugate(op, h, x)[1])
-    if np.any(res > tol):
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.abs(_conjugate(op, h, x)[1])
+    if np.any(~(res <= tol)):  # a NaN residual fails too
         i = int(np.argmax(res))
         raise NotHarmonicAt(float(x[i]), float(res[i]), tol)
 
@@ -169,10 +170,11 @@ def forward_transform_points(a, b, c, h, grad, hess, tol: float = 1e-8):
     if a.ndim == 2:
         a = np.broadcast_to(a, (P, d, d))
     _check_nonzero(h, np.arange(P))
-    res = np.abs(
-        np.einsum("pij,pij->p", a, hess) + np.einsum("pi,pi->p", b, grad) + c * h
-    )
-    if np.any(res > tol):
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.abs(
+            np.einsum("pij,pij->p", a, hess) + np.einsum("pi,pi->p", b, grad) + c * h
+        )
+    if np.any(~(res <= tol)):
         i = int(np.argmax(res))
         raise NotHarmonicAt(float(i), float(res[i]), tol)
     return b + 2.0 * np.einsum("pij,pj->pi", a, grad) / h[:, None]

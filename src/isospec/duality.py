@@ -147,34 +147,25 @@ def transform_measure(mu, h, inverse: bool = False) -> np.ndarray:
     return out
 
 
-def bd_h_transform(spec: BirthDeathSpec, h, N: int):
-    """Transformed birth-death rates and measures under a positive h.
+def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
+    """Transformed birth-death rates and measures under h harmonic on 0..N.
 
-    Needs h on 0..N+1.  Returns (BirthDeathSpec, MeasurePair) with
-    b~_i = b_i h_{i+1}/h_i, a~_i = a_i h_{i-1}/h_i, mu~_i = h_i^2 mu_i and
-    nu_hat~_i = nu_hat_i / (h_i h_{i+1}).  When c <= 0 and h is
-    nondecreasing the births speed up and the deaths slow down; that
-    comparison is checked and a violation raises, since it signals a bad h.
+    Needs h on 0..N+1.  The chain is tilted as a band on 0..N+1 by
+    h_transform_local, which checks A h = 0 at states 0..N within tol; state
+    N+1 only lends h_{N+1} to b_N, so its rate back to N and its potential
+    are placeholder zeros.  Returns (BirthDeathSpec, MeasurePair) with
+    b~_i = b_i (h_{i+1}/h_i), a~_i = a_i (h_{i-1}/h_i), zero potential,
+    mu~_i = h_i^2 mu_i and nu_hat~_i = nu_hat_i / (h_i h_{i+1}).
     """
     hv = _positive_h(h)
     if hv.shape[0] < N + 2:
         raise PreconditionViolated(f"need h on 0..{N + 1} (got {hv.shape[0]} values)")
     b, a, c = spec.rate_arrays(N)
-    at = np.zeros(N + 1)
-    with np.errstate(over="ignore"):
-        bt = b * hv[1 : N + 2] / hv[: N + 1]
-        at[1:] = a[1:] * hv[: N] / hv[1 : N + 1]
-    over = np.flatnonzero(~(np.isfinite(bt) & np.isfinite(at)))
-    if over.size:
-        raise Overflow(int(over[0]), "transformed rate")
-    if np.all(c <= 0.0) and np.all(np.diff(hv) >= 0.0):
-        if np.any(at[1:] > a[1:] * (1 + 1e-12)) or np.any(bt < b * (1 - 1e-12)):
-            raise PreconditionViolated(
-                "transformed rates violate the monotone comparison; "
-                "h is not harmonic for a killed chain"
-            )
+    band = validate_band(b, np.append(a[1:], 0.0), killing=np.append(c, 0.0))
+    out = h_transform_local(band, hv[: N + 2], harmonic_set=range(N + 1), tol=tol)
     mu_t, nu_t = _conjugated_weights(bd_measures(spec, N).mu, hv[: N + 2], b)
-    return BirthDeathSpec(birth=bt, death=at, killing=0.0), MeasurePair(mu=mu_t, nu_hat=nu_t)
+    return (BirthDeathSpec(birth=out.up, death=np.append(0.0, out.down[:N]), killing=0.0),
+            MeasurePair(mu=mu_t, nu_hat=nu_t))
 
 
 def measure_dual(qp: QPairSpec | BandSpec, mu) -> QPairSpec | BandSpec:

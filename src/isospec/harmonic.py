@@ -90,7 +90,8 @@ def _hitting_kernel(qp: QPairSpec, theta: int):
     return K, s, mask
 
 
-def _warn_unreachable(qp: QPairSpec, theta: int):
+def _warn_unreachable(qp: QPairSpec, theta: int) -> np.ndarray:
+    """Mask of the states that can reach theta; warns when some cannot."""
     n = qp.n_states
     reach = np.zeros(n, dtype=bool)
     reach[theta] = True
@@ -109,6 +110,7 @@ def _warn_unreachable(qp: QPairSpec, theta: int):
             "the minimal solution vanishes there",
             stacklevel=3,
         )
+    return reach
 
 
 def minimal_harmonic(
@@ -132,11 +134,13 @@ def minimal_harmonic(
     if not 0 <= theta < n:
         raise InvalidArgument(f"theta = {theta} outside 0..{n - 1}")
     K, s, mask = _hitting_kernel(qp, theta)
-    _warn_unreachable(qp, theta)
+    reach = _warn_unreachable(qp, theta)[mask]
     m = n - 1
 
     if method == "solve":
-        hm = np.linalg.solve(np.eye(m) - K, s) if m else np.empty(0)
+        # I - K is singular on a class that cannot reach theta; h is 0 there
+        hm = np.zeros(m)
+        hm[reach] = np.linalg.solve((np.eye(m) - K)[np.ix_(reach, reach)], s[reach])
         trace = IterationTrace(converged=True, final_delta=0.0, n_iter=0)
     elif method == "iterate":
         def step(hm, it):

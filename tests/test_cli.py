@@ -239,6 +239,19 @@ def test_transform_forward_csv_rows_match_json(capsys, monkeypatch, tmp_path, fi
         assert [float(v) for v in row] == want
 
 
+def test_transform_forward_bd_checks_h_within_tol(capsys, tmp_path):
+    chain = _write(tmp_path, "c.json",
+                   {"type": "bd", "birth": 1, "death": 1, "killing": -0.5, "N": 4})
+    h = _write(tmp_path, "h.json", [1, 2, 3, 4, 5, 6])
+    code, out, err = _run(capsys, "transform", chain, "--h", h)
+    assert (code, out) == (1, "")
+    assert err == ("isospec: check failed: harmonic residual 0.25 at index 0 "
+                   "exceeds tolerance 1e-08\n")
+    code, out, err = _run(capsys, "transform", chain, "--h", h, "--tol", "0.5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["birth"] == [2.0, 1.5, 4 / 3, 1.25, 1.2]
+
+
 def test_transform_forward_at_the_mu_limit_warns_nothing(tmp_path):
     # mu_N is finite at N = 3893 but mu_N b_N is not; nu_hat_N is 0.0 without a warning
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.2, "death": 1.0, "N": 3893})
@@ -339,6 +352,16 @@ def test_diffop_transform(capsys, tmp_path):
     bt = np.asarray(doc["b_tilde"])
     x = np.asarray(doc["x"])
     assert np.max(np.abs(bt + x)) < 1e-10
+
+
+def test_diffop_transform_refuses_a_nan_residual(capsys, tmp_path):
+    # a h'' + b h' overflows to inf - inf past x = 0.8
+    op = _write(tmp_path, "op.json", {"a": "exp(800*x)", "b": "-exp(800*x)", "c": 0,
+                                      "interval": [0, 1], "M": 10})
+    h = _write(tmp_path, "h.json", {"h": "exp(x)"})
+    code, out, err = _run(capsys, "diffop", op, "--h", h, "--check", "transform")
+    assert (code, out) == (1, "")
+    assert err == "isospec: check failed: harmonic residual nan at x = 0.9 exceeds 1e-08\n"
 
 
 # the benchmark's killed oscillator (1/2) f'' + (t - t^2 x^2)/2 f at t = 1.5, for

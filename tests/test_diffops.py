@@ -291,9 +291,10 @@ def test_forward_points_flags_non_harmonic():
     hv = np.ones(P)
     grad = np.zeros((P, d))
     hess = np.zeros((P, d, d))
-    c = np.ones(P)  # c h != 0 while derivatives vanish
-    with pytest.raises(NotHarmonicAt):
-        forward_transform_points(np.eye(d), np.zeros((P, d)), c, hv, grad, hess)
+    for c in (1.0, math.nan):  # c h != 0, or NaN, while derivatives vanish
+        with pytest.raises(NotHarmonicAt):
+            forward_transform_points(np.eye(d), np.zeros((P, d)), np.full(P, c), hv, grad,
+                                     hess)
 
 
 # ---------------------------------------------------------------- riccati

@@ -188,6 +188,31 @@ def test_bd_h_transform_speeds_births_slows_deaths():
     assert np.all(at[1:] <= a[1:] * (1 + 1e-12))
 
 
+def test_bd_h_transform_is_the_band_tilt_bit_for_bit():
+    rng = np.random.default_rng(20)
+    N = 50
+    s = BirthDeathSpec(birth=rng.uniform(0.5, 1.5, N + 2),
+                       death=rng.uniform(0.5, 1.5, N + 2),
+                       killing=-rng.uniform(0.0, 0.5, N + 2))
+    h = bd_harmonic_explicit(s, N + 1).values
+    out, _ = bd_h_transform(s, h, N)
+    b, a, _ = s.rate_arrays(N)
+    bt, at, ct = out.rate_arrays(N)
+    assert bt.tobytes() == (b * (h[1:] / h[:-1])).tobytes()
+    assert at[1:].tobytes() == (a[1:] * (h[:N] / h[1 : N + 1])).tobytes()
+    assert not ct.any()
+
+
+def test_bd_h_transform_refuses_a_non_harmonic_h():
+    s = BirthDeathSpec(birth=1.0, death=1.0, killing=-0.5)
+    h = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    with pytest.raises(NotLocallyHarmonic) as e:
+        bd_h_transform(s, h, 4)
+    assert (e.value.index, e.value.residual) == (0, 0.25)
+    out, _ = bd_h_transform(s, h, 4, tol=0.5)
+    assert out.rate_arrays(4)[0].tolist() == [h[i + 1] / h[i] for i in range(5)]
+
+
 def test_bd_h_transform_needs_h_past_the_edge():
     s = BirthDeathSpec(birth=1.0, death=1.0, killing=-0.5)
     hv = bd_harmonic_explicit(s, 11)

@@ -233,12 +233,19 @@ def test_minimal_harmonic_nonconvergence_budget():
 
 
 def test_minimal_harmonic_warns_when_anchor_unreachable():
-    # state 2 has no outgoing jumps, so it never hits the anchor
-    rates = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    qp = validate_qpair(rates, None, np.array([-0.1, -0.1, -0.1]))
-    with pytest.warns(UserWarning, match="cannot reach"):
-        hv, _ = minimal_harmonic(qp, 0, method="solve")
-    assert hv.values[2] == 0.0
+    for rates, killing in (
+        # state 2 has no outgoing jumps, so it never hits the anchor
+        ([[0, 1, 0], [1, 0, 1], [0, 0, 0]], -0.1),
+        # states 1 and 2 form a closed class, on which I - K is singular
+        ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], 0.0),
+    ):
+        qp = validate_qpair(np.array(rates, dtype=float), None, np.full(3, killing))
+        runs = []
+        for method in ("solve", "iterate"):
+            with pytest.warns(UserWarning, match="cannot reach"):
+                runs.append(minimal_harmonic(qp, 0, method=method)[0])
+        assert runs[0].values[2] == 0.0
+        assert runs[0].values.tobytes() == runs[1].values.tobytes()
 
 
 def test_supersolution_accepts_harmonic_and_constants():
