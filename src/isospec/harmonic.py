@@ -90,7 +90,7 @@ def _hitting_kernel(qp: QPairSpec, theta: int):
     return K, s, mask
 
 
-def _warn_unreachable(qp: QPairSpec, theta: int) -> np.ndarray:
+def _reachable(qp: QPairSpec, theta: int) -> np.ndarray:
     """Mask of the states that can reach theta; warns when some cannot."""
     n = qp.n_states
     reach = np.zeros(n, dtype=bool)
@@ -134,13 +134,15 @@ def minimal_harmonic(
     if not 0 <= theta < n:
         raise InvalidArgument(f"theta = {theta} outside 0..{n - 1}")
     K, s, mask = _hitting_kernel(qp, theta)
-    reach = _warn_unreachable(qp, theta)[mask]
+    reach = _reachable(qp, theta)[mask]
     m = n - 1
 
     if method == "solve":
-        # I - K is singular on a class that cannot reach theta; h is 0 there
+        # I - K is singular on a class that cannot reach theta; h stays 0 there.
+        # When every state reaches theta, r is a slice and nothing is copied.
+        r = slice(None) if np.all(reach) else np.flatnonzero(reach)
         hm = np.zeros(m)
-        hm[reach] = np.linalg.solve((np.eye(m) - K)[np.ix_(reach, reach)], s[reach])
+        hm[r] = np.linalg.solve((np.eye(m) - K)[r][:, r], s[r])
         trace = IterationTrace(converged=True, final_delta=0.0, n_iter=0)
     elif method == "iterate":
         def step(hm, it):
