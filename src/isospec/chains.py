@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NegativeRate, Overflow, PotentialExceedsRate, PreconditionViolated,
-                     _check_finite)
+                     _check_finite, _per_state)
 
 _CONS_RTOL = 1e-12
 
@@ -49,7 +49,7 @@ class QPairSpec:
         return self.total - self.rates.sum(axis=1)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
+        f = _per_state("f", f, self.n_states)
         return self.rates @ f + (self.killing - self.total) * f
 
     def nonzero(self):
@@ -65,7 +65,10 @@ def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
     to zero.  Diagonal entries of rates are ignored; any other NaN or inf
     entry is refused.
     """
-    r = np.array(rates, dtype=float)
+    try:
+        r = np.array(rates, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        r = np.zeros(0)
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
         raise PreconditionViolated("rates must be a square matrix with n >= 1")
     np.fill_diagonal(r, 0.0)
@@ -83,10 +86,7 @@ def validate_qpair(rates, total=None, killing=None) -> QPairSpec:
 def _check_totals(row, total, killing):
     """Totals, potential and conservativity of a chain with rate row sums row."""
     n = row.shape[0]
-    q = row.copy() if total is None else np.array(total, dtype=float)
-    if q.shape != (n,):
-        raise PreconditionViolated("total must have one entry per state")
-    _check_finite("total", q)
+    q = _per_state("total", row if total is None else total, n)
     slack = q - row
     scale = np.maximum(1.0, np.maximum(np.abs(q), row))
     if np.any(slack < -_CONS_RTOL * scale):
@@ -94,10 +94,7 @@ def _check_totals(row, total, killing):
         raise PreconditionViolated(
             f"total rate q[{i}] = {q[i]} below row sum {row[i]} (not totally stable)"
         )
-    c = np.zeros(n) if killing is None else np.array(killing, dtype=float)
-    if c.shape != (n,):
-        raise PreconditionViolated("killing must have one entry per state")
-    _check_finite("killing", c)
+    c = _per_state("killing", np.zeros(n) if killing is None else killing, n)
     excess = c - q - _CONS_RTOL * np.maximum(1.0, np.abs(q))
     if np.any(excess > 0.0):
         i = int(np.argmax(excess))
@@ -128,9 +125,7 @@ class BandSpec:
         return self.total.shape[0]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.n_states,):
-            raise ValueError(f"f has shape {f.shape}, want ({self.n_states},)")
+        f = _per_state("f", f, self.n_states)
         return _band_row_sums(self.up * f[1:], self.down * f[:-1]) + (
             self.killing - self.total) * f
 

@@ -14,7 +14,7 @@ import numpy as np
 from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
                      _conjugated_weights, bd_measures, validate_band, validate_qpair)
 from .errors import (NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated,
-                     _check_finite, _positive_h, _positive_mu)
+                     _check_finite, _h_values, _positive_h, _positive_mu)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -27,7 +27,6 @@ def _tilt(qp, w, adjoint=False, inverse=False, harmonic=False):
     Entries past float range are refused as non-finite, without a warning.
     """
     if isinstance(qp, BandSpec):
-        w = np.broadcast_to(w, (qp.n_states,))
         up, down = (qp.down, qp.up) if adjoint else (qp.up, qp.down)
         fwd, bwd = w[1:] / w[:-1], w[:-1] / w[1:]
         if inverse:
@@ -68,7 +67,7 @@ def conjugate(qp: QPairSpec | BandSpec, h) -> QPairSpec | BandSpec:
     sums and the diagonal mismatch is carried as the potential
     c~_i = c_i - q_i + q~_i.  The spectrum is preserved exactly.
     """
-    return _tilt(qp, _positive_h(h))
+    return _tilt(qp, _positive_h(h, qp.n_states))
 
 
 def h_transform(qp: QPairSpec | BandSpec, h, tol: float = 1e-8) -> QPairSpec | BandSpec:
@@ -77,7 +76,7 @@ def h_transform(qp: QPairSpec | BandSpec, h, tol: float = 1e-8) -> QPairSpec | B
     Requires A h = 0 at every state (within tol, measured relative to the
     local rate scale).  The output is conservative with zero potential.
     """
-    hv = _positive_h(h)
+    hv = _positive_h(h, qp.n_states)
     worst = float(np.max(_relative_residual(qp, hv)))
     if worst > tol:
         raise NotHarmonic(worst, tol)
@@ -95,8 +94,8 @@ def h_transform_local(
     default harmonic set is h's own nonempty harmonic_set, as a
     HarmonicVector carries, else all states but the last.
     """
-    hv = _positive_h(h)
     n = qp.n_states
+    hv = _positive_h(h, n)
     if harmonic_set is None:
         harmonic_set = getattr(h, "harmonic_set", None) or range(n - 1)
     B = np.zeros(n, dtype=bool)
@@ -116,7 +115,7 @@ def inverse_transform(qt: QPairSpec | BandSpec, h) -> QPairSpec | BandSpec:
     carried explicitly; c_i <= q_i holds automatically.  The symmetrising
     measure maps as mu = mu~ / h^2.
     """
-    hv = _positive_h(h)
+    hv = _positive_h(h, qt.n_states)
     if not qt.conservative:
         raise PreconditionViolated("input chain must be conservative")
     if np.any(np.abs(qt.killing) > 1e-12 * np.maximum(1.0, qt.total)):
@@ -130,13 +129,13 @@ def transform_measure(mu, h, inverse: bool = False) -> np.ndarray:
 
     Where h^2 alone leaves float range, the weight is regrouped as
     (h sqrt(mu))^2 or (sqrt(mu) / h)^2.  Raises Overflow at the first
-    positive weight whose image is still not a positive float.
+    weight whose image is still not a positive float.
     """
-    hv = _positive_h(h)
-    mu = np.asarray(mu, dtype=float)
+    mu = _positive_mu(mu, np.size(mu))
+    hv = _positive_h(h, mu.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = mu / hv**2 if inverse else mu * hv**2
-        miss = np.isfinite(mu) & (mu > 0.0) & ~(np.isfinite(out) & (out > 0.0))
+        miss = ~(np.isfinite(out) & (out > 0.0))
         if miss.any():
             g = np.sqrt(mu) / hv if inverse else hv * np.sqrt(mu)
             out = np.where(miss, g * g, out)
@@ -157,13 +156,11 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
     b~_i = b_i (h_{i+1}/h_i), a~_i = a_i (h_{i-1}/h_i), zero potential,
     mu~_i = h_i^2 mu_i and nu_hat~_i = nu_hat_i / (h_i h_{i+1}).
     """
-    hv = _positive_h(h)
-    if hv.shape[0] < N + 2:
-        raise PreconditionViolated(f"need h on 0..{N + 1} (got {hv.shape[0]} values)")
+    hv = _positive_h(_h_values(h)[: N + 2], N + 2)
     b, a, c = spec.rate_arrays(N)
     band = validate_band(b, np.append(a[1:], 0.0), killing=np.append(c, 0.0))
-    out = h_transform_local(band, hv[: N + 2], harmonic_set=range(N + 1), tol=tol)
-    mu_t, nu_t = _conjugated_weights(bd_measures(spec, N).mu, hv[: N + 2], b)
+    out = h_transform_local(band, hv, harmonic_set=range(N + 1), tol=tol)
+    mu_t, nu_t = _conjugated_weights(bd_measures(spec, N).mu, hv, b)
     return (BirthDeathSpec(birth=out.up, death=np.append(0.0, out.down[:N]), killing=0.0),
             MeasurePair(mu=mu_t, nu_hat=nu_t))
 
@@ -176,4 +173,4 @@ def measure_dual(qp: QPairSpec | BandSpec, mu) -> QPairSpec | BandSpec:
     adjusts to c-bar_i = c_i - q_i + q-bar_i.  If mu symmetrises qp the
     chain is returned unchanged.
     """
-    return _tilt(qp, _positive_mu(mu), adjoint=True)
+    return _tilt(qp, _positive_mu(mu, qp.n_states), adjoint=True)

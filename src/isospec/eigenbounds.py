@@ -87,7 +87,8 @@ def delta_tilde(
     """
     hv = _h_values(h)
     stop = np.flatnonzero(~np.isfinite(hv))
-    hv = _positive_h(hv[: stop[0]] if stop.size else hv)  # only the finite prefix is read
+    n = stop[0] if stop.size else hv.shape[0]
+    hv = _positive_h(hv[:n], n)  # only the finite prefix is read
     K_cap = min(N_max, hv.shape[0] - 2)
     if K_cap < 1:
         raise PreconditionViolated("need h on at least 0..2")
@@ -183,10 +184,9 @@ def bounds_report(
     hvec = bd_harmonic_explicit(spec, N_max + 1, method="recurrence")
     delta = delta_tilde(spec, hvec, N_max=N_max, tail_tol=tail_tol)
 
-    levels = sorted({max(1, N_max // 4), max(1, N_max // 2), N_max})
-    lam = [[int(n), lambda0_variational(spec, n)] for n in levels]
+    lam = [[n, lambda0_variational(spec, n)] for n in (N_max // 4, N_max // 2, N_max)]
     lambda0 = lam[-1][1]
-    trunc_slack = abs(lam[-1][1] - lam[-2][1]) if len(lam) > 1 else 0.0
+    trunc_slack = abs(lam[-1][1] - lam[-2][1])
 
     if math.isinf(delta.value):
         lower = upper = eps = 0.0

@@ -84,18 +84,31 @@ class PreconditionViolated(IsospecError):
     pass
 
 
+class InvalidArgument(PreconditionViolated):
+    """An argument outside the range a function accepts: bad input, not a failed check."""
+
+
 def _check_finite(name, *arrays):
     """Refuse a NaN or infinite entry in any of arrays."""
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise PreconditionViolated(f"{name} has a NaN or infinite entry")
 
 
-def _positive_mu(mu) -> np.ndarray:
-    """mu as a float array, refusing an entry that is not finite and positive."""
+def _per_state(name, x, n) -> np.ndarray:
+    """x as a new float array of shape (n,), one finite entry per state."""
+    x = np.array(x, dtype=float)
+    if x.shape != (n,):
+        raise InvalidArgument(f"{name} has shape {x.shape}, want ({n},)")
+    _check_finite(name, x)
+    return x
+
+
+def _positive_mu(mu, n) -> np.ndarray:
+    """_per_state(mu, n), refusing an entry that is not finite and positive."""
     mu = np.asarray(mu, dtype=float)
     if not np.all(np.isfinite(mu) & (mu > 0.0)):
         raise PreconditionViolated("mu must be finite and strictly positive")
-    return mu
+    return _per_state("mu", mu, n)
 
 
 def _h_values(h) -> np.ndarray:
@@ -103,17 +116,13 @@ def _h_values(h) -> np.ndarray:
     return np.asarray(getattr(h, "values", h), dtype=float)
 
 
-def _positive_h(h) -> np.ndarray:
-    """_h_values(h), refusing the first entry that is not positive."""
-    hv = _h_values(h)
-    if np.any(~(hv > 0.0)):
-        i = int(np.argmin(hv > 0.0))
+def _positive_h(h, n) -> np.ndarray:
+    """_per_state of h's values on n states, refusing the first that is not positive."""
+    hv = _per_state("h", _h_values(h), n)
+    if np.any(hv <= 0.0):
+        i = int(np.argmax(hv <= 0.0))
         raise NonpositiveH(i, float(hv[i]))
     return hv
-
-
-class InvalidArgument(PreconditionViolated):
-    """An argument outside the range a function accepts: bad input, not a failed check."""
 
 
 class TailNotResolved(IsospecError):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .chains import BirthDeathSpec, QPairSpec
 from .errors import (Divergence, InvalidArgument, NonConvergence, NotMonotone,
-                     PreconditionViolated, _h_values)
+                     PreconditionViolated, _h_values, _per_state)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def is_supersolution(qp: QPairSpec, theta: int, f, tol: float = 1e-12) -> bool:
 
     Any such f dominates the minimal solution componentwise.
     """
-    fv = _h_values(f)
+    fv = _per_state("f", _h_values(f), qp.n_states)
     K, s, mask = _hitting_kernel(qp, theta)
     lhs = fv[mask]
     rhs = K @ (fv[mask]) + s * fv[theta]

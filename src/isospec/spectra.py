@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (InvalidArgument, NonConvergence, NotReversible, PreconditionViolated,
-                     _check_finite, _positive_mu)
+                     _check_finite, _per_state, _positive_mu)
 
 if TYPE_CHECKING:  # chains is loaded only by the chain paths
     from .chains import QPairSpec
@@ -47,7 +47,7 @@ def symmetrize(qp: QPairSpec, mu) -> np.ndarray:
     past float range come out non-finite, without a warning; the
     eigensolvers refuse them.
     """
-    mu = _positive_mu(mu)
+    mu = _positive_mu(mu, qp.n_states)
     flow = mu[:, None] * qp.rates
     scale = np.maximum(np.abs(flow), np.abs(flow.T))
     viol = np.abs(flow - flow.T) / np.maximum(scale, 1e-300)
@@ -65,8 +65,11 @@ def sturm_count(d, e, x: float) -> int:
 
     Uses division-first pivots so heavily graded matrices do not overflow.
     d and e may be arrays or lists; lists of Python floats run the same IEEE
-    operations faster.
+    operations faster.  e must be one entry shorter than d.
     """
+    _check_finite("matrix", d, e)
+    _check_finite("x", x)
+    _per_state("e", e, len(d) - 1)
     return _sturm_count(d, e, x, len(d))
 
 
@@ -117,11 +120,11 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     count reaches some i <= k, so each count stops at k.
     """
     d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
     n = d.shape[0]
     if not 1 <= k <= n:
         raise InvalidArgument(f"need 1 <= k <= {n}")
     _check_finite("matrix", d, e)
+    e = _per_state("e", e, n - 1)
     span = float(np.max(np.abs(e))) if e.size else 0.0
     top = float(np.max(d)) + 2.0 * span
     bot = float(np.min(d)) - 2.0 * span
@@ -160,10 +163,8 @@ def eig_sym(S) -> np.ndarray:
 
 def quadratic_form(qp: QPairSpec, mu, f) -> float:
     """(A f, f)_mu = sum_i mu_i f_i (A f)_i with the potential included."""
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if not (mu.shape == f.shape == (qp.n_states,)):
-        raise PreconditionViolated("mu and f must match the number of states")
+    mu = _per_state("mu", mu, qp.n_states)
+    f = _per_state("f", f, qp.n_states)
     return float(mu @ (f * qp.apply(f)))
 
 

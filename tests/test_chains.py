@@ -5,14 +5,30 @@ import pytest
 
 from isospec import (
     BirthDeathSpec,
+    IsospecError,
     NegativeRate,
     Overflow,
     PotentialExceedsRate,
     PreconditionViolated,
+    bd_h_transform,
     bd_measures,
     bd_to_qpair,
+    conjugate,
+    h_transform,
+    h_transform_local,
+    harmonic_residual,
+    inverse_transform,
+    is_supersolution,
+    lowest_eigs_tridiag,
+    measure_dual,
+    quadratic_form,
+    sturm_count,
+    symmetrize,
+    transform_measure,
     validate_qpair,
 )
+from isospec.chains import bd_to_band, validate_band
+from isospec.errors import InvalidArgument
 
 
 def test_validate_defaults_to_conservative():
@@ -242,3 +258,69 @@ def test_rate_arrays_call_a_callable_once_per_state():
     b, _, _ = s.rate_arrays(5)
     assert calls == list(range(6))
     assert np.array_equal(b, np.arange(1.0, 7.0))
+
+
+# A killed chain and a conservative one on 5 states, each dense and as a band
+_KILLED = BirthDeathSpec(birth=1.0, death=2.0, killing=-0.5)
+_FREE = BirthDeathSpec(birth=1.0, death=2.0)
+_QP, _BAND, _CONS = bd_to_qpair(_KILLED, 4), bd_to_band(_KILLED, 4), bd_to_band(_FREE, 4)
+_MU, _ONES = bd_measures(_KILLED, 4).mu, np.ones(5)
+_D, _E = np.array([2.0, 3.0, 3.0, 3.0, 1.0]), np.ones(4)
+
+# name -> (call of the argument, a valid argument, whether only its prefix is read)
+_PER_STATE = {
+    "conjugate-dense": (lambda v: conjugate(_QP, v), _ONES, False),
+    "conjugate-band": (lambda v: conjugate(_BAND, v), _ONES, False),
+    "h_transform": (lambda v: h_transform(bd_to_qpair(_FREE, 4), v), _ONES, False),
+    "h_transform_local": (lambda v: h_transform_local(_CONS, v), _ONES, False),
+    "inverse_transform": (lambda v: inverse_transform(_CONS, v), _ONES, False),
+    "transform_measure-h": (lambda v: transform_measure(_MU, v), _ONES, False),
+    "transform_measure-mu": (lambda v: transform_measure(v, _ONES), _MU, False),
+    "measure_dual": (lambda v: measure_dual(_BAND, v), _MU, False),
+    "symmetrize": (lambda v: symmetrize(_QP, v), _MU, False),
+    # h on 0..N+1 for N = 3; entries past N+1 are not read
+    "bd_h_transform": (lambda v: bd_h_transform(_FREE, v, 3), _ONES, True),
+    "quadratic_form-mu": (lambda v: quadratic_form(_QP, v, _ONES), _MU, False),
+    "quadratic_form-f": (lambda v: quadratic_form(_QP, _MU, v), _ONES, False),
+    "QPairSpec.apply": (_QP.apply, _ONES, False),
+    "BandSpec.apply": (_BAND.apply, _ONES, False),
+    "harmonic_residual": (lambda v: harmonic_residual(_QP, v), _ONES, False),
+    "is_supersolution": (lambda v: is_supersolution(_QP, 0, v), _ONES, False),
+    "validate_qpair-total": (lambda v: validate_qpair(_QP.rates, v), _QP.total, False),
+    "validate_qpair-killing": (lambda v: validate_qpair(_QP.rates, _QP.total, v),
+                               _QP.killing, False),
+    "validate_band-total": (lambda v: validate_band(_BAND.up, _BAND.down, v),
+                            _BAND.total, False),
+    "validate_band-killing": (lambda v: validate_band(_BAND.up, _BAND.down, _BAND.total, v),
+                              _BAND.killing, False),
+    "lowest_eigs_tridiag": (lambda v: lowest_eigs_tridiag(_D, v, 1), _E, False),
+    "sturm_count": (lambda v: sturm_count(_D, v, 2.5), _E, False),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", _PER_STATE)
+def test_per_state_arguments_need_one_finite_entry_per_state(name):
+    call, good, prefix = _PER_STATE[name]
+    call(good)
+    long = np.append(good, good[-1])
+    if prefix:
+        call(long)
+    for bad in (good[:-1], good[:1]) + (() if prefix else (long,)):
+        with pytest.raises(InvalidArgument, match="has shape"):
+            call(bad)
+    nan = good.copy()
+    nan[1] = np.nan
+    with pytest.raises(IsospecError):
+        call(nan)
+
+
+def test_sturm_count_refuses_a_nan_shift():
+    assert sturm_count([1.0, 2.0], [0.5], 1.5) == 1
+    with pytest.raises(PreconditionViolated, match="x has a NaN or infinite entry"):
+        sturm_count([1.0, 2.0], [0.5], np.nan)
+
+
+def test_validate_refuses_ragged_rates():
+    with pytest.raises(PreconditionViolated, match="rates must be a square matrix with n >= 1"):
+        validate_qpair([[0, 1], [1]])

@@ -252,6 +252,21 @@ def test_transform_forward_bd_checks_h_within_tol(capsys, tmp_path):
     assert json.loads(out)["birth"] == [2.0, 1.5, 4 / 3, 1.25, 1.2]
 
 
+def test_short_h_is_an_input_error_of_the_library(capsys, tmp_path, fib_chain):
+    # one line from the library, exit 2, and no --help hint: h is not a schema field
+    h = _write(tmp_path, "h.json", [1, 2, 3])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    want = (2, "", "isospec: h has shape (3,), want (8,)\n")
+    for argv in (("transform", fib_chain, "--h", h, "--direction", "local"),
+                 ("verify", fib_chain, fib_chain, "--h", h)):
+        assert _run(capsys, *argv) == want
+        proc = subprocess.run([sys.executable, "-m", "isospec.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
 def test_transform_forward_at_the_mu_limit_warns_nothing(tmp_path):
     # mu_N is finite at N = 3893 but mu_N b_N is not; nu_hat_N is 0.0 without a warning
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.2, "death": 1.0, "N": 3893})
