@@ -15,6 +15,7 @@ from ._cli_io import (MAX_DENSE_BYTES, SchemaError, _capped, _emit, _encode, _fi
                       _floats, _integer, _load_json, _note, _schema_errors, _tol, _verdict)
 from .chains import (BandSpec, BirthDeathSpec, bd_measures, bd_to_band, bd_to_qpair,
                      validate_qpair)
+from .errors import _positive_mu
 
 # ---------------------------------------------------------------- loading
 
@@ -103,11 +104,7 @@ class ChainInput:
 def load_chain(doc) -> ChainInput:
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError('chain JSON must be an object with a "type" field')
-    mu = None
-    if "mu" in doc:
-        mu = _finite("mu", _floats("mu", doc["mu"]))
-        if mu.ndim != 1 or np.any(~(mu > 0.0)):
-            raise SchemaError('"mu" must be a flat array of positive weights')
+    mu = _finite("mu", _floats("mu", doc["mu"])) if "mu" in doc else None
 
     if doc["type"] == "bd":
         birth, nb = _rate_field(doc, "birth")
@@ -125,8 +122,9 @@ def load_chain(doc) -> ChainInput:
                 )
         else:
             N = cap
-        if mu is not None and N is not None and mu.shape[0] != N + 1:
-            raise SchemaError('"mu" length must match the number of states')
+        if mu is not None:
+            with _schema_errors():  # an N that is not known yet takes mu's length
+                mu = _positive_mu(mu, np.size(mu) if N is None else N + 1)
         spec = BirthDeathSpec(birth=birth, death=death, killing=killing)
         return ChainInput(kind="bd", bd=spec, N=N, cap=cap, mu=mu)
 
@@ -134,14 +132,11 @@ def load_chain(doc) -> ChainInput:
         if "rates" not in doc:
             raise SchemaError('qpair chain is missing the "rates" matrix')
         rates = _floats("rates", doc["rates"])
-        if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
-            raise SchemaError('"rates" must be a square matrix')
         total = _floats("total", doc["total"]) if "total" in doc else None
         killing = _floats("killing", doc["killing"]) if "killing" in doc else None
         with _schema_errors():
             qp = validate_qpair(rates, total, killing)
-        if mu is not None and mu.shape[0] != qp.n_states:
-            raise SchemaError('"mu" length must match the number of states')
+            mu = None if mu is None else _positive_mu(mu, qp.n_states)
         return ChainInput(kind="qpair", qp=qp, mu=mu)
 
     raise SchemaError(f'unknown chain type {doc["type"]!r} (want "bd" or "qpair")')
@@ -297,25 +292,18 @@ def cmd_transform(args) -> int:
         return 0
 
     qp = ci.as_qpair(band=True)
-    n = qp.n_states
-    hv = hv[:n]
+    hv = hv[: qp.n_states]
 
     if args.direction == "forward":
         out = h_transform(qp, hv, **_tol(args))
     elif args.direction == "inverse":
         out = inverse_transform(qp, hv)
-    elif args.direction == "local":
-        hset = None
-        if args.set:
-            try:
-                hset = tuple(map(int, args.set.split(",")))
-            except ValueError:
-                raise SchemaError("'--set' must be an integer") from None
-            if not all(0 <= i < n for i in hset):
-                raise SchemaError(f"--set indices must lie in 0..{n - 1}")
+    else:  # local; the library checks the --set indices
+        try:
+            hset = tuple(map(int, args.set.split(","))) if args.set else None
+        except ValueError:
+            raise SchemaError("'--set' must be an integer") from None
         out = h_transform_local(qp, hv, harmonic_set=hset, **_tol(args))
-    else:
-        raise SchemaError(f"unknown direction {args.direction!r}")
     inverse = args.direction == "inverse"
     mu = None if ci.mu is None else transform_measure(ci.mu, hv, inverse=inverse)
     _emit_qpair_transform(args, out, mu)

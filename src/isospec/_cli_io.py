@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import IsospecError
+from .errors import IsospecError, _check_finite, _float_array
 
 
 class SchemaError(Exception):
@@ -60,10 +60,8 @@ def _load_json(path: str):
 
 def _floats(key: str, node) -> np.ndarray:
     """node as a float array; text, objects and ragged nesting are schema errors."""
-    try:
-        return np.asarray(node, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{key!r} must hold only numbers, nested evenly") from None
+    with _schema_errors():
+        return _float_array(repr(key), node)
 
 
 def _integer(key: str, node) -> int:
@@ -82,8 +80,8 @@ def _capped(key: str, n: int) -> int:
 
 
 def _finite(key: str, value):
-    if not np.all(np.isfinite(value)):
-        raise SchemaError(f"{key!r} has a NaN or infinite entry")
+    with _schema_errors():
+        _check_finite(repr(key), value)
     return value
 
 

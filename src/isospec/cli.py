@@ -179,19 +179,16 @@ def cmd_diffop(args) -> int:
         _emit(args, payload, header=("k", "lambda"), rows=lambda: enumerate(vals))
         return 0
 
-    if args.check == "riccati":
-        rr = riccati_dual(op, args.phi0)
-        payload = {
-            "x": rr.grid,
-            "phi": rr.phi,
-            "psi": rr.psi,
-            "b_tilde": rr.b_tilde,
-        }
-        _emit(args, payload, header=("x", "phi", "psi", "b_tilde"),
-              rows=lambda: zip(rr.grid, rr.phi, rr.psi, rr.b_tilde))
-        return 0
-
-    raise SchemaError(f"unknown check {args.check!r}")
+    rr = riccati_dual(op, args.phi0)  # --check riccati
+    payload = {
+        "x": rr.grid,
+        "phi": rr.phi,
+        "psi": rr.psi,
+        "b_tilde": rr.b_tilde,
+    }
+    _emit(args, payload, header=("x", "phi", "psi", "b_tilde"),
+          rows=lambda: zip(rr.grid, rr.phi, rr.psi, rr.b_tilde))
+    return 0
 
 
 # ---------------------------------------------------------------- parser

@@ -14,7 +14,8 @@ import numpy as np
 from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
                      _conjugated_weights, bd_measures, validate_band, validate_qpair)
 from .errors import (NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated,
-                     _check_finite, _h_values, _positive_h, _positive_mu)
+                     _check_finite, _float_array, _h_values, _positive_h, _positive_mu,
+                     _states)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -99,7 +100,7 @@ def h_transform_local(
     if harmonic_set is None:
         harmonic_set = getattr(h, "harmonic_set", None) or range(n - 1)
     B = np.zeros(n, dtype=bool)
-    B[np.asarray(list(harmonic_set), dtype=int)] = True
+    B[_states("harmonic_set", harmonic_set, n)] = True
     res = _relative_residual(qp, hv)
     if np.any(res[B] > tol):
         idx = np.flatnonzero(B)[int(np.argmax(res[B]))]
@@ -131,7 +132,7 @@ def transform_measure(mu, h, inverse: bool = False) -> np.ndarray:
     (h sqrt(mu))^2 or (sqrt(mu) / h)^2.  Raises Overflow at the first
     weight whose image is still not a positive float.
     """
-    mu = _positive_mu(mu, np.size(mu))
+    mu = _positive_mu(mu, _float_array("mu", mu).size)  # a flat mu of any length
     hv = _positive_h(h, mu.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = mu / hv**2 if inverse else mu * hv**2

@@ -14,18 +14,11 @@ import numpy as np
 
 from .chains import BirthDeathSpec, _bd_band, _conjugated_weights
 from .errors import (InvalidArgument, PreconditionViolated, TailNotResolved, _h_values,
-                     _positive_h)
+                     _no_positive_killing, _positive_h)
 from .harmonic import bd_harmonic_explicit
 from .spectra import lowest_eigs_tridiag
 
 _WINDOW = 16
-
-
-def _no_positive_killing(c):
-    """Refuse a positive potential entry: the bounds need c <= 0."""
-    if np.any(c > 0.0):
-        i = int(np.argmax(c))
-        raise PreconditionViolated(f"c[{i}] = {c[i]} > 0; the bound needs c <= 0")
 
 
 def lambda0_variational(spec: BirthDeathSpec, N: int) -> float:

@@ -94,26 +94,52 @@ def _check_finite(name, *arrays):
         raise PreconditionViolated(f"{name} has a NaN or infinite entry")
 
 
+def _float_array(name, x) -> np.ndarray:
+    """x as a float array; text, None or ragged nesting raise InvalidArgument."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgument(f"{name} must hold only numbers, nested evenly") from None
+
+
 def _per_state(name, x, n) -> np.ndarray:
     """x as a new float array of shape (n,), one finite entry per state."""
-    x = np.array(x, dtype=float)
+    x = _float_array(name, x).copy()
     if x.shape != (n,):
         raise InvalidArgument(f"{name} has shape {x.shape}, want ({n},)")
     _check_finite(name, x)
     return x
 
 
+def _states(name, idx, n) -> np.ndarray:
+    """The state indices idx, an iterable or one index, as an int array; each in 0..n-1."""
+    idx = list(idx) if np.iterable(idx) else [idx]
+    for i in idx:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise InvalidArgument(f"{name} = {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise InvalidArgument(f"{name} = {i} outside 0..{n - 1}")
+    return np.array(idx, dtype=int)
+
+
+def _no_positive_killing(c, need="the bound needs c <= 0"):
+    """Refuse a positive potential entry c[i]; need names what requires c <= 0."""
+    if np.any(c > 0.0):
+        i = int(np.argmax(c))
+        raise PreconditionViolated(f"c[{i}] = {c[i]} > 0; {need}")
+
+
 def _positive_mu(mu, n) -> np.ndarray:
     """_per_state(mu, n), refusing an entry that is not finite and positive."""
-    mu = np.asarray(mu, dtype=float)
+    mu = _float_array("mu", mu)
     if not np.all(np.isfinite(mu) & (mu > 0.0)):
         raise PreconditionViolated("mu must be finite and strictly positive")
     return _per_state("mu", mu, n)
 
 
 def _h_values(h) -> np.ndarray:
-    """The values of h, a HarmonicVector or anything numpy reads, as a float array."""
-    return np.asarray(getattr(h, "values", h), dtype=float)
+    """The values of h, a HarmonicVector or numbers, as a float array; a number is one value."""
+    return np.atleast_1d(_float_array("h", getattr(h, "values", h)))
 
 
 def _positive_h(h, n) -> np.ndarray:

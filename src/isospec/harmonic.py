@@ -13,7 +13,8 @@ import numpy as np
 
 from .chains import BirthDeathSpec, QPairSpec
 from .errors import (Divergence, InvalidArgument, NonConvergence, NotMonotone,
-                     PreconditionViolated, _h_values, _per_state)
+                     PreconditionViolated, _h_values, _no_positive_killing, _per_state,
+                     _states)
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,10 @@ def harmonic_residual(qp: QPairSpec, h, B=None) -> np.ndarray:
 
     Zero residual on B certifies local harmonicity there.
     """
-    hv = _h_values(h)
-    r = qp.apply(hv)
+    r = qp.apply(_h_values(h))
     if B is None:
         return r
-    return r[np.asarray(list(B), dtype=int)]
+    return r[_states("B", B, qp.n_states)]
 
 
 def _fixed_point(step, x, tol, max_iter):
@@ -75,9 +75,10 @@ def _hitting_kernel(qp: QPairSpec, theta: int):
     """Substochastic kernel and source of the anchored fixed-point equation.
 
     Rows carry q_xy / (q_x - c_x) for x != theta, split into the part acting
-    on non-anchor states and the source column into theta.
+    on non-anchor states and the source column into theta, which must be a state.
     """
     n = qp.n_states
+    _states("theta", [theta], n)
     mask = np.arange(n) != theta
     denom = qp.total[mask] - qp.killing[mask]
     if np.any(denom <= 0.0):
@@ -131,8 +132,6 @@ def minimal_harmonic(
     Returns (HarmonicVector, IterationTrace).
     """
     n = qp.n_states
-    if not 0 <= theta < n:
-        raise InvalidArgument(f"theta = {theta} outside 0..{n - 1}")
     K, s, mask = _hitting_kernel(qp, theta)
     reach = _reachable(qp, theta)[mask]
     m = n - 1
@@ -284,9 +283,7 @@ def maximal_solution(qp: QPairSpec, tol: float = 1e-12, max_iter: int = 100000):
     (z, IterationTrace); z is identically zero within tol exactly when the
     kernel is a strict contraction in the relevant component.
     """
-    if np.any(qp.killing > 0.0):
-        i = int(np.argmax(qp.killing))
-        raise PreconditionViolated(f"c[{i}] = {qp.killing[i]} > 0; need sup c <= 0")
+    _no_positive_killing(qp.killing, "need sup c <= 0")
     denom = qp.total - qp.killing
     # states with no jumps and no killing never move; z stays 1 there
     idle = denom == 0.0

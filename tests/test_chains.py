@@ -21,6 +21,7 @@ from isospec import (
     is_supersolution,
     lowest_eigs_tridiag,
     measure_dual,
+    minimal_harmonic,
     quadratic_form,
     sturm_count,
     symmetrize,
@@ -313,6 +314,26 @@ def test_per_state_arguments_need_one_finite_entry_per_state(name):
     nan[1] = np.nan
     with pytest.raises(IsospecError):
         call(nan)
+
+
+# name -> (call of the index argument, a valid argument, malformed ones)
+_INDICES = {
+    "h_transform_local": (lambda s: h_transform_local(_CONS, _ONES, harmonic_set=s), [0, 3],
+                          ([7], [-1], [2.5])),
+    "harmonic_residual": (lambda s: harmonic_residual(_QP, _ONES, B=s), [0, 4], ([9], [-1])),
+    "is_supersolution": (lambda t: is_supersolution(_QP, t, _ONES), 0, (-1, 9, True)),
+    "minimal_harmonic": (lambda t: minimal_harmonic(_QP, t), 4, (-1, 9, True)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", _INDICES)
+def test_state_indices_are_integers_of_the_chain(name):
+    call, good, bad = _INDICES[name]
+    call(good)
+    for idx in bad:
+        with pytest.raises(InvalidArgument, match="outside 0..4|is not an integer"):
+            call(idx)
 
 
 def test_sturm_count_refuses_a_nan_shift():

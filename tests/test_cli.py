@@ -267,6 +267,30 @@ def test_short_h_is_an_input_error_of_the_library(capsys, tmp_path, fib_chain):
         assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
+def test_set_outside_the_chain_is_an_input_error_of_the_library(capsys, tmp_path, fib_chain):
+    # the library checks the --set indices: one line, exit 2, no --help hint
+    h = _write(tmp_path, "h.json", {"values": FIB})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for state in ("99", "-1"):
+        argv = ("transform", fib_chain, "--h", h, "--direction", "local", "--set", state)
+        want = (2, "", f"isospec: harmonic_set = {state} outside 0..7\n")
+        assert _run(capsys, *argv) == want
+        proc = subprocess.run([sys.executable, "-m", "isospec.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+def test_mu_of_another_length_is_refused_by_the_library_rule(capsys, tmp_path):
+    chain = _write(tmp_path, "c.json", {"type": "qpair", "mu": [1, 2],
+                                        "rates": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]})
+    for argv in (("verify", chain, chain), ("transform", chain, "--direction", "measure")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "") and err.splitlines()[0] == (
+            "isospec: mu has shape (2,), want (3,)"), err
+
+
 def test_transform_forward_at_the_mu_limit_warns_nothing(tmp_path):
     # mu_N is finite at N = 3893 but mu_N b_N is not; nu_hat_N is 0.0 without a warning
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.2, "death": 1.0, "N": 3893})

@@ -5,14 +5,18 @@ a spanning path plus random extra edges, rates w_ij / mu_i, and a positive h
 spanning about six orders of magnitude.  The birth-death examples check the
 paper's identities on bd families and the band form against the dense one.
 The closed-form examples hold the eigensolvers to chains whose spectra are
-known exactly.
+known exactly.  The argument-check examples feed the chain exports that take
+a state index or a per-state vector valid and malformed arguments.
 """
 import argparse
 import contextlib
+import dataclasses
 import io
 import warnings
+from collections import namedtuple
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,12 +32,16 @@ from isospec import (
     delta_tilde,
     h_transform,
     h_transform_local,
+    harmonic_residual,
     inverse_transform,
+    is_supersolution,
     isospectral_check,
     lambda0_variational,
     lowest_eigs_tridiag,
     measure_dual,
+    minimal_harmonic,
     quadratic_form,
+    spectral_radius,
     sturm_count,
     symmetrize,
     transform_measure,
@@ -41,7 +49,7 @@ from isospec import (
 )
 from isospec.chains import BandSpec, bd_to_band, validate_band
 from isospec._cli_chains import _emit_qpair_transform
-from conftest import exact_harmonic_pair
+from conftest import exact_harmonic_pair, make_reversible_killed
 
 _RATE = st.floats(0.1, 10.0)
 
@@ -415,3 +423,117 @@ def test_band_refuses_what_dense_refuses_off_the_band():
     want = _outcome(lambda: inverse_transform(_dense(band), h))
     assert want == (PreconditionViolated, "rates has a NaN or infinite entry")
     assert _outcome(lambda: inverse_transform(band, h)) == want
+
+
+# ---------------------------------------------------------------- argument checks
+
+_Case = namedtuple("_Case", "qp chain mu h spec")
+
+
+@st.composite
+def _chain_cases(draw, bd=None):
+    """A killed chain qp, chain as qp or its band, a measure mu, h > 0 and a bd spec.
+
+    A seeded reversible chain has spec None and chain qp; a seeded bd chain
+    (drawn when bd is true, or at random when bd is None) has its band as chain.
+    """
+    seed, n = draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(seed)
+    h = np.exp(rng.uniform(-3.0, 3.0, n))
+    if not (draw(st.booleans()) if bd is None else bd):
+        qp, mu = make_reversible_killed(rng, n)
+        return _Case(qp, qp, mu, h, None)
+    spec = _rng_chain(seed, n - 1)
+    return _Case(bd_to_qpair(spec, n - 1), bd_to_band(spec, n - 1),
+                 bd_measures(spec, n - 1).mu, h, spec)
+
+
+_BAD_ENTRIES = (np.nan, np.inf, -np.inf, 0.0, -1.0, "a", None, [1.0], 10**400)
+
+
+@st.composite
+def _vectors(draw, n):
+    """A valid per-state argument on n states, then ones of another length, shape or entry."""
+    v = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.1, 10.0, n).tolist()
+    i = draw(st.integers(0, n - 1))
+    k = draw(st.integers(0, n + 2).filter(lambda k: k != n))
+    return ([v, np.array(v), (v * 3)[:k], [v], [[x] for x in v], v[0]]
+            + [v[:i] + [x] + v[i + 1:] for x in _BAD_ENTRIES])
+
+
+# things that are not state indices; None is also the default set of harmonic_set and B
+_NOT_INDICES = [2.5, 1.0, True, np.True_, "1", None, 10**30]
+
+
+@st.composite
+def _indices(draw, n):
+    """One state index, drawn in or out of range, then things that are not indices."""
+    i = draw(st.integers(-3, n + 3))
+    return [i, np.int64(i)] + _NOT_INDICES
+
+
+@st.composite
+def _index_sets(draw, n):
+    """Sets of state indices, drawn in or out of range, then sets with a non-index."""
+    idx = draw(st.lists(st.integers(-3, n + 3), max_size=4))
+    return ([idx, np.array(idx, dtype=int), range(draw(st.integers(0, n + 3))), "01"]
+            + [idx + [x] for x in _NOT_INDICES] + _NOT_INDICES)
+
+
+# name -> (strategy of the arguments for n states, call of a _Case and one argument)
+_CALLS = {
+    "conjugate": (_vectors, lambda c, v: conjugate(c.chain, v)),
+    "h_transform": (_vectors, lambda c, v: h_transform(c.chain, v)),
+    "h_transform_local-h": (_vectors, lambda c, v: h_transform_local(c.chain, v)),
+    "h_transform_local-set": (_index_sets,
+                              lambda c, v: h_transform_local(c.chain, c.h, harmonic_set=v)),
+    "inverse_transform": (_vectors, lambda c, v: inverse_transform(c.chain, v)),
+    "measure_dual": (_vectors, lambda c, v: measure_dual(c.chain, v)),
+    "transform_measure-mu": (_vectors, lambda c, v: transform_measure(v, c.h)),
+    "transform_measure-h": (_vectors, lambda c, v: transform_measure(c.mu, v)),
+    "apply": (_vectors, lambda c, v: c.chain.apply(v)),
+    "validate_qpair-total": (_vectors, lambda c, v: validate_qpair(c.qp.rates, v)),
+    "validate_qpair-killing": (_vectors,
+                               lambda c, v: validate_qpair(c.qp.rates, c.qp.total, v)),
+    "symmetrize": (_vectors, lambda c, v: symmetrize(c.qp, v)),
+    "spectral_radius": (_vectors, lambda c, v: spectral_radius(c.qp, v)),
+    "isospectral_check": (_vectors, lambda c, v: isospectral_check(c.qp, c.mu, c.qp, v)),
+    "quadratic_form-mu": (_vectors, lambda c, v: quadratic_form(c.qp, v, c.h)),
+    "quadratic_form-f": (_vectors, lambda c, v: quadratic_form(c.qp, c.mu, v)),
+    "harmonic_residual-h": (_vectors, lambda c, v: harmonic_residual(c.qp, v)),
+    "harmonic_residual-B": (_index_sets,
+                            lambda c, v: harmonic_residual(c.qp, c.h, B=v)),
+    "is_supersolution-f": (_vectors, lambda c, v: is_supersolution(c.qp, 0, v)),
+    "is_supersolution-theta": (_indices, lambda c, v: is_supersolution(c.qp, v, c.h)),
+    "minimal_harmonic": (_indices,
+                         lambda c, v: minimal_harmonic(c.qp, v, method="solve")),
+    # h on 0..N+1 of the chain on 0..N
+    "bd_h_transform": (lambda n: _vectors(n + 1),
+                       lambda c, v: bd_h_transform(c.spec, v, c.qp.n_states - 1)),
+}
+
+
+def _all_finite(out):
+    """Whether every number in out, a result or a dataclass or tuple of results, is finite."""
+    if dataclasses.is_dataclass(out):
+        return all(_all_finite(getattr(out, f.name)) for f in dataclasses.fields(out))
+    if isinstance(out, tuple):
+        return all(map(_all_finite, out))
+    return out is None or isinstance(out, str) or bool(np.all(np.isfinite(out)))
+
+
+@pytest.mark.parametrize("name", _CALLS)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_chain_exports_return_finite_values_or_raise_isospec_errors(name, data):
+    # any argument, well-formed or not, with warnings as errors
+    arguments, call = _CALLS[name]
+    case = data.draw(_chain_cases(bd=True if name == "bd_h_transform" else None))
+    for v in data.draw(arguments(case.qp.n_states), label="arguments"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = call(case, v)
+            except IsospecError:
+                continue
+        assert _all_finite(out), (v, out)
