@@ -328,10 +328,6 @@ def cmd_verify(args) -> int:
     B = load_chain(_load_json(args.chain_b))
     qpA = A.as_qpair()
     qpB = B.as_qpair()
-    if qpA.n_states != qpB.n_states:
-        raise SchemaError(
-            f"state counts differ ({qpA.n_states} vs {qpB.n_states})"
-        )
     muA = A.measure()
     if B.mu is not None:
         muB = B.mu

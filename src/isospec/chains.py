@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NegativeRate, Overflow, PotentialExceedsRate, PreconditionViolated,
-                     _check_finite, _per_state)
+from .errors import (InvalidArgument, NegativeRate, Overflow, PotentialExceedsRate,
+                     PreconditionViolated, _check_finite, _float_array, _per_state)
 
 _CONS_RTOL = 1e-12
 
@@ -163,8 +163,8 @@ def _band_entries(up, down):
 
 def validate_band(up, down, total=None, killing=None) -> BandSpec:
     """validate_qpair restricted to the band, with the same errors and arrays."""
-    u = np.array(up, dtype=float)
-    d = np.array(down, dtype=float)
+    u = _float_array("up", up).copy()
+    d = _float_array("down", down).copy()
     if u.ndim != 1 or u.shape != d.shape:
         raise PreconditionViolated("up and down must be flat arrays of one length")
     _check_finite("rates", u, d)
@@ -246,14 +246,20 @@ class MeasurePair:
     nu_hat: np.ndarray
 
 
+def _bd_mu(b, a):
+    """mu_0 = 1 and mu_i = mu_{i-1} * (b_{i-1} / a_i) on the states of b and a.
+
+    An entry past float range reads inf or 0 without a warning; the caller
+    decides what that means.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.concatenate(([1.0], np.cumprod(b[:-1] / a[1:])))
+
+
 def bd_measures(spec: BirthDeathSpec, N: int) -> MeasurePair:
     """Running-product measure mu_i = (b_0...b_{i-1})/(a_1...a_i), mu_0 = 1."""
     b, a, _ = spec.rate_arrays(N)
-    # one multiply and one divide per step, rounded as mu[i-1] * b / a
-    mu = [1.0]
-    for bi, ai in zip(b[:N].tolist(), a[1:].tolist()):
-        mu.append(mu[-1] * bi / ai)
-    mu = np.array(mu)
+    mu = _bd_mu(b, a)
     over = np.flatnonzero(~(np.isfinite(mu) & (mu > 0.0)))  # beyond float range or 0
     if over.size:
         raise Overflow(int(over[0]), "mu")
@@ -278,7 +284,7 @@ def _bd_band(spec: BirthDeathSpec, N: int, boundary: str):
     if N < 1:
         raise PreconditionViolated("truncation level N must be at least 1")
     if boundary not in ("reflecting", "absorbing"):
-        raise PreconditionViolated(f"unknown boundary policy {boundary!r}")
+        raise InvalidArgument(f"unknown boundary policy {boundary!r}")
     # a reflecting chain never consults b_N
     c = spec._rates("killing", 0, N + 1)
     b = spec._rates("birth", 0, N + (boundary == "absorbing"))

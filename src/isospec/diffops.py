@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlowUp, GridTooCoarse, NotHarmonicAt, PreconditionViolated, ZeroH
+from .errors import (BlowUp, GridTooCoarse, InvalidArgument, NotHarmonicAt,
+                     PreconditionViolated, ZeroH)
 from .expressions import _vectorized, compile_expression, constant
 
 _H_FLOOR = 1e-300
@@ -222,7 +223,7 @@ class RiccatiResult:
         if mode == "fd":
             return SmoothFunction.from_values(self.grid, hv)
         if mode != "ode":
-            raise PreconditionViolated(f"unknown mode {mode!r}")
+            raise InvalidArgument(f"unknown mode {mode!r}")
         phi = self.phi
         return _interpolated(self.grid, hv, phi * hv, (self.phi_prime + phi * phi) * hv)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chains import BirthDeathSpec, _bd_band, _conjugated_weights
+from .chains import BirthDeathSpec, _bd_band, _bd_mu, _conjugated_weights
 from .errors import (InvalidArgument, PreconditionViolated, TailNotResolved, _h_values,
                      _no_positive_killing, _positive_h)
 from .harmonic import bd_harmonic_explicit
@@ -53,9 +53,7 @@ class DeltaResult:
 def _delta_arrays(spec, hv, K):
     b, a, c = spec.rate_arrays(K)
     _no_positive_killing(c)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mu = np.concatenate(([1.0], np.cumprod(b[:K] / a[1:])))
-    m, t = _conjugated_weights(mu, hv[: K + 2], b)
+    m, t = _conjugated_weights(_bd_mu(b, a), hv[: K + 2], b)
     bad = np.flatnonzero(~(np.isfinite(m) & np.isfinite(t) & (t > 0.0)))
     kk = int(bad[0]) if bad.size else K + 1
     return m[:kk], t[:kk]

@@ -95,7 +95,7 @@ def _check_finite(name, *arrays):
 
 
 def _float_array(name, x) -> np.ndarray:
-    """x as a float array; text, None or ragged nesting raise InvalidArgument."""
+    """x as a float array; text or ragged nesting raise InvalidArgument, None reads as NaN."""
     try:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError):

@@ -157,7 +157,7 @@ def minimal_harmonic(
 
         hm, trace = _fixed_point(step, np.zeros(m), tol, max_iter)
     else:
-        raise PreconditionViolated(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
 
     h = np.empty(n)
     h[mask] = hm
@@ -256,7 +256,7 @@ def bd_harmonic_explicit(
     elif method == "recurrence":
         h = _bd_h_recurrence(b, a, c, N)
     else:
-        raise PreconditionViolated(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
 
     finite = np.isfinite(h)
     stop = np.flatnonzero(~(finite[:N] & finite[1:]))

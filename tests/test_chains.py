@@ -7,10 +7,12 @@ from isospec import (
     BirthDeathSpec,
     IsospecError,
     NegativeRate,
+    Operator1D,
     Overflow,
     PotentialExceedsRate,
     PreconditionViolated,
     bd_h_transform,
+    bd_harmonic_explicit,
     bd_measures,
     bd_to_qpair,
     conjugate,
@@ -23,6 +25,7 @@ from isospec import (
     measure_dual,
     minimal_harmonic,
     quadratic_form,
+    riccati_dual,
     sturm_count,
     symmetrize,
     transform_measure,
@@ -242,7 +245,7 @@ def test_bd_measures_match_running_product_loop():
     mu = np.empty(51)
     mu[0] = 1.0
     for i in range(1, 51):
-        mu[i] = mu[i - 1] * s.b(i - 1) / s.a(i)
+        mu[i] = mu[i - 1] * (s.b(i - 1) / s.a(i))
     mp = bd_measures(s, 50)
     assert np.array_equal(mp.mu, mu)
     assert np.array_equal(mp.nu_hat, [1.0 / (mu[i] * s.b(i)) for i in range(51)])
@@ -345,3 +348,31 @@ def test_sturm_count_refuses_a_nan_shift():
 def test_validate_refuses_ragged_rates():
     with pytest.raises(PreconditionViolated, match="rates must be a square matrix with n >= 1"):
         validate_qpair([[0, 1], [1]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("up, down, raised", [
+    (["a"], [1.0], InvalidArgument),
+    ([1.0], "b", InvalidArgument),
+    ([[1.0], [1.0, 2.0]], [1.0, 1.0], InvalidArgument),
+    ([1.0, 1.0], [[1.0], [2.0, 3.0]], InvalidArgument),
+    (None, [1.0], PreconditionViolated),
+    ([1.0], [None], PreconditionViolated),
+], ids=["text-up", "text-down", "ragged-up", "ragged-down", "none-up", "none-entry"])
+def test_validate_band_refuses_text_none_and_ragged_rows(up, down, raised):
+    with pytest.raises(raised):
+        validate_band(up, down)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: minimal_harmonic(_QP, 0, method="newton"),
+    lambda: bd_harmonic_explicit(_KILLED, 4, method="newton"),
+    lambda: riccati_dual(Operator1D.on_interval(0.5, 0.0, 0.0, -1.0, 1.0, 20), 0.0).smooth(
+        "spline"),
+    lambda: bd_to_band(_KILLED, 4, boundary="open"),
+], ids=["minimal_harmonic-method", "bd_harmonic_explicit-method", "smooth-mode",
+        "bd_to_band-boundary"])
+def test_unknown_option_values_are_invalid_arguments(call):
+    with pytest.raises(InvalidArgument, match="unknown"):
+        call()

@@ -282,6 +282,21 @@ def test_set_outside_the_chain_is_an_input_error_of_the_library(capsys, tmp_path
         assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
+def test_state_counts_that_differ_are_an_input_error_of_the_library(capsys, tmp_path, fib_chain):
+    # spectra's rule, not the CLI's: one line, exit 2, no --help hint
+    nine = _write(tmp_path, "nine.json", {
+        "type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 8})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ("verify", fib_chain, nine)
+    want = (2, "", "isospec: chains have 8 and 9 states; they must have the same number\n")
+    assert _run(capsys, *argv) == want
+    proc = subprocess.run([sys.executable, "-m", "isospec.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
 def test_mu_of_another_length_is_refused_by_the_library_rule(capsys, tmp_path):
     chain = _write(tmp_path, "c.json", {"type": "qpair", "mu": [1, 2],
                                         "rates": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]})

@@ -6,6 +6,7 @@ import pytest
 from isospec import (
     BirthDeathSpec,
     BoundsReport,
+    IsospecError,
     NonpositiveH,
     PreconditionViolated,
     TailNotResolved,
@@ -203,6 +204,20 @@ def test_bounds_report_free_walk_verdict():
 def test_bounds_report_rejects_tiny_n_max():
     with pytest.raises(PreconditionViolated):
         bounds_report(CONST, N_max=4)
+
+
+def test_bounds_report_never_claims_lambda0_positive_on_the_switching_chain():
+    # birth 1.2 below state 1000 and 1.0 from there on: the Hardy sums over
+    # 0..K grow without bound past state 1000, and lambda0 is about 2.6e-7 at
+    # N = 4096, so a finite delta certified from the first states is wrong
+    n = np.arange(4098)
+    s = BirthDeathSpec(birth=np.where(n < 1000, 1.2, 1.0), death=np.ones(4098),
+                       killing=np.where(n < 10, -0.05, 0.0))
+    try:
+        verdict = bounds_report(s, N_max=4096).verdict
+    except IsospecError as exc:  # a refused enclosure is not a claim
+        verdict = str(exc)
+    assert verdict != "lambda0 > 0"
 
 
 def test_hardy_sums_past_float_range_raise_no_warning():
