@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidArgument, NegativeRate, Overflow, PotentialExceedsRate,
-                     PreconditionViolated, _check_finite, _float_array, _per_state)
+from .errors import (NegativeRate, Overflow, PotentialExceedsRate, PreconditionViolated,
+                     _check_finite, _float_array, _per_state)
 
 _CONS_RTOL = 1e-12
 
@@ -279,39 +279,31 @@ def _conjugated_weights(mu, h, b):
         return g * g, 1.0 / (g * (h[1:] * s) * b)
 
 
-def _bd_band(spec: BirthDeathSpec, N: int, boundary: str):
+def _bd_band(spec: BirthDeathSpec, N: int):
     """Super-diagonal, sub-diagonal, totals and potential of the truncation on {0..N}."""
     if N < 1:
         raise PreconditionViolated("truncation level N must be at least 1")
-    if boundary not in ("reflecting", "absorbing"):
-        raise InvalidArgument(f"unknown boundary policy {boundary!r}")
-    # a reflecting chain never consults b_N
     c = spec._rates("killing", 0, N + 1)
-    b = spec._rates("birth", 0, N + (boundary == "absorbing"))
+    b = spec._rates("birth", 0, N)
     a = spec._rates("death", 1, N + 1)
-    total = _band_row_sums(b[:N], a)
+    total = _band_row_sums(b, a)
     with np.errstate(over="ignore"):  # a total past float range is refused downstream
         total[0] += max(c[0], 0.0)
-        if boundary == "absorbing":
-            total[N] += b[N]
         total[N] += max(c[N], 0.0)
-    return b[:N], a, total, c
+    return b, a, total, c
 
 
-def bd_to_band(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> BandSpec:
-    """Tridiagonal chain on {0..N} in band form.
+def bd_to_band(spec: BirthDeathSpec, N: int) -> BandSpec:
+    """Tridiagonal chain on {0..N} in band form, conservative: b_N is dropped.
 
-    boundary "reflecting" drops the outgoing birth rate b_N so the truncated
-    chain stays conservative; "absorbing" keeps b_N as a defect into the
-    implicit absorbing state beyond N.  Positive potential at a boundary
-    state is absorbed into the total so c <= q always holds there.
+    A positive boundary potential is absorbed into the total, so c <= q holds.
     """
-    return validate_band(*_bd_band(spec, N, boundary))
+    return validate_band(*_bd_band(spec, N))
 
 
-def bd_to_qpair(spec: BirthDeathSpec, N: int, boundary: str = "reflecting") -> QPairSpec:
+def bd_to_qpair(spec: BirthDeathSpec, N: int) -> QPairSpec:
     """Tridiagonal QPairSpec on {0..N}: bd_to_band as a dense rate matrix."""
-    up, down, total, c = _bd_band(spec, N, boundary)
+    up, down, total, c = _bd_band(spec, N)
     rates = np.zeros((N + 1, N + 1))
     i = np.arange(N)
     rates[i, i + 1] = up

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chains import BirthDeathSpec, _bd_band, _bd_mu, _conjugated_weights
+from .chains import BirthDeathSpec, _bd_mu, _conjugated_weights
 from .errors import (InvalidArgument, PreconditionViolated, TailNotResolved, _h_values,
                      _no_positive_killing, _positive_h)
 from .harmonic import bd_harmonic_explicit
@@ -21,19 +21,26 @@ from .spectra import lowest_eigs_tridiag
 _WINDOW = 16
 
 
+def _lambda0(b, a, c, levels):
+    """[n, lambda0_variational at n] for each n in levels, read off one band of b, a, c."""
+    with np.errstate(over="ignore"):  # a diagonal past float range is refused below
+        d = b + a - c
+    e = np.sqrt(b[:-1]) * np.sqrt(a[1:])
+    return [[n, float(lowest_eigs_tridiag(d[: n + 1], e[:n], 1, 1e-14)[0])] for n in levels]
+
+
 def lambda0_variational(spec: BirthDeathSpec, N: int) -> float:
     """Bottom of the quadratic form over functions supported in {0..N}.
 
-    Equals the smallest eigenvalue of the symmetrised truncated negative
-    generator with a Dirichlet condition at N+1, the absorbing truncation
-    of chains; nonincreasing in N.  Sturm bisection tracks inertia counts
-    and stays accurate even when the rates are strongly graded.
+    Equals the smallest eigenvalue of the symmetrised negative generator with
+    a Dirichlet condition at N+1, diagonal b + a - c; nonincreasing in N.
+    Sturm bisection stays accurate even when the rates are strongly graded.
     """
-    up, down, d, c = _bd_band(spec, N, "absorbing")
+    if N < 1:
+        raise PreconditionViolated("truncation level N must be at least 1")
+    b, a, c = spec.rate_arrays(N)
     _no_positive_killing(c)
-    d -= c
-    e = np.sqrt(up) * np.sqrt(down)
-    return float(lowest_eigs_tridiag(d, e, 1, 1e-14)[0])
+    return _lambda0(b, a, c, [N])[0][1]
 
 
 @dataclass(frozen=True)
@@ -170,12 +177,13 @@ def bounds_report(
     """
     if N_max < 8:
         raise InvalidArgument("N_max must be at least 8")
-    # a positive c, not the h it may turn negative, is what the bound refuses
-    _no_positive_killing(spec._rates("killing", 0, N_max + 1))
-    hvec = bd_harmonic_explicit(spec, N_max + 1, method="recurrence")
-    delta = delta_tilde(spec, hvec, N_max=N_max, tail_tol=tail_tol)
+    b, a, c = spec.rate_arrays(N_max + 1)
+    _no_positive_killing(c[: N_max + 1])  # before h, which a positive c can turn negative
+    rates = BirthDeathSpec(b, a, c)
+    hvec = bd_harmonic_explicit(rates, N_max + 1, method="recurrence")
+    delta = delta_tilde(rates, hvec, N_max=N_max, tail_tol=tail_tol)
 
-    lam = [[n, lambda0_variational(spec, n)] for n in (N_max // 4, N_max // 2, N_max)]
+    lam = _lambda0(b, a, c, (N_max // 4, N_max // 2, N_max))
     lambda0 = lam[-1][1]
     trunc_slack = abs(lam[-1][1] - lam[-2][1])
 

@@ -156,14 +156,6 @@ def test_bd_to_qpair_reflecting():
     assert qp.conservative
 
 
-def test_bd_to_qpair_absorbing_carries_defect():
-    s = BirthDeathSpec(birth=2.0, death=1.0)
-    qp = bd_to_qpair(s, 3, boundary="absorbing")
-    assert qp.total[3] == 3.0  # a_3 + b_3
-    assert qp.defect[3] == 2.0
-    assert not qp.conservative
-
-
 def test_bd_to_qpair_boundary_positive_potential():
     s = BirthDeathSpec(birth=2.0, death=1.0, killing=0.25)
     qp = bd_to_qpair(s, 2)
@@ -176,8 +168,6 @@ def test_bd_to_qpair_rejects_bad_args():
     s = BirthDeathSpec(birth=1.0, death=1.0)
     with pytest.raises(PreconditionViolated):
         bd_to_qpair(s, 0)
-    with pytest.raises(PreconditionViolated):
-        bd_to_qpair(s, 3, boundary="open")
 
 
 def _per_index(s, N):
@@ -235,8 +225,6 @@ def test_rate_arrays_raise_as_per_index_path(fields):
 def test_bd_to_qpair_reflecting_never_reads_the_last_birth_rate():
     s = BirthDeathSpec(birth=[2.0, 2.0, 2.0], death=1.0)
     assert bd_to_qpair(s, 3).rates[2, 3] == 2.0
-    with pytest.raises(IndexError):
-        bd_to_qpair(s, 3, boundary="absorbing")
 
 
 def test_bd_measures_match_running_product_loop():
@@ -370,9 +358,7 @@ def test_validate_band_refuses_text_none_and_ragged_rows(up, down, raised):
     lambda: bd_harmonic_explicit(_KILLED, 4, method="newton"),
     lambda: riccati_dual(Operator1D.on_interval(0.5, 0.0, 0.0, -1.0, 1.0, 20), 0.0).smooth(
         "spline"),
-    lambda: bd_to_band(_KILLED, 4, boundary="open"),
-], ids=["minimal_harmonic-method", "bd_harmonic_explicit-method", "smooth-mode",
-        "bd_to_band-boundary"])
+], ids=["minimal_harmonic-method", "bd_harmonic_explicit-method", "smooth-mode"])
 def test_unknown_option_values_are_invalid_arguments(call):
     with pytest.raises(InvalidArgument, match="unknown"):
         call()
