@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (BlowUp, GridTooCoarse, InvalidArgument, NotHarmonicAt,
-                     PreconditionViolated, ZeroH)
+                     PreconditionViolated, ZeroH, _grid, _per_state, _tolerance)
 from .expressions import _vectorized, compile_expression, constant
 
 _H_FLOOR = 1e-300
@@ -50,9 +50,7 @@ class Operator1D:
         object.__setattr__(self, "a", _as_fn(self.a))
         object.__setattr__(self, "b", _as_fn(self.b))
         object.__setattr__(self, "c", _as_fn(self.c))
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.shape[0] < 2 or np.any(np.diff(g) <= 0.0):
-            raise PreconditionViolated("grid must be strictly increasing, length >= 2")
+        g = _grid("grid", self.grid, 2)
         g.setflags(write=False)
         object.__setattr__(self, "grid", g)
         if len(self.boundary) != 2 or any(t not in _BC for t in self.boundary):
@@ -98,12 +96,8 @@ class SmoothFunction:
         Use only when analytic derivatives are unavailable; the differencing
         error enters every residual downstream.
         """
-        x = np.asarray(grid, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if x.shape != v.shape or x.ndim != 1 or x.shape[0] < 5:
-            raise PreconditionViolated("need matching 1-d arrays, length >= 5")
-        if np.any(np.diff(x) <= 0.0):  # np.interp reads a decreasing grid wrongly
-            raise PreconditionViolated("grid must be strictly increasing")
+        x = _grid("grid", grid, 5)  # np.interp reads a decreasing grid wrongly
+        v = _per_state("values", values, x.shape[0])
         d1 = np.gradient(v, x, edge_order=2)
         d2 = np.gradient(d1, x, edge_order=2)
         return _interpolated(x, v, d1, d2)
@@ -140,6 +134,7 @@ def forward_transform(op: Operator1D, h: SmoothFunction, tol: float = 1e-8) -> O
     Checks |a h'' + b h' + c h| <= tol at every grid point, then returns the
     operator with the same diffusion, drift b + 2 a h'/h, and zero potential.
     """
+    tol = _tolerance("tol", tol)
     x = op.grid
     _check_nonzero(h(x)[0], x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,6 +156,7 @@ def forward_transform_points(a, b, c, h, grad, hess, tol: float = 1e-8):
     hess (P,d,d) feeds the harmonicity check tr(a hess) + b.grad + c h = 0.
     Returns the (P,d) transformed drift.
     """
+    tol = _tolerance("tol", tol)
     b = np.asarray(b, dtype=float)
     grad = np.asarray(grad, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -419,7 +415,7 @@ def verify_lh_eigen(h: SmoothFunction, n_max: int = 10, grid=None) -> list:
     """
     from ._hermite import hermite_polys
 
-    x = np.linspace(-8.0, 8.0, 1601) if grid is None else np.asarray(grid, dtype=float)
+    x = np.linspace(-8.0, 8.0, 1601) if grid is None else _grid("grid", grid, 1)
     hv, h1, h2 = h(x)
     _check_nonzero(hv, x)
     phi = h1 / hv

@@ -15,7 +15,7 @@ from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row
                      _conjugated_weights, bd_measures, validate_band, validate_qpair)
 from .errors import (NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated,
                      _check_finite, _float_array, _h_values, _positive_h, _positive_mu,
-                     _states)
+                     _states, _tolerance)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -77,6 +77,7 @@ def h_transform(qp: QPairSpec | BandSpec, h, tol: float = 1e-8) -> QPairSpec | B
     Requires A h = 0 at every state (within tol, measured relative to the
     local rate scale).  The output is conservative with zero potential.
     """
+    tol = _tolerance("tol", tol)
     hv = _positive_h(h, qp.n_states)
     worst = float(np.max(_relative_residual(qp, hv)))
     if worst > tol:
@@ -95,6 +96,7 @@ def h_transform_local(
     default harmonic set is h's own nonempty harmonic_set, as a
     HarmonicVector carries, else all states but the last.
     """
+    tol = _tolerance("tol", tol)
     n = qp.n_states
     hv = _positive_h(h, n)
     if harmonic_set is None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .chains import BirthDeathSpec, _bd_mu, _conjugated_weights
 from .errors import (InvalidArgument, PreconditionViolated, TailNotResolved, _h_values,
-                     _no_positive_killing, _positive_h)
+                     _no_positive_killing, _positive_h, _tolerance)
 from .harmonic import bd_harmonic_explicit
 from .spectra import lowest_eigs_tridiag
 
@@ -83,6 +83,7 @@ def delta_tilde(
     (TailNotResolved).  Entries beyond float range are excluded; the tail
     certificate covers them.
     """
+    tail_tol = _tolerance("tail_tol", tail_tol)
     hv = _h_values(h)
     stop = np.flatnonzero(~np.isfinite(hv))
     n = stop[0] if stop.size else hv.shape[0]

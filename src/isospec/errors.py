@@ -111,6 +111,25 @@ def _per_state(name, x, n) -> np.ndarray:
     return x
 
 
+def _tolerance(name, t) -> float:
+    """A tolerance t as a float: a number >= 0, inf included; NaN, t < 0 or text raise."""
+    x = _float_array(name, t)
+    if x.ndim != 0 or not x >= 0.0:
+        raise InvalidArgument(f"{name} = {t!r} is not a number >= 0")
+    return float(x)
+
+
+def _grid(name, x, min_len) -> np.ndarray:
+    """x as a 1-d float array of at least min_len finite, strictly increasing points."""
+    x = _float_array(name, x)
+    if x.ndim != 1 or x.shape[0] < min_len:
+        raise InvalidArgument(f"{name} must be a flat array of at least {min_len} points")
+    _check_finite(name, x)
+    if np.any(np.diff(x) <= 0.0):
+        raise InvalidArgument(f"{name} must be strictly increasing")
+    return x
+
+
 def _states(name, idx, n) -> np.ndarray:
     """The state indices idx, an iterable or one index, as an int array; each in 0..n-1."""
     idx = list(idx) if np.iterable(idx) else [idx]

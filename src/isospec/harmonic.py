@@ -14,7 +14,7 @@ import numpy as np
 from .chains import BirthDeathSpec, QPairSpec
 from .errors import (Divergence, InvalidArgument, NonConvergence, NotMonotone,
                      PreconditionViolated, _h_values, _no_positive_killing, _per_state,
-                     _states)
+                     _states, _tolerance)
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,7 @@ def minimal_harmonic(
 
     Returns (HarmonicVector, IterationTrace).
     """
+    tol = _tolerance("tol", tol)
     n = qp.n_states
     K, s, mask = _hitting_kernel(qp, theta)
     reach = _reachable(qp, theta)[mask]
@@ -178,6 +179,7 @@ def is_supersolution(qp: QPairSpec, theta: int, f, tol: float = 1e-12) -> bool:
 
     Any such f dominates the minimal solution componentwise.
     """
+    tol = _tolerance("tol", tol)
     fv = _per_state("f", _h_values(f), qp.n_states)
     K, s, mask = _hitting_kernel(qp, theta)
     lhs = fv[mask]
@@ -283,6 +285,7 @@ def maximal_solution(qp: QPairSpec, tol: float = 1e-12, max_iter: int = 100000):
     (z, IterationTrace); z is identically zero within tol exactly when the
     kernel is a strict contraction in the relevant component.
     """
+    tol = _tolerance("tol", tol)
     _no_positive_killing(qp.killing, "need sup c <= 0")
     denom = qp.total - qp.killing
     # states with no jumps and no killing never move; z stays 1 there

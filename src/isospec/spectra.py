@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (InvalidArgument, NonConvergence, NotReversible, PreconditionViolated,
-                     _check_finite, _per_state, _positive_mu)
+                     _check_finite, _per_state, _positive_mu, _tolerance)
 
 if TYPE_CHECKING:  # chains is loaded only by the chain paths
     from .chains import QPairSpec
@@ -178,6 +178,8 @@ def isospectral_check(qpA, muA, qpB, muB, tol: float | None = None) -> SpectrumR
     tolerance is 1e-9 * max(1, spectral radius of the first operator).  Two
     chains with different state counts raise InvalidArgument.
     """
+    if tol is not None:
+        tol = _tolerance("tol", tol)
     if qpA.n_states != qpB.n_states:
         raise InvalidArgument(f"chains have {qpA.n_states} and {qpB.n_states} states; "
                               "they must have the same number")

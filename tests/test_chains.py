@@ -11,17 +11,24 @@ from isospec import (
     Overflow,
     PotentialExceedsRate,
     PreconditionViolated,
+    SmoothFunction,
     bd_h_transform,
     bd_harmonic_explicit,
     bd_measures,
     bd_to_qpair,
+    bounds_report,
     conjugate,
+    delta_tilde,
+    forward_transform,
+    forward_transform_points,
     h_transform,
     h_transform_local,
     harmonic_residual,
     inverse_transform,
     is_supersolution,
+    isospectral_check,
     lowest_eigs_tridiag,
+    maximal_solution,
     measure_dual,
     minimal_harmonic,
     quadratic_form,
@@ -325,6 +332,36 @@ def test_state_indices_are_integers_of_the_chain(name):
     for idx in bad:
         with pytest.raises(InvalidArgument, match="outside 0..4|is not an integer"):
             call(idx)
+
+
+# name -> call with the tolerance t; max_iter keeps a loop that never stops short
+_TOLERANCES = {
+    "h_transform": lambda t: h_transform(bd_to_qpair(_FREE, 4), _ONES, tol=t),
+    "h_transform_local": lambda t: h_transform_local(_CONS, _ONES, tol=t),
+    # h is not harmonic on the killed chain, so only the check refuses it
+    "bd_h_transform": lambda t: bd_h_transform(_KILLED, np.linspace(1.0, 3.0, 6), 4, tol=t),
+    "minimal_harmonic": lambda t: minimal_harmonic(_QP, 0, tol=t, max_iter=10),
+    "maximal_solution": lambda t: maximal_solution(_QP, tol=t, max_iter=10),
+    "is_supersolution": lambda t: is_supersolution(_QP, 0, _ONES, tol=t),
+    "isospectral_check": lambda t: isospectral_check(_QP, _MU, _QP, _MU, tol=t),
+    "delta_tilde": lambda t: delta_tilde(_KILLED, bd_harmonic_explicit(_KILLED, 300),
+                                         tail_tol=t),
+    "bounds_report": lambda t: bounds_report(_KILLED, N_max=16, tail_tol=t),
+    "forward_transform": lambda t: forward_transform(
+        Operator1D.on_interval(0.5, 0.0, 0.0, -1.0, 1.0, 20), SmoothFunction(1.0, 0.0, 0.0),
+        tol=t),
+    "forward_transform_points": lambda t: forward_transform_points(
+        np.eye(1), np.zeros((2, 1)), np.zeros(2), np.ones(2), np.zeros((2, 1)),
+        np.zeros((2, 1, 1)), tol=t),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", _TOLERANCES)
+@pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+def test_a_tolerance_is_a_number_at_least_zero(name, bad):
+    with pytest.raises(InvalidArgument, match="tol = .* is not a number >= 0"):
+        _TOLERANCES[name](bad)
 
 
 def test_sturm_count_refuses_a_nan_shift():

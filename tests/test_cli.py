@@ -866,6 +866,79 @@ def test_schema_error_points_at_help(capsys, tmp_path):
     assert "input schema" in err
 
 
+_OP = {"a": 0.5, "b": 0, "interval": [-1, 1], "M": 10}
+_QPAIR = {"type": "qpair", "rates": [[0, 1], [1, 0]]}
+# name -> (argv, with "fib" for a bd chain on 0..7 and a dict for a document, the one
+# diagnosis line); each request fails on a different refusal of a chain or operator document
+SCHEMA_REFUSALS = {
+    "op-missing-a": (["diffop", {"b": 0, "interval": [-1, 1], "M": 10}, "--check", "spectrum"],
+                     "operator JSON is missing 'a'"),
+    "op-array-a": (["diffop", dict(_OP, a=[1]), "--check", "spectrum"],
+                   "'a' must be a number or an expression string"),
+    "op-not-object": (["diffop", [1, 2], "--check", "spectrum"],
+                      "operator JSON must be an object"),
+    "op-interval-3": (["diffop", dict(_OP, interval=[1, 2, 3]), "--check", "spectrum"],
+                      '"interval" must be [lo, hi]'),
+    "op-interval-order": (["diffop", dict(_OP, interval=[1, 0]), "--check", "spectrum"],
+                          '"interval" must have lo < hi'),
+    "op-bc-text": (["diffop", dict(_OP, bc="neumann"), "--check", "spectrum"],
+                   '"bc" must name two boundary conditions'),
+    "h-not-object": (["diffop", _OP, "--h", [1, 2], "--check", "transform"],
+                     "h JSON for diffop must be an object"),
+    "h-values-only": (["diffop", _OP, "--h", {"values": [1, 2, 3]}, "--check", "transform"],
+                      'sampled h needs both "grid" and "values"'),
+    "h-empty": (["diffop", _OP, "--h", {}, "--check", "transform"],
+                'h JSON needs "h" (expression) or "grid"/"values"'),
+    "h-h1-only": (["diffop", _OP, "--h", {"h": "x", "h1": "1"}, "--check", "transform"],
+                  "declare both h1 and h2 or neither"),
+    "h-number": (["diffop", _OP, "--h", {"h": 1}, "--check", "transform"],
+                 '"h" must be an expression string'),
+    "bd-text-birth": (["harmonic", {"type": "bd", "birth": "x", "death": 1, "N": 3}],
+                      "'birth' must be a number, an array, or "
+                      '{"formula": "poly", "coeffs": [...]}'),
+    "bd-formula-no-N": (["harmonic", {"type": "bd", "birth": {"formula": "poly", "coeffs": [1]},
+                                      "death": 1}, "--method", "solve"],
+                        'bd chain with formula rates needs "N"'),
+    "qpair-measure": (["transform", _QPAIR, "--direction", "measure"],
+                      'qpair chain needs an explicit "mu" array here'),
+    "qpair-no-rates": (["harmonic", {"type": "qpair"}],
+                       'qpair chain is missing the "rates" matrix'),
+    "h-no-values": (["transform", "fib", "--h", {"h": [1, 2]}],
+                    'h JSON object needs a "values" array'),
+    "h-one-value": (["transform", "fib", "--h", [1]],
+                    "h must be a flat array of at least two values"),
+    "explicit-qpair": (["harmonic", _QPAIR, "--method", "explicit"],
+                       "--method explicit needs a bd chain"),
+    "explicit-unbounded": (["harmonic", {"type": "bd", "birth": 1, "death": 1},
+                            "--method", "explicit"], "unbounded bd chain: pass --nmax"),
+    "forward-no-h": (["transform", "fib", "--direction", "forward"],
+                     "--direction forward needs --h"),
+    "verify-no-measure": (["verify", "fib", _QPAIR],
+                          'second chain needs a measure: give --h or embed "mu"'),
+}
+
+
+@pytest.mark.parametrize("name", SCHEMA_REFUSALS)
+def test_each_schema_refusal_is_one_line_and_the_help_hint(capsys, tmp_path, fib_chain, name):
+    argv, line = SCHEMA_REFUSALS[name]
+    def word(k, a):
+        if a == "fib":
+            return fib_chain
+        return a if isinstance(a, str) else _write(tmp_path, f"{k}.json", a)
+
+    code, out, err = _run(capsys, *(word(k, a) for k, a in enumerate(argv)))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"isospec: {line}",
+                                f"run `isospec {argv[0]} --help` for the input schema"]
+
+
+def test_a_short_h_transforms_the_states_it_covers(capsys, tmp_path, fib_chain):
+    h = _write(tmp_path, "h.json", FIB[:5])
+    code, out, err = _run(capsys, "transform", fib_chain, "--h", h)
+    assert (code, err) == (0, "isospec: h covers 0..4; transforming up to N = 3\n")
+    assert json.loads(out)["N"] == 3
+
+
 def test_seed_recorded_in_payload(capsys, fib_chain):
     code, out, _ = _run(capsys, "--seed", "99", "harmonic", fib_chain,
                         "--method", "explicit")

@@ -26,6 +26,7 @@ from isospec import (
     verify_lh_eigen,
 )
 from isospec.diffops import inverse_transform
+from isospec.errors import InvalidArgument
 
 
 # ---------------------------------------------------------------- hermite
@@ -122,6 +123,45 @@ def test_smooth_from_values_needs_matching_arrays():
         SmoothFunction.from_values(np.arange(4.0), np.arange(4.0))
     with pytest.raises(PreconditionViolated):
         SmoothFunction.from_values(np.arange(6.0), np.arange(5.0))
+
+
+_ONE = SmoothFunction(h=1.0, h1=0.0, h2=0.0)
+_X = np.linspace(-1.0, 1.0, 9)
+
+# name -> (call of a grid or sampled values, the malformed arguments and what each raises)
+_GRIDS = {
+    "Operator1D": (lambda g: Operator1D(a=1.0, b=0.0, c=0.0, grid=g), [
+        ([0.0, np.nan, 1.0], PreconditionViolated, "NaN or infinite"),
+        ([0.0, 1.0, np.inf], PreconditionViolated, "NaN or infinite"),
+        ([[0.0, 1.0], [2.0, 3.0]], InvalidArgument, "flat array"),
+        (["0", "x"], InvalidArgument, "only numbers"),
+    ]),
+    "from_values-grid": (lambda g: SmoothFunction.from_values(g, np.ones(5)), [
+        ([0.0, 1.0, np.nan, 3.0, 4.0], PreconditionViolated, "NaN or infinite"),
+        (["a"] * 5, InvalidArgument, "only numbers"),
+    ]),
+    "from_values-values": (lambda v: SmoothFunction.from_values(np.arange(5.0), v), [
+        ([1.0, 2.0, np.nan, 4.0, 5.0], PreconditionViolated, "NaN or infinite"),
+        ([1.0, 2.0, np.inf, 4.0, 5.0], PreconditionViolated, "NaN or infinite"),
+        (["a"] * 5, InvalidArgument, "only numbers"),
+    ]),
+    "verify_lh_eigen": (lambda g: verify_lh_eigen(_ONE, n_max=2, grid=g), [
+        ([[0.0, 1.0], [2.0, 3.0]], InvalidArgument, "flat array"),
+        ([], InvalidArgument, "flat array"),
+        ([0.0, np.nan], PreconditionViolated, "NaN or infinite"),
+        ([1.0, 0.0], InvalidArgument, "strictly increasing"),
+    ]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", _GRIDS)
+def test_grids_are_flat_finite_and_increasing(name):
+    call, cases = _GRIDS[name]
+    call(np.linspace(-1.0, 1.0, 5))
+    for bad, raised, text in cases:
+        with pytest.raises(raised, match=text):
+            call(bad)
 
 
 # ---------------------------------------------------------------- operator
