@@ -294,7 +294,7 @@ def _bd_band(spec: BirthDeathSpec, N: int):
 
 
 def bd_to_band(spec: BirthDeathSpec, N: int) -> BandSpec:
-    """Tridiagonal chain on {0..N} in band form, conservative: b_N is dropped.
+    """Tridiagonal chain on {0..N} in band form; b_N is dropped, so no jump leaves it.
 
     A positive boundary potential is absorbed into the total, so c <= q holds.
     """
