@@ -57,15 +57,6 @@ class DeltaResult:
         return iter((self.value, self.n_sup))
 
 
-def _delta_arrays(spec, hv, K):
-    b, a, c = spec.rate_arrays(K)
-    _no_positive_killing(c)
-    m, t = _conjugated_weights(_bd_mu(b, a), hv[: K + 2], b)
-    bad = np.flatnonzero(~(np.isfinite(m) & np.isfinite(t) & (t > 0.0)))
-    kk = int(bad[0]) if bad.size else K + 1
-    return m[:kk], t[:kk]
-
-
 def delta_tilde(
     spec: BirthDeathSpec,
     h,
@@ -75,13 +66,15 @@ def delta_tilde(
     """Weighted Hardy constant sup_n sum_{j<=n} mu_j h_j^2 sum_{k>=n} nu~_k.
 
     The weights are those of the h-conjugated chain: the prefix mass uses
-    mu h^2 and the tail uses 1/(h_k h_{k+1} mu_k b_k).  The truncation level
-    doubles until a geometric tail estimate certifies the supremum to
-    tail_tol, growth across two consecutive doublings by a factor >= 2 or
-    tail weights that still do not fall when they leave float range
-    diagnose divergence (value inf), or N_max is exhausted
-    (TailNotResolved).  Entries beyond float range are excluded; the tail
-    certificate covers them.
+    mu h^2 and the tail uses 1/(h_k h_{k+1} mu_k b_k).  The rates are read
+    once, on 0..N_max or as far as the finite prefix of h reaches less one
+    state, and the read ends at the first state whose tail weight is not a
+    positive float or whose prefix mass leaves float range.  The sums over the doubling levels 0..256, 0..512, ... of
+    that read only test growth: two doublings in a row by a factor >= 2
+    diagnose divergence (value inf).  Past the last state read, a geometric
+    tail estimate certifies the supremum to tail_tol, tail weights that still
+    do not fall where the read ended early diagnose divergence, and
+    otherwise the tail is undecided (TailNotResolved).
     """
     tail_tol = _tolerance("tail_tol", tail_tol)
     hv = _h_values(h)
@@ -92,53 +85,55 @@ def delta_tilde(
     if K_cap < 1:
         raise PreconditionViolated("need h on at least 0..2")
 
-    sups = []
-    K = min(256, K_cap)
-    while True:
-        m, t = _delta_arrays(spec, hv, K)
-        kk = m.shape[0]
-        if kk < 2:
-            raise PreconditionViolated("fewer than two finite terms")
+    b, a, c = spec.rate_arrays(K_cap)
+    _no_positive_killing(c)
+    m, t = _conjugated_weights(_bd_mu(b, a), hv[: K_cap + 2], b)
+    with np.errstate(over="ignore"):  # a prefix mass past float range ends the read
+        M = np.cumsum(m)
+    bad = np.flatnonzero(~(np.isfinite(M) & np.isfinite(t) & (t > 0.0)))
+    kk = int(bad[0]) if bad.size else K_cap + 1
+    if kk < 2:
+        raise PreconditionViolated("fewer than two finite terms")
+    m, t, M = m[:kk], t[:kk], M[:kk]
+
+    sups, K = [], 256
+    while True:  # the levels 0..K are prefixes of the read, the last one all of it
+        L = min(K + 1, kk)
         with np.errstate(over="ignore"):  # a sum past float range reads inf
-            M = np.cumsum(m)
-            T = np.cumsum(t[::-1])[::-1]
-            cand = M * T
+            T = np.cumsum(t[:L][::-1])[::-1]
+            cand = M[:L] * T
         sup = float(np.max(cand))
         n_sup = int(np.argmax(cand))
         sups.append(sup)
-
         if len(sups) >= 3 and sups[-1] >= 2.0 * sups[-2] >= 4.0 * sups[-3]:
-            return DeltaResult(math.inf, n_sup, math.inf, kk, partial=cand)
+            return DeltaResult(math.inf, n_sup, math.inf, L, partial=cand)
+        if L == kk:
+            break
+        K *= 2
 
-        w = min(_WINDOW, kk - 1)
-        ratios_t = t[kk - w : kk] / t[kk - w - 1 : kk - 1]
-        r_hat = float(np.max(ratios_t))
-        if r_hat < 1.0:
-            mt = m * t
-            ratios_mt = mt[kk - w : kk] / mt[kk - w - 1 : kk - 1]
-            s_hat = float(np.max(ratios_mt))
-            R = float(t[-1]) * r_hat / (1.0 - r_hat)
-            corrected = float(np.max(cand + M * R))
-            slack = corrected - sup
-            rho = s_hat / r_hat
-            if rho > 1.0 + 1e-9:
-                growth = rho / (rho - 1.0)
-            else:
-                growth = 1.0 / (math.e * math.log(1.0 / r_hat)) + 1.0
-            future = float(mt[-1]) * r_hat / (1.0 - r_hat) * growth
-            slack += max(0.0, future - sup)
-            if slack <= tail_tol * max(1.0, sup):
-                return DeltaResult(sup, n_sup, float(slack), kk, partial=cand)
-
-        if kk <= K and np.min(ratios_t) >= 1.0:
-            # tail weights that never fall before leaving float range: the sums diverge
-            return DeltaResult(math.inf, n_sup, math.inf, kk, partial=cand)
-        if kk <= K or K >= K_cap:
-            # masked early or out of budget without a certificate
-            raise TailNotResolved(
-                sup, n_sup, math.inf if r_hat >= 1.0 else float(slack), kk
-            )
-        K = min(2 * K, K_cap)
+    w = min(_WINDOW, kk - 1)
+    ratios_t = t[kk - w : kk] / t[kk - w - 1 : kk - 1]
+    r_hat = float(np.max(ratios_t))
+    slack = math.inf
+    if r_hat < 1.0:
+        mt = m * t
+        ratios_mt = mt[kk - w : kk] / mt[kk - w - 1 : kk - 1]
+        s_hat = float(np.max(ratios_mt))
+        R = float(t[-1]) * r_hat / (1.0 - r_hat)
+        slack = float(np.max(cand + M * R)) - sup
+        rho = s_hat / r_hat
+        if rho > 1.0 + 1e-9:
+            growth = rho / (rho - 1.0)
+        else:
+            growth = 1.0 / (math.e * math.log(1.0 / r_hat)) + 1.0
+        future = float(mt[-1]) * r_hat / (1.0 - r_hat) * growth
+        slack += max(0.0, future - sup)
+        if slack <= tail_tol * max(1.0, sup):
+            return DeltaResult(sup, n_sup, slack, kk, partial=cand)
+    if kk <= K_cap and np.min(ratios_t) >= 1.0:
+        # tail weights that never fall before leaving float range: the sums diverge
+        return DeltaResult(math.inf, n_sup, math.inf, kk, partial=cand)
+    raise TailNotResolved(sup, n_sup, slack, kk)
 
 
 @dataclass(frozen=True)

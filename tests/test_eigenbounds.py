@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from isospec import (
     BirthDeathSpec,
     BoundsReport,
-    IsospecError,
     NonpositiveH,
     PreconditionViolated,
     TailNotResolved,
@@ -96,10 +96,11 @@ def test_delta_linear_chain_log_two():
 
 def test_delta_geometric_flat_h_exact_two():
     # mu_k = 1 for all k, tail sums telescope to 2^(1-n); sup sits at n = 0.
+    # 2.0**i overflows at i = 1024, so h covers only the states the chain defines
     s = BirthDeathSpec(birth=lambda i: 2.0**i,
                        death=lambda i: 2.0 ** (i - 1),
                        killing=0.0)
-    res = delta_tilde(s, np.ones(2048))
+    res = delta_tilde(s, np.ones(1024), N_max=1000)
     assert res.value == 2.0
     assert res.n_sup == 0
 
@@ -125,12 +126,31 @@ def test_delta_polynomial_tail_certifies_at_loose_tolerance():
                        death=lambda i: 2.0**i * float(i) ** 2,
                        killing=0.0)
     res = delta_tilde(s, np.ones(1002), N_max=1000, tail_tol=1e-3)
-    assert res.value == pytest.approx(1.6429866477947435, rel=1e-12)
+    assert res.value == pytest.approx(1.6439355646845557, rel=1e-12)
     assert res.n_sup == 0
-    assert res.slack == pytest.approx(0.0009718099164508498, rel=1e-9)
-    assert res.n_terms == 513
+    assert res.slack == pytest.approx(0.0004987521219415036, rel=1e-9)
+    assert res.n_terms == 1001
     # the certified window must still cover the true supremum
     assert res.value + 2.5 * res.slack >= math.pi**2 / 6.0
+
+
+def test_delta_reads_each_rate_once():
+    # the polynomial-tail chain above: every state 0..N_max is read, and only once
+    calls = {"birth": Counter(), "death": Counter(), "killing": Counter()}
+
+    def counted(key, rate):
+        def f(i):
+            calls[key][i] += 1
+            return rate(i)
+        return f
+
+    s = BirthDeathSpec(birth=counted("birth", lambda i: 2.0**i * (i + 1.0) ** 2),
+                       death=counted("death", lambda i: 2.0**i * float(i) ** 2),
+                       killing=counted("killing", lambda i: 0.0))
+    delta_tilde(s, np.ones(1002), N_max=1000, tail_tol=1e-3)
+    assert calls["birth"] == Counter(range(1001))
+    assert calls["death"] == Counter(range(1, 1001))
+    assert calls["killing"] == Counter(range(1001))
 
 
 def test_delta_polynomial_tail_unresolved_at_tight_tolerance():
@@ -209,15 +229,14 @@ def test_bounds_report_rejects_tiny_n_max():
 def test_bounds_report_never_claims_lambda0_positive_on_the_switching_chain():
     # birth 1.2 below state 1000 and 1.0 from there on: the Hardy sums over
     # 0..K grow without bound past state 1000, and lambda0 is about 2.6e-7 at
-    # N = 4096, so a finite delta certified from the first states is wrong
+    # N = 4096, so a finite delta certified from the first states is wrong;
+    # the sums over the states read double twice in a row, which decides lambda0 = 0
     n = np.arange(4098)
     s = BirthDeathSpec(birth=np.where(n < 1000, 1.2, 1.0), death=np.ones(4098),
                        killing=np.where(n < 10, -0.05, 0.0))
-    try:
-        verdict = bounds_report(s, N_max=4096).verdict
-    except IsospecError as exc:  # a refused enclosure is not a claim
-        verdict = str(exc)
-    assert verdict != "lambda0 > 0"
+    rep = bounds_report(s, N_max=4096)
+    assert rep.verdict == "lambda0 = 0 (Hardy constant diverges)"
+    assert math.isinf(rep.delta_tilde)
 
 
 def test_hardy_sums_past_float_range_raise_no_warning():
