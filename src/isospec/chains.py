@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NegativeRate, Overflow, PotentialExceedsRate, PreconditionViolated,
-                     _check_finite, _float_array, _per_state)
+                     _check_finite, _float_array, _per_state, _ShortRates)
 
 _CONS_RTOL = 1e-12
 
@@ -224,7 +224,7 @@ class BirthDeathSpec:
                 raise PreconditionViolated(
                     f"{key} rate {_POSITIVE[key]}[{i}] = {v[bad[0]]} must be positive")
         if v.shape[0] < hi - lo:
-            raise IndexError(
+            raise _ShortRates(
                 f"{key} array of length {len(value)} has no index {lo + v.shape[0]}")
         return v
 

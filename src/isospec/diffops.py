@@ -62,6 +62,8 @@ class Operator1D:
 
     @classmethod
     def on_interval(cls, a, b, c, lo, hi, M, boundary=("neumann", "neumann")):
+        if not math.isfinite(float(hi) - float(lo)):  # linspace would warn and return NaN
+            raise InvalidArgument(f"interval [{lo}, {hi}]: hi - lo is not finite")
         return cls(a=a, b=b, c=c, grid=np.linspace(lo, hi, M + 1), boundary=boundary)
 
     def coefficients(self, x=None):

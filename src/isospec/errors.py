@@ -88,6 +88,10 @@ class InvalidArgument(PreconditionViolated):
     """An argument outside the range a function accepts: bad input, not a failed check."""
 
 
+class _ShortRates(InvalidArgument, IndexError):
+    """A rate array without an entry for a state read; an IndexError for older handlers."""
+
+
 def _check_finite(name, *arrays):
     """Refuse a NaN or infinite entry in any of arrays."""
     if not all(np.all(np.isfinite(a)) for a in arrays):

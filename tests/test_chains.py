@@ -225,8 +225,15 @@ BAD_RATES = {
 def test_rate_arrays_raise_as_per_index_path(fields):
     s = BirthDeathSpec(**fields)
     ref = _raised(lambda: _per_index(s, 5))
-    assert ref[0] in (PreconditionViolated, IndexError)
+    assert issubclass(ref[0], (PreconditionViolated, IndexError))
     assert _raised(lambda: s.rate_arrays(5)) == ref
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_short_rate_array_is_an_invalid_argument_and_still_an_index_error():
+    with pytest.raises(InvalidArgument, match="death array of length 2 has no index 2") as ei:
+        bd_measures(BirthDeathSpec(1.0, [0.0, 1.0]), 5)
+    assert isinstance(ei.value, IndexError)
 
 
 def test_bd_to_qpair_reflecting_never_reads_the_last_birth_rate():

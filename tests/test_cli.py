@@ -881,6 +881,8 @@ SCHEMA_REFUSALS = {
                       '"interval" must be [lo, hi]'),
     "op-interval-order": (["diffop", dict(_OP, interval=[1, 0]), "--check", "spectrum"],
                           '"interval" must have lo < hi'),
+    "op-interval-wide": (["diffop", dict(_OP, interval=[-1e308, 1e308]), "--check", "spectrum"],
+                         "interval [-1e+308, 1e+308]: hi - lo is not finite"),
     "op-bc-text": (["diffop", dict(_OP, bc="neumann"), "--check", "spectrum"],
                    '"bc" must name two boundary conditions'),
     "h-not-object": (["diffop", _OP, "--h", [1, 2], "--check", "transform"],

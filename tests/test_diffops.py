@@ -164,6 +164,13 @@ def test_grids_are_flat_finite_and_increasing(name):
             call(bad)
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_interval_wider_than_float_range_is_refused():
+    # both ends are finite, but hi - lo is not: linspace would warn and return NaN
+    with pytest.raises(InvalidArgument, match=r"hi - lo is not finite"):
+        Operator1D.on_interval(0.5, 0.0, 0.0, -1e308, 1e308, 10)
+
+
 # ---------------------------------------------------------------- operator
 
 def test_operator_validation():
