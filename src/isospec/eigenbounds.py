@@ -69,12 +69,13 @@ def delta_tilde(
     mu h^2 and the tail uses 1/(h_k h_{k+1} mu_k b_k).  The rates are read
     once, on 0..N_max or as far as the finite prefix of h reaches less one
     state, and the read ends at the first state whose tail weight is not a
-    positive float or whose prefix mass leaves float range.  The sums over the doubling levels 0..256, 0..512, ... of
-    that read only test growth: two doublings in a row by a factor >= 2
-    diagnose divergence (value inf).  Past the last state read, a geometric
-    tail estimate certifies the supremum to tail_tol, tail weights that still
-    do not fall where the read ended early diagnose divergence, and
-    otherwise the tail is undecided (TailNotResolved).
+    positive float or whose prefix mass leaves float range.  The sums over
+    the doubling levels 0..256, 0..512, ... of that read only test growth:
+    two doublings in a row by a factor >= 2 diagnose divergence (value
+    inf).  Past the last state read, a geometric tail estimate certifies
+    the supremum to tail_tol, tail weights that still do not fall where the
+    read ended early diagnose divergence, and otherwise the tail is
+    undecided (TailNotResolved).
     """
     tail_tol = _tolerance("tail_tol", tail_tol)
     hv = _h_values(h)

@@ -89,7 +89,7 @@ class InvalidArgument(PreconditionViolated):
 
 
 class _ShortRates(InvalidArgument, IndexError):
-    """A rate array without an entry for a state read; an IndexError for older handlers."""
+    """A rate array with no entry for a state read; an IndexError too, for index handlers."""
 
 
 def _check_finite(name, *arrays):
