@@ -52,6 +52,36 @@ def test_accepted_grammar_evaluates(text, ref):
     assert np.allclose(f(xs), ref(xs), rtol=1e-14, atol=1e-14)
 
 
+# each rule of the evaluator and the numpy expression it must equal bit for bit:
+# a leading constant multiplies the rest, a product divides once per base of a
+# negative power, sums fold left to right with the folded constant last
+ORDER = [
+    ("2*x*x", lambda x: 2.0 * (x * x)),
+    ("3*x/(x+1)", lambda x: 3.0 * (x / (x + 1.0))),
+    ("x/(x+1)/(x+2)", lambda x: x / (x + 1.0) / (x + 2.0)),
+    ("1/x/(x+1)", lambda x: 1.0 / x / (x + 1.0)),
+    ("x*sin(x)*cos(x)", lambda x: x * np.sin(x) * np.cos(x)),
+    ("x^-1", lambda x: 1.0 / x),
+    ("x^0.5", lambda x: np.sqrt(x)),
+    ("x^3", lambda x: x**3.0),
+    ("x/x^2", lambda x: x / x**2.0),
+    ("x^x", lambda x: x**x),
+    ("1 + x + sin(x)", lambda x: x + np.sin(x) + 1.0),
+    ("exp(x)", lambda x: np.exp(x)),
+    ("exp(x*sin(x))", lambda x: np.exp(x * np.sin(x))),
+]
+
+
+@pytest.mark.parametrize("text,ref", ORDER, ids=[o[0] for o in ORDER])
+def test_evaluation_order_is_pinned_bit_for_bit(text, ref):
+    f = compile_expression(text)
+    xs = np.linspace(0.05, 3.0, 101)
+    assert np.array_equal(f(xs), ref(xs))
+    for x in (0.7, 1.3):
+        y, want = f(x), ref(np.float64(x))
+        assert y == want and np.signbit(y) == np.signbit(want)
+
+
 BAD = [
     "__import__('os')",
     "foo(x)",
