@@ -17,15 +17,16 @@ allowlist rejects every other name and character before parsing.
 
 The recursive-descent parser builds a tuple AST and folds constant subtrees
 in float arithmetic; ``CompiledExpr.diff`` differentiates the AST with the
-same simplifications, and the evaluator turns it into nested numpy closures
-once.  Caps keep hostile input cheap, each reported as MalformedExpression:
-at most MAX_LENGTH characters, nesting (parentheses, signs, exponents) at
-most MAX_DEPTH deep, every folded constant finite and real (``9^9^9^9``
+same simplifications, and the evaluator walks it with numpy on each call.
+Caps keep hostile input cheap, each reported as MalformedExpression: at most
+MAX_LENGTH characters, nesting (parentheses, signs, exponents) at most
+MAX_DEPTH deep, every folded constant finite and real (``9^9^9^9``
 overflows; ``log(-1)``, ``(-8)^(1/3)`` and ``3j`` are complex-valued), and
 derivatives of at most MAX_NODES nodes.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -322,59 +323,34 @@ def _fraction(factors) -> tuple:
     return num, den
 
 
-def _closure(n: tuple) -> Callable:
-    """numpy evaluator of a node, built once."""
+def _eval(n: tuple, x):
+    """numpy value of a node at x."""
     kind = n[0]
     if kind == "const":
-        v = n[1]
-        return lambda x: v
+        return n[1]
     if kind == "x":
-        return lambda x: x
+        return x
     if kind in _FUNCS:
-        f = _NUMPY[kind]
-        if n[1] == X:
-            return f
-        g = _closure(n[1])
-        return lambda x: f(g(x))
+        return _NUMPY[kind](_eval(n[1], x))
     if kind == "pow":
-        base, e = _closure(n[1]), n[2]
+        base, e = _eval(n[1], x), n[2]
         if e[0] != "const":
-            ex = _closure(e)
-            return lambda x: base(x) ** ex(x)
+            return base ** _eval(e, x)
         p = e[1]
         if p == -1.0:
-            return lambda x: 1.0 / base(x)
+            return 1.0 / base
         if p == 0.5:
-            return lambda x: np.sqrt(base(x))
-        return lambda x: base(x) ** p
+            return np.sqrt(base)
+        return base**p
     if kind == "add":
-        return _fold(operator.add, [_closure(t) for t in n[1:]])
+        return functools.reduce(operator.add, (_eval(t, x) for t in n[1:]))
     # folding leaves at most one constant in a product, first
     if n[1][0] == "const":
-        c, f = n[1][1], _closure(_mul(*n[2:]))
-        return lambda x: c * f(x)
+        return n[1][1] * _eval(_mul(*n[2:]), x)
     # divide by the bases of negative powers, as a / b does
     num, den = _fraction(n[1:])
-    top = _fold(operator.mul, [_closure(f) for f in num] or [lambda x: 1.0])
-    return _fold(operator.truediv, [top] + [_closure(f) for f in den])
-
-
-def _fold(op: Callable, fs: list) -> Callable:
-    """Closure applying the binary op left to right over the values of fs."""
-    if len(fs) == 1:
-        return fs[0]
-    if len(fs) == 2:
-        f, g = fs
-        return lambda x: op(f(x), g(x))
-    first, *rest = fs
-
-    def fold(x):
-        acc = first(x)
-        for f in rest:
-            acc = op(acc, f(x))
-        return acc
-
-    return fold
+    top = functools.reduce(operator.mul, (_eval(f, x) for f in num)) if num else 1.0
+    return functools.reduce(operator.truediv, (_eval(f, x) for f in den), top)
 
 
 def _fmt(v: float) -> str:
@@ -459,7 +435,7 @@ class CompiledExpr:
 
 def _compiled(text: str, expr: tuple) -> CompiledExpr:
     # values past float range read inf or NaN, without numpy's warnings
-    fn = np.errstate(all="ignore")(_closure(expr))
+    fn = np.errstate(all="ignore")(functools.partial(_eval, expr))
     return CompiledExpr(text=text, expr=expr, fn=_vectorized(fn))
 
 
