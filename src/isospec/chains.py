@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NegativeRate, Overflow, PotentialExceedsRate, PreconditionViolated,
-                     _check_finite, _float_array, _per_state, _ShortRates)
+from .errors import (InvalidArgument, NegativeRate, Overflow, PotentialExceedsRate,
+                     PreconditionViolated, _check_finite, _float_array, _per_state, _ShortRates)
 
 _CONS_RTOL = 1e-12
 
@@ -207,12 +207,20 @@ class BirthDeathSpec:
         """Values of the field key on states lo <= i < hi.
 
         Numbers are broadcast, arrays sliced and callables called once per
-        index.  Raises at the first failing index: a nonpositive birth or
-        death rate, or an index past the array.
+        index.  Raises at the first failing index: a callable that raises an
+        arithmetic, value or type error, a nonpositive birth or death rate,
+        or an index past the array.
         """
         value = getattr(self, key)
         if callable(value):
-            v = np.array([value(i) for i in range(lo, hi)], dtype=float)
+            v = np.empty(hi - lo)
+            for i in range(lo, hi):
+                try:
+                    v[i - lo] = value(i)
+                except (ArithmeticError, ValueError, TypeError) as exc:
+                    raise InvalidArgument(
+                        f"{key} rate at state {i} raised {type(exc).__name__}: {exc}"
+                    ) from exc
         elif np.ndim(value) == 0:
             v = np.full(hi - lo, float(value))
         else:

@@ -236,6 +236,25 @@ def test_a_short_rate_array_is_an_invalid_argument_and_still_an_index_error():
     assert isinstance(ei.value, IndexError)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, call, raised, message", [
+    (BirthDeathSpec(lambda i: 2.0**i, lambda i: 2.0 ** (i - 1), 0.0),
+     lambda s: delta_tilde(s, np.ones(2048)), OverflowError,
+     r"^birth rate at state 1024 raised OverflowError: "),
+    (BirthDeathSpec(1.0, lambda i: float("one" if i == 3 else 1)),
+     lambda s: s.rate_arrays(5), ValueError, r"^death rate at state 3 raised ValueError: "),
+    (BirthDeathSpec(1.0, 1.0, lambda i: 1.0 / (i - 2)),
+     lambda s: bd_measures(s, 4), ZeroDivisionError,
+     r"^killing rate at state 2 raised ZeroDivisionError: "),
+    (BirthDeathSpec(lambda i: 1j, 1.0), lambda s: s.b(0), TypeError,
+     r"^birth rate at state 0 raised TypeError: "),
+], ids=["overflow", "value", "zero-division", "type"])
+def test_a_callable_rate_that_raises_is_an_invalid_argument(spec, call, raised, message):
+    with pytest.raises(InvalidArgument, match=message) as ei:
+        call(spec)
+    assert isinstance(ei.value.__cause__, raised)
+
+
 def test_bd_to_qpair_reflecting_never_reads_the_last_birth_rate():
     s = BirthDeathSpec(birth=[2.0, 2.0, 2.0], death=1.0)
     assert bd_to_qpair(s, 3).rates[2, 3] == 2.0
