@@ -348,6 +348,11 @@ def discretize(op: Operator1D) -> Discretization:
     x = op.grid
     bc = tuple(op.boundary)
     M = x.shape[0] - 1
+    keep = slice(1 if bc[0] == "dirichlet" else 0, M if bc[1] == "dirichlet" else None)
+    idx = np.arange(M + 1)[keep]
+    if idx.shape[0] < 2:
+        raise InvalidArgument(f"{M} cells with {bc[0]} and {bc[1]} ends leave fewer than "
+                              "two interior nodes")
     dx = np.diff(x)
     # a > 0 holds on the grid only: a zero of a between nodes, or a coefficient
     # past float range, makes the matrix non-finite, which the eigensolvers
@@ -362,11 +367,6 @@ def discretize(op: Operator1D) -> Discretization:
                 GridTooCoarse,
                 stacklevel=2,
             )
-        keep = slice(1 if bc[0] == "dirichlet" else 0, M if bc[1] == "dirichlet" else None)
-        idx = np.arange(M + 1)[keep]
-        if idx.shape[0] < 2:
-            raise PreconditionViolated("fewer than two interior nodes remain")
-
         # C at nodes and faces: Simpson over each half-interval, with b/a sampled
         # once at the 4M + 1 abscissae node, quarter point, face, quarter point, ...
         faces = (x[:-1] + x[1:]) / 2.0

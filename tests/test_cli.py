@@ -306,6 +306,21 @@ def test_mu_of_another_length_is_refused_by_the_library_rule(capsys, tmp_path):
             "isospec: mu has shape (2,), want (3,)"), err
 
 
+@pytest.mark.parametrize("op, argv, line", [
+    ({"a": 0.5, "b": 0, "interval": [-1, 1], "M": 10}, ["--h", "h.json", "--check", "eigen",
+                                                        "--nmax", "-1"],
+     "n_max must be nonnegative"),
+    ({"a": 0.5, "b": 0, "interval": [-1, 1], "M": 2, "bc": ["dirichlet", "dirichlet"]},
+     ["--check", "spectrum"],
+     "2 cells with dirichlet and dirichlet ends leave fewer than two interior nodes"),
+], ids=["negative-nmax", "two-dirichlet-cells"])
+def test_diffop_arguments_the_library_refuses_are_input_errors(capsys, tmp_path, op, argv, line):
+    _write(tmp_path, "h.json", {"h": "exp(-x^2/2)"})
+    argv = [str(tmp_path / a) if a == "h.json" else a for a in argv]
+    code, out, err = _run(capsys, "diffop", _write(tmp_path, "op.json", op), *argv)
+    assert (code, out, err) == (2, "", f"isospec: {line}\n")
+
+
 def test_transform_forward_at_the_mu_limit_warns_nothing(tmp_path):
     # mu_N is finite at N = 3893 but mu_N b_N is not; nu_hat_N is 0.0 without a warning
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.2, "death": 1.0, "N": 3893})

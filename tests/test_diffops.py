@@ -58,6 +58,8 @@ def test_hermite_defining_identity_exact():
 def test_hermite_degree_guard():
     with pytest.raises(PreconditionViolated):
         hermite_polys(61)
+    with pytest.raises(InvalidArgument, match="n_max must be nonnegative"):
+        hermite_polys(-1)
     assert len(hermite_polys(60)) == 61
 
 
@@ -497,6 +499,16 @@ def test_discretize_neumann_kernel_exact():
     op = Operator1D.on_interval(0.5, 0.0, 0.0, 0.0, 1.0, 80)
     lam0 = discretize(op).lowest(1)[0]
     assert abs(lam0) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("M, boundary", [(2, ("dirichlet", "dirichlet")),
+                                         (1, ("neumann", "dirichlet"))])
+def test_discretize_refuses_a_grid_without_two_interior_nodes(M, boundary):
+    # b = 50 would also warn GridTooCoarse, had the refusal not come first
+    op = Operator1D.on_interval(0.5, 50.0, 0.0, 0.0, 1.0, M, boundary=boundary)
+    with pytest.raises(InvalidArgument, match=f"^{M} cells with .* fewer than two interior"):
+        discretize(op)
 
 
 def test_discretize_warns_on_coarse_grid():

@@ -193,6 +193,9 @@ def test_delta_rejects_nonpositive_h():
 def test_delta_needs_enough_h():
     with pytest.raises(PreconditionViolated):
         delta_tilde(CONST, np.ones(2))
+    # the prefix mass past float range at state 1 leaves one finite term
+    with pytest.raises(PreconditionViolated, match="fewer than two finite terms"):
+        delta_tilde(BirthDeathSpec(1e308, 1.0), [1.0, 1e308, 1e308, 1e308])
 
 
 def test_bounds_report_constant_chain():
@@ -224,6 +227,8 @@ def test_bounds_report_free_walk_verdict():
 def test_bounds_report_rejects_tiny_n_max():
     with pytest.raises(PreconditionViolated):
         bounds_report(CONST, N_max=4)
+    with pytest.raises(PreconditionViolated, match="N must be at least 1"):
+        lambda0_variational(CONST, 0)
 
 
 def test_bounds_report_never_claims_lambda0_positive_on_the_switching_chain():

@@ -28,6 +28,7 @@ GOOD = [
     ("2*x**3 - 1/2", lambda x: 2 * x**3 - 0.5),
     ("-x", lambda x: -x),
     ("3", lambda x: 3.0 + 0 * x),
+    ("x^0", lambda x: 1.0 + 0 * x),
     # Python's precedence: ^ is right-associative and binds tighter than a
     # unary minus on its left, whose operand may itself be signed
     ("-x^2", lambda x: -(x**2)),
@@ -183,6 +184,7 @@ CAPS = {
     "tower-overflow": ("9^9^9^9", "constant out of float range"),
     "exp-overflow": ("x + exp(1000)", "constant out of float range"),
     "literal-overflow": ("1e999 * x", "constant out of float range"),
+    "integer-overflow": ("1" + "0" * 400, "constant out of float range"),
     "product-overflow": ("1e308 * 10 + x", "constant out of float range"),
     "zero-division": ("x / 0", "division by zero"),
     "length": ("x" + "+x" * (MAX_LENGTH // 2), f"longer than {MAX_LENGTH} characters"),
@@ -194,6 +196,8 @@ CAPS = {
     "unopened": ("x)", "unbalanced parentheses: '\\)' without '\\('"),
     "juxtaposed": ("x x", "unexpected input"),
     "call-without-parentheses": ("exp x", "expected '\\('"),
+    "call-at-the-end": ("exp", "expected '\\(' at the end"),
+    "leading-operator": ("*x", "unexpected '\\*' before token 1 \\(\\*\\)"),
     "dangling-power": ("x^", "unexpected end"),
 }
 
