@@ -307,8 +307,8 @@ def test_mu_of_another_length_is_refused_by_the_library_rule(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("op, argv, line", [
-    ({"a": 0.5, "b": 0, "interval": [-1, 1], "M": 10}, ["--h", "h.json", "--check", "eigen",
-                                                        "--nmax", "-1"],
+    ({"a": 0.5, "b": 0, "interval": [-1, 1], "M": 10},
+     ["--h", "h.json", "--check", "eigen", "--nmax", "-1"],
      "n_max must be nonnegative"),
     ({"a": 0.5, "b": 0, "interval": [-1, 1], "M": 2, "bc": ["dirichlet", "dirichlet"]},
      ["--check", "spectrum"],
