@@ -12,7 +12,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import InvalidArgument, PreconditionViolated
+from .errors import PreconditionViolated, _count
 
 _S_TAGS = (Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -47,7 +47,7 @@ class PolyGauss:
 
     def diff(self, order: int = 1) -> "PolyGauss":
         out = self
-        for _ in range(order):
+        for _ in range(_count("order", order, 0)):
             p = out.coeffs
             dp = tuple(k * p[k] for k in range(1, len(p))) or (Fraction(0),)
             if out.s == 0:
@@ -85,17 +85,11 @@ def hermite_polys(n_max: int) -> list:
     H_{n+1} = 2 x H_n - 2 n H_{n-1}.  Guarded at n_max <= 60; coefficients
     stay exact Python integers (as Fractions) at any admissible n.
     """
-    if n_max < 0:
-        raise InvalidArgument("n_max must be nonnegative")
-    if n_max > 60:
-        raise InvalidArgument("n_max > 60: coefficient growth guard")
-    polys = [PolyGauss((Fraction(1),))]
-    if n_max >= 1:
-        polys.append(PolyGauss((Fraction(0), Fraction(2))))
+    n_max = _count("n_max", n_max, 0, 60)  # 60 guards the growth of the coefficients
+    polys = [PolyGauss((Fraction(1),)), PolyGauss((Fraction(0), Fraction(2)))]
     for n in range(1, n_max):
-        nxt = polys[n].mul_x().scale(2).add(polys[n - 1].scale(-2 * n))
-        polys.append(nxt)
-    return polys
+        polys.append(polys[n].mul_x().scale(2).add(polys[n - 1].scale(-2 * n)))
+    return polys[: n_max + 1]
 
 
 def hermite_defining_residual(n: int) -> tuple:

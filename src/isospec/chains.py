@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidArgument, NegativeRate, Overflow, PotentialExceedsRate,
-                     PreconditionViolated, _check_finite, _float_array, _per_state, _ShortRates)
+                     PreconditionViolated, _check_finite, _count, _float_array, _per_state,
+                     _ShortRates)
 
 _CONS_RTOL = 1e-12
 
@@ -238,6 +239,7 @@ class BirthDeathSpec:
 
     def rate_arrays(self, N: int):
         """Vectors (b, a, c) on states 0..N; a[0] is a placeholder zero."""
+        N = _count("N", N, 0)
         b = self._rates("birth", 0, N + 1)
         a = np.empty(N + 1)
         a[0] = 0.0
@@ -289,8 +291,7 @@ def _conjugated_weights(mu, h, b):
 
 def _bd_band(spec: BirthDeathSpec, N: int):
     """Super-diagonal, sub-diagonal, totals and potential of the truncation on {0..N}."""
-    if N < 1:
-        raise PreconditionViolated("truncation level N must be at least 1")
+    N = _count("N", N, 1)
     c = spec._rates("killing", 0, N + 1)
     b = spec._rates("birth", 0, N)
     a = spec._rates("death", 1, N + 1)

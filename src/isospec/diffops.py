@@ -17,8 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (BlowUp, GridTooCoarse, InvalidArgument, NotHarmonicAt,
-                     PreconditionViolated, ZeroH, _grid, _per_state, _tolerance)
+from .errors import (BlowUp, GridTooCoarse, InvalidArgument, NotHarmonicAt, ZeroH,
+                     PreconditionViolated, _check_finite, _count, _float_array, _grid,
+                     _per_state, _tolerance)
 from .expressions import _vectorized, compile_expression, constant
 
 _H_FLOOR = 1e-300
@@ -64,10 +65,11 @@ class Operator1D:
     def on_interval(cls, a, b, c, lo, hi, M, boundary=("neumann", "neumann")):
         if not math.isfinite(float(hi) - float(lo)):  # linspace would warn and return NaN
             raise InvalidArgument(f"interval [{lo}, {hi}]: hi - lo is not finite")
+        M = _count("M", M, 1)
         return cls(a=a, b=b, c=c, grid=np.linspace(lo, hi, M + 1), boundary=boundary)
 
     def coefficients(self, x=None):
-        x = self.grid if x is None else np.asarray(x, dtype=float)
+        x = self.grid if x is None else _float_array("x", x)
         return self.a(x), self.b(x), self.c(x)
 
 
@@ -241,12 +243,15 @@ def riccati_dual(
     beyond the guard raise BlowUp: Riccati solutions reach infinity where h
     would vanish.
     """
+    _check_finite("phi0", phi0)
+    guard = _tolerance("guard", guard)
     x = opbar.grid
     av, bv, cv = opbar.coefficients()
 
     if x0 is None:
         i0 = int(np.argmin(np.abs(x))) if x[0] <= 0.0 <= x[-1] else 0
     else:
+        _check_finite("x0", x0)
         i0 = int(np.argmin(np.abs(x - x0)))
         if abs(x[i0] - x0) > 1e-9 * max(1.0, x[-1] - x[0]):
             raise PreconditionViolated(f"x0 = {x0:g} is not a grid point")
@@ -440,6 +445,5 @@ def verify_lh_eigen(h: SmoothFunction, n_max: int = 10, grid=None) -> list:
 
 def ou_multiplicity(n: int, d: int) -> int:
     """Number of d-tuples of nonnegative integers summing to n, exactly."""
-    if n < 0 or d < 1:
-        raise PreconditionViolated("need n >= 0 and d >= 1")
+    n, d = _count("n", n, 0), _count("d", d, 1)
     return math.comb(n + d - 1, d - 1)

@@ -159,8 +159,8 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
     b~_i = b_i (h_{i+1}/h_i), a~_i = a_i (h_{i-1}/h_i), zero potential,
     mu~_i = h_i^2 mu_i and nu_hat~_i = nu_hat_i / (h_i h_{i+1}).
     """
-    hv = _positive_h(_h_values(h)[: N + 2], N + 2)
     b, a, c = spec.rate_arrays(N)
+    hv = _positive_h(_h_values(h)[: N + 2], N + 2)
     band = validate_band(b, np.append(a[1:], 0.0), killing=np.append(c, 0.0))
     out = h_transform_local(band, hv, harmonic_set=range(N + 1), tol=tol)
     mu_t, nu_t = _conjugated_weights(bd_measures(spec, N).mu, hv, b)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .chains import BirthDeathSpec, _bd_mu, _conjugated_weights
 from .errors import (InvalidArgument, PreconditionViolated, TailNotResolved, _h_values,
-                     _no_positive_killing, _positive_h, _tolerance)
+                     _count, _no_positive_killing, _positive_h, _tolerance)
 from .harmonic import bd_harmonic_explicit
 from .spectra import lowest_eigs_tridiag
 
@@ -36,8 +36,7 @@ def lambda0_variational(spec: BirthDeathSpec, N: int) -> float:
     a Dirichlet condition at N+1, diagonal b + a - c; nonincreasing in N.
     Sturm bisection stays accurate even when the rates are strongly graded.
     """
-    if N < 1:
-        raise PreconditionViolated("truncation level N must be at least 1")
+    N = _count("N", N, 1)
     b, a, c = spec.rate_arrays(N)
     _no_positive_killing(c)
     return _lambda0(b, a, c, [N])[0][1]
@@ -82,9 +81,9 @@ def delta_tilde(
     stop = np.flatnonzero(~np.isfinite(hv))
     n = stop[0] if stop.size else hv.shape[0]
     hv = _positive_h(hv[:n], n)  # only the finite prefix is read
-    K_cap = min(N_max, hv.shape[0] - 2)
+    K_cap = min(_count("N_max", N_max, 1), hv.shape[0] - 2)
     if K_cap < 1:
-        raise PreconditionViolated("need h on at least 0..2")
+        raise InvalidArgument("need h on at least 0..2")
 
     b, a, c = spec.rate_arrays(K_cap)
     _no_positive_killing(c)
@@ -172,8 +171,7 @@ def bounds_report(
     a violated enclosure raises; divergent delta yields the verdict that the
     principal eigenvalue is zero.
     """
-    if N_max < 8:
-        raise InvalidArgument("N_max must be at least 8")
+    N_max = _count("N_max", N_max, 8)
     b, a, c = spec.rate_arrays(N_max + 1)
     _no_positive_killing(c[: N_max + 1])  # before h, which a positive c can turn negative
     rates = BirthDeathSpec(b, a, c)

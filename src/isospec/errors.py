@@ -93,8 +93,8 @@ class _ShortRates(InvalidArgument, IndexError):
 
 
 def _check_finite(name, *arrays):
-    """Refuse a NaN or infinite entry in any of arrays."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    """Refuse a NaN or infinite entry in any of arrays, read by _float_array."""
+    if not all(np.all(np.isfinite(_float_array(name, a))) for a in arrays):
         raise PreconditionViolated(f"{name} has a NaN or infinite entry")
 
 
@@ -134,15 +134,20 @@ def _grid(name, x, min_len) -> np.ndarray:
     return x
 
 
+def _count(name, n, lo, hi=None) -> int:
+    """n as an int: an integer, not a bool, with lo <= n and, if hi is given, n <= hi."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidArgument(f"{name} = {n!r} is not an integer")
+    if n < lo or hi is not None and n > hi:
+        rule = f"is below {lo}" if hi is None else f"outside {lo}..{hi}"
+        raise InvalidArgument(f"{name} = {n} {rule}")
+    return int(n)
+
+
 def _states(name, idx, n) -> np.ndarray:
     """The state indices idx, an iterable or one index, as an int array; each in 0..n-1."""
-    idx = list(idx) if np.iterable(idx) else [idx]
-    for i in idx:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise InvalidArgument(f"{name} = {i!r} is not an integer")
-        if not 0 <= i < n:
-            raise InvalidArgument(f"{name} = {i} outside 0..{n - 1}")
-    return np.array(idx, dtype=int)
+    idx = idx if np.iterable(idx) else [idx]
+    return np.array([_count(name, i, 0, n - 1) for i in idx], dtype=int)
 
 
 def _no_positive_killing(c, need="the bound needs c <= 0"):

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MalformedExpression
+from .errors import MalformedExpression, _count, _float_array
 
 MAX_LENGTH = 2000
 MAX_DEPTH = 100
@@ -401,7 +401,7 @@ def _vectorized(raw: Callable) -> Callable[[np.ndarray], np.ndarray]:
 
     def fn(x):
         if not isinstance(x, float):
-            x = np.asarray(x, dtype=float)
+            x = _float_array("x", x)
             if x.ndim:
                 out = np.asarray(raw(x), dtype=float)
                 if out.shape != x.shape:
@@ -427,7 +427,7 @@ class CompiledExpr:
 
     def diff(self, order: int = 1) -> "CompiledExpr":
         try:
-            d = _derivative(self.expr, order)
+            d = _derivative(self.expr, _count("order", order, 0))
         except _Invalid as exc:
             raise MalformedExpression(self.text, str(exc)) from None
         return _compiled(_show(d)[0], d)

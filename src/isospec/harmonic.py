@@ -14,7 +14,7 @@ import numpy as np
 from .chains import BirthDeathSpec, QPairSpec
 from .errors import (Divergence, InvalidArgument, NonConvergence, NotMonotone,
                      PreconditionViolated, _h_values, _no_positive_killing, _per_state,
-                     _states, _tolerance)
+                     _count, _states, _tolerance)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def _fixed_point(step, x, tol, max_iter):
     Returns (x, IterationTrace); raises NonConvergence after max_iter steps.
     """
     trace = IterationTrace(converged=False, final_delta=np.inf)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _count("max_iter", max_iter, 1) + 1):
         new = step(x, it)
         trace.final_delta = float(np.max(np.abs(new - x))) if x.size else 0.0
         trace.n_iter = it
@@ -244,8 +244,7 @@ def bd_harmonic_explicit(
     max(1, |b_n h_{n+1}|, |a_n h_n|), up to the first non-finite pair;
     residuals holds the unscaled terms on 0..N-1 and 0 for the boundary state N.
     """
-    if N < 1:
-        raise InvalidArgument("N must be at least 1")
+    N = _count("N", N, 1)
     b, a, c = spec.rate_arrays(N)
     if np.any(c > 0.0):
         warnings.warn(

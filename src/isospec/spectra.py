@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (InvalidArgument, NonConvergence, NotReversible, PreconditionViolated,
-                     _check_finite, _per_state, _positive_mu, _tolerance)
+                     _check_finite, _count, _per_state, _positive_mu, _tolerance)
 
 if TYPE_CHECKING:  # chains is loaded only by the chain paths
     from .chains import QPairSpec
@@ -119,8 +119,7 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    if not 1 <= k <= n:
-        raise InvalidArgument(f"need 1 <= k <= {n}")
+    k = _count("k", k, 1, n)
     _check_finite("matrix", d, e)
     e = _per_state("e", e, n - 1)
     span = float(np.max(np.abs(e))) if e.size else 0.0

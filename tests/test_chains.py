@@ -17,6 +17,7 @@ from isospec import (
     bd_measures,
     bd_to_qpair,
     bounds_report,
+    compile_expression,
     conjugate,
     delta_tilde,
     forward_transform,
@@ -27,10 +28,13 @@ from isospec import (
     inverse_transform,
     is_supersolution,
     isospectral_check,
+    hermite_polys,
+    lambda0_variational,
     lowest_eigs_tridiag,
     maximal_solution,
     measure_dual,
     minimal_harmonic,
+    ou_multiplicity,
     quadratic_form,
     riccati_dual,
     sturm_count,
@@ -390,10 +394,76 @@ def test_a_tolerance_is_a_number_at_least_zero(name, bad):
         _TOLERANCES[name](bad)
 
 
+def _count_cases(lo, hi=None):
+    """A bool, a float, text and the values just outside lo..hi."""
+    return (True, 2.5, "3", lo - 1) + (() if hi is None else (hi + 1,))
+
+
+_OP = Operator1D.on_interval(0.5, 0.0, 0.0, -1.0, 1.0, 20)
+_H300 = bd_harmonic_explicit(_KILLED, 300)
+
+# name -> (argument name, call of the argument, a valid argument, refused ones)
+_NUMBER_ARGS = {
+    "rate_arrays": ("N", _KILLED.rate_arrays, 4, _count_cases(0)),
+    "bd_measures": ("N", lambda n: bd_measures(_KILLED, n), 4, _count_cases(0)),
+    "bd_h_transform": ("N", lambda n: bd_h_transform(_FREE, np.ones(6), n), 4,
+                       _count_cases(0)),
+    "bd_to_qpair": ("N", lambda n: bd_to_qpair(_KILLED, n), 4, _count_cases(1)),
+    "bd_to_band": ("N", lambda n: bd_to_band(_KILLED, n), 4, _count_cases(1)),
+    "bd_harmonic_explicit": ("N", lambda n: bd_harmonic_explicit(_KILLED, n), 4,
+                             _count_cases(1)),
+    "lambda0_variational": ("N", lambda n: lambda0_variational(_KILLED, n), 4,
+                            _count_cases(1)),
+    "delta_tilde": ("N_max", lambda n: delta_tilde(_KILLED, _H300, N_max=n), 256,
+                    _count_cases(1)),
+    "bounds_report": ("N_max", lambda n: bounds_report(_KILLED, N_max=n), 64, _count_cases(8)),
+    "minimal_harmonic": ("max_iter", lambda n: minimal_harmonic(_QP, 0, max_iter=n), 10**5,
+                         _count_cases(1)),
+    "maximal_solution": ("max_iter", lambda n: maximal_solution(_QP, max_iter=n), 10**5,
+                         _count_cases(1)),
+    "lowest_eigs_tridiag": ("k", lambda k: lowest_eigs_tridiag(_D, _E, k), 5,
+                            _count_cases(1, 5)),
+    "hermite_polys": ("n_max", hermite_polys, 60, _count_cases(0, 60)),
+    "ou_multiplicity-n": ("n", lambda n: ou_multiplicity(n, 2), 3, _count_cases(0)),
+    "ou_multiplicity-d": ("d", lambda d: ou_multiplicity(3, d), 2, _count_cases(1)),
+    "CompiledExpr.diff": ("order", compile_expression("x^2").diff, 2, _count_cases(0)),
+    "PolyGauss.diff": ("order", hermite_polys(2)[2].diff, 2, _count_cases(0)),
+    "Operator1D.on_interval": ("M", lambda m: Operator1D.on_interval(0.5, 0.0, 0.0, -1.0, 1.0, m),
+                               20, _count_cases(1)),
+    # numbers read where a count is not
+    "riccati_dual-phi0": ("phi0", lambda v: riccati_dual(_OP, v), 0.0, ("a",)),
+    "riccati_dual-x0": ("x0", lambda v: riccati_dual(_OP, 0.0, x0=v), 0.0, ("a",)),
+    "riccati_dual-guard": ("guard", lambda v: riccati_dual(_OP, 0.0, guard=v), np.inf,
+                           (np.nan, -1.0, "a")),
+    "sturm_count": ("x", lambda v: sturm_count([1.0, 2.0], [0.5], v), 1.5, ("a",)),
+    "CompiledExpr.fn": ("x", compile_expression("x^2").fn, [1.0, 2.0], ("abc", [[1, 2], [3]])),
+    "Operator1D.coefficients": ("x", _OP.coefficients, [0.0, 0.5], ("abc", [[1, 2], [3]])),
+}
+
+
+_NUMBER_CASES = [(k, v) for k, c in _NUMBER_ARGS.items() for v in c[3]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, bad", _NUMBER_CASES, ids=[f"{k}-{v!r}" for k, v in _NUMBER_CASES])
+def test_counts_and_numbers_refuse_other_values_as_invalid_arguments(name, bad):
+    arg, call, good, _ = _NUMBER_ARGS[name]
+    call(good)
+    with pytest.raises(InvalidArgument, match=f"^{arg} (= |must )"):
+        call(bad)
+
+
 def test_sturm_count_refuses_a_nan_shift():
     assert sturm_count([1.0, 2.0], [0.5], 1.5) == 1
     with pytest.raises(PreconditionViolated, match="x has a NaN or infinite entry"):
         sturm_count([1.0, 2.0], [0.5], np.nan)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("arg", ["phi0", "x0"])
+def test_riccati_dual_refuses_a_nan_anchor_value(arg):
+    with pytest.raises(PreconditionViolated, match=f"^{arg} has a NaN or infinite entry"):
+        riccati_dual(_OP, **{"phi0": 0.0, arg: np.nan})
 
 
 def test_validate_refuses_ragged_rates():

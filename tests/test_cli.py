@@ -309,7 +309,7 @@ def test_mu_of_another_length_is_refused_by_the_library_rule(capsys, tmp_path):
 @pytest.mark.parametrize("op, argv, line", [
     ({"a": 0.5, "b": 0, "interval": [-1, 1], "M": 10},
      ["--h", "h.json", "--check", "eigen", "--nmax", "-1"],
-     "n_max must be nonnegative"),
+     "n_max = -1 outside 0..60"),
     ({"a": 0.5, "b": 0, "interval": [-1, 1], "M": 2, "bc": ["dirichlet", "dirichlet"]},
      ["--check", "spectrum"],
      "2 cells with dirichlet and dirichlet ends leave fewer than two interior nodes"),
@@ -706,12 +706,12 @@ def test_minimal_harmonic_decrease_exits_one(capsys, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["bounds", "c.json", "--nmax", "4"], "N_max must be at least 8"),
-    (["harmonic", "c.json", "--method", "explicit", "--nmax", "0"], "N must be at least 1"),
+    (["bounds", "c.json", "--nmax", "4"], "N_max = 4 is below 8"),
+    (["harmonic", "c.json", "--method", "explicit", "--nmax", "0"], "N = 0 is below 1"),
     (["harmonic", "c.json", "--theta", "99"], "theta = 99 outside 0..7"),
-    (["diffop", "op.json", "--check", "spectrum", "--k", "0"], "need 1 <= k <= 201"),
+    (["diffop", "op.json", "--check", "spectrum", "--k", "0"], "k = 0 outside 1..201"),
     (["diffop", "op.json", "--check", "eigen", "--h", "h.json", "--nmax", "99"],
-     "n_max > 60: coefficient growth guard"),
+     "n_max = 99 outside 0..60"),
 ], ids=["bounds-nmax", "explicit-nmax", "theta", "spectrum-k", "eigen-nmax"])
 def test_out_of_range_flag_values_exit_two(capsys, tmp_path, fib_chain, argv, message):
     docs = {"c.json": fib_chain, "h.json": _write(tmp_path, "h.json", {"h": "exp(-x^2/2)"}),

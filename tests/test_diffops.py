@@ -58,7 +58,7 @@ def test_hermite_defining_identity_exact():
 def test_hermite_degree_guard():
     with pytest.raises(PreconditionViolated):
         hermite_polys(61)
-    with pytest.raises(InvalidArgument, match="n_max must be nonnegative"):
+    with pytest.raises(InvalidArgument, match="n_max = -1 outside 0..60"):
         hermite_polys(-1)
     assert len(hermite_polys(60)) == 61
 

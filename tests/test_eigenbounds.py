@@ -227,7 +227,7 @@ def test_bounds_report_free_walk_verdict():
 def test_bounds_report_rejects_tiny_n_max():
     with pytest.raises(PreconditionViolated):
         bounds_report(CONST, N_max=4)
-    with pytest.raises(PreconditionViolated, match="N must be at least 1"):
+    with pytest.raises(PreconditionViolated, match="N = 0 is below 1"):
         lambda0_variational(CONST, 0)
 
 
