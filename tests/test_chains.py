@@ -428,8 +428,8 @@ _NUMBER_ARGS = {
     "ou_multiplicity-d": ("d", lambda d: ou_multiplicity(3, d), 2, _count_cases(1)),
     "CompiledExpr.diff": ("order", compile_expression("x^2").diff, 2, _count_cases(0)),
     "PolyGauss.diff": ("order", hermite_polys(2)[2].diff, 2, _count_cases(0)),
-    "Operator1D.on_interval": ("M", lambda m: Operator1D.on_interval(0.5, 0.0, 0.0, -1.0, 1.0, m),
-                               20, _count_cases(1)),
+    "Operator1D.on_interval": ("M", lambda m: Operator1D.on_interval(0.5, 0, 0, -1, 1, m), 20,
+                               _count_cases(1)),
     # numbers read where a count is not
     "riccati_dual-phi0": ("phi0", lambda v: riccati_dual(_OP, v), 0.0, ("a",)),
     "riccati_dual-x0": ("x0", lambda v: riccati_dual(_OP, 0.0, x0=v), 0.0, ("a",)),
@@ -445,7 +445,8 @@ _NUMBER_CASES = [(k, v) for k, c in _NUMBER_ARGS.items() for v in c[3]]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name, bad", _NUMBER_CASES, ids=[f"{k}-{v!r}" for k, v in _NUMBER_CASES])
+@pytest.mark.parametrize("name, bad", _NUMBER_CASES,
+                         ids=[f"{k}-{v!r}" for k, v in _NUMBER_CASES])
 def test_counts_and_numbers_refuse_other_values_as_invalid_arguments(name, bad):
     arg, call, good, _ = _NUMBER_ARGS[name]
     call(good)
