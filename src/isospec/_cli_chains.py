@@ -1,21 +1,18 @@
 """The chain subcommands of the command line: harmonic, transform, verify, bounds.
 
 main imports this module when it dispatches one of them, so a diffop
-request never compiles it nor loads the chain modules.
+request never compiles it nor loads the chain modules.  It imports neither
+numpy nor the chain modules itself: load_chain checks a document's structure
+before it reads a number, and each handler imports what it computes with
+after its documents are loaded.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from ._cli_io import (MAX_DENSE_BYTES, SchemaError, _capped, _emit, _encode, _finite,
                       _floats, _integer, _load_json, _note, _schema_errors, _tol, _verdict)
-from .chains import (BandSpec, BirthDeathSpec, bd_measures, bd_to_band, bd_to_qpair,
-                     validate_qpair)
-from .errors import _positive_mu
 
 # ---------------------------------------------------------------- loading
 
@@ -57,14 +54,15 @@ def _rate_field(doc: dict, key: str, default=None):
     )
 
 
-@dataclass
 class ChainInput:
-    kind: str
-    bd: BirthDeathSpec | None = None
-    qp: object = None
-    N: int | None = None
-    cap: int | None = None  # largest state index array fields cover
-    mu: np.ndarray | None = None
+    """A loaded chain document: a bd spec or a q-pair, its "N", and its "mu" if given.
+
+    cap is the largest state index the array fields of a bd chain cover.
+    """
+
+    def __init__(self, kind: str, bd=None, qp=None, N: int | None = None,
+                 cap: int | None = None, mu=None):
+        self.kind, self.bd, self.qp, self.N, self.cap, self.mu = kind, bd, qp, N, cap, mu
 
     def truncation(self) -> int:
         if self.N is None:
@@ -77,6 +75,8 @@ class ChainInput:
         A nonpositive birth or death rate is an input error here, before the
         library runs; an N below 1 is left for the library to refuse.
         """
+        from .chains import BirthDeathSpec
+
         if N < 1:
             return self.bd
         with _schema_errors():
@@ -84,6 +84,8 @@ class ChainInput:
 
     def as_qpair(self, band: bool = False):
         """The chain as a QPairSpec; a bd chain as a BandSpec when band is true."""
+        from .chains import bd_to_band, bd_to_qpair
+
         if self.kind == "qpair":
             return self.qp
         N = self.truncation()
@@ -97,49 +99,63 @@ class ChainInput:
         if self.mu is not None:
             return self.mu
         if self.kind == "bd":
+            from .chains import bd_measures
+
             return bd_measures(self.bd, self.truncation()).mu
         raise SchemaError('qpair chain needs an explicit "mu" array here')
 
 
 def load_chain(doc) -> ChainInput:
+    """The chain of a document whose structure is checked before any number is read.
+
+    In order: an object with a known "type"; "birth" and "death" in a bd
+    document; "N", if given, an integer in 1..MAX_STATES; "rates" in a qpair
+    document.  Only then are "mu" and the rate fields read.
+    """
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError('chain JSON must be an object with a "type" field')
-    mu = _finite("mu", _floats("mu", doc["mu"])) if "mu" in doc else None
+    kind = doc["type"]
+    if kind not in ("bd", "qpair"):
+        raise SchemaError(f'unknown chain type {kind!r} (want "bd" or "qpair")')
+    N = None
+    if kind == "bd":
+        for key in ("birth", "death"):
+            if key not in doc:
+                raise SchemaError(f"bd chain is missing the {key!r} field")
+        if "N" in doc:
+            N = _capped('"N"', _integer("N", doc["N"]))
+            if N < 1:
+                raise SchemaError('"N" must be at least 1')
+    elif "rates" not in doc:
+        raise SchemaError('qpair chain is missing the "rates" matrix')
 
-    if doc["type"] == "bd":
+    from ._checks import _positive_mu
+    from .chains import BirthDeathSpec, validate_qpair
+
+    mu = _finite("mu", _floats("mu", doc["mu"])) if "mu" in doc else None
+    if kind == "bd":
         birth, nb = _rate_field(doc, "birth")
         death, na = _rate_field(doc, "death")
         killing, nc = _rate_field(doc, "killing", default=0.0)
         lens = [n for n in (nb, na, nc) if n is not None]
         cap = min(lens) - 1 if lens else None
-        if "N" in doc:
-            N = _capped('"N"', _integer("N", doc["N"]))
-            if N < 1:
-                raise SchemaError('"N" must be at least 1')
-            if cap is not None and N > cap:
-                raise SchemaError(
-                    f'"N" = {N} exceeds the rate arrays (largest state {cap})'
-                )
-        else:
+        if N is None:
             N = cap
+        elif cap is not None and N > cap:
+            raise SchemaError(f'"N" = {N} exceeds the rate arrays (largest state {cap})')
         if mu is not None:
             with _schema_errors():  # an N that is not known yet takes mu's length
-                mu = _positive_mu(mu, np.size(mu) if N is None else N + 1)
+                mu = _positive_mu(mu, mu.size if N is None else N + 1)
         spec = BirthDeathSpec(birth=birth, death=death, killing=killing)
         return ChainInput(kind="bd", bd=spec, N=N, cap=cap, mu=mu)
 
-    if doc["type"] == "qpair":
-        if "rates" not in doc:
-            raise SchemaError('qpair chain is missing the "rates" matrix')
-        rates = _floats("rates", doc["rates"])
-        total = _floats("total", doc["total"]) if "total" in doc else None
-        killing = _floats("killing", doc["killing"]) if "killing" in doc else None
-        with _schema_errors():
-            qp = validate_qpair(rates, total, killing)
-            mu = None if mu is None else _positive_mu(mu, qp.n_states)
-        return ChainInput(kind="qpair", qp=qp, mu=mu)
-
-    raise SchemaError(f'unknown chain type {doc["type"]!r} (want "bd" or "qpair")')
+    rates = _floats("rates", doc["rates"])
+    total = _floats("total", doc["total"]) if "total" in doc else None
+    killing = _floats("killing", doc["killing"]) if "killing" in doc else None
+    with _schema_errors():
+        qp = validate_qpair(rates, total, killing)
+        mu = None if mu is None else _positive_mu(mu, qp.n_states)
+    return ChainInput(kind="qpair", qp=qp, mu=mu)
 
 
 def load_h(path: str) -> np.ndarray:
@@ -185,6 +201,8 @@ def _bd_doc(spec: BirthDeathSpec, N: int, mp=None) -> dict:
 
 
 def _qpair_doc(qp, mu=None) -> dict:
+    from .chains import BandSpec
+
     doc = {
         "type": "qpair",
         # a BandSpec is written as its dense rate matrix, row by row
@@ -224,9 +242,9 @@ def _band_rows(qp: BandSpec, indent: str):
 
 
 def cmd_harmonic(args) -> int:
+    ci = load_chain(_load_json(args.chain))
     from .harmonic import bd_harmonic_explicit, minimal_harmonic
 
-    ci = load_chain(_load_json(args.chain))
     if args.method == "explicit":
         if ci.kind != "bd":
             raise SchemaError("--method explicit needs a bd chain")
@@ -255,6 +273,7 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    ci = load_chain(_load_json(args.chain))
     from .duality import (
         bd_h_transform,
         h_transform,
@@ -264,7 +283,6 @@ def cmd_transform(args) -> int:
         transform_measure,
     )
 
-    ci = load_chain(_load_json(args.chain))
     if args.direction == "measure":
         qp = ci.as_qpair(band=True)
         mu = ci.measure()
@@ -321,11 +339,11 @@ def _emit_qpair_transform(args, qp, mu):
 
 
 def cmd_verify(args) -> int:
+    A = load_chain(_load_json(args.chain_a))
+    B = load_chain(_load_json(args.chain_b))
     from .duality import transform_measure
     from .spectra import isospectral_check
 
-    A = load_chain(_load_json(args.chain_a))
-    B = load_chain(_load_json(args.chain_b))
     qpA = A.as_qpair()
     qpB = B.as_qpair()
     muA = A.measure()
@@ -341,16 +359,16 @@ def cmd_verify(args) -> int:
     rep = isospectral_check(qpA, muA, qpB, muB, **_tol(args))
     a, b = rep.eigenvalues, rep.eigenvalues_other
     _emit(args, rep.to_dict(), header=("k", "lambda_a", "lambda_b", "gap"),
-          rows=lambda: zip(range(len(a)), a, b, np.abs(a - b)))
+          rows=lambda: zip(range(len(a)), a, b, abs(a - b)))
     return _verdict(args, rep.passed)
 
 
 def cmd_bounds(args) -> int:
-    from .eigenbounds import bounds_report
-
     ci = load_chain(_load_json(args.chain))
     if ci.kind != "bd":
         raise SchemaError("bounds needs a bd chain")
+    from .eigenbounds import bounds_report
+
     # the harmonic h of the Hardy weights runs one state past nmax
     nmax = _within_arrays(args, ci, args.nmax, "--nmax", reach=1)
     rep = bounds_report(ci.bd_arrays(nmax + 1), N_max=nmax, tail_tol=args.tail_tol)

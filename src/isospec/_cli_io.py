@@ -4,7 +4,8 @@ The exit-2 error, the input size caps, the JSON readers, the report writer
 and the stderr notes.  cli.py runs as __main__ under python -m isospec.cli,
 so the handler modules import these from here, never from isospec.cli: a
 second copy of cli.py would bring a second SchemaError that main does not
-catch.
+catch.  This module imports no numpy: a usage error or a malformed document
+is refused before numpy loads, and numpy loads with the first number read.
 """
 from __future__ import annotations
 
@@ -12,9 +13,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
-from .errors import IsospecError, _check_finite, _float_array
+from .errors import IsospecError
 
 
 class SchemaError(Exception):
@@ -60,6 +59,8 @@ def _load_json(path: str):
 
 def _floats(key: str, node) -> np.ndarray:
     """node as a float array; text, objects and ragged nesting are schema errors."""
+    from ._checks import _float_array
+
     with _schema_errors():
         return _float_array(repr(key), node)
 
@@ -80,6 +81,8 @@ def _capped(key: str, n: int) -> int:
 
 
 def _finite(key: str, value):
+    from ._checks import _check_finite
+
     with _schema_errors():
         _check_finite(repr(key), value)
     return value
@@ -95,15 +98,17 @@ _encode = json.JSONEncoder().encode  # C encoder: no indent, ", " separators
 def _chunks(obj, indent: str = ""):
     """Pieces of json.dumps(obj, indent=2), nested at indent.
 
-    A numpy array or scalar is written as its tolist(), a tuple as a list.
+    A numpy array or scalar, or anything else with a tolist method, is
+    written as its tolist(), a tuple as a list.
     json's indented encoder runs in pure Python.  A flat list whose elements
     are all exactly int or float goes through the C encoder instead; no
     number's text contains ", ", so each separator becomes a line break.
     A callable stands for a value too long to build: called with indent, it
     yields that value's pieces.
     """
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
+    tolist = getattr(obj, "tolist", None)
+    if tolist is not None:
+        obj = tolist()
     inner = indent + "  "
     if callable(obj):
         yield from obj(indent)

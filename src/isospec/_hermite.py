@@ -12,7 +12,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import PreconditionViolated, _count
+from ._checks import _count
+from .errors import PreconditionViolated
 
 _S_TAGS = (Fraction(0), Fraction(1, 2), Fraction(1))
 

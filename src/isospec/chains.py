@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_finite, _count, _float_array, _per_state
 from .errors import (InvalidArgument, NegativeRate, Overflow, PotentialExceedsRate,
-                     PreconditionViolated, _check_finite, _count, _float_array, _per_state,
-                     _ShortRates)
+                     PreconditionViolated, _ShortRates)
 
 _CONS_RTOL = 1e-12
 

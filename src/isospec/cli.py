@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, astuple
 
 from ._cli_io import (SchemaError, _capped, _emit, _finite, _floats, _integer, _load_json,
                       _note, _schema_errors, _tol, _verdict)
@@ -29,7 +28,9 @@ from .errors import InvalidArgument, IsospecError, MalformedExpression
 
 # Each handler imports the modules it needs, so a chain request never loads
 # the expression and operator modules, and an operator request never loads
-# the chain modules nor compiles the chain handlers of _cli_chains.
+# the chain modules nor compiles the chain handlers of _cli_chains.  Nothing
+# here imports numpy: usage errors, --help and the refusals of a document's
+# structure answer before it loads.
 
 
 CHAIN_SCHEMA = """\
@@ -61,41 +62,47 @@ the interval."""
 # ---------------------------------------------------------------- loading
 
 
-def _coeff_field(doc: dict, key: str, default=None):
+def _coeff_node(doc: dict, key: str, default=None):
+    """Entry key of an operator or h document, a number or an expression string."""
     if key not in doc:
         if default is None:
             raise SchemaError(f"operator JSON is missing {key!r}")
         return default
     node = doc[key]
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return float(_finite(key, _floats(key, node)))
+    if isinstance(node, str) or isinstance(node, (int, float)) and not isinstance(node, bool):
+        return node
+    raise SchemaError(f"{key!r} must be a number or an expression string")
+
+
+def _coeff(key: str, node):
+    """An entry checked by _coeff_node as a float, or the function of its expression."""
     if isinstance(node, str):
         from .expressions import compile_expression
 
         return compile_expression(node).fn
-    raise SchemaError(f"{key!r} must be a number or an expression string")
+    return float(_finite(key, _floats(key, node)))
 
 
 def load_operator(doc) -> Operator1D:
-    from .diffops import Operator1D
-
+    """The operator of a document whose keys, "M" and "bc" are checked first."""
     if not isinstance(doc, dict):
         raise SchemaError("operator JSON must be an object")
-    a = _coeff_field(doc, "a")
-    b = _coeff_field(doc, "b")
-    c = _coeff_field(doc, "c", default=0.0)
-    iv = _floats("interval", doc.get("interval"))
-    if iv.shape != (2,):
-        raise SchemaError('"interval" must be [lo, hi]')
-    lo, hi = _finite("interval", iv).tolist()
-    if not lo < hi:
-        raise SchemaError('"interval" must have lo < hi')
+    nodes = [_coeff_node(doc, "a"), _coeff_node(doc, "b"), _coeff_node(doc, "c", default=0.0)]
     M = _capped('"M"', _integer("M", doc.get("M", 400)))
     if M < 2:
         raise SchemaError('"M" must be at least 2')
     bc = doc.get("bc", ["neumann", "neumann"])
     if not (isinstance(bc, list) and len(bc) == 2):
         raise SchemaError('"bc" must name two boundary conditions')
+    from .diffops import Operator1D
+
+    a, b, c = (_coeff(k, node) for k, node in zip("abc", nodes))
+    iv = _floats("interval", doc.get("interval"))
+    if iv.shape != (2,):
+        raise SchemaError('"interval" must be [lo, hi]')
+    lo, hi = _finite("interval", iv).tolist()
+    if not lo < hi:
+        raise SchemaError('"interval" must have lo < hi')
     with _schema_errors():
         return Operator1D.on_interval(a, b, c, lo, hi, M, boundary=tuple(bc))
 
@@ -124,11 +131,7 @@ def load_smooth(path: str, x) -> SmoothFunction:
     if "h1" in doc or "h2" in doc:
         if not ("h1" in doc and "h2" in doc):
             raise SchemaError("declare both h1 and h2 or neither")
-        return SmoothFunction(
-            h=_coeff_field(doc, "h"),
-            h1=_coeff_field(doc, "h1"),
-            h2=_coeff_field(doc, "h2"),
-        )
+        return SmoothFunction(*(_coeff(k, _coeff_node(doc, k)) for k in ("h", "h1", "h2")))
     expr = doc["h"]
     if not isinstance(expr, str):
         raise SchemaError('"h" must be an expression string')
@@ -139,15 +142,17 @@ def load_smooth(path: str, x) -> SmoothFunction:
 
 
 def cmd_diffop(args) -> int:
-    from .diffops import discretize, forward_transform, riccati_dual, verify_lh_eigen
-
     op = load_operator(_load_json(args.op))
     if args.check in ("eigen", "transform"):
         if args.h is None:
             raise SchemaError(f"--check {args.check} needs --h")
         h = load_smooth(args.h, op.grid)
 
+    from .diffops import discretize, forward_transform, riccati_dual, verify_lh_eigen
+
     if args.check == "eigen":
+        from dataclasses import asdict, astuple
+
         checks = verify_lh_eigen(h, n_max=args.nmax, grid=op.grid)
         ok = all(ch.passed for ch in checks)
         payload = {"checks": [asdict(ch) for ch in checks], "all_passed": ok}

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import _count, _float_array, _grid, _per_state, _scalar, _tolerance
 from .errors import (BlowUp, GridTooCoarse, InvalidArgument, NotHarmonicAt, ZeroH,
-                     PreconditionViolated, _check_finite, _count, _float_array, _grid,
-                     _per_state, _tolerance)
+                     PreconditionViolated)
 from .expressions import _vectorized, compile_expression, constant
 
 _H_FLOOR = 1e-300
@@ -243,7 +243,7 @@ def riccati_dual(
     beyond the guard raise BlowUp: Riccati solutions reach infinity where h
     would vanish.
     """
-    _check_finite("phi0", phi0)
+    phi0 = _scalar("phi0", phi0)
     guard = _tolerance("guard", guard)
     x = opbar.grid
     av, bv, cv = opbar.coefficients()
@@ -251,13 +251,13 @@ def riccati_dual(
     if x0 is None:
         i0 = int(np.argmin(np.abs(x))) if x[0] <= 0.0 <= x[-1] else 0
     else:
-        _check_finite("x0", x0)
+        x0 = _scalar("x0", x0)
         i0 = int(np.argmin(np.abs(x - x0)))
         if abs(x[i0] - x0) > 1e-9 * max(1.0, x[-1] - x[0]):
             raise PreconditionViolated(f"x0 = {x0:g} is not a grid point")
 
     phi = np.empty_like(x)
-    phi[i0] = float(phi0)
+    phi[i0] = phi0
 
     def march(i, step):
         """phi after each step i -> i + step, from phi0 at i[0].

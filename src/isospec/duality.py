@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import (_check_finite, _float_array, _h_values, _positive_h, _positive_mu,
+                      _states, _tolerance)
 from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
                      _conjugated_weights, bd_measures, validate_band, validate_qpair)
-from .errors import (NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated,
-                     _check_finite, _float_array, _h_values, _positive_h, _positive_mu,
-                     _states, _tolerance)
+from .errors import NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -142,11 +142,15 @@ def transform_measure(mu, h, inverse: bool = False) -> np.ndarray:
         if miss.any():
             g = np.sqrt(mu) / hv if inverse else hv * np.sqrt(mu)
             out = np.where(miss, g * g, out)
-            miss &= ~(np.isfinite(out) & (out > 0.0))
-    bad = np.flatnonzero(miss)
+    return _in_range(out)
+
+
+def _in_range(mu_t):
+    """The h-transformed measure mu_t; Overflow at its first entry not a positive float."""
+    bad = np.flatnonzero(~(np.isfinite(mu_t) & (mu_t > 0.0)))
     if bad.size:
         raise Overflow(int(bad[0]), "h-transformed measure")
-    return out
+    return mu_t
 
 
 def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
@@ -157,7 +161,8 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
     N+1 only lends h_{N+1} to b_N, so its rate back to N and its potential
     are placeholder zeros.  Returns (BirthDeathSpec, MeasurePair) with
     b~_i = b_i (h_{i+1}/h_i), a~_i = a_i (h_{i-1}/h_i), zero potential,
-    mu~_i = h_i^2 mu_i and nu_hat~_i = nu_hat_i / (h_i h_{i+1}).
+    mu~_i = h_i^2 mu_i and nu_hat~_i = nu_hat_i / (h_i h_{i+1}).  Raises
+    Overflow at the first state whose mu~_i is not a positive float.
     """
     b, a, c = spec.rate_arrays(N)
     hv = _positive_h(_h_values(h)[: N + 2], N + 2)
@@ -165,7 +170,7 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
     out = h_transform_local(band, hv, harmonic_set=range(N + 1), tol=tol)
     mu_t, nu_t = _conjugated_weights(bd_measures(spec, N).mu, hv, b)
     return (BirthDeathSpec(birth=out.up, death=np.append(0.0, out.down[:N]), killing=0.0),
-            MeasurePair(mu=mu_t, nu_hat=nu_t))
+            MeasurePair(mu=_in_range(mu_t), nu_hat=nu_t))
 
 
 def measure_dual(qp: QPairSpec | BandSpec, mu) -> QPairSpec | BandSpec:

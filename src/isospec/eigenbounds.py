@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._checks import _count, _h_values, _no_positive_killing, _positive_h, _tolerance
 from .chains import BirthDeathSpec, _bd_mu, _conjugated_weights
-from .errors import (InvalidArgument, PreconditionViolated, TailNotResolved, _h_values,
-                     _count, _no_positive_killing, _positive_h, _tolerance)
+from .errors import InvalidArgument, PreconditionViolated, TailNotResolved
 from .harmonic import bd_harmonic_explicit
 from .spectra import lowest_eigs_tridiag
 

@@ -36,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MalformedExpression, _count, _float_array
+from ._checks import _count, _float_array
+from .errors import MalformedExpression
 
 MAX_LENGTH = 2000
 MAX_DEPTH = 100

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import _count, _h_values, _no_positive_killing, _per_state, _states, _tolerance
 from .chains import BirthDeathSpec, QPairSpec
 from .errors import (Divergence, InvalidArgument, NonConvergence, NotMonotone,
-                     PreconditionViolated, _h_values, _no_positive_killing, _per_state,
-                     _count, _states, _tolerance)
+                     PreconditionViolated)
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,7 @@ def minimal_harmonic(
     K, s, mask = _hitting_kernel(qp, theta)
     reach = _reachable(qp, theta)[mask]
     m = n - 1
+    max_iter = _count("max_iter", max_iter, 1)
 
     if method == "solve":
         # I - K is singular on a class that cannot reach theta; h stays 0 there.

@@ -11,8 +11,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (InvalidArgument, NonConvergence, NotReversible, PreconditionViolated,
-                     _check_finite, _count, _per_state, _positive_mu, _tolerance)
+from ._checks import (_check_finite, _count, _float_array, _per_state, _positive_mu,
+                      _tolerance)
+from .errors import InvalidArgument, NonConvergence, NotReversible, PreconditionViolated
 
 if TYPE_CHECKING:  # chains is loaded only by the chain paths
     from .chains import QPairSpec
@@ -117,7 +118,7 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     coincide; each shift is counted once.  Every decision asks whether a
     count reaches some i <= k, so each count stops at k.
     """
-    d = np.asarray(d, dtype=float)
+    d = _float_array("d", d)
     n = d.shape[0]
     k = _count("k", k, 1, n)
     _check_finite("matrix", d, e)

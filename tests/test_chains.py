@@ -419,6 +419,9 @@ _NUMBER_ARGS = {
     "bounds_report": ("N_max", lambda n: bounds_report(_KILLED, N_max=n), 64, _count_cases(8)),
     "minimal_harmonic": ("max_iter", lambda n: minimal_harmonic(_QP, 0, max_iter=n), 10**5,
                          _count_cases(1)),
+    "minimal_harmonic-solve": ("max_iter",
+                               lambda n: minimal_harmonic(_QP, 0, max_iter=n, method="solve"),
+                               10**5, _count_cases(1)),
     "maximal_solution": ("max_iter", lambda n: maximal_solution(_QP, max_iter=n), 10**5,
                          _count_cases(1)),
     "lowest_eigs_tridiag": ("k", lambda k: lowest_eigs_tridiag(_D, _E, k), 5,
@@ -431,11 +434,13 @@ _NUMBER_ARGS = {
     "Operator1D.on_interval": ("M", lambda m: Operator1D.on_interval(0.5, 0, 0, -1, 1, m), 20,
                                _count_cases(1)),
     # numbers read where a count is not
-    "riccati_dual-phi0": ("phi0", lambda v: riccati_dual(_OP, v), 0.0, ("a",)),
-    "riccati_dual-x0": ("x0", lambda v: riccati_dual(_OP, 0.0, x0=v), 0.0, ("a",)),
+    "riccati_dual-phi0": ("phi0", lambda v: riccati_dual(_OP, v), 0.0, ("a", [0.0, 1.0])),
+    "riccati_dual-x0": ("x0", lambda v: riccati_dual(_OP, 0.0, x0=v), 0.0, ("a", [0.0, 1.0])),
     "riccati_dual-guard": ("guard", lambda v: riccati_dual(_OP, 0.0, guard=v), np.inf,
                            (np.nan, -1.0, "a")),
     "sturm_count": ("x", lambda v: sturm_count([1.0, 2.0], [0.5], v), 1.5, ("a",)),
+    "lowest_eigs_tridiag-d": ("d", lambda d: lowest_eigs_tridiag(d, [0.5], 1), [1.0, 2.0],
+                              (["a", 1.0],)),
     "CompiledExpr.fn": ("x", compile_expression("x^2").fn, [1.0, 2.0], ("abc", [[1, 2], [3]])),
     "Operator1D.coefficients": ("x", _OP.coefficients, [0.0, 0.5], ("abc", [[1, 2], [3]])),
 }
@@ -465,6 +470,15 @@ def test_sturm_count_refuses_a_nan_shift():
 def test_riccati_dual_refuses_a_nan_anchor_value(arg):
     with pytest.raises(PreconditionViolated, match=f"^{arg} has a NaN or infinite entry"):
         riccati_dual(_OP, **{"phi0": 0.0, arg: np.nan})
+
+
+def test_riccati_dual_reads_its_anchor_as_the_number_given():
+    # text and 0-d arrays read as the number they hold, as every numeric argument does
+    want = riccati_dual(_OP, 0.25, x0=0.5)
+    got = riccati_dual(_OP, np.array(0.25), x0="0.5")
+    assert np.array_equal(got.phi, want.phi) and np.array_equal(got.psi, want.psi)
+    with pytest.raises(PreconditionViolated, match="^x0 = 0.55 is not a grid point$"):
+        riccati_dual(_OP, 0.0, x0="0.55")
 
 
 def test_validate_refuses_ragged_rates():

@@ -16,7 +16,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import isospec._cli_chains
 import isospec.chains
 import isospec.harmonic
 from isospec._cli_chains import load_chain
@@ -77,7 +76,7 @@ def test_harmonic_explicit_residuals_skip_the_dense_chain(capsys, monkeypatch, t
     def no_dense(*args, **kwargs):
         raise AssertionError("explicit residuals must not build a q-matrix")
 
-    monkeypatch.setattr(isospec._cli_chains, "bd_to_qpair", no_dense)
+    monkeypatch.setattr(isospec.chains, "bd_to_qpair", no_dense)
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 1.0,
                                         "killing": [0.3] + [-0.5] * 10, "N": 10})
     code, out, err = _run(capsys, "harmonic", chain, "--method", "explicit")
@@ -1047,11 +1046,11 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
     killed = _write(tmp_path, "k.json", {"a": 0.5, "b": 0, "c": "(1 - x^2)/2",
                                          "interval": [-3, 3], "M": 300})
     chain_runs = [
-        ["harmonic", fib_chain, "--method", "explicit"],
-        ["harmonic", fib_chain, "--method", "solve"],
-        ["transform", fib_chain, "--h", h, "--direction", "local"],
-        ["verify", fib_chain, fib_chain],
-        ["bounds", bounds, "--nmax", "64"],
+        (["harmonic", fib_chain, "--method", "explicit"], 0),
+        (["harmonic", fib_chain, "--method", "solve"], 0),
+        (["transform", fib_chain, "--h", h, "--direction", "local"], 0),
+        (["verify", fib_chain, fib_chain], 0),
+        (["bounds", bounds, "--nmax", "64"], 0),
     ]
     # the h-transform needs the chain layer, not the solvers that produce h
     free = _write(tmp_path, "free.json", {"type": "bd", "birth": 1.0, "death": 1.0, "N": 7})
@@ -1060,11 +1059,28 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
         assert main(["transform", fib_chain, "--h", h, "--direction", "local"]) == 0
     tilted = _write(tmp_path, "tilted.json", tilted.getvalue())
     transform_runs = [
-        ["transform", fib_chain, "--h", h, "--direction", "forward"],
-        ["transform", free, "--h", h, "--direction", "inverse"],
-        ["transform", fib_chain, "--h", h, "--direction", "local"],
-        ["transform", fib_chain, "--direction", "measure"],
-        ["verify", fib_chain, tilted, "--h", h],
+        (["transform", fib_chain, "--h", h, "--direction", "forward"], 0),
+        (["transform", free, "--h", h, "--direction", "inverse"], 0),
+        (["transform", fib_chain, "--h", h, "--direction", "local"], 0),
+        (["transform", fib_chain, "--direction", "measure"], 0),
+        (["verify", fib_chain, tilted, "--h", h], 0),
+    ]
+    # usage errors, --help and the refusals of a document's structure load no numpy
+    bd = {"type": "bd", "birth": 1.0, "death": 1.0, "N": 7}
+    no_death = _write(tmp_path, "no_death.json", {"type": "bd", "birth": 1.0, "N": 7})
+    zero_n = _write(tmp_path, "zero_n.json", dict(bd, N=0))
+    unknown = _write(tmp_path, "unknown.json", dict(bd, type="ctmc"))
+    listed = _write(tmp_path, "listed.json", [bd])
+    no_a = _write(tmp_path, "no_a.json", {"b": 0, "interval": [-1, 1], "M": 10})
+    refusals = [
+        (["--help"], 0),
+        (["harmonic", "--help"], 0),
+        (["harmonic", fib_chain, "--nmax", "abc"], 2),
+        (["harmonic", no_death], 2),
+        (["harmonic", zero_n, "--method", "explicit"], 2),
+        (["bounds", unknown], 2),
+        (["verify", listed, fib_chain], 2),
+        (["diffop", no_a, "--check", "spectrum"], 2),
     ]
     # a diffop request loads no chain module and compiles no chain handler
     chain_code = ["isospec.chains", "isospec.harmonic", "isospec.duality",
@@ -1074,10 +1090,13 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
     cases = [
         (chain_runs, ["isospec.diffops", "isospec.expressions"]),
         (transform_runs, ["isospec.harmonic", "isospec.diffops", "isospec.expressions"]),
-        ([["diffop", ou_op, "--check", "spectrum"]], chain_code + towers),
-        ([["diffop", ou_op, "--check", "riccati"]], chain_code + towers),
-        ([["diffop", killed, "--h", gauss, "--check", "transform"]], chain_code + towers),
-        ([["diffop", ou_op, "--h", gauss, "--check", "eigen"]], chain_code),
+        ([(["diffop", ou_op, "--check", "spectrum"], 0)], chain_code + towers),
+        ([(["diffop", ou_op, "--check", "riccati"], 0)], chain_code + towers),
+        ([(["diffop", killed, "--h", gauss, "--check", "transform"], 0)],
+         chain_code + towers),
+        ([(["diffop", ou_op, "--h", gauss, "--check", "eigen"], 0)], chain_code),
+        *(([run], ["numpy", "isospec.chains", "isospec.diffops", "isospec.expressions"])
+          for run in refusals),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -1086,13 +1105,13 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
         script = textwrap.dedent(f"""
             import contextlib, io, sys
             import isospec.cli
-            for argv in {runs!r}:
+            for argv, status in {runs!r}:
                 with contextlib.redirect_stdout(io.StringIO()):
-                    assert isospec.cli.main(argv) == 0, argv
+                    assert isospec.cli.main(argv) == status, argv
             loaded = [m for m in {absent!r} if m in sys.modules]
             assert not loaded, loaded
             # the towers load when the eigen check asks for them
-            assert ("isospec._hermite" in sys.modules) == ({runs!r}[0][-1] == "eigen")
+            assert ("isospec._hermite" in sys.modules) == ({runs!r}[0][0][-1] == "eigen")
         """)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)

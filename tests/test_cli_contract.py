@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import isospec._cli_chains
+import isospec.chains
+import isospec.harmonic
 from isospec._cli_chains import load_chain
 from isospec._cli_io import MAX_DENSE_BYTES, MAX_STATES
 from isospec.cli import main
@@ -128,7 +129,7 @@ def test_running_out_of_memory_is_an_input_error(monkeypatch, tmp_path):
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(isospec._cli_chains, "bd_to_qpair", exhausted)
+    monkeypatch.setattr(isospec.chains, "bd_to_qpair", exhausted)
     chain = {"type": "bd", "birth": 1.0, "death": 1.0, "N": 3}
     lines = _input_error(tmp_path, ["verify", "c.json", "c.json"], {"c.json": chain})
     assert lines == ["isospec: MemoryError"]
@@ -142,6 +143,18 @@ def test_overflowing_transformed_measure_fails_the_check(tmp_path):
     assert out == ""
     assert err == ("isospec: check failed: h-transformed measure exceeds the "
                    "representable range at index 1\n")
+
+
+def test_bd_forward_transform_refuses_a_measure_past_float_range(tmp_path):
+    # h is harmonic on 0..700, and h^2 mu leaves float range at state 513
+    chain = {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -0.5, "N": 700}
+    h = isospec.harmonic.bd_harmonic_explicit(isospec.chains.BirthDeathSpec(1.0, 1.0, -0.5),
+                                              701)
+    docs = {"c.json": chain, "h.json": h.values.tolist()}
+    code, out, err = _run(tmp_path, ["transform", "c.json", "--h", "h.json"], docs)
+    assert (code, out) == (1, "")  # no report with Infinity in "mu"
+    assert err == ("isospec: check failed: h-transformed measure exceeds the "
+                   "representable range at index 513\n")
 
 
 HUGE = {"type": "bd", "birth": 1e308, "death": 1e308, "killing": 1e-10, "N": 6}
