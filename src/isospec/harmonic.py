@@ -60,7 +60,7 @@ def _fixed_point(step, x, tol, max_iter):
     Returns (x, IterationTrace); raises NonConvergence after max_iter steps.
     """
     trace = IterationTrace(converged=False, final_delta=np.inf)
-    for it in range(1, _count("max_iter", max_iter, 1) + 1):
+    for it in range(1, max_iter + 1):
         new = step(x, it)
         trace.final_delta = float(np.max(np.abs(new - x))) if x.size else 0.0
         trace.n_iter = it
@@ -132,11 +132,11 @@ def minimal_harmonic(
     Returns (HarmonicVector, IterationTrace).
     """
     tol = _tolerance("tol", tol)
+    max_iter = _count("max_iter", max_iter, 1)
     n = qp.n_states
     K, s, mask = _hitting_kernel(qp, theta)
     reach = _reachable(qp, theta)[mask]
     m = n - 1
-    max_iter = _count("max_iter", max_iter, 1)
 
     if method == "solve":
         # I - K is singular on a class that cannot reach theta; h stays 0 there.
@@ -286,6 +286,7 @@ def maximal_solution(qp: QPairSpec, tol: float = 1e-12, max_iter: int = 100000):
     kernel is a strict contraction in the relevant component.
     """
     tol = _tolerance("tol", tol)
+    max_iter = _count("max_iter", max_iter, 1)
     _no_positive_killing(qp.killing, "need sup c <= 0")
     denom = qp.total - qp.killing
     # states with no jumps and no killing never move; z stays 1 there

@@ -181,10 +181,17 @@ def test_delta_invariant_under_explicit_transform():
     # h^2 mu leaves float range at state 474: no transformed chain has a measure there
     with pytest.raises(Overflow, match="h-transformed measure .* at index 474$"):
         bd_h_transform(s, h.values, 1024)
-    direct = delta_tilde(s, h, N_max=400)
-    out, _ = bd_h_transform(s, h.values, 400)
-    flat = delta_tilde(out, np.ones(401), N_max=399)
+    # the tilted rates stay finite past 474, and delta_tilde reads no measure
+    N = 1024
+    b, a, _ = s.rate_arrays(N)
+    hv = h.values[: N + 2]
+    tilted = BirthDeathSpec(birth=b * hv[1:] / hv[:-1],
+                            death=np.append(0.0, a[1:] * hv[:N] / hv[1:N + 1]), killing=0.0)
+    direct = delta_tilde(s, h, N_max=N)
+    flat = delta_tilde(tilted, np.ones(N + 1), N_max=N - 1)
     assert direct.value == pytest.approx(flat.value, rel=1e-12)
+    # both reads run to the state where the prefix mass leaves float range
+    assert direct.n_terms == flat.n_terms == 474
 
 
 def test_delta_rejects_nonpositive_h():
