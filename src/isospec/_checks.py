@@ -50,11 +50,17 @@ def _tolerance(name, t) -> float:
     return x
 
 
-def _grid(name, x, min_len) -> np.ndarray:
-    """x as a 1-d float array of at least min_len finite, strictly increasing points."""
+def _flat(name, x, min_len, noun) -> np.ndarray:
+    """x as a 1-d float array of at least min_len entries, which the message calls noun."""
     x = _float_array(name, x)
     if x.ndim != 1 or x.shape[0] < min_len:
-        raise InvalidArgument(f"{name} must be a flat array of at least {min_len} points")
+        raise InvalidArgument(f"{name} must be a flat array of at least {min_len} {noun}")
+    return x
+
+
+def _grid(name, x, min_len) -> np.ndarray:
+    """x as a 1-d float array of at least min_len finite, strictly increasing points."""
+    x = _flat(name, x, min_len, "points")
     _check_finite(name, x)
     if np.any(np.diff(x) <= 0.0):
         raise InvalidArgument(f"{name} must be strictly increasing")

@@ -5,6 +5,12 @@ request never compiles it nor loads the chain modules.  It imports neither
 numpy nor the chain modules itself: load_chain checks a document's structure
 before it reads a number, and each handler imports what it computes with
 after its documents are loaded.
+
+_rates_fault is a second copy of three of validate_qpair's rules (shape,
+finiteness, sign), so that a malformed q-pair rate matrix is refused before
+numpy loads.  They are exact predicates with no tolerance; the copy cannot
+live in chains, which imports numpy, and validate_qpair stays the rule for
+library callers and the oracle the tests hold the copy to.
 """
 from __future__ import annotations
 
@@ -52,6 +58,50 @@ def _rate_field(doc: dict, key: str, default=None):
         f"{key!r} must be a number, an array, or "
         '{"formula": "poly", "coeffs": [...]}'
     )
+
+
+def _rates_fault(node) -> str | None:
+    """validate_qpair's refusal of a rates matrix of JSON numbers, or None if it has none.
+
+    It decides only for a list of equal-length lists of numbers (bools read
+    as 0 and 1, as numpy reads them); anything else, ragged rows, text,
+    null or an integer past float range among them, is left to numpy's
+    reading, and None is returned.  The rules keep validate_qpair's order:
+    shape, then finiteness, then the first negative entry in row-major
+    order, with the diagonal ignored.  Each row costs one sum and one min;
+    only a row whose sum is not finite or whose min is negative is re-read
+    without its diagonal.
+    """
+    if not isinstance(node, list) or not all(isinstance(row, list) for row in node):
+        return None
+    if len({len(row) for row in node}) > 1:
+        return None
+    try:
+        # raises on an entry that is not a number in float range; a finite
+        # sum means finite entries
+        sums = [sum(row, 0.0) for row in node]
+    except (TypeError, OverflowError):
+        return None
+    n = len(node)
+    if n == 0 or len(node[0]) != n:
+        return "rates must be a square matrix with n >= 1"
+    for i, s in enumerate(sums):  # an infinite sum of finite entries is re-read
+        if not math.isfinite(s) and not all(map(math.isfinite, _off_diagonal(node, i))):
+            return "rates has a NaN or infinite entry"
+    for i, row in enumerate(node):
+        # min skips a NaN on the diagonal, or returns it when it comes first
+        # and then fails the test
+        if min(row) >= 0:
+            continue
+        if min(_off_diagonal(node, i), default=0.0) < 0:  # not only the diagonal
+            j = next(j for j, v in enumerate(row) if v < 0 and j != i)
+            return f"rate[{i}][{j}] = {float(row[j])} is negative"
+    return None
+
+
+def _off_diagonal(node: list, i: int) -> list:
+    """Row i of the list of rows node, without its diagonal entry."""
+    return node[i][:i] + node[i][i + 1:]
 
 
 class ChainInput:
@@ -110,7 +160,9 @@ def load_chain(doc) -> ChainInput:
 
     In order: an object with a known "type"; "birth" and "death" in a bd
     document; "N", if given, an integer in 1..MAX_STATES; "rates" in a qpair
-    document.  Only then are "mu" and the rate fields read.
+    document, and a "rates" matrix of numbers square, finite and nonnegative
+    off the diagonal (_rates_fault).  Only then are "mu" and the rate
+    fields read, with numpy.
     """
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError('chain JSON must be an object with a "type" field')
@@ -128,6 +180,8 @@ def load_chain(doc) -> ChainInput:
                 raise SchemaError('"N" must be at least 1')
     elif "rates" not in doc:
         raise SchemaError('qpair chain is missing the "rates" matrix')
+    elif fault := _rates_fault(doc["rates"]):
+        raise SchemaError(fault)
 
     from ._checks import _positive_mu
     from .chains import BirthDeathSpec, validate_qpair

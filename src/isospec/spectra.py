@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._checks import (_check_finite, _count, _float_array, _per_state, _positive_mu,
+from ._checks import (_check_finite, _count, _flat, _per_state, _positive_mu, _scalar,
                       _tolerance)
 from .errors import InvalidArgument, NonConvergence, NotReversible, PreconditionViolated
 
@@ -63,13 +63,15 @@ def sturm_count(d, e, x: float) -> int:
     """Number of eigenvalues of tridiag(d, e) strictly below x.
 
     Uses division-first pivots so heavily graded matrices do not overflow.
-    d and e may be arrays or lists; lists of Python floats run the same IEEE
-    operations faster.  e must be one entry shorter than d.
+    d is a flat array of at least one entry and e one entry shorter; both
+    are read into lists of Python floats, which run the same IEEE operations
+    faster than numpy scalars.
     """
+    d = _flat("d", d, 1, "entry")
     _check_finite("matrix", d, e)
-    _check_finite("x", x)
-    _per_state("e", e, len(d) - 1)
-    return _sturm_count(d, e, x, len(d))
+    x = _scalar("x", x)
+    e = _per_state("e", e, d.shape[0] - 1)
+    return _sturm_count(d.tolist(), e.tolist(), x, d.shape[0])
 
 
 def _sturm_count(d, e, x: float, stop: int) -> int:
@@ -118,7 +120,7 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     coincide; each shift is counted once.  Every decision asks whether a
     count reaches some i <= k, so each count stops at k.
     """
-    d = _float_array("d", d)
+    d = _flat("d", d, 1, "entry")
     n = d.shape[0]
     k = _count("k", k, 1, n)
     _check_finite("matrix", d, e)

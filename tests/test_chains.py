@@ -438,9 +438,12 @@ _NUMBER_ARGS = {
     "riccati_dual-x0": ("x0", lambda v: riccati_dual(_OP, 0.0, x0=v), 0.0, ("a", [0.0, 1.0])),
     "riccati_dual-guard": ("guard", lambda v: riccati_dual(_OP, 0.0, guard=v), np.inf,
                            (np.nan, -1.0, "a")),
-    "sturm_count": ("x", lambda v: sturm_count([1.0, 2.0], [0.5], v), 1.5, ("a",)),
+    "sturm_count": ("x", lambda v: sturm_count([1.0, 2.0], [0.5], v), 1.5, ("a", [1.5])),
+    "sturm_count-d": ("d", lambda d: sturm_count(d, [], 0.5), [1.0], (1.0, [])),
     "lowest_eigs_tridiag-d": ("d", lambda d: lowest_eigs_tridiag(d, [0.5], 1), [1.0, 2.0],
-                              (["a", 1.0],)),
+                              (["a", 1.0], [[1.0, 2.0]])),
+    "lowest_eigs_tridiag-d-scalar": ("d", lambda d: lowest_eigs_tridiag(d, [], 1), [1.0],
+                                     (1.0, [])),
     "CompiledExpr.fn": ("x", compile_expression("x^2").fn, [1.0, 2.0], ("abc", [[1, 2], [3]])),
     "Operator1D.coefficients": ("x", _OP.coefficients, [0.0, 0.5], ("abc", [[1, 2], [3]])),
 }

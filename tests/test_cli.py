@@ -12,15 +12,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import isospec.chains
 import isospec.harmonic
-from isospec._cli_chains import load_chain
-from isospec._cli_io import _emit
+from isospec._checks import _float_array
+from isospec._cli_chains import _rates_fault, load_chain
+from isospec._cli_io import SchemaError, _emit
 from isospec.cli import main
+from isospec.errors import IsospecError, NegativeRate
 
 
 FIB = [1, 2, 5, 13, 34, 89, 233, 610, 1597]
@@ -198,6 +200,68 @@ def test_non_finite_rates_exit_two(capsys, tmp_path):
     code, out, _ = _run(capsys, "harmonic", b, "--method", "explicit")
     assert code == 2
     assert out == ""
+
+
+# entries of a rates matrix: numbers, with the non-finite ones, sums past float
+# range and negatives on and off the diagonal; and what numpy reads in place of
+# a number (bools, numeric text) or refuses (other text, null, a nested list,
+# an integer past float range)
+_RATE_CELLS = (st.integers(-2, 3) | st.floats(-2.0, 3.0)
+               | st.sampled_from([-0.0, 1e308, float("nan"), float("inf"), float("-inf")])
+               | st.sampled_from([True, False, None, "1", "-1", "a", [1.0], 10**400]))
+
+
+@st.composite
+def _rates_nodes(draw):
+    n = draw(st.integers(0, 4))
+    width = draw(st.sampled_from([n, n, n, draw(st.integers(0, 4))]))
+    cells = st.integers(0, 3) if draw(st.booleans()) else _RATE_CELLS
+    return [[draw(cells) for _ in range(width)] for _ in range(n)]
+
+
+@settings(max_examples=500)
+@given(node=_rates_nodes() | st.lists(st.lists(_RATE_CELLS, max_size=4), max_size=4)
+       | st.sampled_from([3, None, "a", {}]))
+@example(node=[])
+@example(node=[[]])
+@example(node=3)
+@example(node=[["0", "1"], ["1", "0"]])  # numeric text reads as the number it spells
+@example(node=[["0", "-1"], ["1", "0"]])
+@example(node=[[0, 1], [1]])
+@example(node=[[0.0], 2.0])
+@example(node=[[0, 1e308, 1e308], [1, 0, 1], [1, 1, 0]])  # finite, but the sum overflows
+@example(node=[[0, 1e308, 1e308], [1, 0, -1], [1, 1, 0]])
+@example(node=[[0, -1], [float("nan"), 0]])  # finiteness is checked before the sign
+@example(node=[[float("nan"), -1], [1, 0]])  # a NaN diagonal is ignored
+@example(node=[[-1, 0, 2], [1, -5, 1], [0, -2, float("inf")]])
+@example(node=[[1, 0, 2], [1, -5, -1], [0, 1, 0]])  # the first negative after the diagonal
+@example(node=[[0, 1, 2], [-0.5, float("nan"), 1], [0, 1, 0]])
+@example(node=[[0, 10**400], [1, 0]])
+@example(node=[[0, 1], [1, 10**400]])
+@example(node=[[0, True], [None, 0]])
+def test_rates_refusals_match_validate_qpair(node):
+    # load_chain refuses some malformed rates before numpy loads; each outcome
+    # and message must be the library's
+    try:
+        isospec.chains.validate_qpair(_float_array("'rates'", node))
+        want = None
+    except IsospecError as exc:
+        want = exc
+    try:
+        load_chain({"type": "qpair", "rates": node})
+        got = None
+    except SchemaError as exc:
+        got = str(exc)
+    assert got == (want and str(want))
+    # and the check itself decides every shape, finiteness and sign refusal of
+    # a matrix of numbers in float range, and leaves everything else to numpy
+    numbers = (isinstance(node, list) and all(isinstance(row, list) for row in node)
+               and len({len(row) for row in node}) <= 1
+               and all(isinstance(v, float) or isinstance(v, int) and abs(v) <= sys.float_info.max
+                       for row in node for v in row))
+    rule = isinstance(want, NegativeRate) or str(want) in (
+        "rates must be a square matrix with n >= 1", "rates has a NaN or infinite entry")
+    assert _rates_fault(node) == (str(want) if numbers and rule else None)
 
 
 def test_verify_eigensolver_failure_exits_one(capsys, monkeypatch, fib_chain):
@@ -1072,6 +1136,14 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
     unknown = _write(tmp_path, "unknown.json", dict(bd, type="ctmc"))
     listed = _write(tmp_path, "listed.json", [bd])
     no_a = _write(tmp_path, "no_a.json", {"b": 0, "interval": [-1, 1], "M": 10})
+    # and so do the refusals of a q-pair rate matrix that is not square, finite
+    # and nonnegative off the diagonal
+    nonsquare = _write(tmp_path, "nonsquare.json",
+                       {"type": "qpair", "rates": [[0, 1, 2], [1, 0, 1]]})
+    negative = _write(tmp_path, "negative.json",
+                      {"type": "qpair", "rates": [[0, 1, 2], [1, 0, -1], [2, 1, 0]]})
+    nan_rate = _write(tmp_path, "nan_rate.json",
+                      {"type": "qpair", "rates": [[0, float("nan")], [1, 0]]})
     refusals = [
         (["--help"], 0),
         (["harmonic", "--help"], 0),
@@ -1081,6 +1153,9 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
         (["bounds", unknown], 2),
         (["verify", listed, fib_chain], 2),
         (["diffop", no_a, "--check", "spectrum"], 2),
+        (["harmonic", nonsquare, "--method", "solve"], 2),
+        (["verify", negative, fib_chain], 2),
+        (["transform", nan_rate, "--direction", "measure"], 2),
     ]
     # a diffop request loads no chain module and compiles no chain handler
     chain_code = ["isospec.chains", "isospec.harmonic", "isospec.duality",
