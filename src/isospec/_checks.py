@@ -5,7 +5,7 @@ names it.  They live apart from errors, which imports no numpy.
 """
 import numpy as np
 
-from .errors import InvalidArgument, NonpositiveH, PreconditionViolated
+from .errors import InvalidArgument, NonpositiveH, Overflow, PreconditionViolated
 
 
 def _check_finite(name, *arrays):
@@ -96,6 +96,14 @@ def _positive_mu(mu, n) -> np.ndarray:
     if not np.all(np.isfinite(mu) & (mu > 0.0)):
         raise PreconditionViolated("mu must be finite and strictly positive")
     return _per_state("mu", mu, n)
+
+
+def _in_float_range(name, w) -> np.ndarray:
+    """The weights w; Overflow, which names them, at the first that is not a positive float."""
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+    if bad.size:
+        raise Overflow(int(bad[0]), name)
+    return w
 
 
 def _h_values(h) -> np.ndarray:

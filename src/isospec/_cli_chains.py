@@ -23,12 +23,8 @@ from ._cli_io import (MAX_DENSE_BYTES, SchemaError, _capped, _emit, _encode, _fi
 # ---------------------------------------------------------------- loading
 
 
-def _rate_field(doc: dict, key: str, default=None):
-    """Number, array, or poly-formula entry of a bd chain document."""
-    if key not in doc:
-        if default is None:
-            raise SchemaError(f"bd chain is missing the {key!r} field")
-        return default, None
+def _rate_field(doc: dict, key: str):
+    """Number, array, or poly-formula entry of a bd chain document, which has key."""
     node = doc[key]
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return _finite(key, float(_floats(key, node))), None
@@ -190,7 +186,7 @@ def load_chain(doc) -> ChainInput:
     if kind == "bd":
         birth, nb = _rate_field(doc, "birth")
         death, na = _rate_field(doc, "death")
-        killing, nc = _rate_field(doc, "killing", default=0.0)
+        killing, nc = _rate_field(doc, "killing") if "killing" in doc else (0.0, None)
         lens = [n for n in (nb, na, nc) if n is not None]
         cap = min(lens) - 1 if lens else None
         if N is None:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_finite, _count, _float_array, _per_state
-from .errors import (InvalidArgument, NegativeRate, Overflow, PotentialExceedsRate,
-                     PreconditionViolated, _ShortRates)
+from ._checks import _check_finite, _count, _float_array, _in_float_range, _per_state
+from .errors import (InvalidArgument, NegativeRate, PotentialExceedsRate, PreconditionViolated,
+                     _ShortRates)
 
 _CONS_RTOL = 1e-12
 
@@ -269,12 +269,20 @@ def _bd_mu(b, a):
 def bd_measures(spec: BirthDeathSpec, N: int) -> MeasurePair:
     """Running-product measure mu_i = (b_0...b_{i-1})/(a_1...a_i), mu_0 = 1."""
     b, a, _ = spec.rate_arrays(N)
-    mu = _bd_mu(b, a)
-    over = np.flatnonzero(~(np.isfinite(mu) & (mu > 0.0)))  # beyond float range or 0
-    if over.size:
-        raise Overflow(int(over[0]), "mu")
+    mu = _in_float_range("mu", _bd_mu(b, a))
     with np.errstate(over="ignore"):  # mu_N b_N past float range gives nu_hat_N = 0
         return MeasurePair(mu=mu, nu_hat=1.0 / (mu * b))
+
+
+def _bd_h_recurrence(b, a, c, N):
+    """h_0 = 1 and h on 1..N by forward substitution in b, a and c on 0..N-1."""
+    # Python floats: the same IEEE operations as on numpy scalars, faster, and
+    # overflow to inf (expected for strong killing; callers mask) without a warning
+    b, a, c = b.tolist(), a.tolist(), c.tolist()
+    h = [1.0, 1.0 - c[0] / b[0]]
+    for n in range(1, N):
+        h.append(h[n] + (a[n] * (h[n] - h[n - 1]) - c[n] * h[n]) / b[n])
+    return np.array(h)
 
 
 def _conjugated_weights(mu, h, b):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import (_check_finite, _float_array, _h_values, _positive_h, _positive_mu,
-                      _states, _tolerance)
+from ._checks import (_check_finite, _float_array, _h_values, _in_float_range, _positive_h,
+                      _positive_mu, _states, _tolerance)
 from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
                      _conjugated_weights, bd_measures, validate_band, validate_qpair)
-from .errors import NotHarmonic, NotLocallyHarmonic, Overflow, PreconditionViolated
+from .errors import NotHarmonic, NotLocallyHarmonic, PreconditionViolated
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -142,15 +142,7 @@ def transform_measure(mu, h, inverse: bool = False) -> np.ndarray:
         if miss.any():
             g = np.sqrt(mu) / hv if inverse else hv * np.sqrt(mu)
             out = np.where(miss, g * g, out)
-    return _in_range(out)
-
-
-def _in_range(mu_t):
-    """The h-transformed measure mu_t; Overflow at its first entry not a positive float."""
-    bad = np.flatnonzero(~(np.isfinite(mu_t) & (mu_t > 0.0)))
-    if bad.size:
-        raise Overflow(int(bad[0]), "h-transformed measure")
-    return mu_t
+    return _in_float_range("h-transformed measure", out)
 
 
 def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
@@ -170,7 +162,7 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
     out = h_transform_local(band, hv, harmonic_set=range(N + 1), tol=tol)
     mu_t, nu_t = _conjugated_weights(bd_measures(spec, N).mu, hv, b)
     return (BirthDeathSpec(birth=out.up, death=np.append(0.0, out.down[:N]), killing=0.0),
-            MeasurePair(mu=_in_range(mu_t), nu_hat=nu_t))
+            MeasurePair(mu=_in_float_range("h-transformed measure", mu_t), nu_hat=nu_t))
 
 
 def measure_dual(qp: QPairSpec | BandSpec, mu) -> QPairSpec | BandSpec:

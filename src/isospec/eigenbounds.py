@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._checks import _count, _h_values, _no_positive_killing, _positive_h, _tolerance
-from .chains import BirthDeathSpec, _bd_mu, _conjugated_weights
+from .chains import BirthDeathSpec, _bd_h_recurrence, _bd_mu, _conjugated_weights
 from .errors import InvalidArgument, PreconditionViolated, TailNotResolved
-from .harmonic import bd_harmonic_explicit
 from .spectra import lowest_eigs_tridiag
 
 _WINDOW = 16
@@ -174,9 +173,8 @@ def bounds_report(
     N_max = _count("N_max", N_max, 8)
     b, a, c = spec.rate_arrays(N_max + 1)
     _no_positive_killing(c[: N_max + 1])  # before h, which a positive c can turn negative
-    rates = BirthDeathSpec(b, a, c)
-    hvec = bd_harmonic_explicit(rates, N_max + 1, method="recurrence")
-    delta = delta_tilde(rates, hvec, N_max=N_max, tail_tol=tail_tol)
+    h = _bd_h_recurrence(b, a, c, N_max + 1)
+    delta = delta_tilde(BirthDeathSpec(b, a, c), h, N_max=N_max, tail_tol=tail_tol)
 
     lam = _lambda0(b, a, c, (N_max // 4, N_max // 2, N_max))
     lambda0 = lam[-1][1]

@@ -73,6 +73,14 @@ def _const(v: float) -> tuple:
     return ("const", float(v))
 
 
+def _fold(f, *args) -> tuple:
+    """The constant f(*args); a result past float range is refused."""
+    try:
+        return _const(f(*args))
+    except OverflowError:
+        raise _Invalid("constant out of float range") from None
+
+
 ZERO, ONE, MINUS_ONE = _const(0.0), _const(1.0), _const(-1.0)
 
 
@@ -123,10 +131,7 @@ def _pow(base, exponent) -> tuple:
         raise _Invalid("complex-valued expression")
     if b == 0.0 and p < 0.0:
         raise _Invalid("division by zero")
-    try:
-        return _const(b**p)
-    except OverflowError:
-        raise _Invalid("constant out of float range") from None
+    return _fold(operator.pow, b, p)
 
 
 def _call(name, arg) -> tuple:
@@ -134,10 +139,7 @@ def _call(name, arg) -> tuple:
         return (name, arg)
     if name == "log" and arg[1] <= 0.0:
         raise _Invalid("complex-valued expression")
-    try:
-        return _const(_MATH[name](arg[1]))
-    except OverflowError:
-        raise _Invalid("constant out of float range") from None
+    return _fold(_MATH[name], arg[1])
 
 
 # ---------------------------------------------------------------- parsing
@@ -147,12 +149,9 @@ def _number(s: str) -> tuple:
     if s[-1] in "jJ":
         raise _Invalid("complex-valued expression")
     try:
-        try:
-            return _const(float(int(s, 0)))
-        except ValueError:
-            return _const(float(s))
-    except OverflowError:
-        raise _Invalid("constant out of float range") from None
+        return _fold(float, int(s, 0))
+    except ValueError:
+        return _fold(float, s)
 
 
 def _lex(text: str) -> list:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import _count, _h_values, _no_positive_killing, _per_state, _states, _tolerance
-from .chains import BirthDeathSpec, QPairSpec
+from .chains import BirthDeathSpec, QPairSpec, _bd_h_recurrence
 from .errors import (Divergence, InvalidArgument, NonConvergence, NotMonotone,
                      PreconditionViolated)
 
@@ -188,16 +188,6 @@ def is_supersolution(qp: QPairSpec, theta: int, f, tol: float = 1e-12) -> bool:
     return bool(np.all(lhs >= rhs - tol * np.maximum(1.0, np.abs(lhs))))
 
 
-def _bd_h_recurrence(b, a, c, N):
-    # Python floats: the same IEEE operations as on numpy scalars, faster, and
-    # overflow to inf (expected for strong killing; callers mask) without a warning
-    b, a, c = b.tolist(), a.tolist(), c.tolist()
-    h = [1.0, 1.0 - c[0] / b[0]]
-    for n in range(1, N):
-        h.append(h[n] + (a[n] * (h[n] - h[n - 1]) - c[n] * h[n]) / b[n])
-    return np.array(h)
-
-
 def _bd_h_ftilde(b, a, c, N):
     # Column-streamed double recursion: for each start column i the weights
     # F_n = (a_n F_{n-1} - c_n S_n)/b_n with S_n the running column sum.
@@ -239,14 +229,15 @@ def bd_harmonic_explicit(
     0 <= n < N (with the a-term absent at n = 0).  The default method
     "recurrence" is the O(N) forward substitution; method "ftilde" evaluates
     the paper's explicit double recursion in O(N^2) time and O(N) memory and
-    is kept as the oracle it is checked against.  With c <= 0 the result is
-    positive and nondecreasing.  residual is the largest
+    is kept as the oracle it is checked against.  Both read the rates of
+    states 0..N-1 only; state N's are never used.  With c <= 0 on them the
+    result is positive and nondecreasing.  residual is the largest
     |b_n (h_{n+1} - h_n) + a_n (h_{n-1} - h_n) + c_n h_n| relative to
     max(1, |b_n h_{n+1}|, |a_n h_n|), up to the first non-finite pair;
     residuals holds the unscaled terms on 0..N-1 and 0 for the boundary state N.
     """
     N = _count("N", N, 1)
-    b, a, c = spec.rate_arrays(N)
+    b, a, c = spec.rate_arrays(N - 1)
     if np.any(c > 0.0):
         warnings.warn(
             "positive potential entries: the explicit recursion is computed "

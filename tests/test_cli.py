@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import isospec.chains
+import isospec.eigenbounds
 import isospec.harmonic
 from isospec._checks import _float_array
 from isospec._cli_chains import _rates_fault, load_chain
@@ -445,6 +446,19 @@ def test_bounds_names_a_positive_killing_before_computing_h(capsys, tmp_path):
     assert err.splitlines() == ["isospec: check failed: c[0] = 0.3 > 0; the bound needs c <= 0"]
 
 
+def test_bounds_refuses_a_variational_value_outside_the_enclosure(capsys, monkeypatch,
+                                                                   tmp_path):
+    monkeypatch.setattr(isospec.eigenbounds, "_lambda0",
+                        lambda b, a, c, ns: [[n, 1e3] for n in ns])
+    chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 1.0,
+                                        "killing": -1.0})
+    code, out, err = _run(capsys, "bounds", chain, "--nmax", "64")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["isospec: check failed: variational value 1000 escapes "
+                                "[0.404508, 1.61803] with eps = 1e-08; increase N_max or "
+                                "check the inputs"]
+
+
 def test_bounds_rejects_qpair_input(capsys, tmp_path):
     chain = _write(tmp_path, "c.json", {
         "type": "qpair", "rates": [[0, 1], [1, 0]], "killing": [-1, -1],
@@ -461,6 +475,15 @@ def ou_op(tmp_path):
     return _write(tmp_path, "ou.json", {
         "a": 0.5, "b": "-x", "c": 0.0, "interval": [-6.0, 6.0], "M": 400,
     })
+
+
+def test_diffop_refuses_an_h_whose_second_derivative_passes_the_node_cap(capsys, tmp_path,
+                                                                          ou_op):
+    h = _write(tmp_path, "h.json", {"h": "exp(" * 60 + "x" + ")" * 60})
+    code, out, err = _run(capsys, "diffop", ou_op, "--h", h, "--check", "transform")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.endswith(": derivative larger than 50000 nodes\n")
 
 
 def test_diffop_eigen_check(capsys, tmp_path, ou_op):
@@ -1165,6 +1188,8 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
     cases = [
         (chain_runs, ["isospec.diffops", "isospec.expressions"]),
         (transform_runs, ["isospec.harmonic", "isospec.diffops", "isospec.expressions"]),
+        # bounds computes h with the chain layer's recurrence, not with harmonic
+        ([(["bounds", bounds, "--nmax", "64"], 0)], ["isospec.harmonic"]),
         ([(["diffop", ou_op, "--check", "spectrum"], 0)], chain_code + towers),
         ([(["diffop", ou_op, "--check", "riccati"], 0)], chain_code + towers),
         ([(["diffop", killed, "--h", gauss, "--check", "transform"], 0)],

@@ -15,6 +15,7 @@ from isospec import (
     bd_harmonic_explicit,
     bounds_report,
     delta_tilde,
+    eigenbounds,
     lambda0_variational,
     lowest_eigs_tridiag,
 )
@@ -233,6 +234,15 @@ def test_bounds_report_free_walk_verdict():
     assert rep.lower == 0.0 and rep.upper == 0.0
     assert math.isinf(rep.delta_tilde)
     assert rep.lambda0_numeric < 1e-3
+
+
+def test_bounds_report_refuses_a_variational_value_outside_the_enclosure(monkeypatch):
+    # delta~ = 0.618... encloses lambda0 in [0.4045, 1.618]; a stub puts it at 1000
+    monkeypatch.setattr(eigenbounds, "_lambda0", lambda b, a, c, ns: [[n, 1e3] for n in ns])
+    with pytest.raises(PreconditionViolated) as ei:
+        bounds_report(CONST, N_max=64)
+    assert str(ei.value) == ("variational value 1000 escapes [0.404508, 1.61803] with "
+                             "eps = 1e-08; increase N_max or check the inputs")
 
 
 def test_bounds_report_rejects_tiny_n_max():

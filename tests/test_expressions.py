@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
-from isospec import MalformedExpression, compile_expression, constant
+from isospec import MalformedExpression, compile_expression, constant, expressions
 from isospec.expressions import MAX_DEPTH, MAX_LENGTH, _NAMES, _Invalid, _lex, _number, _Parser
 
 
@@ -224,6 +224,17 @@ def test_oversized_derivative_is_rejected():
     f = compile_expression("*".join(f"(x+{i})" for i in range(60)))
     with pytest.raises(MalformedExpression, match="derivative larger than"):
         f.diff(2)
+
+
+def test_a_derivative_step_past_the_node_cap_is_refused_after_the_step(monkeypatch):
+    # exp(exp(...x...)) has no product for the product-rule budget to count;
+    # its second derivative is refused by its size once the step is made
+    f = compile_expression("exp(" * 60 + "x" + ")" * 60)
+    assert expressions._size(f.diff(1).expr, {}) == 1891
+    with pytest.raises(MalformedExpression, match="derivative larger than 50000 nodes"):
+        f.diff(2)
+    monkeypatch.setattr(expressions, "_size", lambda n, memo: 0)
+    expressions._derivative(f.expr, 2)  # the product-rule budget alone lets it through
 
 
 # ---------------------------------------------------------------- sympy oracle

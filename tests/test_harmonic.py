@@ -140,6 +140,18 @@ def test_explicit_warns_on_positive_potential():
         bd_harmonic_explicit(s, 5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["recurrence", "ftilde"])
+def test_explicit_reads_no_rates_of_state_n(method):
+    # h on 0..N needs b, a and c on 0..N-1 only: arrays of N entries suffice,
+    # and a positive c_N neither warns nor changes h
+    h = bd_harmonic_explicit(BirthDeathSpec([1.0] * 8, [1.0] * 8, [-1.0] * 8), 8, method)
+    ref = bd_harmonic_explicit(BirthDeathSpec([1.0] * 9, [1.0] * 9, [-1.0] * 8 + [0.3]), 8,
+                               method)
+    assert h.values.tobytes() == ref.values.tobytes()
+    assert h.values[-1] == 1597.0
+
+
 def test_minimal_iterate_matches_solve():
     rng = np.random.default_rng(2024)
     for _ in range(12):
