@@ -115,19 +115,6 @@ class ChainInput:
             raise SchemaError('bd chain with formula rates needs "N"')
         return self.N
 
-    def bd_arrays(self, N: int) -> BirthDeathSpec:
-        """The bd chain with its rates on states 0..N read into arrays, if N >= 1.
-
-        A nonpositive birth or death rate is an input error here, before the
-        library runs; an N below 1 is left for the library to refuse.
-        """
-        from .chains import BirthDeathSpec
-
-        if N < 1:
-            return self.bd
-        with _schema_errors():
-            return BirthDeathSpec(*self.bd.rate_arrays(N))
-
     def as_qpair(self, band: bool = False):
         """The chain as a QPairSpec; a bd chain as a BandSpec when band is true."""
         from .chains import bd_to_band, bd_to_qpair
@@ -220,14 +207,11 @@ def load_h(path: str) -> np.ndarray:
     return _finite("values", arr)
 
 
-def _within_arrays(args, ci: ChainInput, n: int, label: str, reach: int) -> int:
-    """Truncation level n, capped, and lowered until the rate arrays cover 0..n + reach.
-
-    reach is how far past n the request reads.
-    """
+def _within_arrays(args, ci: ChainInput, n: int, label: str) -> int:
+    """Truncation level n, capped, and lowered to the last state the rate arrays cover."""
     n = _capped("--nmax", n)
-    if ci.cap is not None and n + reach > ci.cap:
-        n = ci.cap - reach
+    if ci.cap is not None and n > ci.cap:
+        n = ci.cap
         _note(args, f"rate arrays end early; using {label} {n}")
     return n
 
@@ -301,8 +285,8 @@ def cmd_harmonic(args) -> int:
         N = args.nmax if args.nmax is not None else ci.N
         if N is None:
             raise SchemaError("unbounded bd chain: pass --nmax")
-        N = _within_arrays(args, ci, N, "N =", reach=0)
-        hv = bd_harmonic_explicit(ci.bd_arrays(N), N)
+        N = _within_arrays(args, ci, N, "N =")
+        hv = bd_harmonic_explicit(ci.bd, N)
     else:
         hv, trace = minimal_harmonic(ci.as_qpair(), args.theta, method=args.method,
                                      **_tol(args))
@@ -352,7 +336,7 @@ def cmd_transform(args) -> int:
             raise SchemaError("h must cover at least states 0..2")
         if ci.N is not None and N < ci.N:
             _note(args, f"h covers 0..{N + 1}; transforming up to N = {N}")
-        spec_t, mp = bd_h_transform(ci.bd_arrays(N), hv, N, **_tol(args))
+        spec_t, mp = bd_h_transform(ci.bd, hv, N, **_tol(args))
         doc = _bd_doc(spec_t, N, mp)
         _emit(args, doc, header=("state", "birth", "death", "killing", "mu"),
               rows=lambda: zip(range(N + 1), doc["birth"], doc["death"], doc["killing"],
@@ -419,9 +403,8 @@ def cmd_bounds(args) -> int:
         raise SchemaError("bounds needs a bd chain")
     from .eigenbounds import bounds_report
 
-    # the harmonic h of the Hardy weights runs one state past nmax
-    nmax = _within_arrays(args, ci, args.nmax, "--nmax", reach=1)
-    rep = bounds_report(ci.bd_arrays(nmax + 1), N_max=nmax, tail_tol=args.tail_tol)
+    nmax = _within_arrays(args, ci, args.nmax, "--nmax")
+    rep = bounds_report(ci.bd, N_max=nmax, tail_tol=args.tail_tol)
     payload = rep.to_dict()
     payload["n_max"] = nmax
     _emit(args, payload, header=("n", "partial_sup"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import _check_finite, _count, _float_array, _in_float_range, _per_state
-from .errors import (InvalidArgument, NegativeRate, PotentialExceedsRate, PreconditionViolated,
+from .errors import (NegativeRate, PotentialExceedsRate, PreconditionViolated, _BadRate,
                      _ShortRates)
 
 _CONS_RTOL = 1e-12
@@ -208,9 +208,10 @@ class BirthDeathSpec:
         """Values of the field key on states lo <= i < hi.
 
         Numbers are broadcast, arrays sliced and callables called once per
-        index.  Raises at the first failing index: a callable that raises an
+        index.  This read is where a rate is bad input: it raises _BadRate
+        at the first failing index, for a callable that raises an
         arithmetic, value or type error, a nonpositive birth or death rate,
-        or an index past the array.
+        or an index past the array (_ShortRates).
         """
         value = getattr(self, key)
         if callable(value):
@@ -219,7 +220,7 @@ class BirthDeathSpec:
                 try:
                     v[i - lo] = value(i)
                 except (ArithmeticError, ValueError, TypeError) as exc:
-                    raise InvalidArgument(
+                    raise _BadRate(
                         f"{key} rate at state {i} raised {type(exc).__name__}: {exc}"
                     ) from exc
         elif np.ndim(value) == 0:
@@ -230,7 +231,7 @@ class BirthDeathSpec:
             bad = np.flatnonzero(~(v > 0.0))
             if bad.size:
                 i = lo + int(bad[0])
-                raise PreconditionViolated(
+                raise _BadRate(
                     f"{key} rate {_POSITIVE[key]}[{i}] = {v[bad[0]]} must be positive")
         if v.shape[0] < hi - lo:
             raise _ShortRates(

@@ -24,7 +24,7 @@ import warnings
 
 from ._cli_io import (SchemaError, _capped, _emit, _finite, _floats, _integer, _load_json,
                       _note, _schema_errors, _tol, _verdict)
-from .errors import InvalidArgument, IsospecError, MalformedExpression
+from .errors import InvalidArgument, IsospecError, MalformedExpression, _BadRate
 
 # Each handler imports the modules it needs, so a chain request never loads
 # the expression and operator modules, and an operator request never loads
@@ -352,8 +352,8 @@ def main(argv=None) -> int:
         except (SchemaError, InvalidArgument, MalformedExpression, json.JSONDecodeError,
                 OSError, UnicodeDecodeError, MemoryError) as exc:
             print(f"isospec: {str(exc) or type(exc).__name__}", file=sys.stderr)
-            if isinstance(exc, SchemaError):
-                prog = exc.prog or f"isospec {args.cmd}"
+            if isinstance(exc, (SchemaError, _BadRate)):
+                prog = getattr(exc, "prog", None) or f"isospec {args.cmd}"
                 print(f"run `{prog} --help` for the input schema", file=sys.stderr)
             return 2
         except IsospecError as exc:

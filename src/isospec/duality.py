@@ -13,8 +13,8 @@ import numpy as np
 
 from ._checks import (_check_finite, _float_array, _h_values, _in_float_range, _positive_h,
                       _positive_mu, _states, _tolerance)
-from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
-                     _conjugated_weights, bd_measures, validate_band, validate_qpair)
+from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums, _bd_mu,
+                     _conjugated_weights, validate_band, validate_qpair)
 from .errors import NotHarmonic, NotLocallyHarmonic, PreconditionViolated
 
 
@@ -154,13 +154,14 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
     are placeholder zeros.  Returns (BirthDeathSpec, MeasurePair) with
     b~_i = b_i (h_{i+1}/h_i), a~_i = a_i (h_{i-1}/h_i), zero potential,
     mu~_i = h_i^2 mu_i and nu_hat~_i = nu_hat_i / (h_i h_{i+1}).  Raises
-    Overflow at the first state whose mu~_i is not a positive float.
+    Overflow at the first state whose mu~_i is not a positive float.  The
+    rates are read once, on 0..N.
     """
     b, a, c = spec.rate_arrays(N)
     hv = _positive_h(_h_values(h)[: N + 2], N + 2)
     band = validate_band(b, np.append(a[1:], 0.0), killing=np.append(c, 0.0))
     out = h_transform_local(band, hv, harmonic_set=range(N + 1), tol=tol)
-    mu_t, nu_t = _conjugated_weights(bd_measures(spec, N).mu, hv, b)
+    mu_t, nu_t = _conjugated_weights(_in_float_range("mu", _bd_mu(b, a)), hv, b)
     return (BirthDeathSpec(birth=out.up, death=np.append(0.0, out.down[:N]), killing=0.0),
             MeasurePair(mu=_in_float_range("h-transformed measure", mu_t), nu_hat=nu_t))
 

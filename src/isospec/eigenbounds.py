@@ -168,11 +168,12 @@ def bounds_report(
     truncations against the enclosure [1/(4 delta) - eps, 1/delta + eps]
     with eps = 1e-8 plus the observed truncation slack.  A finite delta with
     a violated enclosure raises; divergent delta yields the verdict that the
-    principal eigenvalue is zero.
+    principal eigenvalue is zero.  The rates are read once, on 0..N_max:
+    h on 0..N_max+1, delta_tilde and the truncations use no state past it.
     """
     N_max = _count("N_max", N_max, 8)
-    b, a, c = spec.rate_arrays(N_max + 1)
-    _no_positive_killing(c[: N_max + 1])  # before h, which a positive c can turn negative
+    b, a, c = spec.rate_arrays(N_max)
+    _no_positive_killing(c)  # before h, which a positive c can turn negative
     h = _bd_h_recurrence(b, a, c, N_max + 1)
     delta = delta_tilde(BirthDeathSpec(b, a, c), h, N_max=N_max, tail_tol=tail_tol)
 

@@ -91,7 +91,11 @@ class InvalidArgument(PreconditionViolated):
     """An argument outside the range a function accepts: bad input, not a failed check."""
 
 
-class _ShortRates(InvalidArgument, IndexError):
+class _BadRate(InvalidArgument):
+    """A birth-death rate that cannot be read: nonpositive, raised by a callable, or missing."""
+
+
+class _ShortRates(_BadRate, IndexError):
     """A rate array with no entry for a state read; an IndexError too, for index handlers."""
 
 

@@ -259,6 +259,37 @@ def test_a_callable_rate_that_raises_is_an_invalid_argument(spec, call, raised, 
     assert isinstance(ei.value.__cause__, raised)
 
 
+@pytest.mark.parametrize("spec, message", [
+    (BirthDeathSpec([1.0, 2.0, 0.0, 1.0], 1.0), "birth rate b[2] = 0.0 must be positive"),
+    (BirthDeathSpec(1.0, lambda i: 2.0 - i), "death rate a[2] = 0.0 must be positive"),
+], ids=["birth-array", "death-callable"])
+def test_a_nonpositive_birth_or_death_rate_is_an_invalid_argument(spec, message):
+    with pytest.raises(InvalidArgument) as ei:
+        spec.rate_arrays(5)
+    assert str(ei.value) == message
+
+
+def _counting(rate):
+    """rate as a callable that records each state it is called at."""
+    calls = []
+
+    def birth(i):
+        calls.append(i)
+        return rate
+
+    return birth, calls
+
+
+def test_bounds_and_the_bd_h_transform_read_each_state_once():
+    birth, calls = _counting(1.0)
+    bounds_report(BirthDeathSpec(birth, 2.0, -0.05), N_max=64)
+    assert calls == list(range(65))
+    birth, calls = _counting(1.0)
+    h = bd_harmonic_explicit(BirthDeathSpec(1.0, 1.0, -1.0), 21).values
+    bd_h_transform(BirthDeathSpec(birth, 1.0, -1.0), h, 20)
+    assert calls == list(range(21))
+
+
 def test_bd_to_qpair_reflecting_never_reads_the_last_birth_rate():
     s = BirthDeathSpec(birth=[2.0, 2.0, 2.0], death=1.0)
     assert bd_to_qpair(s, 3).rates[2, 3] == 2.0

@@ -93,18 +93,54 @@ def test_harmonic_explicit_residuals_skip_the_dense_chain(capsys, monkeypatch, t
 
 
 def test_rate_arrays_are_read_as_far_as_each_request_reaches(capsys, tmp_path):
-    # arrays on states 0..40: the explicit recursion reads 0..N, bounds reads 0..nmax+1
+    # arrays on states 0..40: the explicit recursion reads 0..N-1, bounds reads 0..nmax
+    # (its h runs to nmax+1 on those rates), so both go up to state 40
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": [1.0] * 41,
                                         "death": [1.0] * 41, "killing": [-1.0] * 41})
     code, out, err = _run(capsys, "harmonic", chain, "--method", "explicit")
     assert (code, err) == (0, "")
     h = json.loads(out)["h"]
     assert len(h) == 41 and h[:9] == FIB
+    code, out, err = _run(capsys, "bounds", chain, "--nmax", "40")
+    assert (code, err) == (0, "isospec: PASS\n")
+    assert json.loads(out)["n_max"] == 40
     code, out, err = _run(capsys, "bounds", chain, "--nmax", "100")
     assert code == 0
-    assert err.splitlines() == ["isospec: rate arrays end early; using --nmax 39",
+    assert err.splitlines() == ["isospec: rate arrays end early; using --nmax 40",
                                 "isospec: PASS"]
-    assert json.loads(out)["n_max"] == 39
+    assert json.loads(out)["n_max"] == 40
+    # so a zero birth rate at state nmax + 1 is never read
+    chain = _write(tmp_path, "z.json", {"type": "bd", "birth": [1.0] * 40 + [0.0],
+                                        "death": 2.0, "killing": -0.05})
+    code, out, err = _run(capsys, "bounds", chain, "--nmax", "39")
+    assert (code, err) == (0, "isospec: PASS\n")
+
+
+# b_8 = 0 at the last state of an 8-state truncation: the explicit recursion
+# never reads it, the measure on 0..8 does
+LAST_BIRTH_ZERO = {"type": "bd", "birth": [1.0] * 8 + [0.0], "death": 1.0,
+                   "killing": -1.0, "N": 8}
+
+
+def test_the_explicit_recursion_never_reads_the_last_birth_rate(capsys, tmp_path):
+    zero = _write(tmp_path, "zero.json", LAST_BIRTH_ZERO)
+    one = _write(tmp_path, "one.json", dict(LAST_BIRTH_ZERO, birth=[1.0] * 9))
+    code, out, err = _run(capsys, "harmonic", zero, "--method", "explicit")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["h"] == FIB
+    # h and its residuals are those of b_8 = 1, bit for bit
+    assert _run(capsys, "harmonic", one, "--method", "explicit") == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [["verify", "c.json", "c.json"],
+                                  ["transform", "c.json", "--direction", "measure"]],
+                         ids=["verify", "transform-measure"])
+def test_a_bad_rate_read_by_the_measure_is_an_input_error(capsys, tmp_path, argv):
+    chain = _write(tmp_path, "c.json", LAST_BIRTH_ZERO)
+    code, out, err = _run(capsys, *(chain if a == "c.json" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["isospec: birth rate b[8] = 0.0 must be positive",
+                                f"run `isospec {argv[0]} --help` for the input schema"]
 
 
 def test_harmonic_iterate_json(capsys, tmp_path):
@@ -793,14 +829,19 @@ def test_minimal_harmonic_decrease_exits_one(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["bounds", "c.json", "--nmax", "4"], "N_max = 4 is below 8"),
+    # the library checks N_max before it reads a rate
+    (["bounds", "b5.json", "--nmax", "4"], "N_max = 4 is below 8"),
     (["harmonic", "c.json", "--method", "explicit", "--nmax", "0"], "N = 0 is below 1"),
     (["harmonic", "c.json", "--theta", "99"], "theta = 99 outside 0..7"),
     (["diffop", "op.json", "--check", "spectrum", "--k", "0"], "k = 0 outside 1..201"),
     (["diffop", "op.json", "--check", "eigen", "--h", "h.json", "--nmax", "99"],
      "n_max = 99 outside 0..60"),
-], ids=["bounds-nmax", "explicit-nmax", "theta", "spectrum-k", "eigen-nmax"])
+], ids=["bounds-nmax", "bounds-nmax-bad-rate", "explicit-nmax", "theta", "spectrum-k",
+        "eigen-nmax"])
 def test_out_of_range_flag_values_exit_two(capsys, tmp_path, fib_chain, argv, message):
     docs = {"c.json": fib_chain, "h.json": _write(tmp_path, "h.json", {"h": "exp(-x^2/2)"}),
+            "b5.json": _write(tmp_path, "b5.json", {"type": "bd", "birth": [1.0] * 5 + [-1.0],
+                                                    "death": 1.0, "killing": -1.0}),
             "op.json": _write(tmp_path, "op.json", {"a": 0.5, "b": "-x", "interval": [-6, 6],
                                                     "M": 200})}
     code, out, err = _run(capsys, *(docs.get(a, a) for a in argv))
