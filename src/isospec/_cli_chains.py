@@ -109,32 +109,33 @@ class ChainInput:
     def __init__(self, kind: str, bd=None, qp=None, N: int | None = None,
                  cap: int | None = None, mu=None):
         self.kind, self.bd, self.qp, self.N, self.cap, self.mu = kind, bd, qp, N, cap, mu
-
-    def truncation(self) -> int:
-        if self.N is None:
-            raise SchemaError('bd chain with formula rates needs "N"')
-        return self.N
+        self._band = None  # a bd chain's truncation, built once
 
     def as_qpair(self, band: bool = False):
         """The chain as a QPairSpec; a bd chain as a BandSpec when band is true."""
-        from .chains import bd_to_band, bd_to_qpair
+        from .chains import _dense_view, bd_to_band
 
         if self.kind == "qpair":
             return self.qp
-        N = self.truncation()
+        N = self.N
+        if N is None:
+            raise SchemaError('bd chain with formula rates needs "N"')
         if not band and 8 * (N + 1) ** 2 > MAX_DENSE_BYTES:
             raise SchemaError(f"a dense rate matrix of {N + 1} states exceeds the cap "
                               f"of {MAX_DENSE_BYTES} bytes")
         with _schema_errors():
-            return (bd_to_band if band else bd_to_qpair)(self.bd, N)
+            self._band = self._band or bd_to_band(self.bd, N)
+        return self._band if band else _dense_view(self._band)
 
     def measure(self):
         if self.mu is not None:
             return self.mu
         if self.kind == "bd":
-            from .chains import bd_measures
+            from ._checks import _in_float_range
+            from .chains import _bd_mu
 
-            return bd_measures(self.bd, self.truncation()).mu
+            band = self.as_qpair(band=True)
+            return _in_float_range("mu", _bd_mu(band.up, band.down))
         raise SchemaError('qpair chain needs an explicit "mu" array here')
 
 

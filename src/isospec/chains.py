@@ -257,20 +257,20 @@ class MeasurePair:
     nu_hat: np.ndarray
 
 
-def _bd_mu(b, a):
-    """mu_0 = 1 and mu_i = mu_{i-1} * (b_{i-1} / a_i) on the states of b and a.
+def _bd_mu(up, down):
+    """mu_0 = 1 and mu_{k+1} = mu_k * (up_k / down_k) on the states of a band.
 
     An entry past float range reads inf or 0 without a warning; the caller
     decides what that means.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return np.concatenate(([1.0], np.cumprod(b[:-1] / a[1:])))
+        return np.concatenate(([1.0], np.cumprod(up / down)))
 
 
 def bd_measures(spec: BirthDeathSpec, N: int) -> MeasurePair:
     """Running-product measure mu_i = (b_0...b_{i-1})/(a_1...a_i), mu_0 = 1."""
     b, a, _ = spec.rate_arrays(N)
-    mu = _in_float_range("mu", _bd_mu(b, a))
+    mu = _in_float_range("mu", _bd_mu(b[:-1], a[1:]))
     with np.errstate(over="ignore"):  # mu_N b_N past float range gives nu_hat_N = 0
         return MeasurePair(mu=mu, nu_hat=1.0 / (mu * b))
 
@@ -298,8 +298,11 @@ def _conjugated_weights(mu, h, b):
         return g * g, 1.0 / (g * (h[1:] * s) * b)
 
 
-def _bd_band(spec: BirthDeathSpec, N: int):
-    """Super-diagonal, sub-diagonal, totals and potential of the truncation on {0..N}."""
+def bd_to_band(spec: BirthDeathSpec, N: int) -> BandSpec:
+    """Tridiagonal chain on {0..N} in band form; b_N is dropped, so no jump leaves it.
+
+    A positive boundary potential is absorbed into the total, so c <= q holds.
+    """
     N = _count("N", N, 1)
     c = spec._rates("killing", 0, N + 1)
     b = spec._rates("birth", 0, N)
@@ -308,22 +311,18 @@ def _bd_band(spec: BirthDeathSpec, N: int):
     with np.errstate(over="ignore"):  # a total past float range is refused downstream
         total[0] += max(c[0], 0.0)
         total[N] += max(c[N], 0.0)
-    return b, a, total, c
+    return validate_band(b, a, total, c)
 
 
-def bd_to_band(spec: BirthDeathSpec, N: int) -> BandSpec:
-    """Tridiagonal chain on {0..N} in band form; b_N is dropped, so no jump leaves it.
-
-    A positive boundary potential is absorbed into the total, so c <= q holds.
-    """
-    return validate_band(*_bd_band(spec, N))
+def _dense_view(band: BandSpec) -> QPairSpec:
+    """band as a QPairSpec: its arrays, with the rates written out as a matrix."""
+    n = band.n_states
+    rates = np.zeros((n, n))
+    k = np.arange(n - 1)
+    rates[k, k + 1], rates[k + 1, k] = band.up, band.down
+    return validate_qpair(rates, band.total, band.killing)
 
 
 def bd_to_qpair(spec: BirthDeathSpec, N: int) -> QPairSpec:
-    """Tridiagonal QPairSpec on {0..N}: bd_to_band as a dense rate matrix."""
-    up, down, total, c = _bd_band(spec, N)
-    rates = np.zeros((N + 1, N + 1))
-    i = np.arange(N)
-    rates[i, i + 1] = up
-    rates[i + 1, i] = down
-    return validate_qpair(rates, total, c)
+    """Tridiagonal QPairSpec on {0..N}: the dense view of bd_to_band."""
+    return _dense_view(bd_to_band(spec, N))

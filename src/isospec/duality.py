@@ -161,7 +161,7 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
     hv = _positive_h(_h_values(h)[: N + 2], N + 2)
     band = validate_band(b, np.append(a[1:], 0.0), killing=np.append(c, 0.0))
     out = h_transform_local(band, hv, harmonic_set=range(N + 1), tol=tol)
-    mu_t, nu_t = _conjugated_weights(_in_float_range("mu", _bd_mu(b, a)), hv, b)
+    mu_t, nu_t = _conjugated_weights(_in_float_range("mu", _bd_mu(b[:-1], a[1:])), hv, b)
     return (BirthDeathSpec(birth=out.up, death=np.append(0.0, out.down[:N]), killing=0.0),
             MeasurePair(mu=_in_float_range("h-transformed measure", mu_t), nu_hat=nu_t))
 

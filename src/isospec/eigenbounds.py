@@ -51,9 +51,6 @@ class DeltaResult:
     n_terms: int
     partial: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def __iter__(self):
-        return iter((self.value, self.n_sup))
-
 
 def delta_tilde(
     spec: BirthDeathSpec,
@@ -86,7 +83,7 @@ def delta_tilde(
 
     b, a, c = spec.rate_arrays(K_cap)
     _no_positive_killing(c)
-    m, t = _conjugated_weights(_bd_mu(b, a), hv[: K_cap + 2], b)
+    m, t = _conjugated_weights(_bd_mu(b[:-1], a[1:]), hv[: K_cap + 2], b)
     with np.errstate(over="ignore"):  # a prefix mass past float range ends the read
         M = np.cumsum(m)
     bad = np.flatnonzero(~(np.isfinite(M) & np.isfinite(t) & (t > 0.0)))

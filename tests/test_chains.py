@@ -42,6 +42,7 @@ from isospec import (
     transform_measure,
     validate_qpair,
 )
+from isospec._cli_chains import ChainInput
 from isospec.chains import bd_to_band, validate_band
 from isospec.errors import InvalidArgument
 
@@ -288,6 +289,18 @@ def test_bounds_and_the_bd_h_transform_read_each_state_once():
     h = bd_harmonic_explicit(BirthDeathSpec(1.0, 1.0, -1.0), 21).values
     bd_h_transform(BirthDeathSpec(birth, 1.0, -1.0), h, 20)
     assert calls == list(range(21))
+
+
+@pytest.mark.parametrize("band", [False, True], ids=["verify", "transform-measure"])
+def test_a_chain_and_its_measure_read_each_state_once(band):
+    # verify takes the dense chain, transform --direction measure the band, then mu
+    birth, calls = _counting(1.0)
+    ci = ChainInput(kind="bd", bd=BirthDeathSpec(birth, 2.0, -0.05), N=20)
+    assert ci.as_qpair(band=band).n_states == 21
+    mu = ci.measure()
+    assert calls == list(range(20))
+    # the same bits as bd_measures, which also reads b_20
+    assert mu.tobytes() == bd_measures(BirthDeathSpec(1.0, 2.0, -0.05), 20).mu.tobytes()
 
 
 def test_bd_to_qpair_reflecting_never_reads_the_last_birth_rate():

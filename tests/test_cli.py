@@ -79,7 +79,7 @@ def test_harmonic_explicit_residuals_skip_the_dense_chain(capsys, monkeypatch, t
     def no_dense(*args, **kwargs):
         raise AssertionError("explicit residuals must not build a q-matrix")
 
-    monkeypatch.setattr(isospec.chains, "bd_to_qpair", no_dense)
+    monkeypatch.setattr(isospec.chains, "_dense_view", no_dense)
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 1.0,
                                         "killing": [0.3] + [-0.5] * 10, "N": 10})
     code, out, err = _run(capsys, "harmonic", chain, "--method", "explicit")
@@ -116,8 +116,7 @@ def test_rate_arrays_are_read_as_far_as_each_request_reaches(capsys, tmp_path):
     assert (code, err) == (0, "isospec: PASS\n")
 
 
-# b_8 = 0 at the last state of an 8-state truncation: the explicit recursion
-# never reads it, the measure on 0..8 does
+# b_8 = 0 at the last state of an 8-state truncation: no request on N = 8 reads it
 LAST_BIRTH_ZERO = {"type": "bd", "birth": [1.0] * 8 + [0.0], "death": 1.0,
                    "killing": -1.0, "N": 8}
 
@@ -135,12 +134,13 @@ def test_the_explicit_recursion_never_reads_the_last_birth_rate(capsys, tmp_path
 @pytest.mark.parametrize("argv", [["verify", "c.json", "c.json"],
                                   ["transform", "c.json", "--direction", "measure"]],
                          ids=["verify", "transform-measure"])
-def test_a_bad_rate_read_by_the_measure_is_an_input_error(capsys, tmp_path, argv):
-    chain = _write(tmp_path, "c.json", LAST_BIRTH_ZERO)
-    code, out, err = _run(capsys, *(chain if a == "c.json" else a for a in argv))
-    assert (code, out) == (2, "")
-    assert err.splitlines() == ["isospec: birth rate b[8] = 0.0 must be positive",
-                                f"run `isospec {argv[0]} --help` for the input schema"]
+def test_the_measure_never_reads_the_last_birth_rate(capsys, tmp_path, argv):
+    # mu comes from the truncation's band, which drops b_8
+    zero = _write(tmp_path, "zero.json", LAST_BIRTH_ZERO)
+    one = _write(tmp_path, "one.json", dict(LAST_BIRTH_ZERO, birth=[1.0] * 9))
+    code, out, err = _run(capsys, *(zero if a == "c.json" else a for a in argv))
+    assert code == 0
+    assert _run(capsys, *(one if a == "c.json" else a for a in argv)) == (0, out, err)
 
 
 def test_harmonic_iterate_json(capsys, tmp_path):

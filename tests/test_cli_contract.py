@@ -129,7 +129,7 @@ def test_running_out_of_memory_is_an_input_error(monkeypatch, tmp_path):
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(isospec.chains, "bd_to_qpair", exhausted)
+    monkeypatch.setattr(isospec.chains, "_dense_view", exhausted)
     chain = {"type": "bd", "birth": 1.0, "death": 1.0, "N": 3}
     lines = _input_error(tmp_path, ["verify", "c.json", "c.json"], {"c.json": chain})
     assert lines == ["isospec: MemoryError"]

@@ -114,11 +114,11 @@ def test_delta_accepts_harmonic_vector_or_array():
     assert a.value == b.value
 
 
-def test_delta_result_unpacks_as_value_index_pair():
+def test_delta_result_reads_value_and_index():
     h = bd_harmonic_explicit(CONST, 1026)
-    value, n_sup = delta_tilde(CONST, h, N_max=1024)
-    assert value == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-12)
-    assert n_sup >= 0
+    res = delta_tilde(CONST, h, N_max=1024)
+    assert res.value == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-12)
+    assert res.n_sup >= 0
 
 
 def test_delta_polynomial_tail_certifies_at_loose_tolerance():
