@@ -220,21 +220,6 @@ def _within_arrays(args, ci: ChainInput, n: int, label: str) -> int:
 # ---------------------------------------------------------------- output
 
 
-def _bd_doc(spec: BirthDeathSpec, N: int, mp=None) -> dict:
-    b, a, c = spec.rate_arrays(N)
-    doc = {
-        "type": "bd",
-        "birth": b,
-        "death": a,
-        "killing": c,
-        "N": N,
-    }
-    if mp is not None:
-        doc["mu"] = mp.mu
-        doc["nu_hat"] = mp.nu_hat
-    return doc
-
-
 def _qpair_doc(qp, mu=None) -> dict:
     from .chains import BandSpec
 
@@ -338,10 +323,11 @@ def cmd_transform(args) -> int:
         if ci.N is not None and N < ci.N:
             _note(args, f"h covers 0..{N + 1}; transforming up to N = {N}")
         spec_t, mp = bd_h_transform(ci.bd, hv, N, **_tol(args))
-        doc = _bd_doc(spec_t, N, mp)
+        b, a, c = spec_t.birth, spec_t.death, spec_t.killing
+        doc = {"type": "bd", "birth": b, "death": a, "killing": c, "N": N,
+               "mu": mp.mu, "nu_hat": mp.nu_hat}
         _emit(args, doc, header=("state", "birth", "death", "killing", "mu"),
-              rows=lambda: zip(range(N + 1), doc["birth"], doc["death"], doc["killing"],
-                               mp.mu))
+              rows=lambda: zip(range(N + 1), b, a, c, mp.mu))
         return 0
 
     qp = ci.as_qpair(band=True)

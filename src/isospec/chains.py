@@ -96,7 +96,13 @@ def _check_totals(row, total, killing):
             f"total rate q[{i}] = {q[i]} below row sum {row[i]} (not totally stable)"
         )
     c = _per_state("killing", np.zeros(n) if killing is None else killing, n)
-    excess = c - q - _CONS_RTOL * np.maximum(1.0, np.abs(q))
+    with np.errstate(over="ignore"):  # a diagonal past float range is refused here
+        diag = c - q
+        excess = diag - _CONS_RTOL * np.maximum(1.0, np.abs(q))
+    if not np.all(np.isfinite(diag)):
+        i = int(np.argmin(np.isfinite(diag)))
+        raise PreconditionViolated(
+            f"generator diagonal c[{i}] - q[{i}] = {c[i]} - {q[i]} is not finite")
     if np.any(excess > 0.0):
         i = int(np.argmax(excess))
         raise PotentialExceedsRate(i, c[i], q[i])

@@ -153,16 +153,19 @@ def bd_h_transform(spec: BirthDeathSpec, h, N: int, tol: float = 1e-8):
     N+1 only lends h_{N+1} to b_N, so its rate back to N and its potential
     are placeholder zeros.  Returns (BirthDeathSpec, MeasurePair) with
     b~_i = b_i (h_{i+1}/h_i), a~_i = a_i (h_{i-1}/h_i), zero potential,
-    mu~_i = h_i^2 mu_i and nu_hat~_i = nu_hat_i / (h_i h_{i+1}).  Raises
-    Overflow at the first state whose mu~_i is not a positive float.  The
-    rates are read once, on 0..N.
+    mu~_i = h_i^2 mu_i and nu_hat~_i = nu_hat_i / (h_i h_{i+1}), each an
+    array on 0..N.  Raises Overflow at the first state whose b~_i, a~_i or
+    mu~_i is not a positive float.  The rates are read once, on 0..N.
     """
     b, a, c = spec.rate_arrays(N)
     hv = _positive_h(_h_values(h)[: N + 2], N + 2)
     band = validate_band(b, np.append(a[1:], 0.0), killing=np.append(c, 0.0))
     out = h_transform_local(band, hv, harmonic_set=range(N + 1), tol=tol)
+    b_t = _in_float_range("transformed birth rate", out.up)
+    a_t = _in_float_range("transformed death rate", np.append(1.0, out.down[:N]))
+    a_t[0] = 0.0  # a placeholder, as in rate_arrays; the 1.0 kept indices on states
     mu_t, nu_t = _conjugated_weights(_in_float_range("mu", _bd_mu(b[:-1], a[1:])), hv, b)
-    return (BirthDeathSpec(birth=out.up, death=np.append(0.0, out.down[:N]), killing=0.0),
+    return (BirthDeathSpec(birth=b_t, death=a_t, killing=np.zeros(N + 1)),
             MeasurePair(mu=_in_float_range("h-transformed measure", mu_t), nu_hat=nu_t))
 
 

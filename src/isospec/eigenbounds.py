@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._checks import _count, _h_values, _no_positive_killing, _positive_h, _tolerance
+from ._checks import (_count, _h_values, _in_float_range, _no_positive_killing, _positive_h,
+                      _tolerance)
 from .chains import BirthDeathSpec, _bd_h_recurrence, _bd_mu, _conjugated_weights
 from .errors import InvalidArgument, PreconditionViolated, TailNotResolved
 from .spectra import lowest_eigs_tridiag
@@ -163,15 +164,17 @@ def bounds_report(
     Runs the explicit harmonic recursion, evaluates delta_tilde in the
     conjugated weights, and checks the variational value at three nested
     truncations against the enclosure [1/(4 delta) - eps, 1/delta + eps]
-    with eps = 1e-8 plus the observed truncation slack.  A finite delta with
-    a violated enclosure raises; divergent delta yields the verdict that the
-    principal eigenvalue is zero.  The rates are read once, on 0..N_max:
-    h on 0..N_max+1, delta_tilde and the truncations use no state past it.
+    with eps = 1e-8 plus the observed truncation slack.  containment reports
+    that test, and a divergent delta, which yields the verdict that the
+    principal eigenvalue is zero, is contained.  h_0..h_2 past float range
+    raise Overflow.  The rates are read once, on 0..N_max: h on 0..N_max+1,
+    delta_tilde and the truncations use no state past it.
     """
     N_max = _count("N_max", N_max, 8)
     b, a, c = spec.rate_arrays(N_max)
     _no_positive_killing(c)  # before h, which a positive c can turn negative
     h = _bd_h_recurrence(b, a, c, N_max + 1)
+    _in_float_range("h", h[:3])  # the least delta_tilde reads; the rest may overflow
     delta = delta_tilde(BirthDeathSpec(b, a, c), h, N_max=N_max, tail_tol=tail_tol)
 
     lam = _lambda0(b, a, c, (N_max // 4, N_max // 2, N_max))
@@ -180,16 +183,13 @@ def bounds_report(
 
     if math.isinf(delta.value):
         lower = upper = eps = 0.0
+        contained = True
         verdict = "lambda0 = 0 (Hardy constant diverges)"
     else:
         lower = 1.0 / (4.0 * delta.value)
         upper = 1.0 / delta.value
         eps = 1e-8 + trunc_slack
-        if not lower - eps <= lambda0 <= upper + eps:
-            raise PreconditionViolated(
-                f"variational value {lambda0:g} escapes [{lower:g}, {upper:g}] "
-                f"with eps = {eps:g}; increase N_max or check the inputs"
-            )
+        contained = lower - eps <= lambda0 <= upper + eps
         verdict = "lambda0 > 0"
     return BoundsReport(
         delta_tilde=delta.value,
@@ -199,7 +199,7 @@ def bounds_report(
         n_sup=delta.n_sup,
         truncation_levels=lam,
         verdict=verdict,
-        containment=True,
+        containment=contained,
         epsilon=eps,
         delta_slack=delta.slack,
         delta_detail=delta,

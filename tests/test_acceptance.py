@@ -172,6 +172,7 @@ def test_criterion_4_hardy_bounds_on_five_families(acceptance_log):
         rel = abs(lam[4000] - lam[2000]) / abs(lam[4000])
         assert rep.delta_tilde == pytest.approx(delta_ref, rel=1e-12), name
         assert rel <= 1e-6, name
+        assert rep.containment, name
         assert rep.lower - 1e-6 <= lam[4000] <= rep.upper + 1e-6, name
         lines.append(f"{name} ok")
     dt = time.perf_counter() - t0

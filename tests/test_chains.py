@@ -68,6 +68,15 @@ def test_validate_rejects_potential_above_rate():
         validate_qpair(rates, None, np.array([2.0, 0.0]))
 
 
+def test_a_generator_diagonal_past_float_range_is_refused_without_a_warning():
+    # c_0 - q_0 = -1e308 - 1e308 overflows; RuntimeWarning is an error here
+    message = r"^generator diagonal c\[0\] - q\[0\] = -1e\+308 - 1e\+308 is not finite$"
+    with pytest.raises(PreconditionViolated, match=message):
+        validate_qpair([[0.0, 1e308], [1e308, 0.0]], None, [-1e308, -1e308])
+    with pytest.raises(PreconditionViolated, match=message):
+        bd_to_band(BirthDeathSpec(1e308, 1.0, -1e308), 3)
+
+
 @pytest.mark.parametrize("field", ["rates", "total", "killing"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_validate_rejects_non_finite(field, bad):

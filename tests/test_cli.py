@@ -482,17 +482,19 @@ def test_bounds_names_a_positive_killing_before_computing_h(capsys, tmp_path):
     assert err.splitlines() == ["isospec: check failed: c[0] = 0.3 > 0; the bound needs c <= 0"]
 
 
-def test_bounds_refuses_a_variational_value_outside_the_enclosure(capsys, monkeypatch,
-                                                                   tmp_path):
+def test_bounds_fails_a_variational_value_outside_the_enclosure(capsys, monkeypatch,
+                                                                tmp_path):
     monkeypatch.setattr(isospec.eigenbounds, "_lambda0",
                         lambda b, a, c, ns: [[n, 1e3] for n in ns])
     chain = _write(tmp_path, "c.json", {"type": "bd", "birth": 1.0, "death": 1.0,
                                         "killing": -1.0})
     code, out, err = _run(capsys, "bounds", chain, "--nmax", "64")
-    assert (code, out) == (1, "")
-    assert err.splitlines() == ["isospec: check failed: variational value 1000 escapes "
-                                "[0.404508, 1.61803] with eps = 1e-08; increase N_max or "
-                                "check the inputs"]
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["containment"] is False
+    assert doc["lambda0_numeric"] == 1e3
+    assert doc["n_max"] == 64
+    assert err == "isospec: FAIL\n"
 
 
 def test_bounds_rejects_qpair_input(capsys, tmp_path):

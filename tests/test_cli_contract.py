@@ -159,6 +159,8 @@ def test_bd_forward_transform_refuses_a_measure_past_float_range(tmp_path):
 
 HUGE = {"type": "bd", "birth": 1e308, "death": 1e308, "killing": 1e-10, "N": 6}
 TINY_MU = {"type": "bd", "birth": 0.1, "death": 1e154, "N": 2}
+UNDERFLOW = {"type": "bd", "birth": [1e-300, 1.0, 1.0], "death": [0.0, 1e-130, 1.0],
+             "killing": [-1e-100, 0.0, 0.0], "N": 1}
 
 
 @pytest.mark.parametrize("argv, chain, h, code, first", [
@@ -177,7 +179,21 @@ TINY_MU = {"type": "bd", "birth": 0.1, "death": 1e154, "N": 2}
     (["transform", "c.json", "--h", "h.json"],
      {"type": "qpair", "rates": [[0, 1e308], [1e308, 0]]}, [1, 2], 1,
      "isospec: check failed: max harmonic residual inf exceeds tolerance 1e-08"),
-], ids=["band-sums", "dense-sums", "bd-transform", "measure-ratio", "residual"])
+    # a~_1 = 1e-130 h_0 / h_1 rounds to 0: the transform's result, not the document
+    (["transform", "c.json", "--h", "h.json", "--direction", "forward"], UNDERFLOW,
+     [1.0, 1e200, 1e200], 1,
+     "isospec: check failed: transformed death rate exceeds the representable range "
+     "at index 1"),
+    # h_2 of bounds' own recurrence overflows, which is not an h too short
+    (["bounds", "c.json", "--nmax", "100"],
+     {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1e300}, None, 1,
+     "isospec: check failed: h exceeds the representable range at index 2"),
+    # c_0 - q_0 overflows at load: an input error, not a NaN residual
+    (["harmonic", "c.json", "--method", "solve", "--theta", "1"],
+     {"type": "qpair", "rates": [[0, 1e308], [1e308, 0]], "killing": [-1e308, -1e308]},
+     None, 2, "isospec: generator diagonal c[0] - q[0] = -1e+308 - 1e+308 is not finite"),
+], ids=["band-sums", "dense-sums", "bd-transform", "measure-ratio", "residual",
+        "forward-underflow", "bounds-h", "qpair-diagonal"])
 def test_rates_near_float_range_warn_nothing(tmp_path, argv, chain, h, code, first):
     got, out, err = _run(tmp_path, argv, {"c.json": chain, "h.json": h})
     assert (got, err.splitlines()[0]) == (code, first)

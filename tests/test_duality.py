@@ -213,6 +213,17 @@ def test_bd_h_transform_refuses_a_non_harmonic_h():
     assert out.rate_arrays(4)[0].tolist() == [h[i + 1] / h[i] for i in range(5)]
 
 
+def test_bd_h_transform_refuses_a_transformed_rate_that_underflows():
+    # a~_1 = a_1 h_0 / h_1 = 1e-130 * 1e-200 rounds to 0.0
+    s = BirthDeathSpec(birth=[1e-300, 1.0, 1.0], death=[0.0, 1e-130, 1.0],
+                       killing=[-1e-100, 0.0, 0.0])
+    h = bd_harmonic_explicit(s, 2).values
+    assert h.tolist() == [1.0, 1e200, 1e200]
+    with pytest.raises(Overflow) as ei:
+        bd_h_transform(s, h, 1)
+    assert str(ei.value) == "transformed death rate exceeds the representable range at index 1"
+
+
 def test_bd_h_transform_needs_h_past_the_edge():
     s = BirthDeathSpec(birth=1.0, death=1.0, killing=-0.5)
     hv = bd_harmonic_explicit(s, 11)

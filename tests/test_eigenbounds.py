@@ -19,6 +19,7 @@ from isospec import (
     lambda0_variational,
     lowest_eigs_tridiag,
 )
+from isospec.errors import InvalidArgument
 
 
 CONST = BirthDeathSpec(birth=1.0, death=1.0, killing=-1.0)
@@ -236,13 +237,25 @@ def test_bounds_report_free_walk_verdict():
     assert rep.lambda0_numeric < 1e-3
 
 
-def test_bounds_report_refuses_a_variational_value_outside_the_enclosure(monkeypatch):
+def test_bounds_report_reports_a_variational_value_outside_the_enclosure(monkeypatch):
     # delta~ = 0.618... encloses lambda0 in [0.4045, 1.618]; a stub puts it at 1000
     monkeypatch.setattr(eigenbounds, "_lambda0", lambda b, a, c, ns: [[n, 1e3] for n in ns])
-    with pytest.raises(PreconditionViolated) as ei:
-        bounds_report(CONST, N_max=64)
-    assert str(ei.value) == ("variational value 1000 escapes [0.404508, 1.61803] with "
-                             "eps = 1e-08; increase N_max or check the inputs")
+    rep = bounds_report(CONST, N_max=64)
+    assert rep.containment is False
+    assert rep.verdict == "lambda0 > 0"
+    assert (rep.lower, rep.upper, rep.lambda0_numeric, rep.epsilon) == pytest.approx(
+        (0.25 / 0.6180339887498949, 1.0 / 0.6180339887498949, 1e3, 1e-8), rel=1e-12)
+
+
+def test_bounds_report_refuses_an_h_it_computes_past_float_range():
+    # h_1 = 1e300 and h_2 overflows: the recurrence's value, not a short h from a caller
+    s = BirthDeathSpec(birth=1.0, death=1.0, killing=-1e300)
+    with pytest.raises(Overflow) as ei:
+        bounds_report(s, N_max=100)
+    assert str(ei.value) == "h exceeds the representable range at index 2"
+    # a caller's h with fewer than three finite values is still an argument error
+    with pytest.raises(InvalidArgument, match="^need h on at least 0..2$"):
+        delta_tilde(CONST, [1.0, 2.0, np.inf, 4.0])
 
 
 def test_bounds_report_rejects_tiny_n_max():
@@ -293,6 +306,7 @@ def test_lambda0_constant_rates_closed_form(b, a, N):
 def test_bounds_report_encloses_the_closed_form(b, a):
     rep = bounds_report(BirthDeathSpec(birth=b, death=a, killing=0.0), N_max=2048)
     assert rep.verdict == "lambda0 > 0"
+    assert rep.containment
     assert rep.lower <= (math.sqrt(b) - math.sqrt(a)) ** 2 <= rep.upper
 
 

@@ -12,22 +12,25 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import math
 import warnings
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from isospec import (
     BirthDeathSpec,
     IsospecError,
     PreconditionViolated,
+    TailNotResolved,
     bd_h_transform,
     bd_harmonic_explicit,
     bd_measures,
     bd_to_qpair,
+    bounds_report,
     conjugate,
     delta_tilde,
     h_transform,
@@ -179,6 +182,47 @@ def test_hardy_enclosure_contains_the_variational_eigenvalue(seed, kill):
     lam = lambda0_variational(spec, N)
     eps = 1e-8 + abs(lam - lambda0_variational(spec, N // 2))
     assert 1.0 / (4.0 * delta) - eps <= lam <= 1.0 / delta + eps
+
+
+_TAILS = [(1.0, 1.0), (1.2, 1.0), (1.0, 1.2), (2.0, 1.0), (1.0, 2.0), (1.05, 1.0), (1.0, 1.05)]
+
+
+@st.composite
+def eventually_constant_chains(draw):
+    """(spec, N_max, b_inf, a_inf, killed): any rates on 0..K, then a constant tail.
+
+    The arrays hold N_max + 2 entries.  No tail is drawn within 5% of
+    critical: the verdict there is ROADMAP item 15.
+    """
+    K = draw(st.integers(1, 39))
+    b_inf, a_inf = draw(st.sampled_from(_TAILS))
+    N_max = draw(st.sampled_from([256, 1024]))
+    b, a, c = np.full(N_max + 2, b_inf), np.full(N_max + 2, a_inf), np.zeros(N_max + 2)
+    b[: K + 1] = draw(_vector(K + 1, _RATE))
+    a[: K + 1] = draw(_vector(K + 1, _RATE))
+    killed = draw(st.booleans())
+    if killed:
+        c[: K + 1] = -draw(_vector(K + 1, st.floats(0.1, 5.0)))
+    return BirthDeathSpec(b, a, c), N_max, b_inf, a_inf, killed
+
+
+@settings(max_examples=100)  # O(N_max) kernels at N_max up to 1024 per example
+@given(eventually_constant_chains())
+def test_hardy_verdict_matches_the_classification_of_the_tail(case):
+    # lambda0 = 0 exactly for a critical tail, or a tail drifting to 0 without
+    # killing; otherwise 0 < lambda0 <= (sqrt b_inf - sqrt a_inf)^2, the bottom
+    # of the tail's essential spectrum
+    spec, N_max, b_inf, a_inf, killed = case
+    try:
+        rep = bounds_report(spec, N_max=N_max)
+    except TailNotResolved:
+        event("TailNotResolved")
+        return
+    zero = b_inf == a_inf or (b_inf < a_inf and not killed)
+    assert rep.verdict == ("lambda0 = 0 (Hardy constant diverges)" if zero else "lambda0 > 0")
+    assert rep.containment
+    if not zero:
+        assert rep.lower <= (math.sqrt(b_inf) - math.sqrt(a_inf)) ** 2
 
 
 @given(st.integers(1, 150), st.integers(0, 2**32 - 1))
