@@ -274,9 +274,13 @@ def _bd_mu(up, down):
 
 
 def bd_measures(spec: BirthDeathSpec, N: int) -> MeasurePair:
-    """Running-product measure mu_i = (b_0...b_{i-1})/(a_1...a_i), mu_0 = 1."""
-    b, a, _ = spec.rate_arrays(N)
-    mu = _in_float_range("mu", _bd_mu(b[:-1], a[1:]))
+    """Running-product measure mu_i = (b_0...b_{i-1})/(a_1...a_i), mu_0 = 1.
+
+    Reads births on 0..N and deaths on 1..N; the killing rates are never read.
+    """
+    N = _count("N", N, 0)
+    b = spec._rates("birth", 0, N + 1)
+    mu = _in_float_range("mu", _bd_mu(b[:-1], spec._rates("death", 1, N + 1)))
     with np.errstate(over="ignore"):  # mu_N b_N past float range gives nu_hat_N = 0
         return MeasurePair(mu=mu, nu_hat=1.0 / (mu * b))
 

@@ -24,7 +24,7 @@ class PotentialExceedsRate(IsospecError):
 class Overflow(IsospecError):
     def __init__(self, index, what="value"):
         self.index = index
-        super().__init__(f"{what} exceeds the representable range at index {index}")
+        super().__init__(f"{what} leaves float range at index {index}")
 
 
 class Divergence(IsospecError):
@@ -40,17 +40,6 @@ class NonConvergence(IsospecError):
         self.max_iter, self.final_delta = max_iter, final_delta
         super().__init__(
             f"no convergence after {max_iter} iterations (last change {final_delta:g})"
-        )
-
-
-class NotMonotone(IsospecError):
-    """The minimal-solution iteration, monotone from zero, decreased."""
-
-    def __init__(self, iteration, i, before, after):
-        self.iteration, self.i, self.before, self.after = iteration, i, before, after
-        super().__init__(
-            f"monotone iteration decreased at step {iteration}: "
-            f"h[{i}] fell from {before:g} to {after:g}"
         )
 
 

@@ -13,8 +13,7 @@ import numpy as np
 
 from ._checks import _count, _h_values, _no_positive_killing, _per_state, _states, _tolerance
 from .chains import BirthDeathSpec, QPairSpec, _bd_h_recurrence
-from .errors import (Divergence, InvalidArgument, NonConvergence, NotMonotone,
-                     PreconditionViolated)
+from .errors import Divergence, InvalidArgument, NonConvergence, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class HarmonicVector:
         return self.values.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationTrace:
     converged: bool
     final_delta: float
@@ -59,16 +58,13 @@ def _fixed_point(step, x, tol, max_iter):
 
     Returns (x, IterationTrace); raises NonConvergence after max_iter steps.
     """
-    trace = IterationTrace(converged=False, final_delta=np.inf)
     for it in range(1, max_iter + 1):
         new = step(x, it)
-        trace.final_delta = float(np.max(np.abs(new - x))) if x.size else 0.0
-        trace.n_iter = it
+        delta = float(np.max(np.abs(new - x))) if x.size else 0.0
         x = new
-        if trace.final_delta < tol:
-            trace.converged = True
-            return x, trace
-    raise NonConvergence(max_iter, trace.final_delta)
+        if delta < tol:
+            return x, IterationTrace(converged=True, final_delta=delta, n_iter=it)
+    raise NonConvergence(max_iter, delta)
 
 
 def _hitting_kernel(qp: QPairSpec, theta: int):
@@ -127,7 +123,9 @@ def minimal_harmonic(
     Solves (q_x - c_x) h_x = sum_{y != x} q_xy h_y for x != theta with
     h_theta = 1.  The iterative route runs the monotone fixed-point map from
     zero and is the reference semantics; method "solve" uses a direct linear
-    solve of the same equations for cross-checking and speed.
+    solve of the same equations for cross-checking and speed, and raises
+    PreconditionViolated where that system is singular or its solution has a
+    non-finite entry or one below -tol * max(1, max |h|).
 
     Returns (HarmonicVector, IterationTrace).
     """
@@ -143,16 +141,20 @@ def minimal_harmonic(
         # When every state reaches theta, r is a slice and nothing is copied.
         r = slice(None) if np.all(reach) else np.flatnonzero(reach)
         hm = np.zeros(m)
-        hm[r] = np.linalg.solve((np.eye(m) - K)[r][:, r], s[r])
+        try:
+            hm[r] = np.linalg.solve((np.eye(m) - K)[r][:, r], s[r])
+        except np.linalg.LinAlgError:
+            raise PreconditionViolated("no finite minimal solution: I - K is singular") from None
+        # a nonnegative solution dominates the minimal one, so the unique one is it
+        bad = np.flatnonzero(~np.isfinite(hm) | (hm < -tol * np.max(np.abs(hm), initial=1.0)))
+        if bad.size:
+            i = int(np.flatnonzero(mask)[bad[0]])
+            raise PreconditionViolated(
+                f"no finite minimal solution: the direct solve gives h[{i}] = {float(hm[bad[0]])}")
         trace = IterationTrace(converged=True, final_delta=0.0, n_iter=0)
     elif method == "iterate":
         def step(hm, it):
-            new = K @ hm + s
-            # the map is monotone from zero; tiny float regressions aside
-            drop = np.flatnonzero(new < hm - 1e-13 * np.maximum(1.0, np.abs(hm)))
-            if drop.size:
-                i = int(np.flatnonzero(mask)[drop[0]])
-                raise NotMonotone(it, i, float(hm[drop[0]]), float(new[drop[0]]))
+            new = K @ hm + s  # K, s >= 0: nondecreasing from zero
             if np.any(new > ceiling):
                 raise Divergence(ceiling, it)
             return new

@@ -258,7 +258,7 @@ def test_a_short_rate_array_is_an_invalid_argument_and_still_an_index_error():
     (BirthDeathSpec(1.0, lambda i: float("one" if i == 3 else 1)),
      lambda s: s.rate_arrays(5), ValueError, r"^death rate at state 3 raised ValueError: "),
     (BirthDeathSpec(1.0, 1.0, lambda i: 1.0 / (i - 2)),
-     lambda s: bd_measures(s, 4), ZeroDivisionError,
+     lambda s: bd_to_band(s, 4), ZeroDivisionError,
      r"^killing rate at state 2 raised ZeroDivisionError: "),
     (BirthDeathSpec(lambda i: 1j, 1.0), lambda s: s.b(0), TypeError,
      r"^birth rate at state 0 raised TypeError: "),
@@ -310,6 +310,17 @@ def test_a_chain_and_its_measure_read_each_state_once(band):
     assert calls == list(range(20))
     # the same bits as bd_measures, which also reads b_20
     assert mu.tobytes() == bd_measures(BirthDeathSpec(1.0, 2.0, -0.05), 20).mu.tobytes()
+
+
+def test_bd_measures_never_reads_the_killing_rates():
+    def killing(i):
+        raise AssertionError(f"killing rate read at state {i}")
+
+    assert np.array_equal(bd_measures(BirthDeathSpec(2.0, 1.0, killing), 4).mu,
+                          [1.0, 2.0, 4.0, 8.0, 16.0])
+    # a killing rate that cannot be read is no error where none is needed
+    mp = bd_measures(BirthDeathSpec(1.0, 1.0, lambda i: 1.0 / (i - 2)), 4)
+    assert np.array_equal(mp.mu, np.ones(5))
 
 
 def test_bd_to_qpair_reflecting_never_reads_the_last_birth_rate():

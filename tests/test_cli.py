@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 
 import isospec.chains
 import isospec.eigenbounds
-import isospec.harmonic
 from isospec._checks import _float_array
 from isospec._cli_chains import _rates_fault, load_chain
 from isospec._cli_io import SchemaError, _emit
@@ -811,22 +810,19 @@ def test_nonpositive_rates_are_schema_errors_on_every_path(capsys, tmp_path, doc
                                 f"run `isospec {argv[0]} --help` for the input schema"]
 
 
-def test_minimal_harmonic_decrease_exits_one(capsys, monkeypatch, tmp_path):
-    # the iteration is monotone for every valid chain, so break the kernel
-    def bad_kernel(qp, theta):
-        K, s, mask = kernel(qp, theta)
-        return -K, s, mask
-
-    kernel = isospec.harmonic._hitting_kernel
-    monkeypatch.setattr(isospec.harmonic, "_hitting_kernel", bad_kernel)
+@pytest.mark.parametrize("killing, method, message", [
+    ([0, 1.5, 0.5], "solve",
+     "no finite minimal solution: the direct solve gives h[1] = -0.6666666666666666"),
+    ([0, 1.5, 0.5], "iterate", "iterate exceeded ceiling 1e+150 at step 498"),
+    ([0, 1, 0], "solve", "no finite minimal solution: I - K is singular"),
+], ids=["negative-solve", "negative-iterate", "singular-solve"])
+def test_harmonic_without_a_finite_minimal_solution_exits_one(capsys, tmp_path, killing,
+                                                              method, message):
     chain = _write(tmp_path, "c.json", {
-        "type": "qpair", "rates": [[0, 2, 0], [1, 0, 3], [0, 1, 0]],
-        "killing": [-0.5, -0.2, -0.4],
-    })
-    code, out, err = _run(capsys, "harmonic", chain, "--method", "iterate")
-    assert code == 1 and out == ""
-    assert err.startswith("isospec: check failed: monotone iteration decreased at step")
-    assert "Traceback" not in err
+        "type": "qpair", "rates": [[0, 1, 0], [1, 0, 1], [0, 1, 0]], "killing": killing})
+    code, out, err = _run(capsys, "harmonic", chain, "--method", method)
+    assert (code, out) == (1, "")
+    assert err == f"isospec: check failed: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [

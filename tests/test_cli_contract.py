@@ -141,8 +141,7 @@ def test_overflowing_transformed_measure_fails_the_check(tmp_path):
     code, out, err = _run(tmp_path, ["verify", "c.json", "c.json", "--h", "h.json"], docs)
     assert code == 1
     assert out == ""
-    assert err == ("isospec: check failed: h-transformed measure exceeds the "
-                   "representable range at index 1\n")
+    assert err == "isospec: check failed: h-transformed measure leaves float range at index 1\n"
 
 
 def test_bd_forward_transform_refuses_a_measure_past_float_range(tmp_path):
@@ -153,8 +152,8 @@ def test_bd_forward_transform_refuses_a_measure_past_float_range(tmp_path):
     docs = {"c.json": chain, "h.json": h.values.tolist()}
     code, out, err = _run(tmp_path, ["transform", "c.json", "--h", "h.json"], docs)
     assert (code, out) == (1, "")  # no report with Infinity in "mu"
-    assert err == ("isospec: check failed: h-transformed measure exceeds the "
-                   "representable range at index 513\n")
+    assert err == ("isospec: check failed: h-transformed measure leaves float range "
+                   "at index 513\n")
 
 
 HUGE = {"type": "bd", "birth": 1e308, "death": 1e308, "killing": 1e-10, "N": 6}
@@ -182,12 +181,11 @@ UNDERFLOW = {"type": "bd", "birth": [1e-300, 1.0, 1.0], "death": [0.0, 1e-130, 1
     # a~_1 = 1e-130 h_0 / h_1 rounds to 0: the transform's result, not the document
     (["transform", "c.json", "--h", "h.json", "--direction", "forward"], UNDERFLOW,
      [1.0, 1e200, 1e200], 1,
-     "isospec: check failed: transformed death rate exceeds the representable range "
-     "at index 1"),
+     "isospec: check failed: transformed death rate leaves float range at index 1"),
     # h_2 of bounds' own recurrence overflows, which is not an h too short
     (["bounds", "c.json", "--nmax", "100"],
      {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1e300}, None, 1,
-     "isospec: check failed: h exceeds the representable range at index 2"),
+     "isospec: check failed: h leaves float range at index 2"),
     # c_0 - q_0 overflows at load: an input error, not a NaN residual
     (["harmonic", "c.json", "--method", "solve", "--theta", "1"],
      {"type": "qpair", "rates": [[0, 1e308], [1e308, 0]], "killing": [-1e308, -1e308]},

@@ -221,7 +221,7 @@ def test_bd_h_transform_refuses_a_transformed_rate_that_underflows():
     assert h.tolist() == [1.0, 1e200, 1e200]
     with pytest.raises(Overflow) as ei:
         bd_h_transform(s, h, 1)
-    assert str(ei.value) == "transformed death rate exceeds the representable range at index 1"
+    assert str(ei.value) == "transformed death rate leaves float range at index 1"
 
 
 def test_bd_h_transform_needs_h_past_the_edge():

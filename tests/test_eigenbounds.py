@@ -252,7 +252,7 @@ def test_bounds_report_refuses_an_h_it_computes_past_float_range():
     s = BirthDeathSpec(birth=1.0, death=1.0, killing=-1e300)
     with pytest.raises(Overflow) as ei:
         bounds_report(s, N_max=100)
-    assert str(ei.value) == "h exceeds the representable range at index 2"
+    assert str(ei.value) == "h leaves float range at index 2"
     # a caller's h with fewer than three finite values is still an argument error
     with pytest.raises(InvalidArgument, match="^need h on at least 0..2$"):
         delta_tilde(CONST, [1.0, 2.0, np.inf, 4.0])

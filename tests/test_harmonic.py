@@ -16,6 +16,7 @@ from isospec import (
     minimal_harmonic,
     validate_qpair,
 )
+from isospec.errors import InvalidArgument
 from conftest import exact_harmonic_pair, make_conservative, make_reversible_killed
 
 
@@ -235,6 +236,24 @@ def test_minimal_harmonic_diverges_on_supercritical_potential():
     qp = validate_qpair(rates, None, np.array([0.0, 1.5, 0.5]))
     with pytest.raises(Divergence):
         minimal_harmonic(qp, 0, ceiling=1e6)
+
+
+@pytest.mark.parametrize("killing, message", [
+    # K h + s from 0 diverges, and I - K has a solution with negative entries
+    ([0.0, 1.5, 0.5],
+     r"^no finite minimal solution: the direct solve gives h\[1\] = -0\.6666666666666666$"),
+    # the spectral radius of K is exactly 1
+    ([0.0, 1.0, 0.0], r"^no finite minimal solution: I - K is singular$"),
+], ids=["negative", "singular"])
+def test_minimal_solve_refuses_where_no_finite_minimal_solution_exists(killing, message):
+    rates = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    qp = validate_qpair(rates, None, np.array(killing))
+    with pytest.raises(PreconditionViolated, match=message) as ei:
+        minimal_harmonic(qp, 0, method="solve")
+    assert not isinstance(ei.value, InvalidArgument)  # a failed check, not bad input
+    # the reference iteration finds no finite limit either
+    with pytest.raises((Divergence, NonConvergence)):
+        minimal_harmonic(qp, 0, max_iter=1000)
 
 
 def test_minimal_harmonic_nonconvergence_budget():

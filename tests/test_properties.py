@@ -4,6 +4,8 @@ The dense examples are reversible killed chains built from conductances w on
 a spanning path plus random extra edges, rates w_ij / mu_i, and a positive h
 spanning about six orders of magnitude.  The birth-death examples check the
 paper's identities on bd families and the band form against the dense one.
+The minimal-solution example runs the anchored iteration on chains whose
+killing is negative, zero or positive.
 The closed-form examples hold the eigensolvers to chains whose spectra are
 known exactly.  The argument-check examples feed the chain exports that take
 a state index or a per-state vector valid and malformed arguments.
@@ -51,6 +53,7 @@ from isospec import (
     validate_qpair,
 )
 from isospec.chains import BandSpec, bd_to_band, validate_band
+from isospec.harmonic import _hitting_kernel
 from isospec._cli_chains import _emit_qpair_transform
 from conftest import exact_harmonic_pair, make_reversible_killed
 
@@ -124,6 +127,32 @@ def test_measure_dual_is_an_involution(case, data):
     assert np.max(np.abs(twice.rates - qp.rates)) <= tol
     assert np.max(np.abs(twice.total - qp.total)) <= tol
     assert np.max(np.abs(twice.killing - qp.killing)) <= tol
+
+
+@given(st.integers(2, 120), st.sampled_from(["negative", "zero", "positive"]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_the_anchored_iteration_never_decreases(n, kind, seed, data):
+    # K, s >= 0 and the map starts at 0, so every iterate of h <- K h + s is at
+    # least the one before in floating point too: no tolerance
+    rng = np.random.default_rng(seed)
+    rates = np.zeros((n, n))
+    k = np.arange(n - 1)
+    rates[k, k + 1], rates[k + 1, k] = rng.uniform(0.1, 10.0, (2, n - 1))
+    i, j = rng.integers(0, n, (2, int(rng.integers(0, 2 * n + 1))))
+    rates[i, j] += rng.uniform(0.1, 10.0, i.size)
+    np.fill_diagonal(rates, 0.0)
+    total = rates.sum(axis=1)
+    killing = {"negative": -rng.uniform(0.0, 5.0, n), "zero": np.zeros(n),
+               "positive": rng.uniform(0.0, 0.9, n) * total}[kind]
+    theta = data.draw(st.integers(0, n - 1))
+    K, s, _ = _hitting_kernel(validate_qpair(rates, total, killing), theta)
+    h = np.zeros(n - 1)
+    for _ in range(500):
+        new = K @ h + s
+        assert np.all(new >= h)
+        if new.max() > 1e150 or (new - h).max() < 1e-12:  # the ceiling, or converged
+            break
+        h = new
 
 
 # ---------------------------------------------------------------- birth-death families
