@@ -1,4 +1,4 @@
-"""The argument checks shared across the library.
+"""The argument checks and the record base shared across the library.
 
 Each check reads an argument as numbers and raises an IsospecError that
 names it.  They live apart from errors, which imports no numpy.
@@ -6,6 +6,64 @@ names it.  They live apart from errors, which imports no numpy.
 import numpy as np
 
 from .errors import InvalidArgument, NonpositiveH, Overflow, PreconditionViolated
+
+
+class _RecordType(type):
+    """Make a record class's annotated names its slots, in order, and their values its defaults."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns.update(_defaults={f: ns.pop(f) for f in fields if f in ns}, _fields=fields,
+                  __slots__=fields)
+        return super().__new__(mcls, name, bases, ns)
+
+
+class _Record(metaclass=_RecordType):
+    """A frozen record as @dataclass(frozen=True) makes one, with no code generated per class.
+
+    Equality and hashing skip the fields named in _uncompared, the repr those
+    in _unshown; __post_init__ runs once the fields are set.
+    """
+
+    _uncompared = _unshown = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or kwargs.keys() & names[:len(args)]
+                or values.keys() != set(names)):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        for f in names:
+            object.__setattr__(self, f, values[f])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _asdict(self) -> dict:
+        return {f: getattr(self, f) for f in self._fields}
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields if f not in self._uncompared)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if f not in self._unshown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild the record, whose slots are frozen
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 def _check_finite(name, *arrays):

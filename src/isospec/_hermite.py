@@ -6,13 +6,12 @@ when one of them is used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
 import numpy as np
 
-from ._checks import _count
+from ._checks import _Record, _count
 from .errors import PreconditionViolated
 
 _S_TAGS = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -23,8 +22,7 @@ def _sum(p: tuple, q: tuple) -> tuple:
     return tuple(u + v for u, v in zip_longest(p, q, fillvalue=0))
 
 
-@dataclass(frozen=True)
-class PolyGauss:
+class PolyGauss(_Record):
     """p(x) exp(-s x^2) with exact rational coefficients, s in {0, 1/2, 1}.
 
     Closed under differentiation, so derivative towers carry no rounding.

@@ -13,19 +13,16 @@ additional killing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._checks import _check_finite, _count, _float_array, _in_float_range, _per_state
+from ._checks import _Record, _check_finite, _count, _float_array, _in_float_range, _per_state
 from .errors import (NegativeRate, PotentialExceedsRate, PreconditionViolated, _BadRate,
                      _ShortRates)
 
 _CONS_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class QPairSpec:
+class QPairSpec(_Record):
     """Validated finite-state jump specification with potential."""
 
     rates: np.ndarray
@@ -112,8 +109,7 @@ def _check_totals(row, total, killing):
     return q, c, conservative
 
 
-@dataclass(frozen=True)
-class BandSpec:
+class BandSpec(_Record):
     """Validated tridiagonal jump specification: a QPairSpec kept as its band.
 
     up[k] is the rate k -> k+1 and down[k] the rate k+1 -> k; every other
@@ -189,8 +185,7 @@ def validate_band(up, down, total=None, killing=None) -> BandSpec:
 _POSITIVE = {"birth": "b", "death": "a"}  # rate fields that must be positive
 
 
-@dataclass(frozen=True)
-class BirthDeathSpec:
+class BirthDeathSpec(_Record):
     """Birth-death rates on {0, 1, ...} with a signed potential.
 
     birth, death, killing each accept a scalar, a sequence indexed by state,
@@ -255,8 +250,7 @@ class BirthDeathSpec:
         return b, a, c
 
 
-@dataclass(frozen=True)
-class MeasurePair:
+class MeasurePair(_Record):
     """Symmetrising measure mu and the dual weights nu_hat = 1/(mu_i b_i)."""
 
     mu: np.ndarray

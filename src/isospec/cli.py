@@ -12,26 +12,25 @@ Exit status: 0 on success or PASS, 1 on a check failure, 2 on a usage or
 parse error, a flag value out of range, input over the size caps, or running
 out of memory.  Reports go to stdout as JSON (default) or CSV; diagnostics,
 the library's advisories among them, go to stderr as isospec: lines.
+
+This module holds the parser, main and run.  The handlers live in
+_cli_chains (harmonic, transform, verify, bounds) and _cli_diffop (diffop);
+main compiles only the one it dispatches to, and builds only that
+subcommand's parser.  Nothing here imports numpy: usage errors, --help and
+the refusals of a document's structure answer before it loads.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 import warnings
 
-from ._cli_io import (SchemaError, _capped, _emit, _finite, _floats, _integer, _load_json,
-                      _note, _schema_errors, _tol, _verdict)
+from ._cli_io import SchemaError, _note
 from .errors import InvalidArgument, IsospecError, MalformedExpression, _BadRate
-
-# Each handler imports the modules it needs, so a chain request never loads
-# the expression and operator modules, and an operator request never loads
-# the chain modules nor compiles the chain handlers of _cli_chains.  Nothing
-# here imports numpy: usage errors, --help and the refusals of a document's
-# structure answer before it loads.
-
 
 CHAIN_SCHEMA = """\
 chain JSON, one of:
@@ -57,143 +56,6 @@ h JSON for --h: {"h": expr} (derivatives taken symbolically),
 {"h": expr, "h1": expr, "h2": expr} with declared derivatives, or sampled
 values {"grid": [...], "values": [...]} on an increasing grid that covers
 the interval."""
-
-
-# ---------------------------------------------------------------- loading
-
-
-def _coeff_node(doc: dict, key: str, default=None):
-    """Entry key of an operator or h document, a number or an expression string."""
-    if key not in doc:
-        if default is None:
-            raise SchemaError(f"operator JSON is missing {key!r}")
-        return default
-    node = doc[key]
-    if isinstance(node, str) or isinstance(node, (int, float)) and not isinstance(node, bool):
-        return node
-    raise SchemaError(f"{key!r} must be a number or an expression string")
-
-
-def _coeff(key: str, node):
-    """An entry checked by _coeff_node as a float, or the function of its expression."""
-    if isinstance(node, str):
-        from .expressions import compile_expression
-
-        return compile_expression(node).fn
-    return float(_finite(key, _floats(key, node)))
-
-
-def load_operator(doc) -> Operator1D:
-    """The operator of a document whose keys, "M" and "bc" are checked first."""
-    if not isinstance(doc, dict):
-        raise SchemaError("operator JSON must be an object")
-    nodes = [_coeff_node(doc, "a"), _coeff_node(doc, "b"), _coeff_node(doc, "c", default=0.0)]
-    M = _capped('"M"', _integer("M", doc.get("M", 400)))
-    if M < 2:
-        raise SchemaError('"M" must be at least 2')
-    bc = doc.get("bc", ["neumann", "neumann"])
-    if not (isinstance(bc, list) and len(bc) == 2):
-        raise SchemaError('"bc" must name two boundary conditions')
-    from .diffops import Operator1D
-
-    a, b, c = (_coeff(k, node) for k, node in zip("abc", nodes))
-    iv = _floats("interval", doc.get("interval"))
-    if iv.shape != (2,):
-        raise SchemaError('"interval" must be [lo, hi]')
-    lo, hi = _finite("interval", iv).tolist()
-    if not lo < hi:
-        raise SchemaError('"interval" must have lo < hi')
-    with _schema_errors():
-        return Operator1D.on_interval(a, b, c, lo, hi, M, boundary=tuple(bc))
-
-
-def load_smooth(path: str, x) -> SmoothFunction:
-    """The h of a diffop request on the operator's grid x; sampled values must cover x."""
-    from .diffops import SmoothFunction
-
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError("h JSON for diffop must be an object")
-    if "values" in doc:
-        if "grid" not in doc:
-            raise SchemaError('sampled h needs both "grid" and "values"')
-        grid = _finite("grid", _floats("grid", doc["grid"]))
-        vals = _finite("values", _floats("values", doc["values"]))
-        with _schema_errors():
-            h = SmoothFunction.from_values(grid, vals)
-        lo, hi = float(grid[0]), float(grid[-1])
-        if lo > x[0] or hi < x[-1]:  # np.interp would extend the end values
-            raise SchemaError(f"sampled h covers [{lo}, {hi}], not the operator's "
-                              f"interval [{float(x[0])}, {float(x[-1])}]")
-        return h
-    if "h" not in doc:
-        raise SchemaError('h JSON needs "h" (expression) or "grid"/"values"')
-    if "h1" in doc or "h2" in doc:
-        if not ("h1" in doc and "h2" in doc):
-            raise SchemaError("declare both h1 and h2 or neither")
-        return SmoothFunction(*(_coeff(k, _coeff_node(doc, k)) for k in ("h", "h1", "h2")))
-    expr = doc["h"]
-    if not isinstance(expr, str):
-        raise SchemaError('"h" must be an expression string')
-    return SmoothFunction.from_expression(expr)
-
-
-# ---------------------------------------------------------------- handler
-
-
-def cmd_diffop(args) -> int:
-    op = load_operator(_load_json(args.op))
-    if args.check in ("eigen", "transform"):
-        if args.h is None:
-            raise SchemaError(f"--check {args.check} needs --h")
-        h = load_smooth(args.h, op.grid)
-
-    from .diffops import discretize, forward_transform, riccati_dual, verify_lh_eigen
-
-    if args.check == "eigen":
-        from dataclasses import asdict, astuple
-
-        checks = verify_lh_eigen(h, n_max=args.nmax, grid=op.grid)
-        ok = all(ch.passed for ch in checks)
-        payload = {"checks": [asdict(ch) for ch in checks], "all_passed": ok}
-        _emit(args, payload, header=("n", "residual", "bound", "passed"),
-              rows=lambda: map(astuple, checks))
-        return _verdict(args, ok)
-
-    if args.check == "transform":
-        ot = forward_transform(op, h, **_tol(args))
-        x = op.grid
-        bt = ot.b(x)
-        payload = {
-            "x": x,
-            "b_tilde": bt,
-            "a": ot.a(x),
-            "boundary": ot.boundary,
-        }
-        _emit(args, payload, header=("x", "b_tilde"), rows=lambda: zip(x, bt))
-        return 0
-
-    if args.check == "spectrum":
-        disc = discretize(op)
-        vals = disc.lowest(args.k)
-        payload = {
-            "eigenvalues": vals,
-            "n_nodes": disc.n_nodes,
-            "boundary": disc.boundary,
-        }
-        _emit(args, payload, header=("k", "lambda"), rows=lambda: enumerate(vals))
-        return 0
-
-    rr = riccati_dual(op, args.phi0)  # --check riccati
-    payload = {
-        "x": rr.grid,
-        "phi": rr.phi,
-        "psi": rr.psi,
-        "b_tilde": rr.b_tilde,
-    }
-    _emit(args, payload, header=("x", "phi", "psi", "b_tilde"),
-          rows=lambda: zip(rr.grid, rr.phi, rr.psi, rr.b_tilde))
-    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -241,12 +103,14 @@ def _tolerance(text: str) -> float:
     return _number(text, positive=True)
 
 
-def _chain_command(name: str):
-    """The handler of chain subcommand name; its module loads on dispatch."""
+def _handler(name: str):
+    """The handler of subcommand name; its module loads on dispatch."""
     def handler(args) -> int:
-        from . import _cli_chains
-
-        return getattr(_cli_chains, f"cmd_{name}")(args)
+        if name == "diffop":
+            from . import _cli_diffop as commands
+        else:
+            from . import _cli_chains as commands
+        return getattr(commands, f"cmd_{name}")(args)
 
     return handler
 
@@ -265,7 +129,13 @@ def _common_flags(p: argparse.ArgumentParser, suppress: bool):
                    help="suppress warnings and notes")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The parser with subcommand cmd alone, or the full tree if cmd names none.
+
+    main passes the command line's first word, so --help and a leading option get the full tree.
+    """
+    every = ("harmonic", "transform", "verify", "bounds", "diffop")
+    names = (cmd,) if cmd in every else every
     parser = _Parser(
         prog="isospec",
         description="Doob transforms, spectra, and eigenvalue bounds "
@@ -279,63 +149,66 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _common_flags(common, suppress=True)
 
-    def command(name, func, summary, epilog=CHAIN_SCHEMA):
+    def command(name, summary, epilog=CHAIN_SCHEMA):
         p = sub.add_parser(name, parents=[common], help=summary, epilog=epilog,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_handler(name))
         return p
 
-    p = command("harmonic", _chain_command("harmonic"), "harmonic vector of a chain")
-    p.add_argument("chain", help="chain JSON file (- for stdin)")
-    p.add_argument("--theta", type=int, default=0,
-                   help="anchor state for the minimal solution")
-    p.add_argument("--method", choices=("iterate", "solve", "explicit"),
-                   default="iterate")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="truncation level for --method explicit")
+    if "harmonic" in names:
+        p = command("harmonic", "harmonic vector of a chain")
+        p.add_argument("chain", help="chain JSON file (- for stdin)")
+        p.add_argument("--theta", type=int, default=0,
+                       help="anchor state for the minimal solution")
+        p.add_argument("--method", choices=("iterate", "solve", "explicit"),
+                       default="iterate")
+        p.add_argument("--nmax", type=int, default=None,
+                       help="truncation level for --method explicit")
 
-    p = command("transform", _chain_command("transform"), "conjugate a chain by h",
-                CHAIN_SCHEMA + "\n\n" + H_SCHEMA)
-    p.add_argument("chain", help="chain JSON file (- for stdin)")
-    p.add_argument("--h", help="h JSON file")
-    p.add_argument("--direction",
-                   choices=("forward", "inverse", "local", "measure"),
-                   default="forward")
-    p.add_argument("--set", default=None,
-                   help="comma-separated harmonic set for --direction local")
+    if "transform" in names:
+        p = command("transform", "conjugate a chain by h", CHAIN_SCHEMA + "\n\n" + H_SCHEMA)
+        p.add_argument("chain", help="chain JSON file (- for stdin)")
+        p.add_argument("--h", help="h JSON file")
+        p.add_argument("--direction",
+                       choices=("forward", "inverse", "local", "measure"),
+                       default="forward")
+        p.add_argument("--set", default=None,
+                       help="comma-separated harmonic set for --direction local")
 
-    p = command("verify", _chain_command("verify"), "compare two chains' spectra",
-                CHAIN_SCHEMA + "\n\n" + H_SCHEMA)
-    p.add_argument("chain_a", help="first chain JSON file")
-    p.add_argument("chain_b", help="second chain JSON file")
-    p.add_argument("--h", help="h JSON file; second measure becomes h^2 mu")
+    if "verify" in names:
+        p = command("verify", "compare two chains' spectra", CHAIN_SCHEMA + "\n\n" + H_SCHEMA)
+        p.add_argument("chain_a", help="first chain JSON file")
+        p.add_argument("chain_b", help="second chain JSON file")
+        p.add_argument("--h", help="h JSON file; second measure becomes h^2 mu")
 
-    p = command("bounds", _chain_command("bounds"),
-                "Hardy-constant enclosure of the principal eigenvalue")
-    p.add_argument("chain", help="bd chain JSON file")
-    p.add_argument("--nmax", type=int, default=2048,
-                   help="largest truncation level")
-    p.add_argument("--tail-tol", type=_tolerance, default=1e-10,
-                   help="relative tail slack for the certificate")
+    if "bounds" in names:
+        p = command("bounds", "Hardy-constant enclosure of the principal eigenvalue")
+        p.add_argument("chain", help="bd chain JSON file")
+        p.add_argument("--nmax", type=int, default=2048,
+                       help="largest truncation level")
+        p.add_argument("--tail-tol", type=_tolerance, default=1e-10,
+                       help="relative tail slack for the certificate")
 
-    p = command("diffop", cmd_diffop, "differential-operator checks", OP_SCHEMA)
-    p.add_argument("op", help="operator JSON file (- for stdin)")
-    p.add_argument("--h", help="h JSON file (expression or sampled values)")
-    p.add_argument("--check",
-                   choices=("eigen", "transform", "spectrum", "riccati"),
-                   default="transform")
-    p.add_argument("--nmax", type=int, default=10,
-                   help="eigenfunction count for --check eigen")
-    p.add_argument("--k", type=int, default=5,
-                   help="eigenvalue count for --check spectrum")
-    p.add_argument("--phi0", type=_number, default=0.0,
-                   help="anchor value for --check riccati")
+    if "diffop" in names:
+        p = command("diffop", "differential-operator checks", OP_SCHEMA)
+        p.add_argument("op", help="operator JSON file (- for stdin)")
+        p.add_argument("--h", help="h JSON file (expression or sampled values)")
+        p.add_argument("--check",
+                       choices=("eigen", "transform", "spectrum", "riccati"),
+                       default="transform")
+        p.add_argument("--nmax", type=int, default=10,
+                       help="eigenfunction count for --check eigen")
+        p.add_argument("--k", type=int, default=5,
+                       help="eigenvalue count for --check spectrum")
+        p.add_argument("--phi0", type=_number, default=0.0,
+                       help="anchor value for --check riccati")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = None
     with warnings.catch_warnings():
         # the library's advisories print as diagnosis lines, which --quiet silences
@@ -374,6 +247,7 @@ def _stdout_closed() -> int:
 
 def run():
     """Entry point of the isospec script and python -m isospec.cli: exit with main()."""
+    gc.disable()  # no cyclic GC: its passes walk what imports made, and os._exit frees all
     code = main()
     try:
         try:

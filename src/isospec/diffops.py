@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ._checks import _count, _float_array, _grid, _per_state, _scalar, _tolerance
+from ._checks import _Record, _count, _float_array, _grid, _per_state, _scalar, _tolerance
 from .errors import (BlowUp, GridTooCoarse, InvalidArgument, NotHarmonicAt, ZeroH,
                      PreconditionViolated)
 from .expressions import _vectorized, compile_expression, constant
@@ -37,8 +36,7 @@ def _as_fn(v) -> Callable:
 _BC = ("dirichlet", "neumann")
 
 
-@dataclass(frozen=True)
-class Operator1D:
+class Operator1D(_Record):
     """a d2/dx2 + b d/dx + c on a strictly increasing grid, with a > 0."""
 
     a: Callable
@@ -73,8 +71,7 @@ class Operator1D:
         return self.a(x), self.b(x), self.c(x)
 
 
-@dataclass(frozen=True)
-class SmoothFunction:
+class SmoothFunction(_Record):
     """Point evaluations of (h, h', h'') with analytically supplied derivatives."""
 
     h: Callable
@@ -202,15 +199,15 @@ def inverse_transform(opt: Operator1D, h: SmoothFunction) -> Operator1D:
     return Operator1D(a=opt.a, b=b_new, c=c_new, grid=opt.grid, boundary=opt.boundary)
 
 
-@dataclass(frozen=True)
-class RiccatiResult:
+class RiccatiResult(_Record):
     """phi, psi = int phi, and the dual drift on the integration grid."""
 
     grid: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     b_tilde: np.ndarray
-    phi_prime: np.ndarray = field(repr=False, default=None)
+    phi_prime: np.ndarray = None
+    _unshown = ("phi_prime",)
 
     def smooth(self, mode: str = "ode") -> SmoothFunction:
         """h = e^psi as a SmoothFunction.
@@ -306,8 +303,7 @@ def riccati_dual(
     return RiccatiResult(grid=x, phi=phi, psi=psi, b_tilde=bt, phi_prime=dphi)
 
 
-@dataclass(frozen=True)
-class Discretization:
+class Discretization(_Record):
     """mu-symmetric finite-volume matrix: tridiagonal of -L plus the weights."""
 
     x: np.ndarray
@@ -404,8 +400,7 @@ def discretize(op: Operator1D) -> Discretization:
     return Discretization(x=x[idx], d=d, e=e, mu=mass[idx], boundary=bc)
 
 
-@dataclass(frozen=True)
-class EigenCheck:
+class EigenCheck(_Record):
     n: int
     residual: float
     bound: float

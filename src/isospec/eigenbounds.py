@@ -8,12 +8,11 @@ form by a positive harmonic function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._checks import (_count, _h_values, _in_float_range, _no_positive_killing, _positive_h,
-                      _tolerance)
+from ._checks import (_Record, _count, _h_values, _in_float_range, _no_positive_killing,
+                      _positive_h, _tolerance)
 from .chains import BirthDeathSpec, _bd_h_recurrence, _bd_mu, _conjugated_weights
 from .errors import InvalidArgument, PreconditionViolated, TailNotResolved
 from .spectra import lowest_eigs_tridiag
@@ -42,15 +41,15 @@ def lambda0_variational(spec: BirthDeathSpec, N: int) -> float:
     return _lambda0(b, a, c, [N])[0][1]
 
 
-@dataclass(frozen=True)
-class DeltaResult:
+class DeltaResult(_Record):
     """Hardy constant estimate with the index attaining the supremum."""
 
     value: float
     n_sup: int
     slack: float
     n_terms: int
-    partial: np.ndarray | None = field(default=None, compare=False, repr=False)
+    partial: np.ndarray | None = None
+    _uncompared = _unshown = ("partial",)
 
 
 def delta_tilde(
@@ -133,8 +132,7 @@ def delta_tilde(
     raise TailNotResolved(sup, n_sup, slack, kk)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Record):
     """Two-sided enclosure of the principal eigenvalue via the Hardy constant."""
 
     delta_tilde: float
@@ -147,11 +145,12 @@ class BoundsReport:
     containment: bool
     epsilon: float
     delta_slack: float = 0.0
-    delta_detail: DeltaResult = field(default=None, compare=False, repr=False)
+    delta_detail: DeltaResult = None
+    _uncompared = _unshown = ("delta_detail",)
 
     def to_dict(self):
         """The report's fields in order, without the Hardy-constant detail."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return {f: getattr(self, f) for f in self._fields if f not in self._uncompared}
 
 
 def bounds_report(

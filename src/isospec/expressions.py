@@ -31,12 +31,11 @@ import math
 import operator
 import re
 import tokenize
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ._checks import _count, _float_array
+from ._checks import _Record, _count, _float_array
 from .errors import MalformedExpression
 
 MAX_LENGTH = 2000
@@ -414,13 +413,13 @@ def _vectorized(raw: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-@dataclass(frozen=True)
-class CompiledExpr:
+class CompiledExpr(_Record):
     """A parsed expression (tuple AST) together with its numpy evaluator."""
 
     text: str
     expr: tuple
-    fn: Callable = field(compare=False, repr=False, default=None)
+    fn: Callable = None
+    _uncompared = _unshown = ("fn",)
 
     def __call__(self, x):
         return self.fn(x)

@@ -7,17 +7,16 @@ monotone-decreasing maximal solution started from the constant 1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _count, _h_values, _no_positive_killing, _per_state, _states, _tolerance
+from ._checks import (_Record, _count, _h_values, _no_positive_killing, _per_state, _states,
+                      _tolerance)
 from .chains import BirthDeathSpec, QPairSpec, _bd_h_recurrence
 from .errors import Divergence, InvalidArgument, NonConvergence, PreconditionViolated
 
 
-@dataclass(frozen=True)
-class HarmonicVector:
+class HarmonicVector(_Record):
     """Candidate harmonic function with residual metadata.
 
     values has one entry per state; residual is the max of |A h| over
@@ -29,14 +28,14 @@ class HarmonicVector:
     base_index: int | None
     residual: float
     harmonic_set: tuple
-    residuals: np.ndarray | None = field(default=None, compare=False)
+    residuals: np.ndarray | None = None
+    _uncompared = ("residuals",)
 
     def __len__(self):
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(_Record):
     converged: bool
     final_delta: float
     n_iter: int = 0

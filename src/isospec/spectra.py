@@ -6,12 +6,11 @@ here with componentwise relative accuracy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._checks import (_check_finite, _count, _flat, _per_state, _positive_mu, _scalar,
+from ._checks import (_Record, _check_finite, _count, _flat, _per_state, _positive_mu, _scalar,
                       _tolerance)
 from .errors import InvalidArgument, NonConvergence, NotReversible, PreconditionViolated
 
@@ -22,8 +21,7 @@ if TYPE_CHECKING:  # chains is loaded only by the chain paths
 _REVERSIBLE_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(_Record):
     """Verdict of isospectral_check, the two spectra and their largest gap."""
 
     passed: bool
@@ -34,7 +32,7 @@ class SpectrumReport:
 
     def to_dict(self):
         """The report's fields in order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -341,8 +340,8 @@ def test_bd_measures_match_running_product_loop():
 
 
 def test_bd_spec_holds_only_its_inputs():
-    assert [f.name for f in dataclasses.fields(BirthDeathSpec)] == [
-        "birth", "death", "killing"]
+    assert BirthDeathSpec._fields == ("birth", "death", "killing")
+    assert not hasattr(BirthDeathSpec(1.0, 1.0), "__dict__")
 
 
 def test_rate_arrays_call_a_callable_once_per_state():

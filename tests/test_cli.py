@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -983,6 +984,39 @@ def test_missing_or_unknown_subcommand_points_at_the_top_help(capsys):
         assert lines[1] == "run `isospec --help` for the input schema"
 
 
+# a bad value of each subcommand's own choices or number flag
+_BAD_VALUES = {"harmonic": ["--method", "guess"], "transform": ["--direction", "sideways"],
+               "verify": ["--output", "xml"], "bounds": ["--tail-tol", "abc"],
+               "diffop": ["--phi0", "inf"]}
+
+
+@pytest.mark.parametrize("name", _BAD_VALUES)
+def test_one_subcommand_parser_parses_as_the_full_tree(capsys, monkeypatch, name):
+    import isospec.cli
+
+    build, usages = isospec.cli.build_parser, []
+
+    def spy(cmd=None):
+        parser = build(cmd)
+        usages.append(parser.format_usage())
+        return parser
+
+    docs = ["a.json", "b.json"] if name == "verify" else ["a.json"]
+    for argv in ([name, "--help"], [name], [name, *docs, "--output", "xml"],
+                 [name, *docs, "--tol", "abc"], [name, *docs, *_BAD_VALUES[name]],
+                 [name, *docs, "--bogus"]):
+        monkeypatch.setattr(isospec.cli, "build_parser", spy)
+        dispatched = _run(capsys, *argv)
+        assert "{%s}" % name in usages.pop(), argv
+        monkeypatch.setattr(isospec.cli, "build_parser", lambda cmd=None: build())
+        assert dispatched == _run(capsys, *argv), argv
+        assert dispatched[0] == (0 if argv[-1] == "--help" else 2), argv
+    # an option before the subcommand parses with every subcommand
+    monkeypatch.setattr(isospec.cli, "build_parser", spy)
+    assert _run(capsys, "--quiet", name, "--help")[0] == 0
+    assert "{harmonic,transform,verify,bounds,diffop}" in usages.pop()
+
+
 def test_advisories_are_diagnosis_lines(capsys, tmp_path):
     # an unreachable anchor, and a coarse grid: one isospec line each, silenced by --quiet
     chain = _write(tmp_path, "c.json", {"type": "qpair",
@@ -1249,6 +1283,10 @@ def test_subcommands_load_only_their_modules(tmp_path, fib_chain, ou_op):
                     assert isospec.cli.main(argv) == status, argv
             loaded = [m for m in {absent!r} if m in sys.modules]
             assert not loaded, loaded
+            # no request defines a dataclass; only diffop compiles its handler
+            assert "dataclasses" not in sys.modules
+            diffop = any(argv[0] == "diffop" for argv, _ in {runs!r})
+            assert ("isospec._cli_diffop" in sys.modules) == diffop
             # the towers load when the eigen check asks for them
             assert ("isospec._hermite" in sys.modules) == ({runs!r}[0][0][-1] == "eigen")
         """)
@@ -1296,6 +1334,8 @@ def test_module_entry_point_keeps_bytes_and_status(capsys, tmp_path, fib_chain, 
         # second copy, whose SchemaError main does not catch
         assert "isospec.cli" not in imports, argv
         assert ("isospec._cli_chains" in imports) == (argv[0] != "diffop"), argv
+        assert ("isospec._cli_diffop" in imports) == (argv[0] == "diffop"), argv
+        assert "dataclasses" not in imports, argv
         assert code == proc.returncode == status, argv
         assert proc.stdout == out.encode(), argv
         assert "".join(ln for ln in stderr if not ln.startswith("import time:")) == err, argv
@@ -1303,6 +1343,14 @@ def test_module_entry_point_keeps_bytes_and_status(capsys, tmp_path, fib_chain, 
         assert len(diagnoses) == (status != 0), argv
         if argv[0] == "transform" and status == 0:
             assert len(proc.stdout) > 4_000_000  # the dense rate matrix on 601 states
+    # run() switches off the cyclic collector for the request; main() alone leaves it on
+    assert gc.isenabled()
+    script = ("import gc, isospec.cli as cli\n"
+              "cli.main = lambda: print(gc.isenabled(), end='') or 3\n"
+              "cli.run()")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"False", b"")
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,6 @@ a state index or a per-state vector valid and malformed arguments.
 """
 import argparse
 import contextlib
-import dataclasses
 import io
 import math
 import warnings
@@ -52,6 +51,7 @@ from isospec import (
     transform_measure,
     validate_qpair,
 )
+from isospec._checks import _Record
 from isospec.chains import BandSpec, bd_to_band, validate_band
 from isospec.harmonic import _hitting_kernel
 from isospec._cli_chains import _emit_qpair_transform
@@ -587,9 +587,9 @@ _CALLS = {
 
 
 def _all_finite(out):
-    """Whether every number in out, a result or a dataclass or tuple of results, is finite."""
-    if dataclasses.is_dataclass(out):
-        return all(_all_finite(getattr(out, f.name)) for f in dataclasses.fields(out))
+    """Whether every number in out, a result or a record or tuple of results, is finite."""
+    if isinstance(out, _Record):
+        return all(_all_finite(getattr(out, f)) for f in out._fields)
     if isinstance(out, tuple):
         return all(map(_all_finite, out))
     return out is None or isinstance(out, str) or bool(np.all(np.isfinite(out)))
