@@ -196,7 +196,8 @@ def load_chain(doc) -> ChainInput:
     return ChainInput(kind="qpair", qp=qp, mu=mu)
 
 
-def load_h(path: str) -> np.ndarray:
+def load_h(path: str):
+    """The h of the document at path: a flat array of at least two finite values."""
     doc = _load_json(path)
     if isinstance(doc, dict):
         if "values" not in doc:
@@ -235,11 +236,11 @@ def _qpair_doc(qp, mu=None) -> dict:
     return doc
 
 
-def _band_rows(qp: BandSpec, indent: str):
+def _band_rows(qp, indent: str):
     """Pieces of the dense rate matrix of qp, as _chunks writes a list of rows, at indent.
 
-    Only the band goes through repr; each run of zeros is a slice of one
-    string of zeros and separators.
+    qp is a BandSpec.  Only the band goes through repr; each run of zeros
+    is a slice of one string of zeros and separators.
     """
     inner = indent + "  "
     sep = ",\n" + inner + "  "

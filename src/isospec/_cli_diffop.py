@@ -30,7 +30,7 @@ def _coeff(key: str, node):
     return float(_finite(key, _floats(key, node)))
 
 
-def load_operator(doc) -> Operator1D:
+def load_operator(doc):
     """The operator of a document whose keys, "M" and "bc" are checked first."""
     if not isinstance(doc, dict):
         raise SchemaError("operator JSON must be an object")
@@ -54,7 +54,7 @@ def load_operator(doc) -> Operator1D:
         return Operator1D.on_interval(a, b, c, lo, hi, M, boundary=tuple(bc))
 
 
-def load_smooth(path: str, x) -> SmoothFunction:
+def load_smooth(path: str, x):
     """The h of a diffop request on the operator's grid x; sampled values must cover x."""
     from .diffops import SmoothFunction
 

@@ -57,7 +57,7 @@ def _load_json(path: str):
         raise SchemaError(f"input JSON: {exc}") from None
 
 
-def _floats(key: str, node) -> np.ndarray:
+def _floats(key: str, node):
     """node as a float array; text, objects and ragged nesting are schema errors."""
     from ._checks import _float_array
 

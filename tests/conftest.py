@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,6 +25,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def acceptance_log():
     return ACCEPTANCE
+
+
+@pytest.fixture
+def src_env():
+    """Environment of a child interpreter that imports isospec from this checkout's src.
+
+    Its stdout is block-buffered, as a pipe's is by default.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def make_reversible_killed(rng, n, kill_lo=0.1, kill_hi=1.0):

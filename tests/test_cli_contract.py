@@ -8,12 +8,19 @@ drives generated chain documents, h documents, one operator document and
 flag sets through ``main`` in-process.  Sizes stay small: ``"N"`` is a small
 integer or a value that fails before anything is allocated, so no example
 asks for a large array.
+
+``CONTRACT`` holds fixed requests with their exact exit status and stderr.
+Each runs in-process; the rows an entry point could change also run through
+``python -m isospec.cli`` and through what pip's ``isospec`` script runs.
 """
 import contextlib
+import gc
 import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -42,14 +49,32 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+class _Stdout(list):
+    """A document that is the stdout of the request it holds, on the documents before it."""
+
+
+def _files(tmp, argv, docs):
+    """argv with each name in docs replaced by the path of that document, written to tmp."""
+    paths = {}
+    for name, doc in docs.items():
+        text = (_call([paths.get(a, a) for a in doc])[1] if isinstance(doc, _Stdout)
+                else json.dumps(doc))
+        paths[name] = Path(tmp, name)
+        paths[name].write_text(text)
+    return [paths.get(a, a) for a in argv]
+
+
 def _run(tmp, argv, docs):
     """_call(argv) with each of docs written to tmp under its name."""
-    for name, doc in docs.items():
-        Path(tmp, name).write_text(json.dumps(doc))
-    return _call([Path(tmp, a) if a in docs else a for a in argv])
+    return _call(_files(tmp, argv, docs))
 
 
 _HINT = re.compile(r"run `isospec( [a-z]+)? --help` for the input schema")
+
+
+def _hint(cmd):
+    """The line that follows an input error of a document or a flag of cmd."""
+    return f"run `isospec {cmd} --help` for the input schema\n"
 
 
 def _assert_lines(err):
@@ -194,9 +219,194 @@ UNDERFLOW = {"type": "bd", "birth": [1e-300, 1.0, 1.0], "death": [0.0, 1e-130, 1
         "forward-underflow", "bounds-h", "qpair-diagonal"])
 def test_rates_near_float_range_warn_nothing(tmp_path, argv, chain, h, code, first):
     got, out, err = _run(tmp_path, argv, {"c.json": chain, "h.json": h})
-    assert (got, err.splitlines()[0]) == (code, first)
-    assert out == ""
-    _assert_lines(err)
+    # each input error here is of the document, so the --help hint follows it
+    assert (got, out, err) == (code, "", first + "\n" + (_hint(argv[0]) if code == 2 else ""))
+
+
+# ---------------------------------------------------------------- the contract table
+
+FIB = {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 7}
+FIB_H = [1.0, 2.0, 5.0, 13.0, 34.0, 89.0, 233.0, 610.0]  # harmonic for FIB on 0..7
+ZERO_N = {"type": "bd", "birth": 1.0, "death": 1.0, "N": 0}
+THREE = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]  # a path of three states
+OP = {"a": 0.5, "b": "-x", "interval": [-6, 6], "M": 200}  # Ornstein-Uhlenbeck, no advisory
+PASS = "isospec: PASS\n"
+LOCAL = ["transform", "c.json", "--h", "h.json", "--direction", "local"]
+_NOTHING = "".__eq__  # no report on stdout
+
+
+def _report(check):
+    """A stdout predicate: check holds of the JSON report."""
+    return lambda out: check(json.loads(out))
+
+
+def _verdict(text):
+    return _report(lambda r: r["verdict"] == text)
+
+
+def _long_chain():
+    """A bd chain on 0..600 and its h, whose local transform writes 4 MB of rates."""
+    rng = np.random.default_rng(6)
+    b, a = rng.uniform(1.0, 2.0, 601), rng.uniform(0.5, 1.5, 601)
+    c = -0.5 * 0.8 ** np.arange(601)
+    h = isospec.harmonic.bd_harmonic_explicit(isospec.chains.BirthDeathSpec(b, a, c), 600)
+    return {"c.json": {"type": "bd", "birth": b.tolist(), "death": a.tolist(),
+                       "killing": c.tolist(), "N": 600},
+            "h.json": {"values": h.values.tolist()}}
+
+
+# name -> (documents, argv, exit status, stderr, stdout predicate or None)
+CONTRACT = {
+    # the README pipeline: h by the explicit recursion, the local transform by it, verify
+    "readme-harmonic": ({"c.json": FIB}, ["harmonic", "c.json", "--method", "explicit"], 0, "",
+                        _report(lambda r: r["h"] == FIB_H)),
+    "readme-transform": ({"c.json": FIB, "h.json": FIB_H}, LOCAL, 0, "",
+                         _report(lambda r: r["type"] == "qpair")),
+    "readme-verify": ({"c.json": FIB, "h.json": FIB_H, "t.json": _Stdout(LOCAL)},
+                      ["verify", "c.json", "t.json", "--h", "h.json"], 0, PASS,
+                      _report(lambda r: r["passed"])),
+    "long-report": (_long_chain(), LOCAL, 0, "", lambda out: len(out) > 4_000_000),
+    "verify-other": ({"c.json": FIB, "o.json": dict(FIB, birth=2.0)},
+                     ["verify", "c.json", "o.json"], 1, "isospec: FAIL\n",
+                     _report(lambda r: not r["passed"])),
+    "h-not-harmonic": ({"c.json": FIB, "h.json": [1.0] * 8}, LOCAL, 1,
+                       "isospec: check failed: harmonic residual 1 at index 0 exceeds "
+                       "tolerance 1e-08\n", _NOTHING),
+    "zero-N": ({"c.json": ZERO_N}, ["harmonic", "c.json", "--method", "explicit"], 2,
+               'isospec: "N" must be at least 1\n' + _hint("harmonic"), _NOTHING),
+    "verify-zero-N": ({"c.json": FIB, "z.json": ZERO_N}, ["verify", "c.json", "z.json"], 2,
+                      'isospec: "N" must be at least 1\n' + _hint("verify"), _NOTHING),
+    # a Hardy tail that grows past float range decides lambda0 = 0
+    "recurrent": ({"c.json": {"type": "bd", "birth": 1, "death": 5, "N": 2049}},
+                  ["bounds", "c.json", "--nmax", "2048"], 0, PASS,
+                  _verdict("lambda0 = 0 (Hardy constant diverges)")),
+    # birth 1.2 below state 1000 and 1.0 after: the Hardy sums over the states read
+    # grow past state 1000, which no window of the first states shows
+    "switching": ({"c.json": {"type": "bd", "birth": [1.2] * 1000 + [1.0] * 7192,
+                              "death": [1.0] * 8192,
+                              "killing": [-0.05] * 10 + [0.0] * 8182}},
+                  ["bounds", "c.json", "--nmax", "4096"], 0, PASS,
+                  _verdict("lambda0 = 0 (Hardy constant diverges)")),
+    # the conservative chain is positive recurrent, so lambda0 is the uniform killing
+    # rate; the three truncation levels are prefixes of one band
+    "uniform-killing": ({"c.json": {"type": "bd", "birth": 1.0, "death": 2.0,
+                                    "killing": -0.05, "N": 100000}},
+                        ["bounds", "c.json", "--nmax", "99999"], 0, PASS,
+                        _report(lambda r: r["verdict"] == "lambda0 > 0"
+                                and abs(r["lambda0_numeric"] - 0.05) <= 1e-12)),
+    # bounds reads the rates on 0..nmax and the explicit recursion on 0..N-1, though
+    # h runs one state further: a positive c past them is no warning and no error
+    "positive-past-nmax": ({"c.json": {"type": "bd", "birth": 1.0, "death": 2.0,
+                                       "killing": [-0.05] * 40 + [0.3]}},
+                           ["bounds", "c.json", "--nmax", "39"], 0, PASS, None),
+    "positive-at-N": ({"c.json": {"type": "bd", "birth": 1, "death": 1,
+                                  "killing": [-1] * 8 + [0.3], "N": 8}},
+                      ["harmonic", "c.json", "--method", "explicit"], 0, "", None),
+    # the truncation on 0..N drops b_N, and verify takes mu from it
+    "zero-birth-at-N": ({"c.json": {"type": "bd", "birth": [1] * 8 + [0], "death": 1,
+                                    "killing": -1, "N": 8}},
+                        ["verify", "c.json", "c.json"], 0, PASS, None),
+    # the h that the forward-underflow row of test_rates_near_float_range_warn_nothing reads
+    "underflow-h": ({"c.json": UNDERFLOW}, ["harmonic", "c.json", "--method", "explicit",
+                                            "--nmax", "2"], 0, "",
+                    _report(lambda r: r["h"] == [1.0, 1e200, 1e200])),
+    # an advisory is one diagnosis line
+    "positive-potential": ({"c.json": {"type": "bd", "birth": 1.0, "death": 1.0,
+                                       "killing": [0.3, -0.5, -0.5, -0.5], "N": 3}},
+                           ["harmonic", "c.json", "--method", "explicit"], 0,
+                           "isospec: warning: positive potential entries: the explicit "
+                           "recursion is computed but its positivity guarantee does not "
+                           "apply\n", None),
+    # states that cannot reach the anchor: the direct solve leaves h = 0 there
+    "unreachable-anchor": ({"c.json": {"type": "qpair", "rates": [[0, 1, 0], [0, 0, 1],
+                                                                  [0, 1, 0]]}},
+                           ["harmonic", "c.json", "--method", "solve"], 0,
+                           "isospec: warning: states [1, 2] cannot reach the anchor state 0; "
+                           "the minimal solution vanishes there\n",
+                           _report(lambda r: r["h"] == [1.0, 0.0, 0.0])),
+    "op-spectrum": ({"op.json": OP}, ["diffop", "op.json", "--check", "spectrum", "--k", "5"],
+                    0, "", _report(lambda r: len(r["eigenvalues"]) == 5)),
+    # a > 0 on the grid, but a(-1) = 0 at a cell face: the Simpson weights of b/a
+    "a-vanishes-at-a-face": ({"op.json": {"a": "(x+1)*(x+1)", "b": 1, "c": 1,
+                                          "interval": [-2, 0], "M": 3}},
+                             ["diffop", "op.json", "--check", "spectrum", "--k", "2"], 1,
+                             "isospec: warning: cell Peclet number reaches 6 > 2; refine the "
+                             "grid for trustworthy low modes\n"
+                             "isospec: check failed: matrix has a NaN or infinite entry\n",
+                             _NOTHING),
+    "one-cell": ({"op.json": dict(OP, M=1)}, ["diffop", "op.json", "--check", "spectrum"], 2,
+                 'isospec: "M" must be at least 2\n' + _hint("diffop"), _NOTHING),
+    # input errors the library finds: h shorter than the chain, a --set index outside
+    # it, state counts that differ; one line and no --help hint
+    "short-h-local": ({"c.json": FIB, "h.json": [1, 2, 3]}, LOCAL, 2,
+                      "isospec: h has shape (3,), want (8,)\n", _NOTHING),
+    "short-h-verify": ({"c.json": FIB, "h.json": [1, 2, 3]},
+                       ["verify", "c.json", "c.json", "--h", "h.json"], 2,
+                       "isospec: h has shape (3,), want (8,)\n", _NOTHING),
+    "set-99": ({"c.json": FIB, "h.json": {"values": FIB_H}}, [*LOCAL, "--set", "99"], 2,
+               "isospec: harmonic_set = 99 outside 0..7\n", _NOTHING),
+    "set-minus-1": ({"c.json": FIB, "h.json": {"values": FIB_H}}, [*LOCAL, "--set", "-1"], 2,
+                    "isospec: harmonic_set = -1 outside 0..7\n", _NOTHING),
+    "state-counts": ({"c.json": FIB, "n.json": dict(FIB, N=8)}, ["verify", "c.json", "n.json"],
+                     2, "isospec: chains have 8 and 9 states; they must have the same number\n",
+                     _NOTHING),
+    # a "mu" of another length breaks the document, so the hint follows
+    "mu-length-verify": ({"c.json": {"type": "qpair", "rates": THREE, "mu": [1, 2]}},
+                         ["verify", "c.json", "c.json"], 2,
+                         "isospec: mu has shape (2,), want (3,)\n" + _hint("verify"), _NOTHING),
+    "mu-length-measure": ({"c.json": {"type": "qpair", "rates": THREE, "mu": [1, 2]}},
+                          ["transform", "c.json", "--direction", "measure"], 2,
+                          "isospec: mu has shape (2,), want (3,)\n" + _hint("transform"),
+                          _NOTHING),
+    # mu_N is finite at N = 3893 but mu_N b_N is not; nu_hat_N is 0.0 without a warning
+    "mu-limit": ({"c.json": {"type": "bd", "birth": 1.2, "death": 1.0, "N": 3893},
+                  "h.json": {"values": [1.0] * 3895}},
+                 ["transform", "c.json", "--h", "h.json", "--direction", "forward"], 0, "",
+                 _report(lambda r: r["nu_hat"][-1] == 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT)
+def test_request_keeps_its_status_and_diagnosis(tmp_path, name):
+    docs, argv, status, err, out = CONTRACT[name]
+    code, got_out, got_err = _run(tmp_path, argv, docs)
+    assert (code, got_err) == (status, err)
+    assert out is None or out(got_out)
+
+
+# The rows an entry point could change: each handler module at each exit status, a
+# short report that waits for run()'s final flush, 4 MB written in main, and the
+# README pipeline.
+ENTRY_POINT_ROWS = ["readme-harmonic", "readme-transform", "readme-verify", "long-report",
+                    "verify-other", "zero-N", "op-spectrum", "a-vanishes-at-a-face",
+                    "one-cell"]
+# python -m isospec.cli, and the call that pip's isospec script makes
+ENTRY_POINTS = {"module": ["-m", "isospec.cli"],
+                "script": ["-c", "import sys; from isospec.cli import run; sys.exit(run())"]}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINT_ROWS)
+def test_module_entry_point_keeps_bytes_and_status(tmp_path, src_env, name):
+    # run() flushes and skips interpreter teardown; nothing may be lost
+    docs, argv, *_ = CONTRACT[name]
+    argv = [str(a) for a in _files(tmp_path, argv, docs)]
+    code, out, err = _call(argv)
+    assert gc.isenabled()  # main() alone leaves the cyclic collector on
+    for form, words in ENTRY_POINTS.items():
+        proc = subprocess.run([sys.executable, "-X", "importtime", *words, *argv],
+                              env=src_env, capture_output=True, timeout=120)
+        stderr = proc.stderr.decode().splitlines(keepends=True)
+        imports = [ln.rsplit("|", 1)[-1].strip() for ln in stderr
+                   if ln.startswith("import time:")]
+        # under -m, cli.py runs as __main__; a module importing isospec.cli would build
+        # a second copy, whose SchemaError main does not catch
+        assert ("isospec.cli" in imports) == (form == "script"), form
+        assert ("isospec._cli_chains" in imports) == (argv[0] != "diffop"), form
+        assert ("isospec._cli_diffop" in imports) == (argv[0] == "diffop"), form
+        assert "dataclasses" not in imports, form
+        assert proc.returncode == code, form
+        assert proc.stdout == out.encode(), form
+        assert "".join(ln for ln in stderr if not ln.startswith("import time:")) == err, form
 
 
 # ---------------------------------------------------------------- property

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -8,7 +7,6 @@ import textwrap
 import token
 import tokenize
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,7 +311,7 @@ def test_values_and_derivatives_match_sympy(text):
             assert np.allclose(back, got, rtol=1e-14, atol=1e-14), d.text
 
 
-def test_sympy_never_loads_at_runtime(tmp_path):
+def test_sympy_never_loads_at_runtime(tmp_path, src_env):
     chain = tmp_path / "c.json"
     chain.write_text(json.dumps(
         {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 7}))
@@ -350,10 +348,7 @@ def test_sympy_never_loads_at_runtime(tmp_path):
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
         assert not loaded, loaded
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
