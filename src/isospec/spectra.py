@@ -48,7 +48,6 @@ def symmetrize(qp: QPairSpec, mu) -> np.ndarray:
     flow = mu[:, None] * qp.rates
     scale = np.maximum(np.abs(flow), np.abs(flow.T))
     viol = np.abs(flow - flow.T) / np.maximum(scale, 1e-300)
-    viol[scale == 0.0] = 0.0
     if np.max(viol) > _REVERSIBLE_RTOL:
         i, j = map(int, np.unravel_index(np.argmax(viol), viol.shape))
         raise NotReversible(i, j, float(viol[i, j]))

@@ -1,17 +1,18 @@
-"""The command-line contract on hostile input.
+"""The command-line contract: every fixed request, and hostile input.
 
 Every request exits 0, 1 or 2, lets no exception escape and raises no
 numeric warning; every stderr line is an ``isospec:`` diagnosis or the
 hint that points at ``--help``, a nonzero exit prints at least one
-``isospec:`` line, and no request prints a traceback.  The property test
-drives generated chain documents, h documents, one operator document and
-flag sets through ``main`` in-process.  Sizes stay small: ``"N"`` is a small
-integer or a value that fails before anything is allocated, so no example
-asks for a large array.
+``isospec:`` line, and no request prints a traceback.
 
-``CONTRACT`` holds fixed requests with their exact exit status and stderr.
-Each runs in-process; the rows an entry point could change also run through
-``python -m isospec.cli`` and through what pip's ``isospec`` script runs.
+``CONTRACT`` holds every fixed request of the command line with its exact
+exit status and stderr.  Each runs in-process through ``_run``, the one
+runner of the CLI tests; the rows an entry point could change also run
+through ``python -m isospec.cli`` and through what pip's ``isospec`` script
+runs.  The property test drives generated chain documents, h documents, one
+operator document and flag sets through ``main`` in-process.  Sizes stay
+small: ``"N"`` is a small integer or a value that fails before anything is
+allocated, so no example asks for a large array.
 """
 import contextlib
 import gc
@@ -22,6 +23,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -54,11 +56,16 @@ class _Stdout(list):
 
 
 def _files(tmp, argv, docs):
-    """argv with each name in docs replaced by the path of that document, written to tmp."""
+    """argv with each name in docs replaced by the path of that document, written to tmp.
+
+    A document is written as JSON, a str as it is, and a _Stdout as its request's stdout.
+    """
     paths = {}
     for name, doc in docs.items():
-        text = (_call([paths.get(a, a) for a in doc])[1] if isinstance(doc, _Stdout)
-                else json.dumps(doc))
+        if isinstance(doc, _Stdout):
+            text = _call([paths.get(a, a) for a in doc])[1]
+        else:
+            text = doc if isinstance(doc, str) else json.dumps(doc)
         paths[name] = Path(tmp, name)
         paths[name].write_text(text)
     return [paths.get(a, a) for a in argv]
@@ -77,40 +84,16 @@ def _hint(cmd):
     return f"run `isospec {cmd} --help` for the input schema\n"
 
 
-def _assert_lines(err):
-    """Every stderr line is a diagnosis, an advisory among them, or the --help hint."""
-    for line in err.splitlines():
-        assert line.startswith("isospec: ") or _HINT.fullmatch(line), err
-
-
 def _assert_contract(code, err):
     assert code in (0, 1, 2), code
     assert "Traceback" not in err
-    _assert_lines(err)
+    for line in err.splitlines():
+        assert line.startswith("isospec: ") or _HINT.fullmatch(line), err
     if code:
         assert any(line.startswith("isospec:") for line in err.splitlines()), err
 
 
-def _input_error(tmp_path, argv, docs):
-    code, out, err = _run(tmp_path, argv, docs)
-    assert code == 2, err
-    assert out == ""
-    _assert_lines(err)
-    return err.splitlines()
-
-
-# ---------------------------------------------------------------- regressions
-
-POLY_OVERFLOW = {"type": "bd", "birth": {"formula": "poly", "coeffs": [1e308, 5, 1e308]},
-                 "death": 1.0}
-
-
-def test_overflowing_poly_rates_are_input_errors(tmp_path):
-    for argv in (["harmonic", "c.json", "--method", "explicit", "--nmax", 4],
-                 ["bounds", "c.json", "--nmax", 16]):
-        lines = _input_error(tmp_path, argv, {"c.json": POLY_OVERFLOW})
-        assert lines[0] == "isospec: 'birth' poly formula is not finite at state 1"
-        assert [ln for ln in lines if ln.startswith("isospec:")] == lines[:1]
+# ---------------------------------------------------------------- tests of their own
 
 
 def test_poly_rates_are_polyval_bit_for_bit():
@@ -126,112 +109,36 @@ def test_poly_rates_are_polyval_bit_for_bit():
                 assert fn(i) == want and math.copysign(1, fn(i)) == math.copysign(1, want)
 
 
-def test_state_count_caps(tmp_path):
-    chain = {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -0.1}
-    for n in (1e308, 10**15, MAX_STATES + 1):
-        lines = _input_error(tmp_path, ["harmonic", "c.json"], {"c.json": {**chain, "N": n}})
-        assert lines[0] == f'isospec: "N" must be at most {MAX_STATES}'
-    for cmd in (["harmonic", "c.json", "--method", "explicit"], ["bounds", "c.json"]):
-        lines = _input_error(tmp_path, [*cmd, "--nmax", 10**15], {"c.json": chain})
-        assert lines[0] == f"isospec: --nmax must be at most {MAX_STATES}"
-    # the dense cap is checked before any matrix is built
-    n = int(MAX_DENSE_BYTES ** 0.5 / 8 ** 0.5)  # the largest state count within the cap
-    big = {**chain, "N": n}
-    for cmd in (["verify", "c.json", "c.json"], ["harmonic", "c.json", "--method", "solve"]):
-        lines = _input_error(tmp_path, cmd, {"c.json": big})
-        assert lines[0] == (f"isospec: a dense rate matrix of {n + 1} states exceeds "
-                            f"the cap of {MAX_DENSE_BYTES} bytes")
-    op = {"a": 0.5, "b": "-x", "interval": [-6, 6], "M": 1e308}
-    lines = _input_error(tmp_path, ["diffop", "op.json", "--check", "spectrum"],
-                         {"op.json": op})
-    assert lines[0] == f'isospec: "M" must be at most {MAX_STATES}'
-    # the existing lower bound keeps its text
-    lines = _input_error(tmp_path, ["harmonic", "c.json"], {"c.json": {**chain, "N": 0}})
-    assert lines[0] == 'isospec: "N" must be at least 1'
-
-
 def test_running_out_of_memory_is_an_input_error(monkeypatch, tmp_path):
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
     monkeypatch.setattr(isospec.chains, "_dense_view", exhausted)
     chain = {"type": "bd", "birth": 1.0, "death": 1.0, "N": 3}
-    lines = _input_error(tmp_path, ["verify", "c.json", "c.json"], {"c.json": chain})
-    assert lines == ["isospec: MemoryError"]
-
-
-def test_overflowing_transformed_measure_fails_the_check(tmp_path):
-    docs = {"c.json": {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -0.1, "N": 3},
-            "h.json": [1, 1e200, 1e200, 1e200]}
-    code, out, err = _run(tmp_path, ["verify", "c.json", "c.json", "--h", "h.json"], docs)
-    assert code == 1
-    assert out == ""
-    assert err == "isospec: check failed: h-transformed measure leaves float range at index 1\n"
-
-
-def test_bd_forward_transform_refuses_a_measure_past_float_range(tmp_path):
-    # h is harmonic on 0..700, and h^2 mu leaves float range at state 513
-    chain = {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -0.5, "N": 700}
-    h = isospec.harmonic.bd_harmonic_explicit(isospec.chains.BirthDeathSpec(1.0, 1.0, -0.5),
-                                              701)
-    docs = {"c.json": chain, "h.json": h.values.tolist()}
-    code, out, err = _run(tmp_path, ["transform", "c.json", "--h", "h.json"], docs)
-    assert (code, out) == (1, "")  # no report with Infinity in "mu"
-    assert err == ("isospec: check failed: h-transformed measure leaves float range "
-                   "at index 513\n")
-
-
-HUGE = {"type": "bd", "birth": 1e308, "death": 1e308, "killing": 1e-10, "N": 6}
-TINY_MU = {"type": "bd", "birth": 0.1, "death": 1e154, "N": 2}
-UNDERFLOW = {"type": "bd", "birth": [1e-300, 1.0, 1.0], "death": [0.0, 1e-130, 1.0],
-             "killing": [-1e-100, 0.0, 0.0], "N": 1}
-
-
-@pytest.mark.parametrize("argv, chain, h, code, first", [
-    # row sums past float range, banded and dense
-    (["transform", "c.json", "--h", "h.json", "--direction", "local", "--set", "0"],
-     HUGE, [0.1] * 8, 2, "isospec: total has a NaN or infinite entry"),
-    (["verify", "c.json", "c.json"], HUGE, None, 2,
-     "isospec: total has a NaN or infinite entry"),
-    # the birth-death band's row sum b_1 + a_1 = 2e308, refused before tilting
-    (["transform", "c.json", "--h", "h.json"], {**HUGE, "N": 3}, [1, 2, 4, 8, 16], 1,
-     "isospec: check failed: total has a NaN or infinite entry"),
-    # max(mu) / min(mu) overflows on the band
-    (["transform", "c.json", "--direction", "measure"], TINY_MU, None, 1,
-     "isospec: check failed: rates has a NaN or infinite entry"),
-    # the harmonicity check reads an overflowed residual as inf, not NaN
-    (["transform", "c.json", "--h", "h.json"],
-     {"type": "qpair", "rates": [[0, 1e308], [1e308, 0]]}, [1, 2], 1,
-     "isospec: check failed: max harmonic residual inf exceeds tolerance 1e-08"),
-    # a~_1 = 1e-130 h_0 / h_1 rounds to 0: the transform's result, not the document
-    (["transform", "c.json", "--h", "h.json", "--direction", "forward"], UNDERFLOW,
-     [1.0, 1e200, 1e200], 1,
-     "isospec: check failed: transformed death rate leaves float range at index 1"),
-    # h_2 of bounds' own recurrence overflows, which is not an h too short
-    (["bounds", "c.json", "--nmax", "100"],
-     {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1e300}, None, 1,
-     "isospec: check failed: h leaves float range at index 2"),
-    # c_0 - q_0 overflows at load: an input error, not a NaN residual
-    (["harmonic", "c.json", "--method", "solve", "--theta", "1"],
-     {"type": "qpair", "rates": [[0, 1e308], [1e308, 0]], "killing": [-1e308, -1e308]},
-     None, 2, "isospec: generator diagonal c[0] - q[0] = -1e+308 - 1e+308 is not finite"),
-], ids=["band-sums", "dense-sums", "bd-transform", "measure-ratio", "residual",
-        "forward-underflow", "bounds-h", "qpair-diagonal"])
-def test_rates_near_float_range_warn_nothing(tmp_path, argv, chain, h, code, first):
-    got, out, err = _run(tmp_path, argv, {"c.json": chain, "h.json": h})
-    # each input error here is of the document, so the --help hint follows it
-    assert (got, out, err) == (code, "", first + "\n" + (_hint(argv[0]) if code == 2 else ""))
+    assert _run(tmp_path, ["verify", "c.json", "c.json"], {"c.json": chain}) == (
+        2, "", "isospec: MemoryError\n")
 
 
 # ---------------------------------------------------------------- the contract table
 
 FIB = {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 7}
 FIB_H = [1.0, 2.0, 5.0, 13.0, 34.0, 89.0, 233.0, 610.0]  # harmonic for FIB on 0..7
+FIB_H9 = [1, 2, 5, 13, 34, 89, 233, 610, 1597]  # and one state further
 ZERO_N = {"type": "bd", "birth": 1.0, "death": 1.0, "N": 0}
 THREE = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]  # a path of three states
 OP = {"a": 0.5, "b": "-x", "interval": [-6, 6], "M": 200}  # Ornstein-Uhlenbeck, no advisory
+OU = {"a": 0.5, "b": "-x", "c": 0.0, "interval": [-6.0, 6.0], "M": 400}
+SMALL_OP = {"a": 0.5, "b": 0, "interval": [-1, 1], "M": 10}
+GAUSS = {"h": "exp(-x^2/2)"}
+# the benchmark's killed oscillator (1/2) f'' + (t - t^2 x^2)/2 f at t = 1.5, for
+# which h = exp(-t x^2/2) is harmonic and the transformed drift is -t x
+KILLED = {"a": 0.5, "b": 0, "c": "(1.5 - 1.5^2*x^2)/2",
+          "interval": [-3.0 / 1.5**0.5, 3.0 / 1.5**0.5], "M": 500}
+_KILLED_X = np.linspace(*KILLED["interval"], KILLED["M"] + 1)  # its grid
+QPAIR = {"type": "qpair", "rates": [[0, 1], [1, 0]]}
 PASS = "isospec: PASS\n"
 LOCAL = ["transform", "c.json", "--h", "h.json", "--direction", "local"]
+FORWARD = ["transform", "c.json", "--h", "h.json", "--direction", "forward"]
 _NOTHING = "".__eq__  # no report on stdout
 
 
@@ -242,6 +149,29 @@ def _report(check):
 
 def _verdict(text):
     return _report(lambda r: r["verdict"] == text)
+
+
+def _schema(docs, argv, line):
+    """A row: argv is refused for a document or a flag (exit 2), with the --help hint."""
+    return docs, argv, 2, f"isospec: {line}\n" + _hint(argv[0]), _NOTHING
+
+
+def _library(docs, argv, line):
+    """A row: the library refuses an argument of argv (exit 2), with no hint."""
+    return docs, argv, 2, f"isospec: {line}\n", _NOTHING
+
+
+def _failed(docs, argv, line):
+    """A row: a check of argv fails (exit 1) with no report."""
+    return docs, argv, 1, f"isospec: check failed: {line}\n", _NOTHING
+
+
+def _python_text(prefix, hint=""):
+    """stderr of one diagnosis line that ends in Python's own words, then hint.
+
+    Those words differ between Python versions, so only prefix is exact.
+    """
+    return re.compile(re.escape(prefix) + r"[^\n]*\n" + re.escape(hint))
 
 
 def _long_chain():
@@ -255,27 +185,269 @@ def _long_chain():
             "h.json": {"values": h.values.tolist()}}
 
 
-# name -> (documents, argv, exit status, stderr, stdout predicate or None)
+def _measure_past_float_range():
+    """A bd chain on 0..700 and its harmonic h, whose h^2 mu leaves float range at 513."""
+    h = isospec.harmonic.bd_harmonic_explicit(isospec.chains.BirthDeathSpec(1.0, 1.0, -0.5),
+                                              701)
+    return {"c.json": {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -0.5, "N": 700},
+            "h.json": h.values.tolist()}
+
+
+def _finite_before_overflow(r):
+    """Residuals before h leaves float range are rounding noise, not NaN."""
+    h, res = np.array(r["h"]), np.array(r["residuals"])
+    k = int(np.argmin(np.isfinite(h)))
+    return (0 < k < 400 and np.all(np.isfinite(res[: k - 1]))
+            and np.all(np.abs(res[: k - 1]) <= 1e-12 * np.maximum(1.0, h[1:k])))
+
+
+def _csv_of_9_states(out):
+    lines = out.strip().splitlines()
+    return lines[0].split(",")[0] == "state" and lines[1].startswith("0,") and len(lines) == 9
+
+
+def _reloads_as_8_state_bd(out):
+    chain = load_chain(json.loads(out))
+    return chain.kind == "bd" and chain.as_qpair().rates.shape[0] == 8
+
+
+def _second_order(r):
+    """The differenced h'' misses the harmonic identity by O(dx^2), not by 1e-8."""
+    x = _KILLED_X
+    # about 11 dx^2 at the ends, where np.gradient is one-sided
+    return (r["x"] == x.tolist()
+            and np.max(np.abs(np.asarray(r["b_tilde"]) + 1.5 * x)) < 20.0 * (x[1] - x[0]) ** 2)
+
+
+def _drift(tol):
+    """The transformed drift is -x to tol."""
+    return _report(lambda r: np.max(np.abs(np.asarray(r["b_tilde"]) + np.asarray(r["x"]))) < tol)
+
+
+# a sampled h that misses the operator's interval [-1.5, 1.5], or runs backwards
+_DOWN = np.linspace(1.0, -1.0, 41)
+_GRIDS = {
+    "decreasing": (dict(SMALL_OP, c=0, interval=[-0.5, 0.5]),
+                   {"grid": _DOWN.tolist(), "values": (1.0 - _DOWN).tolist()},
+                   "grid must be strictly increasing"),
+    "narrow": (dict(SMALL_OP, c=0, interval=[-1.5, 1.5]),
+               {"grid": _DOWN[::-1].tolist(), "values": (2.0 + _DOWN[::-1]).tolist()},
+               "sampled h covers [-1.0, 1.0], not the operator's interval [-1.5, 1.5]"),
+    "narrow-vanishing": (dict(SMALL_OP, c=0, interval=[-1.5, 1.5]),
+                         {"grid": _DOWN[::-1].tolist(), "values": (1.0 + _DOWN[::-1]).tolist()},
+                         "sampled h covers [-1.0, 1.0], not the operator's interval "
+                         "[-1.5, 1.5]"),
+}
+
+# a birth or death rate that is not positive, on a state every path reads (N = 20)
+NONPOSITIVE = {
+    "birth-array": ({"type": "bd", "birth": [1.0] * 12 + [-1.0] + [1.0] * 8, "death": 1.0,
+                     "killing": -0.5, "N": 20}, "birth rate b[12] = -1.0"),
+    "birth-poly": ({"type": "bd", "birth": {"formula": "poly", "coeffs": [5, -1]},
+                    "death": 1.0, "killing": -0.5, "N": 20}, "birth rate b[5] = 0.0"),
+    "death-array": ({"type": "bd", "birth": 1.0, "death": [1.0] * 3 + [-2.0] + [1.0] * 18,
+                     "N": 20}, "death rate a[3] = -2.0"),
+}
+CHAIN_PATHS = {
+    "harmonic-iterate": ["harmonic", "c.json", "--method", "iterate"],
+    "harmonic-solve": ["harmonic", "c.json", "--method", "solve"],
+    "harmonic-explicit": ["harmonic", "c.json", "--method", "explicit"],
+    "verify": ["verify", "c.json", "c.json"],
+    "bounds": ["bounds", "c.json", "--nmax", "15"],
+    "transform-forward": FORWARD,
+    "transform-local": LOCAL,
+    "transform-inverse": ["transform", "c.json", "--h", "h.json", "--direction", "inverse"],
+    "transform-measure": ["transform", "c.json", "--direction", "measure"],
+}
+
+HUGE = {"type": "bd", "birth": 1e308, "death": 1e308, "killing": 1e-10, "N": 6}
+TINY_MU = {"type": "bd", "birth": 0.1, "death": 1e154, "N": 2}
+UNDERFLOW = {"type": "bd", "birth": [1e-300, 1.0, 1.0], "death": [0.0, 1e-130, 1.0],
+             "killing": [-1e-100, 0.0, 0.0], "N": 1}
+POLY_OVERFLOW = {"type": "bd", "birth": {"formula": "poly", "coeffs": [1e308, 5, 1e308]},
+                 "death": 1.0}
+KILLED_BD = {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -0.1}
+# the largest state count within the dense cap
+DENSE_N = int(MAX_DENSE_BYTES ** 0.5 / 8 ** 0.5)
+NO_MINIMAL = {"type": "qpair", "rates": THREE, "killing": [0, 1.5, 0.5]}
+FLAGS_BD = {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 5}
+ARRAYS_41 = {"type": "bd", "birth": [1.0] * 41, "death": [1.0] * 41, "killing": [-1.0] * 41}
+GOOD_QPAIR = {"type": "qpair", "rates": THREE, "mu": [1.0, 1.0, 1.0]}
+OP_50 = {"a": 0.5, "b": "-x", "interval": [-1, 1], "M": 50}
+EXP_B = {"a": 0.5, "b": "exp(800*x)", "interval": [-1, 1], "M": 20}
+# a > 0 on the grid, but a(-1) = 0 at a cell face and at the midpoint stage of the
+# Riccati step from -2/3 to -4/3
+FACE = {"a": "(x+1)*(x+1)", "b": 1, "c": 1, "interval": [-2, 0], "M": 3}
+TOP_HINT = "run `isospec --help` for the input schema\n"
+
+# name -> (documents, argv, exit status, stderr, stdout predicate or None); a
+# document is JSON, or text as it is, or a _Stdout; stderr is exact, or a pattern
+# from _python_text where the diagnosis quotes Python's own words
 CONTRACT = {
+    # ------------------------------------------------ harmonic
     # the README pipeline: h by the explicit recursion, the local transform by it, verify
     "readme-harmonic": ({"c.json": FIB}, ["harmonic", "c.json", "--method", "explicit"], 0, "",
-                        _report(lambda r: r["h"] == FIB_H)),
+                        _report(lambda r: r["h"] == FIB_H and r["residual"] == 0.0)),
     "readme-transform": ({"c.json": FIB, "h.json": FIB_H}, LOCAL, 0, "",
                          _report(lambda r: r["type"] == "qpair")),
     "readme-verify": ({"c.json": FIB, "h.json": FIB_H, "t.json": _Stdout(LOCAL)},
                       ["verify", "c.json", "t.json", "--h", "h.json"], 0, PASS,
                       _report(lambda r: r["passed"])),
+    "explicit-csv": ({"c.json": FIB}, ["harmonic", "c.json", "--method", "explicit",
+                                       "--output", "csv"], 0, "", _csv_of_9_states),
+    "seed": ({"c.json": FIB}, ["--seed", "99", "harmonic", "c.json", "--method", "explicit"],
+             0, "", _report(lambda r: r["seed"] == 99)),
+    # strong killing drives h past float range; the residuals before that point are
+    # rounding noise, not the NaN of a dense product with inf entries
+    "explicit-past-float-range": ({"c.json": dict(KILLED_BD, killing=-50.0, N=400)},
+                                  ["harmonic", "c.json", "--method", "explicit"], 0, "",
+                                  _report(_finite_before_overflow)),
+    # arrays on states 0..40: the explicit recursion reads 0..N-1, bounds reads 0..nmax
+    # (its h runs to nmax+1 on those rates), so both go up to state 40
+    "arrays-explicit": ({"c.json": ARRAYS_41}, ["harmonic", "c.json", "--method", "explicit"],
+                        0, "", _report(lambda r: len(r["h"]) == 41 and r["h"][:9] == FIB_H9)),
+    "arrays-bounds": ({"c.json": ARRAYS_41}, ["bounds", "c.json", "--nmax", "40"], 0, PASS,
+                      _report(lambda r: r["n_max"] == 40)),
+    "arrays-end-early": ({"c.json": ARRAYS_41}, ["bounds", "c.json", "--nmax", "100"], 0,
+                         "isospec: rate arrays end early; using --nmax 40\n" + PASS,
+                         _report(lambda r: r["n_max"] == 40)),
+    # so a zero birth rate at state nmax + 1 is never read
+    "zero-birth-past-nmax": ({"c.json": {"type": "bd", "birth": [1.0] * 40 + [0.0],
+                                         "death": 2.0, "killing": -0.05}},
+                             ["bounds", "c.json", "--nmax", "39"], 0, PASS, None),
+    # harmonic away from the anchor; the anchor row carries the defect
+    "iterate": ({"c.json": {"type": "qpair", "rates": [[0, 2, 0], [1, 0, 3], [0, 1, 0]],
+                            "killing": [-0.5, -0.2, -0.4]}},
+                ["harmonic", "c.json", "--method", "iterate"], 0, "",
+                _report(lambda r: r["h"][0] == 1.0 and all(v > 0 for v in r["h"])
+                        and 0 not in r["harmonic_set"] and r["converged"] is True
+                        and max(abs(r["residuals"][i]) for i in r["harmonic_set"]) < 1e-9)),
+    # killing that leaves no finite minimal solution, or a singular I - K
+    "negative-solve": _failed({"c.json": NO_MINIMAL},
+                              ["harmonic", "c.json", "--method", "solve"],
+                              "no finite minimal solution: the direct solve gives "
+                              "h[1] = -0.6666666666666666"),
+    "negative-iterate": _failed({"c.json": NO_MINIMAL},
+                                ["harmonic", "c.json", "--method", "iterate"],
+                                "iterate exceeded ceiling 1e+150 at step 498"),
+    "singular-solve": _failed({"c.json": dict(NO_MINIMAL, killing=[0, 1, 0])},
+                              ["harmonic", "c.json", "--method", "solve"],
+                              "no finite minimal solution: I - K is singular"),
+    "zero-N": _schema({"c.json": ZERO_N}, ["harmonic", "c.json", "--method", "explicit"],
+                      '"N" must be at least 1'),
+    # an advisory is one diagnosis line
+    "positive-potential": ({"c.json": {"type": "bd", "birth": 1.0, "death": 1.0,
+                                       "killing": [0.3, -0.5, -0.5, -0.5], "N": 3}},
+                           ["harmonic", "c.json", "--method", "explicit"], 0,
+                           "isospec: warning: positive potential entries: the explicit "
+                           "recursion is computed but its positivity guarantee does not "
+                           "apply\n", None),
+    "positive-at-N": ({"c.json": {"type": "bd", "birth": 1, "death": 1,
+                                  "killing": [-1] * 8 + [0.3], "N": 8}},
+                      ["harmonic", "c.json", "--method", "explicit"], 0, "", None),
+    # states that cannot reach the anchor: the direct solve leaves h = 0 there
+    "unreachable-anchor": ({"c.json": {"type": "qpair", "rates": [[0, 1, 0], [0, 0, 1],
+                                                                  [0, 1, 0]]}},
+                           ["harmonic", "c.json", "--method", "solve"], 0,
+                           "isospec: warning: states [1, 2] cannot reach the anchor state 0; "
+                           "the minimal solution vanishes there\n",
+                           _report(lambda r: r["h"] == [1.0, 0.0, 0.0])),
+    # the h that the forward-underflow row reads
+    "underflow-h": ({"c.json": UNDERFLOW}, ["harmonic", "c.json", "--method", "explicit",
+                                            "--nmax", "2"], 0, "",
+                    _report(lambda r: r["h"] == [1.0, 1e200, 1e200])),
+
+    # ------------------------------------------------ transform and verify
     "long-report": (_long_chain(), LOCAL, 0, "", lambda out: len(out) > 4_000_000),
+    "local-values-h": ({"c.json": FIB, "h.json": {"values": FIB_H9}}, LOCAL, 0, "", None),
+    "verify-values-h": ({"c.json": FIB, "h.json": {"values": FIB_H9}, "t.json": _Stdout(LOCAL)},
+                        ["verify", "c.json", "t.json", "--h", "h.json"], 0, PASS, None),
+    "verify-quiet": ({"c.json": FIB, "h.json": {"values": FIB_H9}, "t.json": _Stdout(LOCAL)},
+                     ["--quiet", "verify", "c.json", "t.json", "--h", "h.json"], 0, "", None),
+    "forward": ({"c.json": FIB, "h.json": FIB_H9}, FORWARD, 0, "", _reloads_as_8_state_bd),
+    # the forward transform of a truncated chain is not isospectral: the boundary
+    # state sees a different escape rate
+    "verify-forward": ({"c.json": FIB, "h.json": FIB_H9, "t.json": _Stdout(FORWARD)},
+                       ["verify", "c.json", "t.json", "--h", "h.json"], 1, "isospec: FAIL\n",
+                       None),
+    "forward-off-tol": _failed({"c.json": {"type": "bd", "birth": 1, "death": 1,
+                                           "killing": -0.5, "N": 4},
+                                "h.json": [1, 2, 3, 4, 5, 6]},
+                               ["transform", "c.json", "--h", "h.json"],
+                               "harmonic residual 0.25 at index 0 exceeds tolerance 1e-08"),
+    "forward-within-tol": ({"c.json": {"type": "bd", "birth": 1, "death": 1, "killing": -0.5,
+                                       "N": 4}, "h.json": [1, 2, 3, 4, 5, 6]},
+                           ["transform", "c.json", "--h", "h.json", "--tol", "0.5"], 0, "",
+                           _report(lambda r: r["birth"] == [2.0, 1.5, 4 / 3, 1.25, 1.2])),
+    # a bd chain is reversible for its running-product measure, so the measure dual
+    # returns the same rates
+    "measure-dual": ({"c.json": FIB}, ["transform", "c.json", "--direction", "measure"], 0, "",
+                     _report(lambda r: r["type"] == "qpair" and r["mu"][0] == 1.0
+                             and r["rates"][0][1] == pytest.approx(1.0, rel=1e-12)
+                             and r["rates"][3][2] == pytest.approx(1.0, rel=1e-12))),
+    "short-h-covers": ({"c.json": FIB, "h.json": FIB_H9[:5]},
+                       ["transform", "c.json", "--h", "h.json"], 0,
+                       "isospec: h covers 0..4; transforming up to N = 3\n",
+                       _report(lambda r: r["N"] == 3)),
     "verify-other": ({"c.json": FIB, "o.json": dict(FIB, birth=2.0)},
                      ["verify", "c.json", "o.json"], 1, "isospec: FAIL\n",
                      _report(lambda r: not r["passed"])),
-    "h-not-harmonic": ({"c.json": FIB, "h.json": [1.0] * 8}, LOCAL, 1,
-                       "isospec: check failed: harmonic residual 1 at index 0 exceeds "
-                       "tolerance 1e-08\n", _NOTHING),
-    "zero-N": ({"c.json": ZERO_N}, ["harmonic", "c.json", "--method", "explicit"], 2,
-               'isospec: "N" must be at least 1\n' + _hint("harmonic"), _NOTHING),
-    "verify-zero-N": ({"c.json": FIB, "z.json": ZERO_N}, ["verify", "c.json", "z.json"], 2,
-                      'isospec: "N" must be at least 1\n' + _hint("verify"), _NOTHING),
+    "h-not-harmonic": _failed({"c.json": FIB, "h.json": [1.0] * 8}, LOCAL,
+                              "harmonic residual 1 at index 0 exceeds tolerance 1e-08"),
+    "verify-zero-N": _schema({"c.json": FIB, "z.json": ZERO_N}, ["verify", "c.json", "z.json"],
+                             '"N" must be at least 1'),
+    # the truncation on 0..N drops b_N, and verify takes mu from it
+    "zero-birth-at-N": ({"c.json": {"type": "bd", "birth": [1] * 8 + [0], "death": 1,
+                                    "killing": -1, "N": 8}},
+                        ["verify", "c.json", "c.json"], 0, PASS, None),
+    # input errors the library finds: h shorter than the chain, a --set index outside
+    # it, state counts that differ; one line and no --help hint
+    "short-h-local": _library({"c.json": FIB, "h.json": [1, 2, 3]}, LOCAL,
+                              "h has shape (3,), want (8,)"),
+    "short-h-verify": _library({"c.json": FIB, "h.json": [1, 2, 3]},
+                               ["verify", "c.json", "c.json", "--h", "h.json"],
+                               "h has shape (3,), want (8,)"),
+    "set-99": _library({"c.json": FIB, "h.json": {"values": FIB_H}}, [*LOCAL, "--set", "99"],
+                       "harmonic_set = 99 outside 0..7"),
+    "set-minus-1": _library({"c.json": FIB, "h.json": {"values": FIB_H}},
+                            [*LOCAL, "--set", "-1"], "harmonic_set = -1 outside 0..7"),
+    "set-text": _schema({"c.json": FIB, "h.json": {"values": FIB_H9}}, [*LOCAL, "--set", "1,a"],
+                        "'--set' must be an integer"),
+    "set-fraction": _schema({"c.json": FIB, "h.json": {"values": FIB_H9}},
+                            [*LOCAL, "--set", "1.5"], "'--set' must be an integer"),
+    "state-counts": _library({"c.json": FIB, "n.json": dict(FIB, N=8)},
+                             ["verify", "c.json", "n.json"],
+                             "chains have 8 and 9 states; they must have the same number"),
+    # a "mu" of another length breaks the document, so the hint follows
+    "mu-length-verify": _schema({"c.json": {"type": "qpair", "rates": THREE, "mu": [1, 2]}},
+                                ["verify", "c.json", "c.json"], "mu has shape (2,), want (3,)"),
+    "mu-length-measure": _schema({"c.json": {"type": "qpair", "rates": THREE, "mu": [1, 2]}},
+                                 ["transform", "c.json", "--direction", "measure"],
+                                 "mu has shape (2,), want (3,)"),
+    # mu_N is finite at N = 3893 but mu_N b_N is not; nu_hat_N is 0.0 without a warning
+    "mu-limit": ({"c.json": {"type": "bd", "birth": 1.2, "death": 1.0, "N": 3893},
+                  "h.json": {"values": [1.0] * 3895}}, FORWARD, 0, "",
+                 _report(lambda r: r["nu_hat"][-1] == 0.0)),
+    "measure-overflow": _failed({"c.json": dict(KILLED_BD, N=3),
+                                 "h.json": [1, 1e200, 1e200, 1e200]},
+                                ["verify", "c.json", "c.json", "--h", "h.json"],
+                                "h-transformed measure leaves float range at index 1"),
+    # h is harmonic on 0..700, and h^2 mu leaves float range at state 513: no report
+    # with Infinity in "mu"
+    "forward-measure-overflow": _failed(_measure_past_float_range(),
+                                        ["transform", "c.json", "--h", "h.json"],
+                                        "h-transformed measure leaves float range at index 513"),
+
+    # ------------------------------------------------ bounds
+    "bounds-constant": ({"c.json": dict(FIB, N=2048)}, ["bounds", "c.json", "--nmax", "2048"],
+                        0, PASS,
+                        _report(lambda r: r["delta_tilde"] == pytest.approx(0.6180339887498949,
+                                                                            rel=1e-12)
+                                and r["containment"] is True and r["verdict"] == "lambda0 > 0")),
+    "bounds-free-walk": ({"c.json": {"type": "bd", "birth": 1.0, "death": 1.0, "killing": 0.0,
+                                     "N": 8192}}, ["bounds", "c.json", "--nmax", "4096"], 0, PASS,
+                         _report(lambda r: r["verdict"].startswith("lambda0 = 0")
+                                 and r["lower"] == 0.0 and r["upper"] == 0.0)),
     # a Hardy tail that grows past float range decides lambda0 = 0
     "recurrent": ({"c.json": {"type": "bd", "birth": 1, "death": 5, "N": 2049}},
                   ["bounds", "c.json", "--nmax", "2048"], 0, PASS,
@@ -299,70 +471,400 @@ CONTRACT = {
     "positive-past-nmax": ({"c.json": {"type": "bd", "birth": 1.0, "death": 2.0,
                                        "killing": [-0.05] * 40 + [0.3]}},
                            ["bounds", "c.json", "--nmax", "39"], 0, PASS, None),
-    "positive-at-N": ({"c.json": {"type": "bd", "birth": 1, "death": 1,
-                                  "killing": [-1] * 8 + [0.3], "N": 8}},
-                      ["harmonic", "c.json", "--method", "explicit"], 0, "", None),
-    # the truncation on 0..N drops b_N, and verify takes mu from it
-    "zero-birth-at-N": ({"c.json": {"type": "bd", "birth": [1] * 8 + [0], "death": 1,
-                                    "killing": -1, "N": 8}},
-                        ["verify", "c.json", "c.json"], 0, PASS, None),
-    # the h that the forward-underflow row of test_rates_near_float_range_warn_nothing reads
-    "underflow-h": ({"c.json": UNDERFLOW}, ["harmonic", "c.json", "--method", "explicit",
-                                            "--nmax", "2"], 0, "",
-                    _report(lambda r: r["h"] == [1.0, 1e200, 1e200])),
-    # an advisory is one diagnosis line
-    "positive-potential": ({"c.json": {"type": "bd", "birth": 1.0, "death": 1.0,
-                                       "killing": [0.3, -0.5, -0.5, -0.5], "N": 3}},
-                           ["harmonic", "c.json", "--method", "explicit"], 0,
-                           "isospec: warning: positive potential entries: the explicit "
-                           "recursion is computed but its positivity guarantee does not "
-                           "apply\n", None),
-    # states that cannot reach the anchor: the direct solve leaves h = 0 there
-    "unreachable-anchor": ({"c.json": {"type": "qpair", "rates": [[0, 1, 0], [0, 0, 1],
-                                                                  [0, 1, 0]]}},
-                           ["harmonic", "c.json", "--method", "solve"], 0,
-                           "isospec: warning: states [1, 2] cannot reach the anchor state 0; "
-                           "the minimal solution vanishes there\n",
-                           _report(lambda r: r["h"] == [1.0, 0.0, 0.0])),
+    # h[4] < 0 here, but the cause is c[0] > 0, which the bound refuses
+    "bounds-positive-c0": _failed({"c.json": {"type": "bd", "birth": 1.0, "death": 2.0,
+                                              "killing": [0.3] + [-0.5] * 11, "N": 11}},
+                                  ["bounds", "c.json", "--nmax", "8"],
+                                  "c[0] = 0.3 > 0; the bound needs c <= 0"),
+    "bounds-qpair": _schema({"c.json": {"type": "qpair", "rates": [[0, 1], [1, 0]],
+                                        "killing": [-1, -1]}}, ["bounds", "c.json"],
+                            "bounds needs a bd chain"),
+
+    # ------------------------------------------------ diffop
     "op-spectrum": ({"op.json": OP}, ["diffop", "op.json", "--check", "spectrum", "--k", "5"],
                     0, "", _report(lambda r: len(r["eigenvalues"]) == 5)),
-    # a > 0 on the grid, but a(-1) = 0 at a cell face: the Simpson weights of b/a
-    "a-vanishes-at-a-face": ({"op.json": {"a": "(x+1)*(x+1)", "b": 1, "c": 1,
-                                          "interval": [-2, 0], "M": 3}},
+    "ou-spectrum": ({"op.json": OU}, ["diffop", "op.json", "--check", "spectrum", "--k", "3"],
+                    0, "", _report(lambda r: len(r["eigenvalues"]) == 3
+                                   and r["eigenvalues"][0] == pytest.approx(0.0, abs=1e-6)
+                                   and r["eigenvalues"][1] == pytest.approx(-1.0, abs=1e-3))),
+    "ou-eigen": ({"op.json": OU, "h.json": GAUSS},
+                 ["diffop", "op.json", "--h", "h.json", "--check", "eigen", "--nmax", "4"], 0,
+                 PASS, _report(lambda r: len(r["checks"]) == 5 and r["all_passed"] is True)),
+    "transform-drift": ({"op.json": {"a": 0.5, "b": 0.0, "c": "(1 - x^2)/2",
+                                     "interval": [-3.0, 3.0], "M": 100}, "h.json": GAUSS},
+                        ["diffop", "op.json", "--h", "h.json", "--check", "transform"], 0, "",
+                        _drift(1e-10)),
+    "riccati-drift": ({"op.json": {"a": 0.5, "b": 0.0, "c": "(1 - x^2)/2",
+                                   "interval": [-3.0, 3.0], "M": 2000}},
+                      ["diffop", "op.json", "--check", "riccati"], 0, "", _drift(1e-6)),
+    "sampled-h": ({"op.json": KILLED,
+                   "h.json": {"grid": _KILLED_X.tolist(),
+                              "values": np.exp(-1.5 * _KILLED_X**2 / 2).tolist()}},
+                  ["diffop", "op.json", "--h", "h.json", "--check", "transform", "--tol", "1e-2"],
+                  0, "", _report(_second_order)),
+    # a h'' + b h' overflows to inf - inf past x = 0.8
+    "nan-residual": _failed({"op.json": {"a": "exp(800*x)", "b": "-exp(800*x)", "c": 0,
+                                         "interval": [0, 1], "M": 10}, "h.json": {"h": "exp(x)"}},
+                            ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+                            "harmonic residual nan at x = 0.9 exceeds 1e-08"),
+    # numpy's overflow warnings used to print before these diagnoses
+    "overflow-transform": _failed({"op.json": EXP_B, "h.json": GAUSS},
+                                  ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+                                  "harmonic residual inf at x = 0.9 exceeds 1e-08"),
+    "overflow-eigen": _failed({"op.json": EXP_B, "h.json": {"h": "exp(800*x)"}},
+                              ["diffop", "op.json", "--h", "h.json", "--check", "eigen"],
+                              "h vanishes at x = -1"),
+    "overflow-spectrum": ({"op.json": EXP_B}, ["diffop", "op.json", "--check", "spectrum", "--k",
+                                                "2"], 1,
+                          "isospec: warning: cell Peclet number reaches inf > 2; refine the grid "
+                          "for trustworthy low modes\n"
+                          "isospec: check failed: matrix has a NaN or infinite entry\n",
+                          _NOTHING),
+    # the Simpson weights of b/a reach a(-1) = 0
+    "a-vanishes-at-a-face": ({"op.json": FACE},
                              ["diffop", "op.json", "--check", "spectrum", "--k", "2"], 1,
                              "isospec: warning: cell Peclet number reaches 6 > 2; refine the "
                              "grid for trustworthy low modes\n"
                              "isospec: check failed: matrix has a NaN or infinite entry\n",
                              _NOTHING),
-    "one-cell": ({"op.json": dict(OP, M=1)}, ["diffop", "op.json", "--check", "spectrum"], 2,
-                 'isospec: "M" must be at least 2\n' + _hint("diffop"), _NOTHING),
-    # input errors the library finds: h shorter than the chain, a --set index outside
-    # it, state counts that differ; one line and no --help hint
-    "short-h-local": ({"c.json": FIB, "h.json": [1, 2, 3]}, LOCAL, 2,
-                      "isospec: h has shape (3,), want (8,)\n", _NOTHING),
-    "short-h-verify": ({"c.json": FIB, "h.json": [1, 2, 3]},
-                       ["verify", "c.json", "c.json", "--h", "h.json"], 2,
-                       "isospec: h has shape (3,), want (8,)\n", _NOTHING),
-    "set-99": ({"c.json": FIB, "h.json": {"values": FIB_H}}, [*LOCAL, "--set", "99"], 2,
-               "isospec: harmonic_set = 99 outside 0..7\n", _NOTHING),
-    "set-minus-1": ({"c.json": FIB, "h.json": {"values": FIB_H}}, [*LOCAL, "--set", "-1"], 2,
-                    "isospec: harmonic_set = -1 outside 0..7\n", _NOTHING),
-    "state-counts": ({"c.json": FIB, "n.json": dict(FIB, N=8)}, ["verify", "c.json", "n.json"],
-                     2, "isospec: chains have 8 and 9 states; they must have the same number\n",
-                     _NOTHING),
-    # a "mu" of another length breaks the document, so the hint follows
-    "mu-length-verify": ({"c.json": {"type": "qpair", "rates": THREE, "mu": [1, 2]}},
-                         ["verify", "c.json", "c.json"], 2,
-                         "isospec: mu has shape (2,), want (3,)\n" + _hint("verify"), _NOTHING),
-    "mu-length-measure": ({"c.json": {"type": "qpair", "rates": THREE, "mu": [1, 2]}},
-                          ["transform", "c.json", "--direction", "measure"], 2,
-                          "isospec: mu has shape (2,), want (3,)\n" + _hint("transform"),
-                          _NOTHING),
-    # mu_N is finite at N = 3893 but mu_N b_N is not; nu_hat_N is 0.0 without a warning
-    "mu-limit": ({"c.json": {"type": "bd", "birth": 1.2, "death": 1.0, "N": 3893},
-                  "h.json": {"values": [1.0] * 3895}},
-                 ["transform", "c.json", "--h", "h.json", "--direction", "forward"], 0, "",
-                 _report(lambda r: r["nu_hat"][-1] == 0.0)),
+    # a scalar division there once escaped as ZeroDivisionError
+    "riccati-face": _failed({"op.json": FACE}, ["diffop", "op.json", "--check", "riccati"],
+                            "solution magnitude inf exceeded the guard at x = -1.33333"),
+    "one-cell": _schema({"op.json": dict(OP, M=1)}, ["diffop", "op.json", "--check", "spectrum"],
+                        '"M" must be at least 2'),
+    "missing-h": _schema({"op.json": OU}, ["diffop", "op.json", "--check", "transform"],
+                         "--check transform needs --h"),
+    "negative-eigen-nmax": _library({"op.json": SMALL_OP, "h.json": GAUSS},
+                                    ["diffop", "op.json", "--h", "h.json", "--check", "eigen",
+                                     "--nmax", "-1"], "n_max = -1 outside 0..60"),
+    "two-dirichlet-cells": _library({"op.json": dict(SMALL_OP, M=2,
+                                                     bc=["dirichlet", "dirichlet"])},
+                                    ["diffop", "op.json", "--check", "spectrum"],
+                                    "2 cells with dirichlet and dirichlet ends leave fewer than "
+                                    "two interior nodes"),
+    # an expression the library refuses is one line, with no hint
+    "node-cap": _library({"op.json": OU, "h.json": {"h": "exp(" * 60 + "x" + ")" * 60}},
+                         ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+                         "cannot parse '" + "exp(" * 19 + "e...': derivative larger than 50000 "
+                         "nodes"),
+    "injection": _library({"op.json": {"a": 0.5, "b": "__import__('os')", "c": 0.0,
+                                       "interval": [0.0, 1.0], "M": 10}},
+                          ["diffop", "op.json", "--check", "spectrum"],
+                          "cannot parse \"__import__('os')\": unknown name: __import__"),
+    # a NaN anchor used to fail the check as a blow-up at the first step
+    **{f"phi0-{v}": _schema({"op.json": OU}, ["diffop", "op.json", "--check", "riccati",
+                                               f"--phi0={v}"],
+                            f"argument --phi0: '{v}' is not a finite number")
+       for v in ("nan", "inf", "1e400")},
+    # argparse's own negative-number pattern has no -inf
+    **{f"phi0-minus-{v[1:]}": _schema({"op.json": OU},
+                                      ["diffop", "op.json", "--check", "riccati", "--phi0", v],
+                                      f"argument --phi0: '{v}' is not a finite number")
+       for v in ("-inf", "-nan")},
+    # past the guard at the first step, and without numpy's overflow warnings
+    **{name: _failed({"op.json": OU},
+                     ["diffop", "op.json", "--check", "riccati", f"--phi0={v}"],
+                     "solution magnitude inf exceeded the guard at x = 0.03")
+       for name, v in (("phi0-1e300", "1e300"), ("phi0-minus-1e300", "-1e300"))},
+
+    # ------------------------------------------------ flag values
+    "bounds-nmax": _library({"c.json": FIB}, ["bounds", "c.json", "--nmax", "4"],
+                            "N_max = 4 is below 8"),
+    # the library checks N_max before it reads a rate
+    "bounds-nmax-bad-rate": _library({"c.json": {"type": "bd", "birth": [1.0] * 5 + [-1.0],
+                                                 "death": 1.0, "killing": -1.0}},
+                                     ["bounds", "c.json", "--nmax", "4"], "N_max = 4 is below 8"),
+    "explicit-nmax": _library({"c.json": FIB}, ["harmonic", "c.json", "--method", "explicit",
+                                                "--nmax", "0"], "N = 0 is below 1"),
+    "theta": _library({"c.json": FIB}, ["harmonic", "c.json", "--theta", "99"],
+                      "theta = 99 outside 0..7"),
+    "spectrum-k": _library({"op.json": OP}, ["diffop", "op.json", "--check", "spectrum", "--k",
+                                             "0"], "k = 0 outside 1..201"),
+    "eigen-nmax": _library({"op.json": OP, "h.json": GAUSS},
+                           ["diffop", "op.json", "--check", "eigen", "--h", "h.json", "--nmax",
+                            "99"], "n_max = 99 outside 0..60"),
+    "eigen-nmax-61": _library({"op.json": OP, "h.json": GAUSS},
+                              ["diffop", "op.json", "--h", "h.json", "--check", "eigen", "--nmax",
+                               "61"], "n_max = 61 outside 0..60"),
+    # a NaN tolerance used to pass every check, since worst > nan is false
+    "harmonic-tol-nan": _schema({"c.json": FLAGS_BD}, ["harmonic", "c.json", "--tol", "nan"],
+                                "argument --tol: 'nan' is not a finite positive number"),
+    "iterate-tol-zero": _schema({"c.json": FLAGS_BD},
+                                ["harmonic", "c.json", "--method", "iterate", "--tol", "0"],
+                                "argument --tol: '0' is not a finite positive number"),
+    "local-tol-nan": _schema({"c.json": FLAGS_BD, "h.json": [1.0] * 7}, [*LOCAL, "--tol", "nan"],
+                             "argument --tol: 'nan' is not a finite positive number"),
+    "verify-tol-nan": _schema({"c.json": FLAGS_BD},
+                              ["verify", "c.json", "c.json", "--tol", "nan"],
+                              "argument --tol: 'nan' is not a finite positive number"),
+    "verify-tol-negative": _schema({"c.json": FLAGS_BD},
+                                   ["verify", "c.json", "c.json", "--tol", "-1"],
+                                   "argument --tol: '-1' is not a finite positive number"),
+    "tail-tol-inf": _schema({"c.json": FLAGS_BD}, ["bounds", "c.json", "--tail-tol", "inf"],
+                            "argument --tail-tol: 'inf' is not a finite positive number"),
+    "tail-tol-text": _schema({"c.json": FLAGS_BD}, ["bounds", "c.json", "--tail-tol", "1e-3x"],
+                             "argument --tail-tol: '1e-3x' is not a finite positive number"),
+    "nmax-text": _schema({"c.json": FLAGS_BD}, ["harmonic", "c.json", "--nmax", "abc"],
+                         "argument --nmax: invalid int value: 'abc'"),
+    "method": ({"c.json": FLAGS_BD}, ["harmonic", "c.json", "--method", "guess"], 2,
+               _python_text("isospec: argument --method: invalid choice", _hint("harmonic")),
+               _NOTHING),
+    # no subcommand, or an unknown one: the hint points at the top --help
+    "no-subcommand": ({}, [], 2, "isospec: no subcommand given\n" + TOP_HINT, _NOTHING),
+    "quiet-only": ({}, ["--quiet"], 2, "isospec: no subcommand given\n" + TOP_HINT, _NOTHING),
+    "unknown-subcommand": ({}, ["frobnicate"], 2, _python_text("isospec: argument ", TOP_HINT),
+                           _NOTHING),
+    "top-level-tol": ({}, ["--tol", "0", "harmonic", "c.json"], 2,
+                      "isospec: argument --tol: '0' is not a finite positive number\n" + TOP_HINT,
+                      _NOTHING),
+
+    # ------------------------------------------------ documents
+    "bad-json": ({"bad.json": "{not json"}, ["harmonic", "bad.json"], 2,
+                 _python_text("isospec: "), _NOTHING),
+    "missing-file": ({}, ["harmonic", "nope.json"], 2, _python_text("isospec: "), _NOTHING),
+    "no-death": _schema({"c.json": {"type": "bd", "birth": 1.0}}, ["harmonic", "c.json"],
+                        "bd chain is missing the 'death' field"),
+    # the explicit recurrence never builds a q-matrix, so the schema layer must refuse
+    "nan-killing-explicit": _schema({"c.json": {"type": "bd", "birth": 1.0, "death": 1.0,
+                                                "killing": [0, NAN, 0, 0], "N": 3}},
+                                    ["harmonic", "c.json", "--method", "explicit"],
+                                    "'killing' has a NaN or infinite entry"),
+    **{name: _schema({"a.json": GOOD_QPAIR, "b.json": doc}, ["verify", "a.json", "b.json"], line)
+       for name, (doc, line) in {
+           "nan-rate": (dict(GOOD_QPAIR, rates=[[0, NAN, 0], [1, 0, 1], [0, 1, 0]]),
+                        "rates has a NaN or infinite entry"),
+           "inf-total": (dict(GOOD_QPAIR, total=[1, INF, 1]),
+                         "total has a NaN or infinite entry"),
+           "nan-killing": (dict(GOOD_QPAIR, killing=[0, NAN, 0]),
+                           "killing has a NaN or infinite entry"),
+           "nan-birth": ({"type": "bd", "birth": [1, NAN, 1], "death": 1.0, "N": 2},
+                         "'birth' has a NaN or infinite entry"),
+           "inf-killing": ({"type": "bd", "birth": 1.0, "death": 1.0, "killing": -INF, "N": 2},
+                           "'killing' has a NaN or infinite entry"),
+       }.items()},
+    # a count is a JSON integer or an integral float, never rounded, a bool or text
+    **{f"N-{name}": _schema({"c.json": dict(ZERO_N, N=n)},
+                            ["harmonic", "c.json", "--method", "solve"], "'N' must be an integer")
+       for name, n in (("text", "abc"), ("infinite", INF), ("fraction", 10.5), ("bool", True),
+                       ("numeric-text", "12"))},
+    **{name: _schema({"c.json": doc}, ["harmonic", "c.json", "--method", "solve"],
+                     f"'{key}' must hold only numbers, nested evenly")
+       for name, (doc, key) in {
+           "birth-text-entry": ({"type": "bd", "birth": [1, "a"], "death": 1.0, "N": 1}, "birth"),
+           "poly-text-coeff": ({"type": "bd", "birth": {"formula": "poly", "coeffs": ["a"]},
+                                "death": 1.0, "N": 3}, "birth"),
+           "ragged-rates": ({"type": "qpair", "rates": [[0, 1], [1]]}, "rates"),
+           "ragged-mu": ({"type": "qpair", "rates": [[0, 1], [1, 0]], "mu": [1, [2]]}, "mu"),
+       }.items()},
+    # json.load itself refuses integer literals beyond 4300 digits
+    "birth-5001-digits": ({"c.json": '{"type": "bd", "birth": 1%s, "death": 1.0, "N": 3}'
+                                     % ("0" * 5000)}, ["harmonic", "c.json", "--method", "solve"],
+                          2, _python_text("isospec: input JSON: ", _hint("harmonic")), _NOTHING),
+    # every path refuses a rate that is not positive
+    **{f"{doc}-{path}": _schema({"c.json": NONPOSITIVE[doc][0], "h.json": [1.0] * 22},
+                                CHAIN_PATHS[path], f"{NONPOSITIVE[doc][1]} must be positive")
+       for doc in NONPOSITIVE for path in CHAIN_PATHS},
+    "poly-overflow-explicit": _schema({"c.json": POLY_OVERFLOW},
+                                      ["harmonic", "c.json", "--method", "explicit", "--nmax",
+                                       "4"], "'birth' poly formula is not finite at state 1"),
+    "poly-overflow-bounds": _schema({"c.json": POLY_OVERFLOW},
+                                    ["bounds", "c.json", "--nmax", "16"],
+                                    "'birth' poly formula is not finite at state 1"),
+    # the size caps
+    **{name: _schema({"c.json": dict(KILLED_BD, N=n)}, ["harmonic", "c.json"],
+                     f'"N" must be at most {MAX_STATES}')
+       for name, n in (("N-1e308", 1e308), ("N-1e15", 10**15), ("N-over-cap", MAX_STATES + 1))},
+    "nmax-cap-explicit": _schema({"c.json": KILLED_BD},
+                                 ["harmonic", "c.json", "--method", "explicit", "--nmax", 10**15],
+                                 f"--nmax must be at most {MAX_STATES}"),
+    "nmax-cap-bounds": _schema({"c.json": KILLED_BD}, ["bounds", "c.json", "--nmax", 10**15],
+                               f"--nmax must be at most {MAX_STATES}"),
+    # the dense cap is checked before any matrix is built
+    "dense-cap-verify": _schema({"c.json": dict(KILLED_BD, N=DENSE_N)},
+                                ["verify", "c.json", "c.json"],
+                                f"a dense rate matrix of {DENSE_N + 1} states exceeds the cap of "
+                                f"{MAX_DENSE_BYTES} bytes"),
+    "dense-cap-solve": _schema({"c.json": dict(KILLED_BD, N=DENSE_N)},
+                               ["harmonic", "c.json", "--method", "solve"],
+                               f"a dense rate matrix of {DENSE_N + 1} states exceeds the cap of "
+                               f"{MAX_DENSE_BYTES} bytes"),
+    "M-cap": _schema({"op.json": dict(OP, M=1e308)}, ["diffop", "op.json", "--check", "spectrum"],
+                     f'"M" must be at most {MAX_STATES}'),
+    "N-zero-killed": _schema({"c.json": dict(KILLED_BD, N=0)}, ["harmonic", "c.json"],
+                             '"N" must be at least 1'),
+    # a number of an operator document is finite, as every chain field is
+    **{name: _schema({"op.json": text}, ["diffop", "op.json", "--check", check],
+                     f"'{key}' has a NaN or infinite entry")
+       for name, (key, text, check) in {
+           "a-infinite-riccati": ("a", '{"a": 1e999, "b": 0, "interval": [-1, 1], "M": 10}',
+                                  "riccati"),
+           "a-infinite": ("a", '{"a": 1e999, "b": 0, "interval": [-1, 1], "M": 10}', "spectrum"),
+           "b-nan": ("b", '{"a": 0.5, "b": NaN, "interval": [-1, 1], "M": 10}', "spectrum"),
+           "c-minus-infinity": ("c", '{"a": 0.5, "b": 0, "c": -Infinity, "interval": [-1, 1], '
+                                     '"M": 10}', "spectrum"),
+           "interval-infinite": ("interval", '{"a": 0.5, "b": 0, "interval": [-Infinity, '
+                                             'Infinity], "M": 10}', "spectrum"),
+       }.items()},
+    "interval-text": _schema({"op.json": dict(OP_50, interval=["lo", 1])},
+                             ["diffop", "op.json", "--check", "spectrum"],
+                             "'interval' must hold only numbers, nested evenly"),
+    **{f"M-{name}": _schema({"op.json": dict(SMALL_OP, b="-x", M=m)},
+                            ["diffop", "op.json", "--check", "spectrum"],
+                            "'M' must be an integer")
+       for name, m in (("text", "x"), ("numeric-text", "12"), ("fraction", 10.9),
+                       ("bool", True))},
+    "h-infinite": _schema({"op.json": dict(SMALL_OP, b="-x"), "h.json": '{"h": 1e999, "h1": 0, '
+                                                                        '"h2": 0}'},
+                          ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+                          "'h' has a NaN or infinite entry"),
+    **{f"sampled-{key}-non-finite": _schema(
+        {"op.json": OP_50, "h.json": {"grid": [-1, 0, 1], "values": [1, 2, 1], key: bad}},
+        ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+        f"'{key}' has a NaN or infinite entry")
+       for key, bad in (("grid", [-1, NAN, 1]), ("values", [1, INF, 1]))},
+    # np.interp reads a sampled h only on an increasing grid, and only inside it
+    **{f"grid-{name}-{check}": (
+        {"op.json": op, "h.json": h}, ["diffop", "op.json", "--h", "h.json", "--check", check],
+        2, f"isospec: {line}\n" + _hint("diffop"), _NOTHING)
+       for name, (op, h, line) in _GRIDS.items() for check in ("transform", "eigen")},
+    "values-ragged": _schema({"c.json": FIB, "h.json": {"values": [1, [2, 3]]}},
+                             ["transform", "c.json", "--h", "h.json"],
+                             "'values' must hold only numbers, nested evenly"),
+    "values-nan": _schema({"c.json": FIB,
+                           "h.json": {"values": [1, 2, NAN, 13, 34, 89, 233, 610]}}, LOCAL,
+                          "'values' has a NaN or infinite entry"),
+    "values-inf-verify": _schema({"c.json": FIB, "h.json": [1, 2, 5, INF, 34, 89, 233, 610]},
+                                 ["verify", "c.json", "c.json", "--h", "h.json"],
+                                 "'values' has a NaN or infinite entry"),
+    "mu-inf": _schema({"c.json": dict(QPAIR, mu=[1, INF])},
+                      ["transform", "c.json", "--direction", "measure"],
+                      "'mu' has a NaN or infinite entry"),
+    # each request fails on a different refusal of a chain or operator document
+    "op-missing-a": _schema({"op.json": {"b": 0, "interval": [-1, 1], "M": 10}},
+                            ["diffop", "op.json", "--check", "spectrum"],
+                            "operator JSON is missing 'a'"),
+    "op-array-a": _schema({"op.json": dict(SMALL_OP, a=[1])},
+                          ["diffop", "op.json", "--check", "spectrum"],
+                          "'a' must be a number or an expression string"),
+    "op-not-object": _schema({"op.json": [1, 2]}, ["diffop", "op.json", "--check", "spectrum"],
+                             "operator JSON must be an object"),
+    "op-interval-3": _schema({"op.json": dict(SMALL_OP, interval=[1, 2, 3])},
+                             ["diffop", "op.json", "--check", "spectrum"],
+                             '"interval" must be [lo, hi]'),
+    "op-interval-order": _schema({"op.json": dict(SMALL_OP, interval=[1, 0])},
+                                 ["diffop", "op.json", "--check", "spectrum"],
+                                 '"interval" must have lo < hi'),
+    "op-interval-wide": _schema({"op.json": dict(SMALL_OP, interval=[-1e308, 1e308])},
+                                ["diffop", "op.json", "--check", "spectrum"],
+                                "interval [-1e+308, 1e+308]: hi - lo is not finite"),
+    "op-bc-text": _schema({"op.json": dict(SMALL_OP, bc="neumann")},
+                          ["diffop", "op.json", "--check", "spectrum"],
+                          '"bc" must name two boundary conditions'),
+    "h-not-object": _schema({"op.json": SMALL_OP, "h.json": [1, 2]},
+                            ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+                            "h JSON for diffop must be an object"),
+    "h-values-only": _schema({"op.json": SMALL_OP, "h.json": {"values": [1, 2, 3]}},
+                             ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+                             'sampled h needs both "grid" and "values"'),
+    "h-empty": _schema({"op.json": SMALL_OP, "h.json": {}},
+                       ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+                       'h JSON needs "h" (expression) or "grid"/"values"'),
+    "h-h1-only": _schema({"op.json": SMALL_OP, "h.json": {"h": "x", "h1": "1"}},
+                         ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+                         "declare both h1 and h2 or neither"),
+    "h-number": _schema({"op.json": SMALL_OP, "h.json": {"h": 1}},
+                        ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
+                        '"h" must be an expression string'),
+    "bd-text-birth": _schema({"c.json": {"type": "bd", "birth": "x", "death": 1, "N": 3}},
+                             ["harmonic", "c.json"],
+                             "'birth' must be a number, an array, or "
+                             '{"formula": "poly", "coeffs": [...]}'),
+    "bd-zero-N": _schema({"c.json": ZERO_N}, ["harmonic", "c.json"], '"N" must be at least 1'),
+    # a count is an integer, not rounded down
+    "bd-fraction-N": _schema({"c.json": dict(ZERO_N, N=10.5)}, ["harmonic", "c.json"],
+                             "'N' must be an integer"),
+    "bd-formula-no-N": _schema({"c.json": {"type": "bd",
+                                           "birth": {"formula": "poly", "coeffs": [1]},
+                                           "death": 1}},
+                               ["harmonic", "c.json", "--method", "solve"],
+                               'bd chain with formula rates needs "N"'),
+    "qpair-measure": _schema({"c.json": QPAIR}, ["transform", "c.json", "--direction", "measure"],
+                             'qpair chain needs an explicit "mu" array here'),
+    "qpair-no-rates": _schema({"c.json": {"type": "qpair"}}, ["harmonic", "c.json"],
+                              'qpair chain is missing the "rates" matrix'),
+    "qpair-nonsquare": _schema({"c.json": {"type": "qpair", "rates": [[0, 1, 2], [1, 0, 1]]}},
+                               ["harmonic", "c.json", "--method", "solve"],
+                               "rates must be a square matrix with n >= 1"),
+    "qpair-negative-rate": _schema({"c.json": {"type": "qpair",
+                                                "rates": [[0, 1, 2], [1, 0, -1], [2, 1, 0]]}},
+                                   ["harmonic", "c.json", "--method", "solve"],
+                                   "rate[1][2] = -1.0 is negative"),
+    "h-no-values": _schema({"c.json": FIB, "h.json": {"h": [1, 2]}},
+                           ["transform", "c.json", "--h", "h.json"],
+                           'h JSON object needs a "values" array'),
+    "h-one-value": _schema({"c.json": FIB, "h.json": [1]},
+                           ["transform", "c.json", "--h", "h.json"],
+                           "h must be a flat array of at least two values"),
+    "explicit-qpair": _schema({"c.json": QPAIR}, ["harmonic", "c.json", "--method", "explicit"],
+                              "--method explicit needs a bd chain"),
+    "explicit-unbounded": _schema({"c.json": {"type": "bd", "birth": 1, "death": 1}},
+                                  ["harmonic", "c.json", "--method", "explicit"],
+                                  "unbounded bd chain: pass --nmax"),
+    "forward-no-h": _schema({"c.json": FIB}, ["transform", "c.json", "--direction", "forward"],
+                            "--direction forward needs --h"),
+    "verify-no-measure": _schema({"c.json": FIB, "q.json": QPAIR}, ["verify", "c.json", "q.json"],
+                                 'second chain needs a measure: give --h or embed "mu"'),
+
+    # ------------------------------------------------ rates near float range
+    # row sums past float range, banded and dense
+    "band-sums": _schema({"c.json": HUGE, "h.json": [0.1] * 8},
+                         [*LOCAL, "--set", "0"], "total has a NaN or infinite entry"),
+    "dense-sums": _schema({"c.json": HUGE}, ["verify", "c.json", "c.json"],
+                          "total has a NaN or infinite entry"),
+    # the birth-death band's row sum b_1 + a_1 = 2e308, refused before tilting
+    "bd-transform": _failed({"c.json": dict(HUGE, N=3), "h.json": [1, 2, 4, 8, 16]},
+                            ["transform", "c.json", "--h", "h.json"],
+                            "total has a NaN or infinite entry"),
+    # max(mu) / min(mu) overflows on the band
+    "measure-ratio": _failed({"c.json": TINY_MU},
+                             ["transform", "c.json", "--direction", "measure"],
+                             "rates has a NaN or infinite entry"),
+    # the harmonicity check reads an overflowed residual as inf, not NaN
+    "residual": _failed({"c.json": {"type": "qpair", "rates": [[0, 1e308], [1e308, 0]]},
+                         "h.json": [1, 2]}, ["transform", "c.json", "--h", "h.json"],
+                        "max harmonic residual inf exceeds tolerance 1e-08"),
+    # a~_1 = 1e-130 h_0 / h_1 rounds to 0: the transform's result, not the document
+    "forward-underflow": _failed({"c.json": UNDERFLOW, "h.json": [1.0, 1e200, 1e200]}, FORWARD,
+                                 "transformed death rate leaves float range at index 1"),
+    # h_2 of bounds' own recurrence overflows, which is not an h too short
+    "bounds-h": _failed({"c.json": {"type": "bd", "birth": 1.0, "death": 1.0,
+                                    "killing": -1e300}}, ["bounds", "c.json", "--nmax", "100"],
+                        "h leaves float range at index 2"),
+    # c_0 - q_0 overflows at load: an input error, not a NaN residual
+    "qpair-diagonal": _schema({"c.json": {"type": "qpair", "rates": [[0, 1e308], [1e308, 0]],
+                                          "killing": [-1e308, -1e308]}},
+                              ["harmonic", "c.json", "--method", "solve", "--theta", "1"],
+                              "generator diagonal c[0] - q[0] = -1e+308 - 1e+308 is not finite"),
+
+    # ------------------------------------------------ hostile expressions
+    **{f"hostile-{name}": _library({"op.json": {"a": 0.5, "b": "-x", "interval": [-1.0, 1.0],
+                                                "M": 10, **op},
+                                    "h.json": dict(GAUSS, **h)},
+                                   ["diffop", "op.json", "--h", "h.json", "--check", "eigen"],
+                                   f"cannot parse {line}")
+       for name, op, h, line in (
+           ("overflowing-tower", {"b": "9^9^9^9"}, {}, "'9^9^9^9': constant out of float range"),
+           ("3000-parentheses", {"b": "(" * 3000 + "x" + ")" * 3000}, {},
+            "'" + "(" * 77 + "...': longer than 2000 characters"),
+           ("150-parentheses", {"b": "(" * 150 + "x" + ")" * 150}, {},
+            "'" + "(" * 77 + "...': nesting deeper than 100 levels"),
+           ("long-product-derivative", {}, {"h": "*".join(f"(x+{i})" for i in range(60))},
+            "'" + "*".join(f"(x+{i})" for i in range(12)) + "*(x+...': derivative larger than "
+            "50000 nodes"),
+           # a lone surrogate, which JSON admits and UTF-8 cannot encode
+           ("lone-surrogate", {"b": "0.5\ud800"}, {},
+            "'0.5\\ud800': disallowed token: '\\ud800'"),
+       )},
 }
 
 
@@ -370,8 +872,20 @@ CONTRACT = {
 def test_request_keeps_its_status_and_diagnosis(tmp_path, name):
     docs, argv, status, err, out = CONTRACT[name]
     code, got_out, got_err = _run(tmp_path, argv, docs)
-    assert (code, got_err) == (status, err)
+    if isinstance(err, re.Pattern):
+        assert code == status and err.fullmatch(got_err), (code, got_err)
+    else:
+        assert (code, got_err) == (status, err)
     assert out is None or out(got_out)
+
+
+def test_hostile_expressions_are_refused_within_a_second(tmp_path):
+    for name in (n for n in CONTRACT if n.startswith("hostile-")):
+        docs, argv, *_ = CONTRACT[name]
+        argv = _files(tmp_path, argv, docs)
+        t0 = time.perf_counter()
+        _call(argv)
+        assert time.perf_counter() - t0 < 1.0, name
 
 
 # The rows an entry point could change: each handler module at each exit status, a

@@ -92,8 +92,12 @@ def test_round_trip_forward_of_inverse():
 def test_inverse_requires_conservative_zero_potential():
     rng = np.random.default_rng(14)
     killed, _ = make_reversible_killed(rng, 6)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="^input chain must have zero potential$"):
         inverse_transform(killed, np.ones(6))
+    # zero potential, but totals above the row sums: the chain still loses mass
+    qp = make_conservative(rng, 6)
+    with pytest.raises(PreconditionViolated, match="^input chain must be conservative$"):
+        inverse_transform(validate_qpair(qp.rates, qp.total + 1.0), np.ones(6))
 
 
 def test_transform_measure_round_trip():

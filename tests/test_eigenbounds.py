@@ -211,8 +211,16 @@ def test_delta_needs_enough_h():
         delta_tilde(BirthDeathSpec(1e308, 1.0), [1.0, 1e308, 1e308, 1e308])
 
 
+def _assert_levels(rep, spec, N_max):
+    """The report's truncation levels are lambda0_variational at N/4, N/2 and N, bit for bit."""
+    want = [[n, lambda0_variational(spec, n)] for n in (N_max // 4, N_max // 2, N_max)]
+    assert rep.truncation_levels == want
+    assert rep.lambda0_numeric == want[-1][1]
+
+
 def test_bounds_report_constant_chain():
     rep = bounds_report(CONST, N_max=2048)
+    _assert_levels(rep, CONST, 2048)
     assert isinstance(rep, BoundsReport)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     assert rep.delta_tilde == pytest.approx(golden, rel=1e-12)
@@ -221,7 +229,6 @@ def test_bounds_report_constant_chain():
     assert rep.containment
     assert rep.verdict == "lambda0 > 0"
     assert rep.lower - rep.epsilon <= rep.lambda0_numeric <= rep.upper + rep.epsilon
-    assert [n for n, _ in rep.truncation_levels] == [512, 1024, 2048]
     d = rep.to_dict()
     assert "delta_detail" not in d
     assert d["delta_tilde"] == rep.delta_tilde
@@ -231,6 +238,7 @@ def test_bounds_report_constant_chain():
 def test_bounds_report_free_walk_verdict():
     s = BirthDeathSpec(birth=1.0, death=1.0, killing=0.0)
     rep = bounds_report(s, N_max=4096)
+    _assert_levels(rep, s, 4096)
     assert rep.verdict == "lambda0 = 0 (Hardy constant diverges)"
     assert rep.lower == 0.0 and rep.upper == 0.0
     assert math.isinf(rep.delta_tilde)
@@ -274,6 +282,7 @@ def test_bounds_report_never_claims_lambda0_positive_on_the_switching_chain():
     s = BirthDeathSpec(birth=np.where(n < 1000, 1.2, 1.0), death=np.ones(4098),
                        killing=np.where(n < 10, -0.05, 0.0))
     rep = bounds_report(s, N_max=4096)
+    _assert_levels(rep, s, 4096)
     assert rep.verdict == "lambda0 = 0 (Hardy constant diverges)"
     assert math.isinf(rep.delta_tilde)
 
@@ -283,6 +292,7 @@ def test_hardy_sums_past_float_range_raise_no_warning():
     # tail sums leave float range while still growing; that decides divergence
     s = BirthDeathSpec(birth=1.0, death=5.0, killing=0.0)
     rep = bounds_report(s, N_max=2048)
+    _assert_levels(rep, s, 2048)
     assert rep.verdict == "lambda0 = 0 (Hardy constant diverges)"
     assert math.isinf(rep.delta_tilde)
 
@@ -304,7 +314,9 @@ def test_lambda0_constant_rates_closed_form(b, a, N):
 
 @pytest.mark.parametrize("b, a", [(2.0, 1.0), (5.0, 1.0), (1.5, 1.0)])
 def test_bounds_report_encloses_the_closed_form(b, a):
-    rep = bounds_report(BirthDeathSpec(birth=b, death=a, killing=0.0), N_max=2048)
+    spec = BirthDeathSpec(birth=b, death=a, killing=0.0)
+    rep = bounds_report(spec, N_max=2048)
+    _assert_levels(rep, spec, 2048)
     assert rep.verdict == "lambda0 > 0"
     assert rep.containment
     assert rep.lower <= (math.sqrt(b) - math.sqrt(a)) ** 2 <= rep.upper
@@ -313,5 +325,7 @@ def test_bounds_report_encloses_the_closed_form(b, a):
 # b = 1, a = 5 is test_hardy_sums_past_float_range_raise_no_warning
 @pytest.mark.parametrize("b, a", [(1.0, 2.0), (1.0, 1.0)])
 def test_bounds_report_zero_when_death_dominates(b, a):
-    rep = bounds_report(BirthDeathSpec(birth=b, death=a, killing=0.0), N_max=2048)
+    spec = BirthDeathSpec(birth=b, death=a, killing=0.0)
+    rep = bounds_report(spec, N_max=2048)
+    _assert_levels(rep, spec, 2048)
     assert rep.verdict == "lambda0 = 0 (Hardy constant diverges)"

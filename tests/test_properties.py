@@ -53,6 +53,7 @@ from isospec import (
 )
 from isospec._checks import _Record
 from isospec.chains import BandSpec, bd_to_band, validate_band
+from isospec.duality import _relative_residual
 from isospec.harmonic import _hitting_kernel
 from isospec._cli_chains import _emit_qpair_transform
 from conftest import exact_harmonic_pair, make_reversible_killed
@@ -453,6 +454,13 @@ def test_band_transforms_match_dense(case):
     ]
     for call in calls:
         assert _outcome(lambda: call(band)) == _outcome(lambda: call(dense))
+    # h is not harmonic; both forms divide |A h| by the same local rate scale
+    # max(1, q_i h_i, max_j q_ij h_j), so only A h's rounding may set them apart
+    # (the bound of test_band_apply_matches_dense, per state)
+    terms = np.abs(dense.rates * h).sum(axis=1) + np.abs((dense.killing - dense.total) * h)
+    scale = np.maximum(1.0, np.maximum(dense.total * h, np.max(dense.rates * h, axis=1)))
+    assert np.all(np.abs(_relative_residual(band, h) - _relative_residual(dense, h))
+                  <= 1e-15 * terms / scale)
     assert _outcome(lambda: inverse_transform(cons, h)) == _outcome(
         lambda: inverse_transform(_dense(cons), h))
     for output in ("json", "csv"):
