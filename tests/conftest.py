@@ -1,4 +1,8 @@
+import contextlib
+import io
+import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 from isospec import validate_qpair
+from isospec.cli import main
 
 # Property tests draw the same examples on every run and keep no example
 # database, so tier-1 results do not depend on earlier runs.
@@ -80,3 +85,57 @@ def exact_harmonic_pair(rng, n):
     h = np.exp(rng.uniform(-1.0, 1.0, n))
     c = qp0.total - (qp0.rates @ h) / h
     return validate_qpair(qp0.rates, qp0.total, c), h
+
+
+# ---------------------------------------------------------------- the CLI runner
+
+def _call(argv):
+    """(exit status, stdout, stderr) of main(argv); a numeric warning raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class _Stdout(list):
+    """A document that is the stdout of the request it holds, on the documents before it."""
+
+
+def _files(tmp, argv, docs):
+    """argv with each name in docs replaced by the path of that document, written to tmp.
+
+    A document is written as JSON, a str as it is, and a _Stdout as its request's
+    stdout; a name whose document is None gets a path in tmp and no file.
+    """
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = Path(tmp, name)
+        if doc is None:
+            continue
+        if isinstance(doc, _Stdout):
+            text = _call([paths.get(a, a) for a in doc])[1]
+        else:
+            text = doc if isinstance(doc, str) else json.dumps(doc)
+        paths[name].write_text(text)
+    return [paths.get(a, a) for a in argv]
+
+
+def _run(tmp, argv, docs):
+    """_call(argv) with each of docs written to tmp under its name."""
+    return _call(_files(tmp, argv, docs))
+
+
+# documents and requests that both CLI test modules use
+FIB = {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 7}
+FIB_H = [1.0, 2.0, 5.0, 13.0, 34.0, 89.0, 233.0, 610.0]  # harmonic for FIB on 0..7
+FIB_H9 = [1, 2, 5, 13, 34, 89, 233, 610, 1597]  # and one state further
+OU = {"a": 0.5, "b": "-x", "c": 0.0, "interval": [-6.0, 6.0], "M": 400}
+GAUSS = {"h": "exp(-x^2/2)"}
+# the benchmark's killed oscillator (1/2) f'' + (t - t^2 x^2)/2 f at t = 1.5, for
+# which h = exp(-t x^2/2) is harmonic and the transformed drift is -t x
+KILLED = {"a": 0.5, "b": 0, "c": "(1.5 - 1.5^2*x^2)/2",
+          "interval": [-3.0 / 1.5**0.5, 3.0 / 1.5**0.5], "M": 500}
+LOCAL = ["transform", "c.json", "--h", "h.json", "--direction", "local"]
+FORWARD = ["transform", "c.json", "--h", "h.json", "--direction", "forward"]

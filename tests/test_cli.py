@@ -29,8 +29,8 @@ from isospec._checks import _float_array
 from isospec._cli_chains import _rates_fault, load_chain
 from isospec._cli_io import SchemaError, _emit
 from isospec.errors import IsospecError, NegativeRate
-from test_cli_contract import (FIB, FIB_H9, FORWARD, GAUSS, KILLED, LOCAL, OU, _Stdout, _call,
-                               _files, _run)
+from conftest import (FIB, FIB_H9, FORWARD, GAUSS, KILLED, LOCAL, OU, _Stdout, _call, _files,
+                      _run)
 
 
 # ---------------------------------------------------------------- harmonic

@@ -6,17 +6,15 @@ hint that points at ``--help``, a nonzero exit prints at least one
 ``isospec:`` line, and no request prints a traceback.
 
 ``CONTRACT`` holds every fixed request of the command line with its exact
-exit status and stderr.  Each runs in-process through ``_run``, the one
-runner of the CLI tests; the rows an entry point could change also run
-through ``python -m isospec.cli`` and through what pip's ``isospec`` script
-runs.  The property test drives generated chain documents, h documents, one
-operator document and flag sets through ``main`` in-process.  Sizes stay
-small: ``"N"`` is a small integer or a value that fails before anything is
-allocated, so no example asks for a large array.
+exit status and stderr.  Each runs in-process through ``_run`` of
+``conftest``, the one runner of the CLI tests; the rows an entry point could
+change also run through ``python -m isospec.cli`` and through what pip's
+``isospec`` script runs.  The property test drives generated chain documents,
+h documents, one operator document and flag sets through ``main`` in-process.
+Sizes stay small: ``"N"`` is a small integer or a value that fails before
+anything is allocated, so no example asks for a large array.
 """
-import contextlib
 import gc
-import io
 import json
 import math
 import re
@@ -24,8 +22,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,45 +32,10 @@ import isospec.chains
 import isospec.harmonic
 from isospec._cli_chains import load_chain
 from isospec._cli_io import MAX_DENSE_BYTES, MAX_STATES
-from isospec.cli import main
+from conftest import (FIB, FIB_H, FIB_H9, FORWARD, GAUSS, KILLED, LOCAL, OU, _Stdout, _call,
+                      _files, _run)
 
 INF, NAN = float("inf"), float("nan")
-
-
-def _call(argv):
-    """(exit status, stdout, stderr) of main(argv); a numeric warning raises."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue()
-
-
-class _Stdout(list):
-    """A document that is the stdout of the request it holds, on the documents before it."""
-
-
-def _files(tmp, argv, docs):
-    """argv with each name in docs replaced by the path of that document, written to tmp.
-
-    A document is written as JSON, a str as it is, and a _Stdout as its request's stdout.
-    """
-    paths = {}
-    for name, doc in docs.items():
-        if isinstance(doc, _Stdout):
-            text = _call([paths.get(a, a) for a in doc])[1]
-        else:
-            text = doc if isinstance(doc, str) else json.dumps(doc)
-        paths[name] = Path(tmp, name)
-        paths[name].write_text(text)
-    return [paths.get(a, a) for a in argv]
-
-
-def _run(tmp, argv, docs):
-    """_call(argv) with each of docs written to tmp under its name."""
-    return _call(_files(tmp, argv, docs))
-
 
 _HINT = re.compile(r"run `isospec( [a-z]+)? --help` for the input schema")
 
@@ -121,24 +82,13 @@ def test_running_out_of_memory_is_an_input_error(monkeypatch, tmp_path):
 
 # ---------------------------------------------------------------- the contract table
 
-FIB = {"type": "bd", "birth": 1.0, "death": 1.0, "killing": -1.0, "N": 7}
-FIB_H = [1.0, 2.0, 5.0, 13.0, 34.0, 89.0, 233.0, 610.0]  # harmonic for FIB on 0..7
-FIB_H9 = [1, 2, 5, 13, 34, 89, 233, 610, 1597]  # and one state further
 ZERO_N = {"type": "bd", "birth": 1.0, "death": 1.0, "N": 0}
 THREE = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]  # a path of three states
 OP = {"a": 0.5, "b": "-x", "interval": [-6, 6], "M": 200}  # Ornstein-Uhlenbeck, no advisory
-OU = {"a": 0.5, "b": "-x", "c": 0.0, "interval": [-6.0, 6.0], "M": 400}
 SMALL_OP = {"a": 0.5, "b": 0, "interval": [-1, 1], "M": 10}
-GAUSS = {"h": "exp(-x^2/2)"}
-# the benchmark's killed oscillator (1/2) f'' + (t - t^2 x^2)/2 f at t = 1.5, for
-# which h = exp(-t x^2/2) is harmonic and the transformed drift is -t x
-KILLED = {"a": 0.5, "b": 0, "c": "(1.5 - 1.5^2*x^2)/2",
-          "interval": [-3.0 / 1.5**0.5, 3.0 / 1.5**0.5], "M": 500}
-_KILLED_X = np.linspace(*KILLED["interval"], KILLED["M"] + 1)  # its grid
+_KILLED_X = np.linspace(*KILLED["interval"], KILLED["M"] + 1)  # the grid of KILLED
 QPAIR = {"type": "qpair", "rates": [[0, 1], [1, 0]]}
 PASS = "isospec: PASS\n"
-LOCAL = ["transform", "c.json", "--h", "h.json", "--direction", "local"]
-FORWARD = ["transform", "c.json", "--h", "h.json", "--direction", "forward"]
 _NOTHING = "".__eq__  # no report on stdout
 
 
@@ -411,6 +361,11 @@ CONTRACT = {
                        "harmonic_set = 99 outside 0..7"),
     "set-minus-1": _library({"c.json": FIB, "h.json": {"values": FIB_H}},
                             [*LOCAL, "--set", "-1"], "harmonic_set = -1 outside 0..7"),
+    # the same refusals with the 9-value h that the local transform accepts
+    "set-99-h9": _library({"c.json": FIB, "h.json": {"values": FIB_H9}},
+                          [*LOCAL, "--set", "99"], "harmonic_set = 99 outside 0..7"),
+    "set-minus-1-h9": _library({"c.json": FIB, "h.json": {"values": FIB_H9}},
+                               [*LOCAL, "--set", "-1"], "harmonic_set = -1 outside 0..7"),
     "set-text": _schema({"c.json": FIB, "h.json": {"values": FIB_H9}}, [*LOCAL, "--set", "1,a"],
                         "'--set' must be an integer"),
     "set-fraction": _schema({"c.json": FIB, "h.json": {"values": FIB_H9}},
@@ -621,7 +576,8 @@ CONTRACT = {
     # ------------------------------------------------ documents
     "bad-json": ({"bad.json": "{not json"}, ["harmonic", "bad.json"], 2,
                  _python_text("isospec: "), _NOTHING),
-    "missing-file": ({}, ["harmonic", "nope.json"], 2, _python_text("isospec: "), _NOTHING),
+    "missing-file": ({"nope.json": None}, ["harmonic", "nope.json"], 2,
+                     _python_text("isospec: "), _NOTHING),
     "no-death": _schema({"c.json": {"type": "bd", "birth": 1.0}}, ["harmonic", "c.json"],
                         "bd chain is missing the 'death' field"),
     # the explicit recurrence never builds a q-matrix, so the schema layer must refuse

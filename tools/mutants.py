@@ -11,8 +11,8 @@ A survivor is a term no test constrains: delete it, or pin it with a test
 against a truth.  Each survivor costs a full tier-1 run, so this is a review
 tool, run by hand; neither tier-1 nor CI runs it.  Standard library only:
 
-    python3 tools/mutants.py                  # every row, on this checkout
-    python3 tools/mutants.py --tree DIR NAME  # the named rows, on another tree
+    python3 tools/mutants.py             # every row, on this checkout
+    python3 tools/mutants.py --tree DIR  # every row, on another checkout
 """
 import argparse
 import shutil
@@ -94,15 +94,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout whose src/, tests/ and pyproject.toml are mutated")
-    parser.add_argument("names", nargs="*", help="rows to run (default: all)")
     args = parser.parse_args()
-    unknown = set(args.names) - {row[0] for row in MUTANTS}
-    if unknown:
-        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
     tally = {}
     for name, file, old, new in MUTANTS:
-        if args.names and name not in args.names:
-            continue
         t0 = time.perf_counter()
         result = run(args.tree, file, old, new)
         tally[result] = tally.get(result, 0) + 1
