@@ -122,7 +122,7 @@ def _chunks(obj, indent: str = ""):
             yield from _chunks(v, inner)
             sep = ",\n" + inner
         yield f"\n{indent}]"
-    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+    elif isinstance(obj, dict) and obj:
         sep = "{\n" + inner
         for k, v in obj.items():
             yield f"{sep}{_encode(k)}: "
@@ -134,12 +134,11 @@ def _chunks(obj, indent: str = ""):
         yield json.dumps(obj, indent=2).replace("\n", "\n" + indent)
 
 
-def _emit(args, payload: dict, header=None, rows=None):
-    """Print payload as JSON, or under --output csv the rows() table."""
+def _emit(args, payload: dict, header, rows):
+    """Print payload, a dict built for this call, as JSON, or under --output csv rows()."""
     if args.seed is not None:
-        payload = dict(payload)
         payload["seed"] = args.seed
-    if args.output == "csv" and rows is not None:
+    if args.output == "csv":
         import csv
 
         w = csv.writer(sys.stdout)

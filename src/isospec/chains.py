@@ -86,7 +86,7 @@ def _check_totals(row, total, killing):
     n = row.shape[0]
     q = _per_state("total", row if total is None else total, n)
     slack = q - row
-    scale = np.maximum(1.0, np.maximum(np.abs(q), row))
+    scale = np.maximum(1.0, np.abs(q))
     if np.any(slack < -_CONS_RTOL * scale):
         i = int(np.argmin(slack / scale))
         raise PreconditionViolated(

@@ -22,6 +22,7 @@ from .errors import (BlowUp, GridTooCoarse, InvalidArgument, NotHarmonicAt, Zero
 from .expressions import _vectorized, compile_expression, constant
 
 _H_FLOOR = 1e-300
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _as_fn(v) -> Callable:
@@ -396,7 +397,10 @@ def discretize(op: Operator1D) -> Discretization:
         wl[1:] = w
         wr[:-1] = w
         d = ((wl[idx] + wr[idx]) / mass[idx]) - cv[idx]
-        e = -(w[idx[:-1]] / np.sqrt(mass[idx[:-1]] * mass[idx[1:]]))
+        pair = mass[idx[:-1]] * mass[idx[1:]]  # regrouped where it is not a normal float
+        root = np.sqrt(mass[idx])
+        e = -w[idx[:-1]] / np.where((pair >= _TINY) & (pair < np.inf), np.sqrt(pair),
+                                    root[:-1] * root[1:])
     return Discretization(x=x[idx], d=d, e=e, mu=mass[idx], boundary=bc)
 
 

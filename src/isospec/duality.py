@@ -13,8 +13,8 @@ import numpy as np
 
 from ._checks import (_check_finite, _float_array, _h_values, _in_float_range, _positive_h,
                       _positive_mu, _states, _tolerance)
-from .chains import (BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums, _bd_mu,
-                     _conjugated_weights, validate_band, validate_qpair)
+from .chains import (_CONS_RTOL, BandSpec, BirthDeathSpec, MeasurePair, QPairSpec, _band_row_sums,
+                     _bd_mu, _conjugated_weights, validate_band, validate_qpair)
 from .errors import NotHarmonic, NotLocallyHarmonic, PreconditionViolated
 
 
@@ -121,7 +121,7 @@ def inverse_transform(qt: QPairSpec | BandSpec, h) -> QPairSpec | BandSpec:
     hv = _positive_h(h, qt.n_states)
     if not qt.conservative:
         raise PreconditionViolated("input chain must be conservative")
-    if np.any(np.abs(qt.killing) > 1e-12 * np.maximum(1.0, qt.total)):
+    if np.any(np.abs(qt.killing) > _CONS_RTOL * np.maximum(1.0, qt.total)):
         raise PreconditionViolated("input chain must have zero potential")
     # h_i / h_j, the tilt by 1/h without rounding 1/h first
     return _tilt(qt, hv, inverse=True)

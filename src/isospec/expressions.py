@@ -399,13 +399,12 @@ def _vectorized(raw: Callable) -> Callable[[np.ndarray], np.ndarray]:
         return raw
 
     def fn(x):
-        if not isinstance(x, float):
-            x = _float_array("x", x)
-            if x.ndim:
-                out = np.asarray(raw(x), dtype=float)
-                if out.shape != x.shape:
-                    out = np.broadcast_to(out, x.shape).copy()
-                return out
+        x = _float_array("x", x)
+        if x.ndim:
+            out = np.asarray(raw(x), dtype=float)
+            if out.shape != x.shape:
+                out = np.broadcast_to(out, x.shape).copy()
+            return out
         # scalars as np.float64: numpy's arithmetic without 0-d array overhead
         return float(raw(np.float64(x)))
 

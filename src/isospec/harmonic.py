@@ -136,9 +136,8 @@ def minimal_harmonic(
     m = n - 1
 
     if method == "solve":
-        # I - K is singular on a class that cannot reach theta; h stays 0 there.
-        # When every state reaches theta, r is a slice and nothing is copied.
-        r = slice(None) if np.all(reach) else np.flatnonzero(reach)
+        # I - K is singular on a class that cannot reach theta; h stays 0 there
+        r = np.flatnonzero(reach)
         hm = np.zeros(m)
         try:
             hm[r] = np.linalg.solve((np.eye(m) - K)[r][:, r], s[r])

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._checks import (_Record, _check_finite, _count, _flat, _per_state, _positive_mu, _scalar,
                       _tolerance)
-from .errors import InvalidArgument, NonConvergence, NotReversible, PreconditionViolated
+from .errors import InvalidArgument, NotReversible, PreconditionViolated
 
 if TYPE_CHECKING:  # chains is loaded only by the chain paths
     from .chains import QPairSpec
@@ -96,8 +96,6 @@ def _bisect(count, k: int, lo: float, hi: float, rel_tol: float) -> float:
     """
     for _ in range(4096):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
         if count(mid) >= k:
             hi = mid
         else:
@@ -120,11 +118,14 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     d = _flat("d", d, 1, "entry")
     n = d.shape[0]
     k = _count("k", k, 1, n)
+    rel_tol = _tolerance("rel_tol", rel_tol)
     _check_finite("matrix", d, e)
     e = _per_state("e", e, n - 1)
     span = float(np.max(np.abs(e))) if e.size else 0.0
     top = float(np.max(d)) + 2.0 * span
     bot = float(np.min(d)) - 2.0 * span
+    if not np.isfinite(2.0 * max(top, -bot)):  # so that every lo + hi is a float
+        raise PreconditionViolated(f"eigenvalue bracket [{bot:g}, {top:g}] is too wide")
     d, e = d.tolist(), e.tolist()
     counts = {}
 
@@ -140,8 +141,8 @@ def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
 def eig_sym(S) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, by LAPACK.
 
-    Raises PreconditionViolated on a non-finite or asymmetric matrix and
-    NonConvergence when LAPACK does not converge.
+    Raises PreconditionViolated on a non-finite or asymmetric matrix, or
+    when LAPACK does not converge.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -154,8 +155,7 @@ def eig_sym(S) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError:
-        # LAPACK's QL/QR iteration gives up after 30 sweeps per eigenvalue
-        raise NonConvergence(30 * S.shape[0], float("nan")) from None
+        raise PreconditionViolated("LAPACK eigvalsh did not converge") from None
 
 
 def quadratic_form(qp: QPairSpec, mu, f) -> float:

@@ -63,8 +63,19 @@ def test_validate_rejects_negative_rate():
 
 def test_validate_rejects_potential_above_rate():
     rates = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(PotentialExceedsRate):
-        validate_qpair(rates, None, np.array([2.0, 0.0]))
+    # c_i - q_i may pass 0 by the conservativity tolerance 1e-12 max(1, q_i)
+    assert validate_qpair(rates, None, [1.0 + 1e-13, 0.0]).killing[0] == 1.0 + 1e-13
+    for c0 in (2.0, 1.0 + 1e-11):
+        with pytest.raises(PotentialExceedsRate):
+            validate_qpair(rates, None, np.array([c0, 0.0]))
+
+
+def test_validated_arrays_are_read_only():
+    qp = validate_qpair([[0.0, 1.0], [1.0, 0.0]], None, [-0.5, 0.0])
+    band = validate_band([1.0], [1.0], None, [-0.5, 0.0])
+    for arr in (qp.rates, qp.total, qp.killing, band.up, band.down, band.total, band.killing):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
 
 
 def test_a_generator_diagonal_past_float_range_is_refused_without_a_warning():
@@ -437,6 +448,7 @@ _TOLERANCES = {
     "maximal_solution": lambda t: maximal_solution(_QP, tol=t, max_iter=10),
     "is_supersolution": lambda t: is_supersolution(_QP, 0, _ONES, tol=t),
     "isospectral_check": lambda t: isospectral_check(_QP, _MU, _QP, _MU, tol=t),
+    "lowest_eigs_tridiag": lambda t: lowest_eigs_tridiag([2.0, 3.0], [1.0], 1, rel_tol=t),
     "delta_tilde": lambda t: delta_tilde(_KILLED, bd_harmonic_explicit(_KILLED, 300),
                                          tail_tol=t),
     "bounds_report": lambda t: bounds_report(_KILLED, N_max=16, tail_tol=t),

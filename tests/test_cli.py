@@ -162,7 +162,7 @@ def test_verify_eigensolver_failure_exits_one(monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     assert _run(tmp_path, ["verify", "c.json", "c.json"], {"c.json": FIB}) == (
-        1, "", "isospec: check failed: no convergence after 240 iterations (last change nan)\n")
+        1, "", "isospec: check failed: LAPACK eigvalsh did not converge\n")
 
 
 def test_transform_forward_csv_rows_match_json(monkeypatch, tmp_path):

@@ -157,8 +157,10 @@ def _csv_of_9_states(out):
 
 
 def _reloads_as_8_state_bd(out):
-    chain = load_chain(json.loads(out))
-    return chain.kind == "bd" and chain.as_qpair().rates.shape[0] == 8
+    """The document loads as a bd chain on 0..7; its death[0] is 0, which loading ignores."""
+    doc = json.loads(out)
+    chain = load_chain(doc)
+    return chain.kind == "bd" and chain.as_qpair().rates.shape[0] == 8 and doc["death"][0] == 0.0
 
 
 def _second_order(r):
@@ -335,6 +337,9 @@ CONTRACT = {
                      _report(lambda r: r["type"] == "qpair" and r["mu"][0] == 1.0
                              and r["rates"][0][1] == pytest.approx(1.0, rel=1e-12)
                              and r["rates"][3][2] == pytest.approx(1.0, rel=1e-12))),
+    # a bd chain on 0..N needs h on 0..N+1, and N is at least 1
+    "forward-two-value-h": _schema({"c.json": FIB, "h.json": [1.0, 2.0]}, FORWARD,
+                                   "h must cover at least states 0..2"),
     "short-h-covers": ({"c.json": FIB, "h.json": FIB_H9[:5]},
                        ["transform", "c.json", "--h", "h.json"], 0,
                        "isospec: h covers 0..4; transforming up to N = 3\n",
@@ -438,6 +443,14 @@ CONTRACT = {
     # ------------------------------------------------ diffop
     "op-spectrum": ({"op.json": OP}, ["diffop", "op.json", "--check", "spectrum", "--k", "5"],
                     0, "", _report(lambda r: len(r["eigenvalues"]) == 5)),
+    # the cell masses fall like e^-x, so the product of two neighbours leaves the normal
+    # floats; the kernel stays at 0, and the next eigenvalue is -(1/4 + (pi/400)^2) in
+    # the continuum
+    "spectrum-length-400": ({"op.json": {"a": 1, "b": 1, "interval": [0, 400], "M": 1000}},
+                            ["diffop", "op.json", "--check", "spectrum", "--k", "2"], 0, "",
+                            _report(lambda r: abs(r["eigenvalues"][0]) < 1e-12
+                                    and abs(r["eigenvalues"][1] + 0.25 + (math.pi / 400) ** 2)
+                                    < 1e-3)),
     "ou-spectrum": ({"op.json": OU}, ["diffop", "op.json", "--check", "spectrum", "--k", "3"],
                     0, "", _report(lambda r: len(r["eigenvalues"]) == 3
                                    and r["eigenvalues"][0] == pytest.approx(0.0, abs=1e-6)
@@ -731,10 +744,11 @@ CONTRACT = {
     "h-number": _schema({"op.json": SMALL_OP, "h.json": {"h": 1}},
                         ["diffop", "op.json", "--h", "h.json", "--check", "transform"],
                         '"h" must be an expression string'),
-    "bd-text-birth": _schema({"c.json": {"type": "bd", "birth": "x", "death": 1, "N": 3}},
-                             ["harmonic", "c.json"],
-                             "'birth' must be a number, an array, or "
-                             '{"formula": "poly", "coeffs": [...]}'),
+    **{f"bd-{name}-birth": _schema({"c.json": {"type": "bd", "birth": v, "death": 1, "N": 3}},
+                                   ["harmonic", "c.json"],
+                                   "'birth' must be a number, an array, or "
+                                   '{"formula": "poly", "coeffs": [...]}')
+       for name, v in (("text", "x"), ("bool", True))},
     "bd-zero-N": _schema({"c.json": ZERO_N}, ["harmonic", "c.json"], '"N" must be at least 1'),
     # a count is an integer, not rounded down
     "bd-fraction-N": _schema({"c.json": dict(ZERO_N, N=10.5)}, ["harmonic", "c.json"],

@@ -13,6 +13,7 @@ from isospec import (
     Operator1D,
     PolyGauss,
     PreconditionViolated,
+    RiccatiResult,
     SmoothFunction,
     ZeroH,
     compile_expression,
@@ -276,10 +277,13 @@ def test_inverse_paths_agree_and_recover():
 
 
 def test_inverse_requires_zero_potential():
-    op = Operator1D.on_interval(1.0, 0.0, -0.5, 0.0, 1.0, 10)
     h = SmoothFunction.from_expression("exp(x)")
-    with pytest.raises(PreconditionViolated):
-        inverse_transform(op, h)
+    for c in (1e-13, -1e-13):  # a potential up to 1e-12 reads as zero
+        inverse_transform(Operator1D.on_interval(1.0, 0.0, c, 0.0, 1.0, 10), h)
+    for c in (-0.5, 1e-11):
+        op = Operator1D.on_interval(1.0, 0.0, c, 0.0, 1.0, 10)
+        with pytest.raises(PreconditionViolated, match="^input operator must have zero potential$"):
+            inverse_transform(op, h)
 
 
 def _killed_oscillator(theta, M):
@@ -384,6 +388,28 @@ def test_riccati_anchor_off_grid_raises():
     op = Operator1D.on_interval(1.0, 0.0, 0.0, 0.0, 1.0, 10)
     with pytest.raises(PreconditionViolated):
         riccati_dual(op, phi0=0.0, x0=0.123456)
+
+
+def test_riccati_anchor_is_a_grid_point_on_the_interval_scale():
+    # on [0, 100] the anchor may miss a grid point by 1e-9 (hi - lo) = 1e-7
+    op = Operator1D.on_interval(1.0, 0.0, 0.0, 0.0, 100.0, 100)
+    assert riccati_dual(op, 0.0, x0=50.0 + 5e-8).psi[50] == 0.0
+
+
+def test_riccati_default_anchor_is_the_left_end_without_zero():
+    op = Operator1D.on_interval(1.0, 0.0, 0.0, -3.0, -1.0, 20)
+    psi = riccati_dual(op, 0.5).psi
+    assert psi[0] == 0.0 and psi[-1] > 0.0
+
+
+def test_smooth_h_stays_finite_where_e_to_the_psi_does_not():
+    # psi = 100 x reaches 1000; h is e^(psi - max psi), which ends at 1
+    x = np.linspace(0.0, 10.0, 101)
+    phi = np.full_like(x, 100.0)
+    rr = RiccatiResult(grid=x, phi=phi, psi=100.0 * x, b_tilde=phi, phi_prime=0.0 * x)
+    for mode in ("ode", "fd"):
+        h = rr.smooth(mode)(x)
+        assert all(np.all(np.isfinite(v)) for v in h) and h[0][-1] == 1.0, mode
 
 
 def _riccati_scalar(op, phi0, i0, guard=1e6):
@@ -517,6 +543,16 @@ def test_discretize_warns_on_coarse_grid():
         discretize(op)
 
 
+@pytest.mark.parametrize("a, b, hi", [(1.0, 1.0, 720.0), (1e-200, 0.0, 1.0)],
+                         ids=["masses-underflow", "masses-overflow"])
+def test_discretize_keeps_the_kernel_where_mass_products_leave_float_range(a, b, hi):
+    # masses run as e^(int b/a) / a: from e^-720 to 1 after the shift by max C (e^720
+    # without it), or at 1e198 for a = 1e-200; sqrt(mass_i mass_i+1) is regrouped
+    # where the product is not a normal float, so the constants stay the kernel
+    lam = discretize(Operator1D.on_interval(a, b, 0.0, 0.0, hi, 1000)).lowest(2)
+    assert abs(lam[0]) < 1e-10 * abs(lam[1])
+
+
 # ---------------------------------------------------------------- eigencheck
 
 def test_verify_lh_eigen_trivial_h():
@@ -529,6 +565,7 @@ def test_verify_lh_eigen_gaussian_h():
     rows = verify_lh_eigen(SmoothFunction.from_expression("exp(-x^2/2)"), n_max=10)
     assert all(r.passed for r in rows)
     assert rows[0].residual <= rows[0].bound
+    assert rows[0].bound == 2e-8  # 1e-8 (1 + sup |h H_0|), and h(0) = 1
 
 
 def test_verify_lh_eigen_custom_grid():

@@ -19,6 +19,7 @@ from isospec import (
     inverse_transform,
     isospectral_check,
     measure_dual,
+    minimal_harmonic,
     symmetrize,
     transform_measure,
     validate_qpair,
@@ -98,6 +99,19 @@ def test_inverse_requires_conservative_zero_potential():
     qp = make_conservative(rng, 6)
     with pytest.raises(PreconditionViolated, match="^input chain must be conservative$"):
         inverse_transform(validate_qpair(qp.rates, qp.total + 1.0), np.ones(6))
+    # |c_i| <= 1e-12 max(1, q_i) reads as zero: 1e-7 is rounding on rates of 1e6
+    qt = validate_qpair([[0.0, 1e6], [1e6, 0.0]], killing=[1e-7, 0.0])
+    assert inverse_transform(qt, [1.0, 2.0]).rates[0, 1] == 5e5
+
+
+def test_local_transform_takes_the_harmonic_set_of_a_harmonic_vector():
+    # the minimal solution anchored at 0 is harmonic on 1..4, so the potential
+    # lands on the anchor, not on the last state
+    qp = bd_to_qpair(BirthDeathSpec(1.0, 2.0, -0.5), 4)
+    hv, _ = minimal_harmonic(qp, 0, method="solve")
+    assert hv.harmonic_set == (1, 2, 3, 4)
+    out = h_transform_local(qp, hv)
+    assert np.flatnonzero(out.killing).tolist() == [0] and out.killing[0] < 0.0
 
 
 def test_transform_measure_round_trip():

@@ -1,8 +1,10 @@
 import io
+import math
 import re
 import sys
 import token
 import tokenize
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,6 +127,13 @@ def test_scalar_in_scalar_out():
     assert isinstance(y, float) and y == 9.0
 
 
+def test_scalar_reciprocal_and_square_root_round_once():
+    # numpy's scalar power x^-1 and x^0.5 land one ulp off on these two values
+    x, y = 2.2593749989122838, 1.602318142272402
+    assert compile_expression("1/x")(x) == 1.0 / x
+    assert compile_expression("x^0.5")(y) == math.sqrt(y)
+
+
 def test_array_in_array_out():
     f = compile_expression("x + 1")
     y = f(np.arange(4.0))
@@ -219,6 +228,23 @@ def test_oversized_derivative_is_rejected():
     f = compile_expression("*".join(f"(x+{i})" for i in range(60)))
     with pytest.raises(MalformedExpression, match="derivative larger than"):
         f.diff(2)
+
+
+def test_the_product_rule_budget_refuses_before_the_copies_are_made():
+    # one step of the product rule on 1000 factors copies 10^6 of them
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedExpression, match="derivative larger than 50000 nodes"):
+            compile_expression("x*" * 999 + "x").diff(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # about 0.5 MB, and 8 MB if the refusal waits for the step
+
+
+def test_a_derivative_writes_a_first_power_as_its_base():
+    assert compile_expression("x^2").diff(1).text == "2*x"
+    assert compile_expression("x^3").diff(1).text == "3*x^2"
 
 
 def test_a_derivative_step_past_the_node_cap_is_refused_after_the_step(monkeypatch):

@@ -96,6 +96,8 @@ def test_records_keep_their_dataclass_behaviour(cls, names, defaults, uncompared
         cls(*values.values(), "one too many")
     with pytest.raises(TypeError):
         cls(**values, unknown=1)
+    with pytest.raises(TypeError):  # a field given by position and by keyword
+        cls(*values.values(), **{names[-1]: values[names[-1]]})
     assert rec != object() and rec != like
 
 

@@ -6,13 +6,13 @@ import pytest
 import isospec.spectra
 from isospec import (
     BirthDeathSpec,
-    NonConvergence,
     NotReversible,
     PreconditionViolated,
     bd_measures,
     bd_to_qpair,
     eig_sym,
     isospectral_check,
+    lambda0_variational,
     lowest_eigs_tridiag,
     quadratic_form,
     spectral_radius,
@@ -40,7 +40,7 @@ def test_symmetrize_rejects_wrong_measure():
         symmetrize(qp, mu * rng.uniform(0.5, 2.0, 8))
 
 
-def test_eig_sym_jacobi_matches_reference():
+def test_eig_sym_matches_a_constructed_spectrum():
     # spectrum known by construction: S = Q diag(w) Q^T with Q orthogonal
     rng = np.random.default_rng(32)
     for n in (2, 5, 17, 40):
@@ -51,7 +51,7 @@ def test_eig_sym_jacobi_matches_reference():
         assert np.max(np.abs(ours - w)) < 1e-11 * max(1.0, np.max(np.abs(w)))
 
 
-def test_eig_sym_dispatches_tridiagonal():
+def test_eig_sym_matches_sturm_bisection_on_a_tridiagonal():
     rng = np.random.default_rng(34)
     d = rng.normal(size=25)
     e = rng.normal(size=24)
@@ -76,16 +76,16 @@ def test_eig_sym_rejects_non_finite(bad):
         eig_sym(np.array([[bad, 1.0], [1.0, 0.0]]))
 
 
-def test_eig_sym_lapack_failure_is_no_convergence(monkeypatch):
+def test_eig_sym_lapack_failure_says_what_failed(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(PreconditionViolated, match="^LAPACK eigvalsh did not converge$"):
         eig_sym(np.eye(3))
 
 
-def test_eig_tridiag_matches_reference():
+def test_eig_sym_matches_the_toeplitz_closed_form():
     # closed-form Toeplitz spectrum d + 2 e cos(k pi / (n + 1))
     for d0, e0, n in ((2.0, -1.0, 60), (0.3, 0.7, 17), (1.5, 0.0, 4)):
         k = np.arange(1, n + 1)
@@ -144,6 +144,23 @@ def test_lowest_eigs_tridiag_matches_reference():
     ours = lowest_eigs_tridiag(d, e, 6)
     assert np.max(np.abs(ours - ref)) < 1e-11 * np.max(np.abs(ref))
     assert lowest_eigs_tridiag(d, e, 1, 1e-14)[0] == pytest.approx(ref[0], rel=1e-12)
+
+
+def test_bisection_at_zero_tolerance_stops_at_its_step_cap():
+    # rel_tol = 0 never ends the bisection; the midpoint stops moving once it
+    # meets an end, and the cap of 4096 steps returns it
+    got = lowest_eigs_tridiag([2.0, 3.0, 1.0], [1.0, 0.5], 2, rel_tol=0.0)
+    assert got.tolist() == [0.8138593383654928, 1.5]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lowest_eigs_tridiag([-1e308, 1e308], [1e308], 1),
+    lambda: lambda0_variational(BirthDeathSpec(6e307, 6e307), 4),
+], ids=["tridiagonal", "bd"])
+def test_a_bracket_past_float_range_is_refused(call):
+    # the Gershgorin bracket max(d) + 2 max|e| overflows though every entry is finite
+    with pytest.raises(PreconditionViolated, match=r"^eigenvalue bracket \[.*\] is too wide$"):
+        call()
 
 
 def _bisect_each(d, e, k, rel_tol=1e-13):
