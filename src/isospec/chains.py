@@ -205,6 +205,10 @@ class BirthDeathSpec(_Record):
     def c(self, i: int) -> float:
         return float(self._rates("killing", i, i + 1)[0])
 
+    def _constant(self) -> bool:
+        """True when birth, death and killing are all numbers: the same rates at every state."""
+        return not any(callable(v) or np.ndim(v) for v in (self.birth, self.death, self.killing))
+
     def _rates(self, key: str, lo: int, hi: int) -> np.ndarray:
         """Values of the field key on states lo <= i < hi.
 

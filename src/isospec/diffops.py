@@ -392,15 +392,19 @@ def discretize(op: Operator1D) -> Discretization:
         width[-1] = dx[-1] / 2.0
         w = np.exp(C[1::2]) / dx
         mass = np.exp(C[0::2]) / av * width
-        wl = np.zeros(M + 1)
-        wr = np.zeros(M + 1)
-        wl[1:] = w
-        wr[:-1] = w
-        d = ((wl[idx] + wr[idx]) / mass[idx]) - cv[idx]
+        # where a mass is not a positive normal float, w / mass is formed from logs:
+        # lm is log mass, up is w over the mass left of a face and down right of it
+        ok = (mass >= _TINY) & (mass < np.inf)
+        lm = C[0::2] + np.log(width / av)
+        up, down = np.exp(C[1::2] - lm[:-1]) / dx, np.exp(C[1::2] - lm[1:]) / dx
+        d = np.where(ok, (np.append(0.0, w) + np.append(w, 0.0)) / mass,
+                     np.append(0.0, down) + np.append(up, 0.0))[idx] - cv[idx]
         pair = mass[idx[:-1]] * mass[idx[1:]]  # regrouped where it is not a normal float
         root = np.sqrt(mass[idx])
-        e = -w[idx[:-1]] / np.where((pair >= _TINY) & (pair < np.inf), np.sqrt(pair),
-                                    root[:-1] * root[1:])
+        e = -np.where(ok[idx[:-1]] & ok[idx[1:]],
+                      w[idx[:-1]] / np.where((pair >= _TINY) & (pair < np.inf), np.sqrt(pair),
+                                             root[:-1] * root[1:]),
+                      (np.sqrt(up) * np.sqrt(down))[idx[:-1]])
     return Discretization(x=x[idx], d=d, e=e, mu=mass[idx], boundary=bc)
 
 

@@ -64,13 +64,11 @@ def delta_tilde(
     mu h^2 and the tail uses 1/(h_k h_{k+1} mu_k b_k).  The rates are read
     once, on 0..N_max or as far as the finite prefix of h reaches less one
     state, and the read ends at the first state whose tail weight is not a
-    positive float or whose prefix mass leaves float range.  The sums over
-    the doubling levels 0..256, 0..512, ... of that read only test growth:
-    two doublings in a row by a factor >= 2 diagnose divergence (value
-    inf).  Past the last state read, a geometric tail estimate certifies
-    the supremum to tail_tol, tail weights that still do not fall where the
-    read ended early diagnose divergence, and otherwise the tail is
-    undecided (TailNotResolved).
+    positive float or whose prefix mass leaves float range.  The value is
+    inf only where the rates prove lambda0 = 0: birth, death and killing all
+    numbers, killing 0 and birth <= death (Karlin and McGregor, 1957).
+    Otherwise a geometric tail estimate past the last state read certifies
+    the supremum to tail_tol, or the tail is undecided (TailNotResolved).
     """
     tail_tol = _tolerance("tail_tol", tail_tol)
     hv = _h_values(h)
@@ -92,29 +90,20 @@ def delta_tilde(
         raise PreconditionViolated("fewer than two finite terms")
     m, t, M = m[:kk], t[:kk], M[:kk]
 
-    sups, K = [], 256
-    while True:  # the levels 0..K are prefixes of the read, the last one all of it
-        L = min(K + 1, kk)
-        with np.errstate(over="ignore"):  # a sum past float range reads inf
-            T = np.cumsum(t[:L][::-1])[::-1]
-            cand = M[:L] * T
-        sup = float(np.max(cand))
-        n_sup = int(np.argmax(cand))
-        sups.append(sup)
-        if len(sups) >= 3 and sups[-1] >= 2.0 * sups[-2] >= 4.0 * sups[-3]:
-            return DeltaResult(math.inf, n_sup, math.inf, L, partial=cand)
-        if L == kk:
-            break
-        K *= 2
+    with np.errstate(over="ignore"):  # a sum past float range reads inf
+        T = np.cumsum(t[::-1])[::-1]
+        cand = M * T
+    sup = float(np.max(cand))
+    n_sup = int(np.argmax(cand))
+    if spec._constant() and c[0] == 0.0 and b[0] <= a[1]:
+        return DeltaResult(math.inf, n_sup, math.inf, kk, partial=cand)
 
     w = min(_WINDOW, kk - 1)
-    ratios_t = t[kk - w : kk] / t[kk - w - 1 : kk - 1]
-    r_hat = float(np.max(ratios_t))
+    r_hat = float(np.max(t[kk - w : kk] / t[kk - w - 1 : kk - 1]))
     slack = math.inf
     if r_hat < 1.0:
         mt = m * t
-        ratios_mt = mt[kk - w : kk] / mt[kk - w - 1 : kk - 1]
-        s_hat = float(np.max(ratios_mt))
+        s_hat = float(np.max(mt[kk - w : kk] / mt[kk - w - 1 : kk - 1]))
         R = float(t[-1]) * r_hat / (1.0 - r_hat)
         slack = float(np.max(cand + M * R)) - sup
         rho = s_hat / r_hat
@@ -126,9 +115,6 @@ def delta_tilde(
         slack += max(0.0, future - sup)
         if slack <= tail_tol * max(1.0, sup):
             return DeltaResult(sup, n_sup, slack, kk, partial=cand)
-    if kk <= K_cap and np.min(ratios_t) >= 1.0:
-        # tail weights that never fall before leaving float range: the sums diverge
-        return DeltaResult(math.inf, n_sup, math.inf, kk, partial=cand)
     raise TailNotResolved(sup, n_sup, slack, kk)
 
 
@@ -164,17 +150,20 @@ def bounds_report(
     conjugated weights, and checks the variational value at three nested
     truncations against the enclosure [1/(4 delta) - eps, 1/delta + eps]
     with eps = 1e-8 plus the observed truncation slack.  containment reports
-    that test, and a divergent delta, which yields the verdict that the
-    principal eigenvalue is zero, is contained.  h_0..h_2 past float range
-    raise Overflow.  The rates are read once, on 0..N_max: h on 0..N_max+1,
-    delta_tilde and the truncations use no state past it.
+    that test; lambda0 = 0, contained, comes only from delta_tilde's exact
+    rule, and a chain it neither proves nor certifies raises TailNotResolved.
+    h_0..h_2 past float range raise Overflow.  The rates are read once, on
+    0..N_max: h on 0..N_max+1, delta_tilde and the truncations use no state
+    past it.
     """
     N_max = _count("N_max", N_max, 8)
     b, a, c = spec.rate_arrays(N_max)
     _no_positive_killing(c)  # before h, which a positive c can turn negative
     h = _bd_h_recurrence(b, a, c, N_max + 1)
     _in_float_range("h", h[:3])  # the least delta_tilde reads; the rest may overflow
-    delta = delta_tilde(BirthDeathSpec(b, a, c), h, N_max=N_max, tail_tol=tail_tol)
+    # numbers are read again for free, and only they let delta_tilde's exact rule apply
+    read = spec if spec._constant() else BirthDeathSpec(b, a, c)
+    delta = delta_tilde(read, h, N_max=N_max, tail_tol=tail_tol)
 
     lam = _lambda0(b, a, c, (N_max // 4, N_max // 2, N_max))
     lambda0 = lam[-1][1]

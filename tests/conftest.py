@@ -15,6 +15,8 @@ from isospec.cli import main
 # Property tests draw the same examples on every run and keep no example
 # database, so tier-1 results do not depend on earlier runs.
 settings.register_profile("isospec", derandomize=True, database=None, deadline=None)
+# --hypothesis-profile ci: the same draws, and test_properties adds larger chains
+settings.register_profile("ci", settings.get_profile("isospec"))
 settings.load_profile("isospec")
 
 ACCEPTANCE = []

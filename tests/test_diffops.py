@@ -543,12 +543,16 @@ def test_discretize_warns_on_coarse_grid():
         discretize(op)
 
 
-@pytest.mark.parametrize("a, b, hi", [(1.0, 1.0, 720.0), (1e-200, 0.0, 1.0)],
-                         ids=["masses-underflow", "masses-overflow"])
+@pytest.mark.parametrize("a, b, hi", [(1.0, 1.0, 720.0), (1e-200, 0.0, 1.0), (1.0, 1.0, 745.0),
+                                      (1.0, 1.0, 760.0), (1.0, 1.0, 800.0)],
+                         ids=["masses-underflow", "masses-overflow", "masses-zero-745",
+                              "masses-zero-760", "masses-zero-800"])
 def test_discretize_keeps_the_kernel_where_mass_products_leave_float_range(a, b, hi):
-    # masses run as e^(int b/a) / a: from e^-720 to 1 after the shift by max C (e^720
+    # masses run as e^(int b/a) / a: from e^-hi to 1 after the shift by max C (e^hi
     # without it), or at 1e198 for a = 1e-200; sqrt(mass_i mass_i+1) is regrouped
-    # where the product is not a normal float, so the constants stay the kernel
+    # where the product is not a normal float, and w / mass is formed from logs where
+    # a mass is not (below e^-708; past e^-745 it rounds to 0), so the constants
+    # stay the kernel
     lam = discretize(Operator1D.on_interval(a, b, 0.0, 0.0, hi, 1000)).lowest(2)
     assert abs(lam[0]) < 1e-10 * abs(lam[1])
 

@@ -119,6 +119,9 @@ MUTANTS = [
      "eps = 1e-8 + trunc_slack", "eps = 1e-6 + trunc_slack"),
     ("lambda0 from N/2", "eigenbounds.py",
      "    lambda0 = lam[-1][1]", "    lambda0 = lam[-2][1]"),
+    # eigenbounds: the exact rule for constant rates, the only lambda0 = 0 verdict
+    ("exact rule without the killing test", "eigenbounds.py", "c[0] == 0.0 and ", ""),
+    ("exact rule births below deaths only", "eigenbounds.py", "b[0] <= a[1]", "b[0] < a[1]"),
 ]
 
 
