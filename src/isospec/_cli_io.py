@@ -10,6 +10,7 @@ is refused before numpy loads, and numpy loads with the first number read.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -92,11 +93,15 @@ def _finite(key: str, value):
 
 
 _NUMBERS = {int, float}
-_encode = json.JSONEncoder().encode  # C encoder: no indent, ", " separators
+_encode = json.JSONEncoder(allow_nan=False).encode  # C encoder: ", " separators, no inf or NaN
+
+
+def _finite_or_none(v):
+    return None if type(v) is float and not math.isfinite(v) else v
 
 
 def _chunks(obj, indent: str = ""):
-    """Pieces of json.dumps(obj, indent=2), nested at indent.
+    """Pieces of json.dumps(obj, indent=2), nested at indent, with null for inf and NaN.
 
     A numpy array or scalar, or anything else with a tolist method, is
     written as its tolist(), a tuple as a list.
@@ -113,7 +118,11 @@ def _chunks(obj, indent: str = ""):
     if callable(obj):
         yield from obj(indent)
     elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) <= _NUMBERS:
-        body = _encode(obj)[1:-1].replace(", ", ",\n" + inner)
+        try:
+            body = _encode(obj)
+        except ValueError:
+            body = _encode(list(map(_finite_or_none, obj)))
+        body = body[1:-1].replace(", ", ",\n" + inner)
         yield f"[\n{inner}{body}\n{indent}]"
     elif isinstance(obj, (list, tuple)) and obj:
         sep = "[\n" + inner
@@ -131,7 +140,7 @@ def _chunks(obj, indent: str = ""):
         yield f"\n{indent}}}"
     else:
         # JSON text has no raw newlines inside strings, so re-indenting is safe
-        yield json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+        yield json.dumps(_finite_or_none(obj), indent=2).replace("\n", "\n" + indent)
 
 
 def _emit(args, payload: dict, header, rows):

@@ -3,9 +3,9 @@
 One-dimensional operators L = a d2/dx2 + b d/dx + c.  One kernel conjugates
 by g: g^-1 L g has drift b + 2 a g'/g and potential L g / g.  g = h with
 L h = 0 removes the potential, g = 1/h brings one back, and the Riccati dual
-has the drift of g = e^psi.  The discretization is finite-volume in the
-(mu, nu-hat) weights so the discrete matrix is symmetric in L2(mu) by
-construction.
+has the drift of g = e^psi.  The discretization is a finite-volume
+birth-death chain in the (mu, nu-hat) weights, reversible in mu by
+construction; each rate is formed once, from logs, and no mass is formed.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .errors import (BlowUp, GridTooCoarse, InvalidArgument, NotHarmonicAt, Zero
 from .expressions import _vectorized, compile_expression, constant
 
 _H_FLOOR = 1e-300
-_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _as_fn(v) -> Callable:
@@ -305,12 +304,16 @@ def riccati_dual(
 
 
 class Discretization(_Record):
-    """mu-symmetric finite-volume matrix: tridiagonal of -L plus the weights."""
+    """The finite-volume operator as a birth-death chain on the kept nodes.
+
+    birth, death and killing = c(x_i) are as BirthDeathSpec.rate_arrays gives them, but
+    birth[-1] and death[0] are the rates out through a Dirichlet end, 0 at a Neumann end.
+    """
 
     x: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    mu: np.ndarray
+    birth: np.ndarray
+    death: np.ndarray
+    killing: np.ndarray
     boundary: tuple
 
     @property
@@ -319,33 +322,27 @@ class Discretization(_Record):
 
     def lowest(self, k: int = 5):
         """Lowest k eigenvalues of the generator (0 >= l_0 >= l_1 >= ...)."""
-        from .spectra import lowest_eigs_tridiag
+        from .spectra import _tridiag, lowest_eigs_tridiag
 
-        vals = lowest_eigs_tridiag(self.d, self.e, k)
-        return -np.asarray(vals)
+        return -lowest_eigs_tridiag(*_tridiag(self.birth, self.death, self.killing), k)
 
     def matrix(self) -> np.ndarray:
-        """Dense generator matrix L; rows balance exactly up to c and loss."""
-        n = self.n_nodes
-        L = np.zeros((n, n))
-        L[np.arange(n), np.arange(n)] = -self.d
-        # unwind the mu-symmetrization: L_ij = -e_i sqrt(mu_j / mu_i)
-        root = np.sqrt(self.mu)
-        up = -self.e * root[1:] / root[:-1]
-        dn = -self.e * root[:-1] / root[1:]
-        L[np.arange(n - 1), np.arange(1, n)] = up
-        L[np.arange(1, n), np.arange(n - 1)] = dn
+        """Dense generator matrix L: the rates off the diagonal, killing - birth - death on it."""
+        k = np.arange(self.n_nodes - 1)
+        L = np.diag(self.killing - self.birth - self.death)
+        L[k, k + 1], L[k + 1, k] = self.birth[:-1], self.death[1:]
         return L
 
 
 def discretize(op: Operator1D) -> Discretization:
-    """Finite-volume matrix of L = (d/dmu)(d/dnu-hat) + c on op.grid.
+    """Finite-volume chain of L = (d/dmu)(d/dnu-hat) + c on op.grid.
 
-    Cell masses are (e^C / a) dx and face conductances e^C / dx with
-    C = int b/a accumulated by Simpson's rule on quarter points, so the
-    matrix is symmetric in L2(mu) exactly.  Dirichlet ends drop the boundary
-    node; the severed coupling stays on the diagonal as loss.  Emits
-    GridTooCoarse when the cell Peclet number |b| dx / a exceeds 2.
+    Cell masses are m = (e^C / a) width and face conductances w = e^C / dx
+    with C = int b/a accumulated by Simpson's rule on quarter points.  The
+    rate across a face, w over the mass it leaves, is formed once as
+    e^(C - log m) / dx: no mass is formed.  Dirichlet ends drop the boundary
+    node; the severed coupling stays as a rate out.  Emits GridTooCoarse
+    when the cell Peclet number |b| dx / a exceeds 2.
     """
     x = op.grid
     bc = tuple(op.boundary)
@@ -357,7 +354,7 @@ def discretize(op: Operator1D) -> Discretization:
                               "two interior nodes")
     dx = np.diff(x)
     # a > 0 holds on the grid only: a zero of a between nodes, or a coefficient
-    # past float range, makes the matrix non-finite, which the eigensolvers
+    # past float range, makes a rate non-finite, which the eigensolvers
     # refuse, so numpy need not warn
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         av, bv, cv = op.coefficients()
@@ -384,28 +381,15 @@ def discretize(op: Operator1D) -> Discretization:
         C[1::2] = half / 6.0 * (g[0:-1:4] + 4.0 * g[1::4] + g[2::4])
         C[2::2] = half / 6.0 * (g[2::4] + 4.0 * g[3::4] + g[4::4])
         C = np.cumsum(C)
-        C -= np.max(C)
 
         width = np.empty(M + 1)
         width[1:-1] = (x[2:] - x[:-2]) / 2.0
         width[0] = dx[0] / 2.0
         width[-1] = dx[-1] / 2.0
-        w = np.exp(C[1::2]) / dx
-        mass = np.exp(C[0::2]) / av * width
-        # where a mass is not a positive normal float, w / mass is formed from logs:
-        # lm is log mass, up is w over the mass left of a face and down right of it
-        ok = (mass >= _TINY) & (mass < np.inf)
-        lm = C[0::2] + np.log(width / av)
+        lm = C[0::2] + np.log(width / av)  # log mass
         up, down = np.exp(C[1::2] - lm[:-1]) / dx, np.exp(C[1::2] - lm[1:]) / dx
-        d = np.where(ok, (np.append(0.0, w) + np.append(w, 0.0)) / mass,
-                     np.append(0.0, down) + np.append(up, 0.0))[idx] - cv[idx]
-        pair = mass[idx[:-1]] * mass[idx[1:]]  # regrouped where it is not a normal float
-        root = np.sqrt(mass[idx])
-        e = -np.where(ok[idx[:-1]] & ok[idx[1:]],
-                      w[idx[:-1]] / np.where((pair >= _TINY) & (pair < np.inf), np.sqrt(pair),
-                                             root[:-1] * root[1:]),
-                      (np.sqrt(up) * np.sqrt(down))[idx[:-1]])
-    return Discretization(x=x[idx], d=d, e=e, mu=mass[idx], boundary=bc)
+    return Discretization(x=x[idx], birth=np.append(up, 0.0)[idx],
+                          death=np.append(0.0, down)[idx], killing=cv[idx], boundary=bc)
 
 
 class EigenCheck(_Record):

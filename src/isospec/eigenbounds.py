@@ -15,16 +15,14 @@ from ._checks import (_Record, _count, _h_values, _in_float_range, _no_positive_
                       _positive_h, _tolerance)
 from .chains import BirthDeathSpec, _bd_h_recurrence, _bd_mu, _conjugated_weights
 from .errors import InvalidArgument, PreconditionViolated, TailNotResolved
-from .spectra import lowest_eigs_tridiag
+from .spectra import _tridiag, lowest_eigs_tridiag
 
 _WINDOW = 16
 
 
 def _lambda0(b, a, c, levels):
     """[n, lambda0_variational at n] for each n in levels, read off one band of b, a, c."""
-    with np.errstate(over="ignore"):  # a diagonal past float range is refused below
-        d = b + a - c
-    e = np.sqrt(b[:-1]) * np.sqrt(a[1:])
+    d, e = _tridiag(b, a, c)
     return [[n, float(lowest_eigs_tridiag(d[: n + 1], e[:n], 1, 1e-14)[0])] for n in levels]
 
 

@@ -105,6 +105,12 @@ def _bisect(count, k: int, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _tridiag(b, a, c):
+    """(d, e) = (b + a - c, sqrt(b_i) sqrt(a_i+1)), the mu-free band of a birth-death chain."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the eigensolvers refuse inf and NaN
+        return b + a - c, np.sqrt(b[:-1]) * np.sqrt(a[1:])
+
+
 def lowest_eigs_tridiag(d, e, k: int, rel_tol: float = 1e-13) -> np.ndarray:
     """The k smallest eigenvalues of tridiag(d, e) by inertia bisection.
 

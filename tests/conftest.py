@@ -91,14 +91,25 @@ def exact_harmonic_pair(rng, n):
 
 # ---------------------------------------------------------------- the CLI runner
 
+def _no_constant(name):
+    raise AssertionError(f"JSON report holds {name}, which strict JSON has not")
+
+
 def _call(argv):
-    """(exit status, stdout, stderr) of main(argv); a numeric warning raises."""
+    """(exit status, stdout, stderr) of main(argv); a numeric warning raises.
+
+    A JSON report, the one stdout that opens with "{", must parse as strict
+    JSON: no Infinity, -Infinity or NaN.
+    """
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error", RuntimeWarning)
         code = main([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue()
+    text = out.getvalue()
+    if text.startswith("{"):
+        json.loads(text, parse_constant=_no_constant)
+    return code, text, err.getvalue()
 
 
 class _Stdout(list):

@@ -12,6 +12,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -322,6 +323,16 @@ _CELLS = st.booleans() | st.integers(-(2**63), 2**63 - 1) | st.floats() | _EDGE_
 _NUMPY_SCALAR = {bool: np.bool_, int: np.int64, float: np.float64}
 
 
+def _strict(v):
+    """v with numpy values as their tolist(), tuples as lists and non-finite floats as None."""
+    v = v.tolist() if hasattr(v, "tolist") else v
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emitted(output, payload, rows=None):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -335,8 +346,8 @@ def _emitted(output, payload, rows=None):
 @example(doc={"a": np.array([[-0.0, 5e-324], [float("nan"), float("-inf")]]),
               "b": (np.arange(3), np.zeros((2, 0)), ())}, rows=[_EDGE_ROW])
 def test_emit_matches_indented_json_dumps(doc, rows):
-    # numpy arrays are written as their tolist(), tuples as lists
-    assert _emitted("json", doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
+    # numpy arrays are written as their tolist(), tuples as lists, inf and NaN as null
+    assert _emitted("json", doc) == json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n"
     # a numpy scalar cell prints as the Python value it holds
     np_rows = [[_NUMPY_SCALAR[type(v)](v) for v in row] for row in rows]
     assert _emitted("csv", {}, lambda: np_rows) == _emitted("csv", {}, lambda: rows)

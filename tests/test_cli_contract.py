@@ -97,10 +97,6 @@ def _report(check):
     return lambda out: check(json.loads(out))
 
 
-def _verdict(text):
-    return _report(lambda r: r["verdict"] == text)
-
-
 def _schema(docs, argv, line):
     """A row: argv is refused for a document or a flag (exit 2), with the --help hint."""
     return docs, argv, 2, f"isospec: {line}\n" + _hint(argv[0]), _NOTHING
@@ -144,11 +140,11 @@ def _measure_past_float_range():
 
 
 def _finite_before_overflow(r):
-    """Residuals before h leaves float range are rounding noise, not NaN."""
-    h, res = np.array(r["h"]), np.array(r["residuals"])
-    k = int(np.argmin(np.isfinite(h)))
-    return (0 < k < 400 and np.all(np.isfinite(res[: k - 1]))
-            and np.all(np.abs(res[: k - 1]) <= 1e-12 * np.maximum(1.0, h[1:k])))
+    """h is null from where it leaves float range; the residuals before are rounding noise."""
+    k = r["h"].index(None)
+    h, res = np.array(r["h"][:k]), np.array(r["residuals"][: k - 1], dtype=float)
+    return (0 < k < 400 and r["h"][k:] == [None] * (len(r["h"]) - k)
+            and np.all(np.abs(res) <= 1e-12 * np.maximum(1.0, h[1:k])))
 
 
 def _csv_of_9_states(out):
@@ -407,11 +403,13 @@ CONTRACT = {
     "bounds-free-walk": ({"c.json": {"type": "bd", "birth": 1.0, "death": 1.0, "killing": 0.0,
                                      "N": 8192}}, ["bounds", "c.json", "--nmax", "4096"], 0, PASS,
                          _report(lambda r: r["verdict"].startswith("lambda0 = 0")
-                                 and r["lower"] == 0.0 and r["upper"] == 0.0)),
+                                 and r["lower"] == 0.0 and r["upper"] == 0.0
+                                 and r["delta_tilde"] is None and r["delta_slack"] is None)),
     # constant rates, deaths ahead of births and no killing: lambda0 = 0 exactly
     "recurrent": ({"c.json": {"type": "bd", "birth": 1, "death": 5, "N": 2049}},
                   ["bounds", "c.json", "--nmax", "2048"], 0, PASS,
-                  _verdict("lambda0 = 0 (Hardy constant diverges)")),
+                  _report(lambda r: r["verdict"] == "lambda0 = 0 (Hardy constant diverges)"
+                          and r["delta_tilde"] is None and r["delta_slack"] is None)),
     # birth 1.2 below state 1000 and 1.0 after: the Hardy sums over the states read
     # grow past state 1000, which no window of the first states shows; the tail has
     # b = a, so lambda0 = 0, but arrays cannot prove it

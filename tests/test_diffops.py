@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from isospec import (
+    BirthDeathSpec,
     BlowUp,
     GridTooCoarse,
     NotHarmonicAt,
@@ -22,10 +23,12 @@ from isospec import (
     forward_transform_points,
     hermite_defining_residual,
     hermite_polys,
+    lambda0_variational,
     ou_multiplicity,
     riccati_dual,
     verify_lh_eigen,
 )
+from isospec.chains import _bd_mu
 from isospec.diffops import inverse_transform
 from isospec.errors import InvalidArgument
 
@@ -506,8 +509,19 @@ def test_discretize_matrix_is_mu_symmetric():
     )
     dis = discretize(op)
     L = dis.matrix()
-    W = dis.mu[:, None] * L
+    W = _bd_mu(dis.birth[:-1], dis.death[1:])[:, None] * L
     assert np.max(np.abs(W - W.T)) < 1e-12 * np.max(np.abs(W))
+
+
+def test_discretize_gives_the_chain_bounds_reads():
+    # a Neumann left end has death[0] = 0, the placeholder of rate_arrays, and a
+    # Dirichlet right end a positive birth[-1], the rate out past the last node
+    op = Operator1D.on_interval(0.5, "-x", "-x^2/10", -3.0, 3.0, 200,
+                                boundary=("neumann", "dirichlet"))
+    dis = discretize(op)
+    assert dis.death[0] == 0.0 and dis.birth[-1] > 0.0
+    lam0 = lambda0_variational(BirthDeathSpec(dis.birth, dis.death, dis.killing), dis.n_nodes - 1)
+    assert -dis.lowest(1)[0] == pytest.approx(lam0, rel=1e-12)
 
 
 def test_discretize_dirichlet_laplace_reference():
@@ -548,13 +562,16 @@ def test_discretize_warns_on_coarse_grid():
                          ids=["masses-underflow", "masses-overflow", "masses-zero-745",
                               "masses-zero-760", "masses-zero-800"])
 def test_discretize_keeps_the_kernel_where_mass_products_leave_float_range(a, b, hi):
-    # masses run as e^(int b/a) / a: from e^-hi to 1 after the shift by max C (e^hi
-    # without it), or at 1e198 for a = 1e-200; sqrt(mass_i mass_i+1) is regrouped
-    # where the product is not a normal float, and w / mass is formed from logs where
-    # a mass is not (below e^-708; past e^-745 it rounds to 0), so the constants
-    # stay the kernel
-    lam = discretize(Operator1D.on_interval(a, b, 0.0, 0.0, hi, 1000)).lowest(2)
+    # masses run as e^(int b/a) / a: from 1 to e^hi, or at 1e198 for a = 1e-200,
+    # and past e^709 they are no float; each rate is e^(C - log mass) / dx, a
+    # number of order 1/dx^2, so the constants stay the kernel, and the dense
+    # generator is finite with rows that sum to the killing, 0
+    dis = discretize(Operator1D.on_interval(a, b, 0.0, 0.0, hi, 1000))
+    lam = dis.lowest(2)
     assert abs(lam[0]) < 1e-10 * abs(lam[1])
+    L = dis.matrix()
+    assert np.all(np.isfinite(L))
+    assert np.all(np.abs(L.sum(axis=1) - dis.killing) <= 1e-15 * np.max(np.abs(L)))
 
 
 # ---------------------------------------------------------------- eigencheck

@@ -206,9 +206,12 @@ def test_delta_rejects_nonpositive_h():
 def test_delta_needs_enough_h():
     with pytest.raises(PreconditionViolated):
         delta_tilde(CONST, np.ones(2))
-    # the prefix mass past float range at state 1 leaves one finite term
+    # t_0 = 1/(h_0 h_1 mu_0 b_0) underflows to 0, so no term is finite
     with pytest.raises(PreconditionViolated, match="fewer than two finite terms"):
         delta_tilde(BirthDeathSpec(1e308, 1.0), [1.0, 1e308, 1e308, 1e308])
+    # t_1 = 1/(h_1 h_2 mu_1 b_1) overflows to inf, so one term is finite
+    with pytest.raises(PreconditionViolated, match="fewer than two finite terms"):
+        delta_tilde(BirthDeathSpec(1.0, 1.0, -0.1), [1.0, 1e-200, 1e-200, 1.0, 1.0], N_max=2)
 
 
 def _assert_levels(rep, spec, N_max):

@@ -37,7 +37,7 @@ RECORDS = [
     (Operator1D, "a b c grid boundary", {"boundary": ("neumann", "neumann")}, (), ()),
     (SmoothFunction, "h h1 h2", {}, (), ()),
     (RiccatiResult, "grid phi psi b_tilde phi_prime", {"phi_prime": None}, (), ("phi_prime",)),
-    (Discretization, "x d e mu boundary", {}, (), ()),
+    (Discretization, "x birth death killing boundary", {}, (), ()),
     (EigenCheck, "n residual bound passed", {}, (), ()),
 ]
 

@@ -80,7 +80,7 @@ MUTANTS = [
     ("negative solve admitted", "harmonic.py",
      "bad = np.flatnonzero(~np.isfinite(hm) | (hm < -tol * np.max(np.abs(hm), initial=1.0)))",
      "bad = np.flatnonzero(~np.isfinite(hm))"),
-    # diffops: tolerances, the Riccati anchor, and the scaling of e^psi and of the masses
+    # diffops: tolerances, the Riccati anchor, the scaling of e^psi and the chain's rates
     ("inverse zero potential exact", "diffops.py",
      "if np.any(np.abs(opt.c(x)) > 1e-12):", "if np.any(np.abs(opt.c(x)) > 0.0):"),
     ("anchor off-grid test absolute", "diffops.py",
@@ -90,11 +90,9 @@ MUTANTS = [
      "i0 = int(np.argmin(np.abs(x)))"),
     ("smooth h unscaled", "diffops.py",
      "hv = np.exp(self.psi - np.max(self.psi))", "hv = np.exp(self.psi)"),
-    ("masses unscaled", "diffops.py", "        C -= np.max(C)\n", ""),
-    ("mass pair overflow kept", "diffops.py",
-     "(pair >= _TINY) & (pair < np.inf)", "(pair >= _TINY)"),
-    ("mass pair underflow kept", "diffops.py",
-     "(pair >= _TINY) & (pair < np.inf)", "(pair < np.inf)"),
+    ("rates over the wrong mass", "diffops.py",
+     "np.exp(C[1::2] - lm[:-1]) / dx, np.exp(C[1::2] - lm[1:]) / dx",
+     "np.exp(C[1::2] - lm[1:]) / dx, np.exp(C[1::2] - lm[:-1]) / dx"),
     ("eigen bound without 1 +", "diffops.py",
      "bound = 1e-8 * (1.0 + float(np.max(np.abs(g))))",
      "bound = 1e-8 * float(np.max(np.abs(g)))"),
@@ -112,13 +110,14 @@ MUTANTS = [
     ("bd forward on N = 0", "_cli_chains.py",
      '        if N < 1:\n            raise SchemaError("h must cover at least states 0..2")',
      '        if N < 0:\n            raise SchemaError("h must cover at least states 0..2")'),
-    # eigenbounds: the enclosure and the truncation level bounds reports
+    # eigenbounds: the enclosure, the truncation level bounds reports, the finite terms
     ("lower bound 1/(3 delta)", "eigenbounds.py",
      "lower = 1.0 / (4.0 * delta.value)", "lower = 1.0 / (3.0 * delta.value)"),
     ("eps floor 1e-6", "eigenbounds.py",
      "eps = 1e-8 + trunc_slack", "eps = 1e-6 + trunc_slack"),
     ("lambda0 from N/2", "eigenbounds.py",
      "    lambda0 = lam[-1][1]", "    lambda0 = lam[-2][1]"),
+    ("one finite term admitted", "eigenbounds.py", "if kk < 2:", "if kk < 1:"),
     # eigenbounds: the exact rule for constant rates, the only lambda0 = 0 verdict
     ("exact rule without the killing test", "eigenbounds.py", "c[0] == 0.0 and ", ""),
     ("exact rule births below deaths only", "eigenbounds.py", "b[0] <= a[1]", "b[0] < a[1]"),
