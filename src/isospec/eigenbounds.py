@@ -17,8 +17,6 @@ from .chains import BirthDeathSpec, _bd_h_recurrence, _bd_mu, _conjugated_weight
 from .errors import InvalidArgument, PreconditionViolated, TailNotResolved
 from .spectra import _tridiag, lowest_eigs_tridiag
 
-_WINDOW = 16
-
 
 def _lambda0(b, a, c, levels):
     """[n, lambda0_variational at n] for each n in levels, read off one band of b, a, c."""
@@ -56,17 +54,19 @@ def delta_tilde(
     N_max: int = 4096,
     tail_tol: float = 1e-10,
 ) -> DeltaResult:
-    """Weighted Hardy constant sup_n sum_{j<=n} mu_j h_j^2 sum_{k>=n} nu~_k.
+    """Weighted Hardy constant sup_n M_n T_n of the h-conjugated chain.
 
-    The weights are those of the h-conjugated chain: the prefix mass uses
-    mu h^2 and the tail uses 1/(h_k h_{k+1} mu_k b_k).  The rates are read
-    once, on 0..N_max or as far as the finite prefix of h reaches less one
-    state, and the read ends at the first state whose tail weight is not a
-    positive float or whose prefix mass leaves float range.  The value is
-    inf only where the rates prove lambda0 = 0: birth, death and killing all
-    numbers, killing 0 and birth <= death (Karlin and McGregor, 1957).
-    Otherwise a geometric tail estimate past the last state read certifies
-    the supremum to tail_tol, or the tail is undecided (TailNotResolved).
+    M_n sums m = mu h^2 over 0..n and T_n sums t_k = 1/(h_k h_{k+1} mu_k b_k)
+    over k >= n; the rates are read once, on 0..N_max or the finite prefix of
+    h less one state, up to the first state whose t is not a positive float or
+    whose M leaves float range.  The value is inf only where the rates prove
+    lambda0 = 0: birth, death and killing all numbers, killing 0 and birth <=
+    death (Karlin and McGregor, 1957).  Else, with r_hat < 1 the largest
+    t_{k+1}/t_k of the last 16 states read and R = t_last r_hat/(1 - r_hat),
+    slack = max_n M_n (T_n + R) - sup <= tail_tol sup certifies sup <= delta <=
+    sup + slack (else TailNotResolved) under two assumptions: (i) every
+    t_{k+1}/t_k past the read is at most r_hat, which bounds the unread tail
+    sum by R, and (ii) no state past the read raises the supremum.
     """
     tail_tol = _tolerance("tail_tol", tail_tol)
     hv = _h_values(h)
@@ -86,7 +86,7 @@ def delta_tilde(
     kk = int(bad[0]) if bad.size else K_cap + 1
     if kk < 2:
         raise PreconditionViolated("fewer than two finite terms")
-    m, t, M = m[:kk], t[:kk], M[:kk]
+    t, M = t[:kk], M[:kk]
 
     with np.errstate(over="ignore"):  # a sum past float range reads inf
         T = np.cumsum(t[::-1])[::-1]
@@ -96,22 +96,13 @@ def delta_tilde(
     if spec._constant() and c[0] == 0.0 and b[0] <= a[1]:
         return DeltaResult(math.inf, n_sup, math.inf, kk, partial=cand)
 
-    w = min(_WINDOW, kk - 1)
+    w = min(16, kk - 1)
     r_hat = float(np.max(t[kk - w : kk] / t[kk - w - 1 : kk - 1]))
     slack = math.inf
     if r_hat < 1.0:
-        mt = m * t
-        s_hat = float(np.max(mt[kk - w : kk] / mt[kk - w - 1 : kk - 1]))
         R = float(t[-1]) * r_hat / (1.0 - r_hat)
         slack = float(np.max(cand + M * R)) - sup
-        rho = s_hat / r_hat
-        if rho > 1.0 + 1e-9:
-            growth = rho / (rho - 1.0)
-        else:
-            growth = 1.0 / (math.e * math.log(1.0 / r_hat)) + 1.0
-        future = float(mt[-1]) * r_hat / (1.0 - r_hat) * growth
-        slack += max(0.0, future - sup)
-        if slack <= tail_tol * max(1.0, sup):
+        if slack <= tail_tol * sup:
             return DeltaResult(sup, n_sup, slack, kk, partial=cand)
     raise TailNotResolved(sup, n_sup, slack, kk)
 

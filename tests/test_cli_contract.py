@@ -418,7 +418,7 @@ CONTRACT = {
                                      "killing": [-0.05] * 10 + [0.0] * 8182}},
                          ["bounds", "c.json", "--nmax", "4096"],
                          "tail undecided after 4097 terms: partial sup 2.40715e+06 at n = 2545, "
-                         "slack bound 9.94864e+29"),
+                         "slack bound 5.58807e+18"),
     # near the critical ratio the Hardy sums grow for thousands of states before they
     # settle (delta~ about 8.6e7), so their growth over the first states decides nothing
     "near-critical-killing": _failed({"c.json": {"type": "bd", "birth": 1.0, "death": 1.001,

@@ -169,6 +169,20 @@ def test_delta_polynomial_tail_unresolved_at_tight_tolerance():
     assert err.slack > 1e-10 * err.partial_sup
 
 
+def test_delta_certifies_a_slack_relative_to_the_supremum():
+    # birth 4 and death 1 as arrays, read on 0..32: sup = 4/9 < 1 and the unread
+    # tail leaves slack 5.2e-11, so the default tail_tol 1e-10 lies in [slack, slack/sup)
+    s = BirthDeathSpec(np.full(34, 4.0), np.full(34, 1.0), 0.0)
+    h = bd_harmonic_explicit(s, 33)
+    res = delta_tilde(s, h, N_max=32, tail_tol=1.0)
+    assert res.value < 1.0 and res.slack > 0.0
+    rel = res.slack / res.value
+    assert delta_tilde(s, h, N_max=32, tail_tol=rel * (1.0 + 1e-9)) == res
+    for tol in (res.slack, 1e-10, rel * (1.0 - 1e-9)):
+        with pytest.raises(TailNotResolved):
+            delta_tilde(s, h, N_max=32, tail_tol=tol)
+
+
 def test_delta_free_walk_diverges():
     s = BirthDeathSpec(birth=1.0, death=1.0, killing=0.0)
     res = delta_tilde(s, np.ones(4098))
@@ -323,6 +337,15 @@ def test_bounds_report_encloses_the_closed_form(b, a):
     assert rep.verdict == "lambda0 > 0"
     assert rep.containment
     assert rep.lower <= (math.sqrt(b) - math.sqrt(a)) ** 2 <= rep.upper
+
+
+@pytest.mark.xfail(strict=True, reason="delta_tilde reads only 0..N_max; a poly rate's tail "
+                   "(ROADMAP.md item 17) would show deaths overtake births past state 99")
+def test_bounds_report_lower_bound_holds_for_a_polynomial_chain_read_short():
+    # births 2 + 2i lead deaths 0.02 (1 + i)^2 up to state 99; read on 0..80 the
+    # enclosure is [0.540391, 2.16156], yet lambda0 <= 0.2 from the truncation at 400
+    spec = BirthDeathSpec(lambda i: 2.0 + 2.0 * i, lambda i: 0.02 * (1.0 + i) ** 2, -0.2)
+    assert bounds_report(spec, N_max=80).lower <= lambda0_variational(spec, 400)
 
 
 # b = 1, a = 5 is test_hardy_sums_past_float_range_raise_no_warning

@@ -269,6 +269,29 @@ def test_hardy_verdict_matches_the_classification_near_the_critical_ratio(case):
     _assert_classified(case)
 
 
+def _read(spec, N_max):
+    """delta_tilde's (value, slack), or (partial sup, None) when its tail is undecided."""
+    try:
+        res = delta_tilde(spec, bd_harmonic_explicit(spec, N_max + 1), N_max=N_max)
+    except TailNotResolved as err:
+        return err.partial_sup, None
+    return res.value, res.slack
+
+
+@settings(max_examples=100)  # O(N) kernels at N = 4094 per certified example
+@given(eventually_constant_chains())
+def test_a_certified_delta_covers_a_longer_read_of_its_constant_tail(case):
+    # the tail continues as the arrays end, so a read to 4096 states sees what the
+    # certificate assumed of the states past N_max; h is the same on the shared states
+    spec, N_max, *_ = case
+    value, slack = _read(spec, N_max)
+    if slack is None:
+        return
+    b, a, c = (np.pad(x, (0, 4096 - x.size), mode="edge") for x in spec.rate_arrays(N_max + 1))
+    longer, _ = _read(BirthDeathSpec(b, a, c), 4094)
+    assert longer <= (value + slack) * (1.0 + 1e-12), (value, slack, longer)
+
+
 @given(st.integers(1, 150), st.integers(0, 2**32 - 1))
 def test_ftilde_matches_recurrence(N, seed):
     spec = _rng_chain(seed, N, death=(0.5, 1.5))

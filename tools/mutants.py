@@ -121,6 +121,11 @@ MUTANTS = [
     # eigenbounds: the exact rule for constant rates, the only lambda0 = 0 verdict
     ("exact rule without the killing test", "eigenbounds.py", "c[0] == 0.0 and ", ""),
     ("exact rule births below deaths only", "eigenbounds.py", "b[0] <= a[1]", "b[0] < a[1]"),
+    # eigenbounds: the tail certificate, the unread tail sum and the relative acceptance
+    ("tail sum R = 0", "eigenbounds.py",
+     "R = float(t[-1]) * r_hat / (1.0 - r_hat)", "R = 0.0"),
+    ("acceptance with an absolute floor", "eigenbounds.py",
+     "slack <= tail_tol * sup", "slack <= tail_tol * max(1.0, sup)"),
 ]
 
 
